@@ -21,7 +21,7 @@ from .errors import (BasePointMismatch, ChartMissing, GeometryError, HopLimit, I
                      LeftAtlas, NoCommonChart, NoConvergence, NotInOverlap, NotKilling,
                      ParseError, ScenarioError, SeedChartMismatch, SingularFrame,
                      SingularGroupElement, StencilLeavesDomain, UnknownCatalogName)
-from .flows import (ChartField, FlowSegment, IntegratorConfig, VectorField, combine,
+from .flows import (ChartField, IntegratorConfig, VectorField, combine,
                     commutation_defect, constant_field, integrate, lie_derivative_defect,
                     parameter_flow_derivative_defect, variational_flow)
 from .frame_bundle import (Frame, FrameTangent, KappaValue, connection_form,

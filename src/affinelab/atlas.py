@@ -5,6 +5,14 @@ fractional interior safety margin used for integration hand-off) and
 transition maps to overlapping charts.  Points and tangent vectors are
 always expressed relative to a chart; re-charting pushes coordinates
 through the transition map and vectors through its Jacobian.
+
+Chart callables (membership tests, transition maps and their
+derivatives) accept coordinates of shape (..., n) and broadcast over the
+leading axes, so one representation serves a single point and a block of
+rows.  Catalog formulas read components as `x[..., i]`; those the
+integrator calls every step read them from the transpose, `x.T[i]`, which
+gives numpy scalars for one point (cheaper than 0-d arrays), and undo the
+transpose when assembling the result, `np.array([...]).T`.
 """
 from __future__ import annotations
 
@@ -52,8 +60,9 @@ class Transition:
     """Map between two chart coordinate systems with optional derivatives.
 
     `d` returns the (n, n) Jacobian, `d2` the (n, n, n) symmetric tensor
-    T[i, j, k] = d^2 h_i / dx_j dx_k.  Missing derivatives fall back to
-    central differences at the atlas level.
+    T[i, j, k] = d^2 h_i / dx_j dx_k.  All three take (..., n) inputs and
+    prepend the leading axes to their results.  Missing derivatives fall
+    back to central differences at the atlas level.
     """
 
     map: Callable[[Coords], Coords]
@@ -65,9 +74,10 @@ class Transition:
 class Chart:
     """A coordinate patch V of the model space.
 
-    `contains_fn(x, margin)` implements the membership test; `margin` in
-    [0, 1) shrinks the domain toward its interior (0.1 keeps integration
-    states one tenth away from the boundary so FD stencils stay inside).
+    `contains_fn(x, margin)` implements the membership test on (..., n)
+    coordinates, one boolean per leading index; `margin` in [0, 1) shrinks
+    the domain toward its interior (0.1 keeps integration states one tenth
+    away from the boundary so FD stencils stay inside).
     """
 
     id: str
@@ -185,23 +195,36 @@ class Atlas:
         Returns (chart_id, new_coords) or None when no declared neighbour
         holds the state inside its margin-shrunk domain.
         """
+        targets, Y = self.hop_targets(cid, _vec(x)[None], margin)
+        if targets[0] is None:
+            return None
+        return targets[0], Y[0]
+
+    def hop_targets(self, cid: str, X: np.ndarray, margin: float):
+        """`hop_target` for every row of X (r, n) at once.
+
+        Neighbours are tried in priority order, each on the rows still
+        without a target; a neighbour whose map raises is skipped for those
+        rows.  Returns (targets, Y): targets[i] is a chart id or None, Y[i]
+        the row's coordinates in that chart (row i of X where None).
+        """
         src = self.chart(cid)
-        best = None
-        for tid, tr in src.transitions.items():
-            tgt = self.chart(tid)
+        targets = np.full(len(X), None, dtype=object)
+        Y = np.array(X, float)
+        todo = np.arange(len(X))
+        for tid in sorted(src.transitions, key=lambda t: (self.chart(t).priority, t)):
             try:
-                y = _vec(tr.map(x))
+                y = np.asarray(src.transitions[tid].map(X[todo]), float)
             except (FloatingPointError, ZeroDivisionError, ValueError):
                 continue
-            if not np.all(np.isfinite(y)):
-                continue
-            if tgt.contains(y, margin):
-                key = (tgt.priority, tid)
-                if best is None or key < best[0]:
-                    best = (key, tid, y)
-        if best is None:
-            return None
-        return best[1], best[2]
+            ok = np.isfinite(y).all(axis=-1)
+            ok[ok] = self.chart(tid).contains_fn(y[ok], margin)
+            targets[todo[ok]] = tid
+            Y[todo[ok]] = y[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+        return targets, Y
 
     def gap(self, p: Point, q: Point) -> float:
         """Distance between two points measured in a shared chart."""
@@ -263,12 +286,12 @@ class Atlas:
 # -- common domain shapes -------------------------------------------------
 
 def all_space(x, margin=0.0):
-    return True
+    return np.ones(np.shape(x)[:-1], bool)
 
 
 def disk_domain(radius: float):
     def contains(x, margin=0.0):
-        return float(np.linalg.norm(x)) < radius * (1.0 - margin)
+        return np.sqrt((x * x).sum(axis=-1)) < radius * (1.0 - margin)
 
     return contains
 
@@ -280,6 +303,6 @@ def box_domain(lo, hi):
     half = 0.5 * (hi - lo)
 
     def contains(x, margin=0.0):
-        return bool(np.all(np.abs(x - center) < half * (1.0 - margin)))
+        return (np.abs(x - center) < half * (1.0 - margin)).all(axis=-1)
 
     return contains

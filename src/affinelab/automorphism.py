@@ -138,10 +138,8 @@ class FlowWord(Diffeo):
     """Composition of flow maps, applied left-to-right."""
 
     def __init__(self, atlas: Atlas, word, cfg: IntegratorConfig | None = None, name: str = ""):
-        from .flows import as_segment_pair
-
         self.atlas = atlas
-        self.word = [as_segment_pair(seg) for seg in word]
+        self.word = [(f, float(t)) for f, t in word]
         self.cfg = cfg or IntegratorConfig()
         self.name = name or "*".join(f"Fl[{f.name},{t:g}]" for f, t in self.word)
 

@@ -4,7 +4,9 @@ A bundle point is stored flat: the first n entries are base coordinates,
 the remaining n*k entries an (n, k) fiber matrix in row-major order.
 k = 1 gives the tangent bundle (velocity column), k = n the frame bundle
 (frame matrix).  Transitions act as (x, G) -> (h(x), dh(x) G); their
-Jacobians use d2h of the base chart when available.
+Jacobians use d2h of the base chart when available.  Like the base chart
+callables, bundle membership tests and transitions take (..., n + n k)
+inputs.
 """
 from __future__ import annotations
 
@@ -14,12 +16,13 @@ from .atlas import Atlas, Chart, Transition, _vec
 
 
 def pack(x: np.ndarray, G: np.ndarray) -> np.ndarray:
-    return np.concatenate([_vec(x), np.asarray(G, float).ravel()])
+    x = _vec(x)
+    return np.concatenate([x, np.asarray(G, float).reshape(x.shape[:-1] + (-1,))], axis=-1)
 
 
 def unpack(z: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     z = _vec(z)
-    return z[:n], z[n:].reshape(n, k)
+    return z[..., :n], z[..., n:].reshape(z.shape[:-1] + (n, k))
 
 
 def _bundle_transition(base: Atlas, src_id: str, tid: str, n: int, k: int) -> Transition:
@@ -32,16 +35,18 @@ def _bundle_transition(base: Atlas, src_id: str, tid: str, n: int, k: int) -> Tr
 
     def bd(z):
         x, G = unpack(z, n, k)
+        lead = x.shape[:-1]
         J = base._raw_d_transition(src_id, x, tid)
         T2 = base._raw_d2_transition(src_id, x, tid)
         N = n + n * k
-        out = np.zeros((N, N))
-        out[:n, :n] = J
+        out = np.zeros(lead + (N, N))
+        out[..., :n, :n] = J
         # fiber rows vs base columns: d(dh(x) G) along e_j = d2h(e_j, .) G
         for j in range(n):
-            out[n:, j] = (T2[:, j, :] @ G).ravel()
-        # fiber rows vs fiber columns: dh acts column-wise
-        out[n:, n:] = np.kron(J, np.eye(k))
+            out[..., n:, j] = (T2[..., :, j, :] @ G).reshape(lead + (n * k,))
+        # fiber rows vs fiber columns: dh acts column-wise, kron(J, I_k)
+        kron = np.einsum("...ab,cd->...acbd", J, np.eye(k))
+        out[..., n:, n:] = kron.reshape(lead + (n * k, n * k))
         return out
 
     return Transition(map=bmap, d=bd)
@@ -63,12 +68,10 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0,
     charts = []
     for cid, c in base.charts.items():
         def contains(z, margin=0.0, c=c):
-            x, G = unpack(z, n, k)
-            if not c.contains(x, margin):
-                return False
-            if det_guard > 0.0 and abs(np.linalg.det(G)) <= det_guard:
-                return False
-            return True
+            inside = c.contains_fn(z[..., :n], margin)
+            if det_guard > 0.0:
+                inside = inside & ~(np.abs(np.linalg.det(unpack(z, n, k)[1])) <= det_guard)
+            return inside
 
         bc = Chart(
             id=cid,

@@ -86,29 +86,29 @@ def d2_sphere_to_stereo(X: np.ndarray, sigma: float) -> np.ndarray:
     return T
 
 
+def _sq(p):
+    """|p|^2 of (..., 2) coordinates."""
+    p0, p1 = p[..., 0], p[..., 1]
+    return p0 * p0 + p1 * p1
+
+
 def _inversion():
     """Transition between the two stereographic charts: p -> p / |p|^2."""
 
     def h(p):
-        s = float(p @ p)
-        if s == 0.0:
-            return np.full(2, np.inf)
-        return p / s
+        s = _sq(p)[..., None]
+        return np.divide(p, s, out=np.full(p.shape, np.inf), where=s != 0.0)
 
     def dh(p):
-        s = float(p @ p)
-        return (np.eye(2) - 2.0 * np.outer(p, p) / s) / s
+        s = _sq(p)[..., None, None]
+        return (np.eye(2) - 2.0 * (p[..., :, None] * p[..., None, :]) / s) / s
 
     def d2h(p):
-        s = float(p @ p)
+        s = _sq(p)[..., None, None, None]
         eye = np.eye(2)
-        T = np.empty((2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    T[i, j, k] = (-2.0 * (eye[i, j] * p[k] + eye[i, k] * p[j] + eye[j, k] * p[i]) / s**2
-                                  + 8.0 * p[i] * p[j] * p[k] / s**3)
-        return T
+        pi, pj, pk = p[..., :, None, None], p[..., None, :, None], p[..., None, None, :]
+        return (-2.0 * (eye[:, :, None] * pk + eye[:, None, :] * pj + eye[None, :, :] * pi) / s**2
+                + 8.0 * pi * pj * pk / s**3)
 
     return Transition(map=h, d=dh, d2=d2h)
 
@@ -146,35 +146,40 @@ def plane_atlas() -> Atlas:
                   [0.3, -2.0], [2.0, 2.0], priority=1)
 
     def c2p(x):
-        return np.array([np.hypot(x[0], x[1]), np.arctan2(x[1], x[0])])
+        a, b = x[..., 0], x[..., 1]
+        return np.stack([np.hypot(a, b), np.arctan2(b, a)], axis=-1)
 
     def d_c2p(x):
-        r = np.hypot(x[0], x[1])
-        return np.array([[x[0] / r, x[1] / r], [-x[1] / r**2, x[0] / r**2]])
+        a, b = x[..., 0], x[..., 1]
+        r = np.hypot(a, b)
+        return np.stack([np.stack([a / r, b / r], -1), np.stack([-b / r**2, a / r**2], -1)], -2)
 
     def d2_c2p(x):
-        a, b = x
+        a, b = x[..., 0], x[..., 1]
         r = np.hypot(a, b)
-        T = np.empty((2, 2, 2))
-        T[0] = np.array([[b**2, -a * b], [-a * b, a**2]]) / r**3
-        T[1] = np.array([[2 * a * b, b**2 - a**2], [b**2 - a**2, -2 * a * b]]) / r**4
+        T = np.empty(x.shape + (2, 2))
+        T[..., 0, 0, 0], T[..., 0, 1, 1] = b**2 / r**3, a**2 / r**3
+        T[..., 0, 0, 1] = T[..., 0, 1, 0] = -a * b / r**3
+        T[..., 1, 0, 0], T[..., 1, 1, 1] = 2 * a * b / r**4, -2 * a * b / r**4
+        T[..., 1, 0, 1] = T[..., 1, 1, 0] = (b**2 - a**2) / r**4
         return T
 
     def p2c(y):
-        r, th = y
-        return np.array([r * np.cos(th), r * np.sin(th)])
+        r, th = y[..., 0], y[..., 1]
+        return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
     def d_p2c(y):
-        r, th = y
-        return np.array([[np.cos(th), -r * np.sin(th)], [np.sin(th), r * np.cos(th)]])
+        r, th = y[..., 0], y[..., 1]
+        c, s = np.cos(th), np.sin(th)
+        return np.stack([np.stack([c, -r * s], -1), np.stack([s, r * c], -1)], -2)
 
     def d2_p2c(y):
-        r, th = y
-        T = np.zeros((2, 2, 2))
-        T[0, 0, 1] = T[0, 1, 0] = -np.sin(th)
-        T[0, 1, 1] = -r * np.cos(th)
-        T[1, 0, 1] = T[1, 1, 0] = np.cos(th)
-        T[1, 1, 1] = -r * np.sin(th)
+        r, th = y[..., 0], y[..., 1]
+        T = np.zeros(y.shape + (2, 2))
+        T[..., 0, 0, 1] = T[..., 0, 1, 0] = -np.sin(th)
+        T[..., 0, 1, 1] = -r * np.cos(th)
+        T[..., 1, 0, 1] = T[..., 1, 1, 0] = np.cos(th)
+        T[..., 1, 1, 1] = -r * np.sin(th)
         return T
 
     cart.add_transition("polar", Transition(c2p, d_c2p, d2_c2p))
@@ -194,6 +199,7 @@ def torus_atlas(half_width: float = 0.35) -> Atlas:
         c = np.array(c)
         charts[cid] = Chart(cid, 2, box_domain(c - half_width, c + half_width),
                             c - 0.8 * half_width, c + 0.8 * half_width, priority=i)
+    eye = np.eye(2)
     for cid in centers:
         for tid in centers:
             if tid == cid:
@@ -203,8 +209,9 @@ def torus_atlas(half_width: float = 0.35) -> Atlas:
             def shift(x, ct=ct):
                 return x - np.round(x - ct)
 
-            charts[cid].add_transition(tid, Transition(shift, d=lambda x: np.eye(2),
-                                                       d2=lambda x: np.zeros((2, 2, 2))))
+            charts[cid].add_transition(tid, Transition(
+                shift, d=lambda x: np.zeros(x.shape + (2,)) + eye,
+                d2=lambda x: np.zeros(x.shape + (2, 2))))
     return Atlas("torus", 2, list(charts.values()))
 
 
@@ -218,8 +225,9 @@ def sphere_atlas(radius_cap: float = 2.0) -> Atlas:
 
 def halfplane_atlas() -> Atlas:
     def contains(x, margin=0.0):
-        return (x[1] > 1e-8 * (1.0 + margin) and abs(x[0]) < 1e6 * (1.0 - margin)
-                and x[1] < 1e6 * (1.0 - margin))
+        a, b = x.T[0], x.T[1]
+        return ((b > 1e-8 * (1.0 + margin)) & (np.abs(a) < 1e6 * (1.0 - margin))
+                & (b < 1e6 * (1.0 - margin))).T
 
     return Atlas("halfplane", 2, [Chart("hp", 2, contains, [-2.0, 0.5], [2.0, 2.0])])
 
@@ -239,7 +247,7 @@ def sphere_colat_atlas() -> Atlas:
 
 def flat_connection(atlas: Atlas) -> ConnectionField:
     n = atlas.dim
-    charts = {cid: ConnChart(bilinear=lambda x, v, w: np.zeros(n),
+    charts = {cid: ConnChart(bilinear=lambda x, v, w: np.zeros(np.broadcast(x, v, w).shape),
                              tensor=lambda x: np.zeros((n, n, n)),
                              d_dir=lambda x, u: np.zeros((n, n, n)))
               for cid in atlas.charts}
@@ -251,8 +259,8 @@ def plane_flat_connection(atlas: Atlas) -> ConnectionField:
     Gamma^r_{theta theta} = -r, Gamma^theta_{r theta} = 1/r on the polar chart."""
 
     def polar_bil(x, v, w):
-        r = x[0]
-        return np.array([r * v[1] * w[1], -(v[0] * w[1] + v[1] * w[0]) / r])
+        r, v, w = x.T[0], v.T, w.T
+        return np.array([r * v[1] * w[1], -(v[0] * w[1] + v[1] * w[0]) / r]).T
 
     def polar_tensor(x):
         r = x[0]
@@ -268,7 +276,7 @@ def plane_flat_connection(atlas: Atlas) -> ConnectionField:
         return u[0] * T
 
     charts = {
-        "cart": ConnChart(bilinear=lambda x, v, w: np.zeros(2),
+        "cart": ConnChart(bilinear=lambda x, v, w: np.zeros(np.broadcast(x, v, w).shape),
                           tensor=lambda x: np.zeros((2, 2, 2)),
                           d_dir=lambda x, u: np.zeros((2, 2, 2))),
         "polar": ConnChart(bilinear=polar_bil, tensor=polar_tensor, d_dir=polar_d_dir),
@@ -282,8 +290,11 @@ def round_sphere_connection(atlas: Atlas) -> ConnectionField:
     c = 2/(1+|x|^2)."""
 
     def bil(x, v, w):
-        c = 2.0 / (1.0 + x @ x)
-        return c * ((x @ v) * w + (x @ w) * v - (v @ w) * x)
+        x, v, w = x.T, v.T, w.T
+        x0, x1, v0, v1, w0, w1 = x[0], x[1], v[0], v[1], w[0], w[1]
+        c = 2.0 / (1.0 + (x0 * x0 + x1 * x1))
+        xv, xw, vw = x0 * v0 + x1 * v1, x0 * w0 + x1 * w1, v0 * w0 + v1 * w1
+        return np.array([c * (xv * w0 + xw * v0 - vw * x0), c * (xv * w1 + xw * v1 - vw * x1)]).T
 
     def tensor(x):
         c = 2.0 / (1.0 + x @ x)
@@ -309,8 +320,8 @@ def hyperbolic_connection(atlas: Atlas) -> ConnectionField:
     """Levi-Civita connection of (dx^2 + dy^2)/y^2 on the upper half-plane."""
 
     def bil(x, v, w):
-        y = x[1]
-        return np.array([v[0] * w[1] + v[1] * w[0], v[1] * w[1] - v[0] * w[0]]) / y
+        y, v, w = x.T[1], v.T, w.T
+        return np.array([(v[0] * w[1] + v[1] * w[0]) / y, (v[1] * w[1] - v[0] * w[0]) / y]).T
 
     def tensor(x):
         y = x[1]
@@ -330,10 +341,10 @@ def colat_round_connection(atlas: Atlas) -> ConnectionField:
     """Round-sphere connection in the colatitude chart, via Christoffels."""
 
     def gamma(x):
-        th = x[0]
-        G = np.zeros((2, 2, 2))
-        G[0, 1, 1] = -np.sin(th) * np.cos(th)
-        G[1, 0, 1] = G[1, 1, 0] = 1.0 / np.tan(th)
+        th = x[..., 0]
+        G = np.zeros(x.shape + (2, 2))
+        G[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = 1.0 / np.tan(th)
         return G
 
     return from_christoffel(atlas, {"colat": gamma}, name="round")

@@ -41,9 +41,11 @@ class ConnChart:
     """Connection data on a single chart.
 
     Exactly one of `bilinear` (x, v, w) -> vec or `tensor` x -> (n,n,n)
-    must be supplied; the other is derived.  `d_dir` (x, u) -> (n,n,n) is
-    the directional derivative of the tensor along u; it falls back to
-    central differences of the tensor (step h1).
+    must be supplied; the other is derived.  `bilinear` broadcasts over
+    leading axes of (..., n) arguments, which the batched geodesic spray
+    relies on; so does `tensor` when `bilinear` is derived from it.
+    `d_dir` (x, u) -> (n,n,n) is the directional derivative of the tensor
+    along u; it falls back to central differences of the tensor (step h1).
     """
 
     bilinear: Callable | None = None
@@ -115,8 +117,7 @@ def _tensor_from_bilinear(bil, n):
 
 def _bilinear_from_tensor(tensor):
     def bil(x, v, w):
-        T = np.asarray(tensor(x), float)
-        return (T.reshape(T.shape[0], -1) @ np.outer(v, w).ravel())
+        return np.einsum("...ijk,...j,...k->...i", np.asarray(tensor(x), float), v, w)
 
     return bil
 
@@ -164,7 +165,7 @@ def from_christoffel(atlas: Atlas, gammas: dict[str, Callable], name: str = "chr
     for cid, gfn in gammas.items():
         def tensor(x, gfn=gfn):
             G = np.asarray(gfn(x), float)
-            return -np.swapaxes(G, 1, 2)
+            return -np.swapaxes(G, -2, -1)
 
         charts[cid] = ConnChart(tensor=tensor)
     return ConnectionField(atlas, name, charts, torsion_free=torsion_free)

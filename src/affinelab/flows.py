@@ -1,10 +1,18 @@
 """Chart-hopping ODE machinery for vector fields expressed per chart.
 
-Fixed-step classical RK4 throughout; no adaptivity.  When the state
-leaves the margin-shrunk domain of its chart it is handed off to the
-highest-priority neighbouring chart that contains it.  The variational
-flow integrates the joint system (x, w) with w' = d xi(x) w, re-charting
-w through the transition Jacobian at every hand-off.
+Fixed-step classical RK4 throughout; no adaptivity.  One core integrates
+rows of states: a single trajectory (`_run`) is one row with a 1-D state
+and a float step, and a block (`_run_block`, used by the completeness
+probe for every seed in both directions) is an (m, N) array whose rows
+each carry their own chart, signed step, hop count, status and reach
+time.  Each step advances one chart group of rows at a time through the
+chart's field callable, which therefore takes (..., N) inputs.  A row
+that leaves the margin-shrunk domain of its chart is handed off to the
+highest-priority neighbouring chart that contains it; a divergence,
+left-atlas or hop-limit stop retires that row and leaves the rest
+running.  The variational flow appends w' = d xi(x) w to the state as
+extra columns, re-charting w through the transition Jacobian at every
+hand-off.
 """
 from __future__ import annotations
 
@@ -32,8 +40,14 @@ class IntegratorConfig:
     state_guard: float = 1e8
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step!r}")
+        if not self.max_hops >= 0:
+            raise ValueError(f"max_hops must be non-negative, got {self.max_hops!r}")
+        if not 0.0 <= self.rechart_margin < 1.0:
+            raise ValueError(f"rechart_margin must lie in [0, 1), got {self.rechart_margin!r}")
+        if not self.state_guard > 0:
+            raise ValueError(f"state_guard must be positive, got {self.state_guard!r}")
 
 
 @dataclass(eq=False)
@@ -48,19 +62,6 @@ class ChartField:
     value: Callable
     d: Callable | None = None
     d2: Callable | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class FlowSegment:
-    field: "VectorField"
-    duration: float
-
-
-def as_segment_pair(seg) -> tuple:
-    if isinstance(seg, FlowSegment):
-        return seg.field, seg.duration
-    f, t = seg
-    return f, float(t)
 
 
 class VectorField:
@@ -149,90 +150,197 @@ def _jac_fn(field: VectorField, cid: str):
     return lambda x: numdiff.jacobian(cf.value, x, inside=inside)
 
 
+def _rhs(field: VectorField, cid: str, n: int, k: int) -> Callable:
+    """Right-hand side on chart `cid` for states [x, w], w holding k columns."""
+    f = field.chart_field(cid).value
+    if not k:
+        return lambda z: np.asarray(f(z), float)
+    dj = _jac_fn(field, cid)
+
+    def rhs(z):
+        x = z[..., :n]
+        W = z[..., n:].reshape(z.shape[:-1] + (n, k))
+        return np.concatenate([_vec(f(x)), (dj(x) @ W).reshape(z.shape[:-1] + (n * k,))], axis=-1)
+
+    return rhs
+
+
+def _rk4(rhs: Callable, z: np.ndarray, h) -> np.ndarray:
+    k1 = rhs(z)
+    k2 = rhs(z + 0.5 * h * k1)
+    k3 = rhs(z + 0.5 * h * k2)
+    k4 = rhs(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: IntegratorConfig,
+               w_shape: tuple | None = None, record: list | None = None):
+    """The RK4 core.
+
+    `z` is one state (n + n k,) with `t` a float, or a block of rows
+    (m, n + n k) with `t` an (m,) array of signed durations; n is the
+    field's state dimension and the last n k columns hold the variational
+    block of shape `w_shape`.  `z` is updated in place.  Returns (chart
+    ids, z, t_reached, statuses) with one entry per row.  `record` (one
+    row only) is appended with rows (t, chart_id, x_copy[, w_copy]), a
+    hop adding its pre-hop state at the same time.
+    """
+    atlas = field.atlas
+    n = atlas.dim
+    k = 0 if w_shape is None else int(np.prod(w_shape)) // n
+    single = z.ndim == 1
+    cids = list(cids)
+    m = len(cids)
+    rows = z.reshape(m, -1)
+    ts = [float(t)] if single else [float(ti) for ti in t]
+    steps = [max(1, int(math.ceil(abs(ti) / cfg.step - 1e-12))) if ti != 0.0 else 0 for ti in ts]
+    hs = [ti / s if s else 0.0 for ti, s in zip(ts, steps)]
+    h = hs[0] if single else np.array(hs)[:, None]
+
+    rhs = {}
+
+    def rhs_on(cid):
+        if cid not in rhs:
+            rhs[cid] = _rhs(field, cid, n, k)
+        return rhs[cid]
+
+    for cid, row in zip(cids, rows):
+        if not atlas.chart(cid).contains(row[:n]):
+            raise LeftAtlas(f"start {Point(cid, row[:n])!r} outside its chart domain")
+        rhs_on(cid)
+
+    def snapshot(tcur, r):
+        x = rows[r, :n].copy()
+        if k:
+            return tcur, cids[r], x, rows[r, n:].reshape(w_shape).copy()
+        return tcur, cids[r], x
+
+    if record is not None:
+        record.append(snapshot(0.0, 0))
+
+    status = [OK] * m
+    reached = list(steps)
+    hops = [0] * m
+    live = {r for r in range(m) if steps[r]}
+    finish = {}
+    for r in live:
+        finish.setdefault(steps[r], set()).add(r)
+    margin = cfg.rechart_margin
+    guard2 = cfg.state_guard ** 2
+    plan = None
+
+    def stop(r, why, at):
+        status[r] = why
+        reached[r] = at
+        live.discard(r)
+
+    def groups():
+        """(chart id, row selector, step, rhs, membership test) per chart
+        holding live rows; the selector `...` takes every row."""
+        by_chart = {}
+        for r in sorted(live):
+            by_chart.setdefault(cids[r], []).append(r)
+        if len(by_chart) == 1 and len(live) == m:
+            sels = {cids[0]: ...}
+        else:
+            sels = {cid: np.array(rs) for cid, rs in by_chart.items()}
+        return [(cid, sel, h if sel is ... else h[sel], rhs_on(cid), atlas.chart(cid).contains_fn)
+                for cid, sel in sels.items()]
+
+    for i in range(max(steps, default=0)):
+        if plan is None:
+            plan = groups()
+        for cid, sel, h_sel, rhs_fn, contains in plan:
+            zs = _rk4(rhs_fn, z[sel], h_sel)
+            z[sel] = zs
+            xs = zs[..., :n]
+            # a non-finite state fails the guard comparison too
+            sound = (xs * xs).sum(axis=-1) <= guard2
+            inside = contains(xs, margin)
+            ok = sound & inside
+            if ok.all() if ok.ndim else ok:
+                continue
+            # rare path: stop diverged rows, hop (or stop) rows outside the margin
+            plan = None
+            idx = np.arange(m) if sel is ... else sel
+            sound = np.reshape(sound, -1)
+            for r in idx[~sound]:
+                stop(r, DIVERGED, i)
+            out = idx[sound & ~np.reshape(inside, -1)]
+            if not out.size:
+                continue
+            X = rows[out, :n]
+            if single:
+                hop = atlas.hop_target(cid, X[0], margin)
+                targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
+            else:
+                targets, Y = atlas.hop_targets(cid, X, margin)
+            stranded = []
+            for j, r in enumerate(out):
+                tid = targets[j]
+                if tid is None:
+                    stranded.append(j)
+                    continue
+                if not field.has_chart(tid):
+                    raise ChartMissing(f"field {field.name!r} undefined on hop target {tid!r}")
+                if record is not None:
+                    record.append(snapshot((i + 1) * h, r))
+                if k:
+                    W = rows[r, n:].reshape(n, k)
+                    rows[r, n:] = (atlas._raw_d_transition(cid, X[j], tid) @ W).ravel()
+                rows[r, :n] = Y[j]
+                cids[r] = tid
+                hops[r] += 1
+                if hops[r] > cfg.max_hops:
+                    stop(r, HOP_LIMIT, i + 1)
+            # rows with no better chart keep integrating here while they
+            # are still inside the chart itself
+            if stranded:
+                left = ~np.reshape(contains(X[stranded], 0.0), -1)
+                for r in out[stranded][np.broadcast_to(left, (len(stranded),))]:
+                    stop(r, LEFT_ATLAS, i)
+        if record is not None and live:
+            record.append(snapshot((i + 1) * h, 0))
+        done = finish.get(i + 1)
+        if done:
+            live -= done
+            plan = None
+        if not live:
+            break
+
+    t_ok = [reached[r] * hs[r] if reached[r] else 0.0 for r in range(m)]
+    return cids, z, t_ok, status
+
+
 def _run(field: VectorField, start: Point, t: float, cfg: IntegratorConfig,
          w0: np.ndarray | None = None, record: list | None = None):
     """Integrate x' = xi(x) (optionally with linearization w' = d xi(x) w).
 
-    Returns (point, w, t_reached, status).  `record`, when supplied, is
-    appended with rows (t, chart_id, x_copy[, w_copy]).
+    The single-trajectory entry into the RK4 core.  Returns (point, w,
+    t_reached, status).  `record`, when supplied, is appended with rows
+    (t, chart_id, x_copy[, w_copy]).
     """
-    atlas = field.atlas
-    cid = start.chart
-    chart = atlas.chart(cid)
-    x = start.coords.astype(float).copy()
-    if not chart.contains(x):
-        raise LeftAtlas(f"start {start!r} outside its chart domain")
-    w = None if w0 is None else np.asarray(w0, float).copy()
-    f = field.chart_field(cid).value
-    dj = _jac_fn(field, cid) if w is not None else None
+    n = field.atlas.dim
+    x = start.coords.astype(float)
+    if w0 is None:
+        w_shape, z = None, x
+    else:
+        w0 = np.asarray(w0, float)
+        w_shape, z = w0.shape, np.concatenate([x, w0.ravel()])
+    cids, z, t_ok, status = _integrate(field, [start.chart], z, t, cfg, w_shape, record)
+    w = None if w0 is None else z[n:].reshape(w_shape)
+    return Point(cids[0], z[:n]), w, t_ok[0], status[0]
 
-    if t == 0.0:
-        if record is not None:
-            record.append((0.0, cid, x.copy()) if w is None else (0.0, cid, x.copy(), w.copy()))
-        return Point(cid, x), w, 0.0, OK
 
-    n_steps = max(1, int(math.ceil(abs(t) / cfg.step - 1e-12)))
-    h = t / n_steps
-    hops = 0
-    t_ok = 0.0
-    status = OK
-    if record is not None:
-        record.append((0.0, cid, x.copy()) if w is None else (0.0, cid, x.copy(), w.copy()))
+def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig):
+    """`_run` for many trajectories as rows of one block.
 
-    for i in range(n_steps):
-        if w is None:
-            k1 = _vec(f(x))
-            k2 = _vec(f(x + 0.5 * h * k1))
-            k3 = _vec(f(x + 0.5 * h * k2))
-            k4 = _vec(f(x + h * k3))
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            k1 = _vec(f(x)); l1 = dj(x) @ w
-            x2 = x + 0.5 * h * k1
-            k2 = _vec(f(x2)); l2 = dj(x2) @ (w + 0.5 * h * l1)
-            x3 = x + 0.5 * h * k2
-            k3 = _vec(f(x3)); l3 = dj(x3) @ (w + 0.5 * h * l2)
-            x4 = x + h * k3
-            k4 = _vec(f(x4)); l4 = dj(x4) @ (w + h * l3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            w = w + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        tcur = (i + 1) * h
-
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > cfg.state_guard:
-            status = DIVERGED
-            break
-
-        if not chart.contains(x, cfg.rechart_margin):
-            hop = atlas.hop_target(cid, x, cfg.rechart_margin)
-            if hop is not None:
-                tid, y = hop
-                if not field.has_chart(tid):
-                    raise ChartMissing(f"field {field.name!r} undefined on hop target {tid!r}")
-                if record is not None:
-                    # pre-hop representation, same parameter time
-                    record.append((tcur, cid, x.copy()) if w is None else (tcur, cid, x.copy(), w.copy()))
-                if w is not None:
-                    w = atlas._raw_d_transition(cid, x, tid) @ w
-                cid, x = tid, y
-                chart = atlas.chart(cid)
-                f = field.chart_field(cid).value
-                dj = _jac_fn(field, cid) if w is not None else None
-                hops += 1
-                if hops > cfg.max_hops:
-                    status = HOP_LIMIT
-                    t_ok = tcur
-                    break
-            elif not chart.contains(x):
-                status = LEFT_ATLAS
-                break
-            # else: outside the margin but still inside the chart and no
-            # better chart available -- keep integrating here.
-
-        t_ok = tcur
-        if record is not None:
-            record.append((tcur, cid, x.copy()) if w is None else (tcur, cid, x.copy(), w.copy()))
-
-    return Point(cid, x), w, t_ok, status
+    `starts` are Points, `t` their signed durations.  Each row stops on
+    its own.  Returns (end points, t_reached, statuses), one per row.
+    """
+    z = np.array([p.coords for p in starts], float).reshape(len(starts), field.atlas.dim)
+    cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, np.asarray(t, float), cfg)
+    return [Point(c, x) for c, x in zip(cids, z)], t_ok, status
 
 
 def _raise_for(status: str, field: VectorField, t_ok: float):
@@ -266,10 +374,9 @@ def variational_flow(field: VectorField, start: Point, w0, t: float,
 
 
 def flow_word(segments, start: Point, cfg: IntegratorConfig) -> Point:
-    """Compose flows of (field, duration) pairs or FlowSegments left-to-right."""
+    """Compose flows of (field, duration) pairs left-to-right."""
     p = start
-    for seg in segments:
-        f, dur = as_segment_pair(seg)
+    for f, dur in segments:
         p = integrate(f, p, dur, cfg)
     return p
 

@@ -20,7 +20,7 @@ from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas, unpack
 from .connection import ConnectionField
 from .errors import LeftAtlas, NoConvergence
-from .flows import OK, ChartField, IntegratorConfig, VectorField, _raise_for, _run
+from .flows import OK, ChartField, IntegratorConfig, VectorField, _raise_for, _run, _run_block
 from . import numdiff
 
 
@@ -39,9 +39,9 @@ def geodesic_field(conn: ConnectionField) -> VectorField:
         bil = conn.bilinear_fn(cid)
 
         def value(z, bil=bil):
-            x = z[:n]
-            v = z[n:]
-            return np.concatenate([v, bil(x, v, v)])
+            x = z[..., :n]
+            v = z[..., n:]
+            return np.concatenate([v, bil(x, v, v)], axis=-1)
 
         charts[cid] = ChartField(value=value)
     field = VectorField(tm, f"geodesic[{conn.name}]", charts)
@@ -333,15 +333,16 @@ def completeness_probe(conn: ConnectionField, seeds, horizon: float,
                        cfg: IntegratorConfig) -> ProbeReport:
     """Integrate each seed geodesic to +-horizon, recording how far it got.
 
-    Failures (LeftAtlas / HopLimit / divergence) are data, not errors.
+    Every seed in both directions is one row of a single block.  Failures
+    (LeftAtlas / HopLimit / divergence) are data, not errors.
     """
     n = conn.atlas.dim
     fld = geodesic_field(conn)
-    rows = []
-    for seed in seeds:
-        start = Point(seed.base.chart, pack(seed.base.coords, seed.vec.reshape(n, 1)))
-        _, _, t_fwd, st_f = _run(fld, start, horizon, cfg)
-        _, _, t_bwd, st_b = _run(fld, start, -horizon, cfg)
-        rows.append(ProbeRow(seed, t_fwd, t_bwd, st_f, st_b))
+    seeds = list(seeds)
+    starts = [Point(s.base.chart, pack(s.base.coords, s.vec.reshape(n, 1))) for s in seeds]
+    m = len(starts)
+    _, t_ok, status = _run_block(fld, starts + starts, np.repeat([horizon, -horizon], m), cfg)
+    rows = [ProbeRow(seed, t_ok[i], t_ok[m + i], status[i], status[m + i])
+            for i, seed in enumerate(seeds)]
     complete = all(r.status_forward == OK and r.status_backward == OK for r in rows)
     return ProbeReport(horizon=horizon, rows=rows, complete_up_to_horizon=complete)

@@ -1,0 +1,86 @@
+"""Chart callables broadcast over leading axes.
+
+The batched integrator evaluates one chart's callables on an (m, N)
+block of rows.  For each catalog callable it touches, the block result
+must equal the 1-D evaluations stacked row by row.  Matrix products may
+run through different kernels for one row and for a block, so values
+agree to a few units of rounding, set from the float64 epsilon.
+"""
+import numpy as np
+import pytest
+
+from affinelab.bundles import tangent_atlas
+from affinelab.catalog import default_catalog
+from affinelab.geodesics import geodesic_field
+
+ROWS = 7
+ULPS = 8 * np.finfo(float).eps
+CAT = default_catalog()
+MANIFOLDS = CAT.manifold_names()
+
+
+def _stacked(fn, block, *args):
+    return np.stack([np.asarray(fn(row, *args), float) for row in block])
+
+
+def _assert_rowwise(fn, block, *args):
+    got = np.asarray(fn(block, *args), float)
+    want = _stacked(fn, block, *args)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=ULPS * max(1.0, np.abs(want).max()))
+
+
+def _overlap_block(atlas, cid, tid, rng):
+    return np.stack([p.coords for p in atlas.overlap_samples(cid, tid, ROWS, rng)])
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_geodesic_spray_broadcasts(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    for cname in CAT.connection_names(manifold):
+        field = geodesic_field(CAT.connection(manifold, cname))
+        for cid in atlas.charts:
+            if not field.has_chart(cid):
+                continue
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            z = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
+            _assert_rowwise(field.chart_field(cid).value, z)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_contains_fn_broadcasts(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    for chart in atlas.charts.values():
+        # a box three times the sample box, so rows fall on both sides of the boundary
+        mid, half = 0.5 * (chart.sample_lo + chart.sample_hi), 1.5 * (chart.sample_hi - chart.sample_lo)
+        block = rng.uniform(mid - half, mid + half, size=(4 * ROWS, atlas.dim))
+        for margin in (0.0, 0.1):
+            got = np.asarray(chart.contains_fn(block, margin))
+            want = np.array([bool(chart.contains_fn(row, margin)) for row in block])
+            assert got.shape == (len(block),)
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_transitions_broadcast(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    for cid, tid in atlas.overlap_pairs():
+        tr = atlas.chart(cid).transitions[tid]
+        block = _overlap_block(atlas, cid, tid, rng)
+        for fn in (tr.map, tr.d, tr.d2):
+            _assert_rowwise(fn, block)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_tangent_bundle_broadcasts(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    tm = tangent_atlas(atlas)
+    for cid, tid in atlas.overlap_pairs():
+        tr = tm.chart(cid).transitions[tid]
+        x = _overlap_block(atlas, cid, tid, rng)
+        z = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
+        _assert_rowwise(tr.map, z)
+        _assert_rowwise(tr.d, z)
+        for margin in (0.0, 0.1):
+            got = tm.chart(cid).contains_fn(z, margin)
+            np.testing.assert_array_equal(got, [tm.chart(cid).contains_fn(row, margin) for row in z])

@@ -84,6 +84,15 @@ def test_hop_limit(cat):
         integrate(fld, Point("t00", [0.0, 0.0]), 10.0, cfg)
 
 
+@pytest.mark.parametrize("bad", [{"step": float("nan")}, {"step": float("inf")}, {"step": 0.0},
+                                 {"step": -1e-3}, {"max_hops": -1}, {"rechart_margin": 5.0},
+                                 {"rechart_margin": 1.0}, {"rechart_margin": -0.1},
+                                 {"state_guard": 0.0}, {"state_guard": float("nan")}])
+def test_integrator_config_rejects_nonsense(bad):
+    with pytest.raises(ValueError):
+        IntegratorConfig(**bad)
+
+
 def test_variational_constant(cat, cfg):
     fld = cat.field("torus", "t_trans_y")
     end, w = variational_flow(fld, Point("t00", [0.0, 0.0]), np.array([0.3, -0.5]), 0.2, cfg)

@@ -186,6 +186,67 @@ def test_completeness_probe_disk_fails(cat):
     assert rep.rows[0].status_forward == "left_atlas"
 
 
+def _probe_fields(row):
+    return row.t_forward, row.t_backward, row.status_forward, row.status_backward
+
+
+def _assert_rows_isolated(conn, seeds, horizon, cfg):
+    """One probe over all seeds, each row equal to probing its seed alone."""
+    rep = completeness_probe(conn, seeds, horizon, cfg)
+    for seed, row in zip(seeds, rep.rows, strict=True):
+        alone = completeness_probe(conn, [seed], horizon, cfg).rows[0]
+        assert _probe_fields(row) == _probe_fields(alone)
+    return rep
+
+
+def test_completeness_probe_rows_stop_independently_on_torus(cat, rng):
+    # slow seeds barely move and finish; fast ones exceed the hop limit
+    conn = cat.connection("torus", "flat")
+    cfg = IntegratorConfig(step=0.05, max_hops=4)
+    speeds = [0.02, 1.0, 0.01, 1.5, 0.8]
+    seeds = [Tangent(Point("t00", rng.uniform(-0.1, 0.1, size=2)), s * np.array([0.6, 0.8]))
+             for s in speeds]
+    rep = _assert_rows_isolated(conn, seeds, 5.0, cfg)
+    statuses = [r.status_forward for r in rep.rows] + [r.status_backward for r in rep.rows]
+    assert set(statuses) == {"ok", "hop_limit"}
+    assert not rep.complete_up_to_horizon
+
+
+def test_completeness_probe_rows_stop_independently_on_plane(cat, rng):
+    # with a low state guard, fast straight lines diverge while slow ones finish
+    conn = cat.connection("plane", "flat")
+    cfg = IntegratorConfig(step=0.5, state_guard=20.0)
+    seeds = [Tangent(Point("cart", rng.uniform(-1.0, 1.0, size=2)), s * np.array([0.8, -0.6]))
+             for s in (0.05, 2.0, 0.1, 5.0)]
+    rep = _assert_rows_isolated(conn, seeds, 50.0, cfg)
+    assert [r.status_forward for r in rep.rows] == ["ok", "diverged", "ok", "diverged"]
+
+
+def test_completeness_probe_rows_stop_independently_on_disk(cat, rng):
+    # resting seeds never leave; moving ones stop within one step of the exit
+    conn = cat.connection("disk", "flat")
+    cfg = IntegratorConfig(step=0.01)
+    seeds = [Tangent(Point("disk", rng.uniform(-0.5, 0.5, size=2)), v)
+             for v in ([0.0, 0.0], rng.normal(size=2), [0.0, 0.0], rng.normal(size=2), rng.normal(size=2))]
+    rep = _assert_rows_isolated(conn, seeds, 10.0, cfg)
+
+    def exit_time(x, v):
+        # |x + t v| = 1 for the straight line
+        xv, vv = x @ v, v @ v
+        return (-xv + np.sqrt(xv * xv + vv * (1.0 - x @ x))) / vv
+
+    for seed, row in zip(seeds, rep.rows):
+        if not np.any(seed.vec):
+            assert (row.status_forward, row.status_backward) == ("ok", "ok")
+            assert (row.t_forward, row.t_backward) == (10.0, -10.0)
+            continue
+        x, v = seed.base.coords, seed.vec
+        for status, reached, exit_at in ((row.status_forward, row.t_forward, exit_time(x, v)),
+                                         (row.status_backward, -row.t_backward, exit_time(x, -v))):
+            assert status == "left_atlas"
+            assert exit_at - cfg.step - 1e-9 <= reached < exit_at
+
+
 def test_exp_inverse_no_convergence(cat):
     # antipodal-ish target on the sphere is outside the normal neighbourhood
     conn = cat.connection("sphere", "round")

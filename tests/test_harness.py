@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,22 @@ def test_all_shipped_scenarios_load(cat):
     for path in sorted(SCENARIOS.glob("*.json")):
         s = load_scenario(str(path), cat)
         assert s.manifold in cat.manifold_names()
+
+
+@pytest.mark.parametrize("integrator", [{"step": float("nan")}, {"max_hops": -1},
+                                        {"rechart_margin": 5}])
+def test_nonsense_integrator_config_fails_at_parse_time(cat, integrator):
+    with pytest.raises(ParseError):
+        scenario_from_dict({"manifold": "sphere", "connection": "round",
+                            "integrator": integrator}, cat)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_scenario_passes_end_to_end(cat, path):
+    rep = run_suite(load_scenario(str(path), cat), cat)
+    for row in rep.checks:
+        assert row.status == "pass", (row.name, row.error)
+        assert row.worst is not None and math.isfinite(row.worst), row.name
 
 
 def _small_scenario(cat, **overrides):
