@@ -25,8 +25,8 @@ print(f"equator after one period: {end.coords}, return gap "
 # a meridian geodesic crosses the chart seam: start at the south pole
 mer = geodesic(conn, Tangent(Point("a", [0.0, 0.0]), [1.0, 0.0]), (0.0, 2.8), cfg)
 for t in (0.5, 1.5, 2.8):
-    s = mer.state(t)
-    print(f"  t={t:3.1f}: chart {s.chart}, x = {s.x}")
+    chart, x, _ = mer.eval(t)
+    print(f"  t={t:3.1f}: chart {chart}, x = {x}")
 
 # --- exp and its Newton-shooting inverse -----------------------------------
 x = Point("a", [0.3, 0.2])
@@ -54,7 +54,7 @@ print(f"\nholonomy around colatitude {theta0:.3f}: rotation angle {angle:+.6f} r
 # --- hyperbolic half-plane: the classic semicircle geodesic -----------------
 hyp = cat.connection("halfplane", "hyperbolic")
 h = geodesic(hyp, Tangent(Point("hp", [0.0, 1.0]), [1.0, 0.0]), (-3.0, 3.0), cfg)
-radii = [h.state(t).x @ h.state(t).x for t in np.linspace(-3, 3, 7)]
+radii = [x @ x for _, x, _ in map(h.eval, np.linspace(-3, 3, 7))]
 print(f"\nhalf-plane geodesic stays on the unit circle: max |x^2+y^2-1| = "
       f"{max(abs(r - 1) for r in radii):.2e}")
 

@@ -16,7 +16,7 @@ transpose when assembling the result, `np.array([...]).T`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -61,8 +61,9 @@ class Transition:
 
     `d` returns the (n, n) Jacobian, `d2` the (n, n, n) symmetric tensor
     T[i, j, k] = d^2 h_i / dx_j dx_k.  All three take (..., n) inputs and
-    prepend the leading axes to their results.  Missing derivatives fall
-    back to central differences at the atlas level.
+    prepend the leading axes to their results.  `Chart.add_transition`
+    fills a missing `d` or `d2` once with central differences of `map`
+    guarded by the source chart's domain, so every caller finds both.
     """
 
     map: Callable[[Coords], Coords]
@@ -91,11 +92,21 @@ class Chart:
     def __post_init__(self):
         self.sample_lo = _vec(self.sample_lo)
         self.sample_hi = _vec(self.sample_hi)
+        for target, tr in list(self.transitions.items()):
+            self.add_transition(target, tr)
 
     def contains(self, x, margin: float = 0.0) -> bool:
         return bool(self.contains_fn(_vec(x), float(margin)))
 
     def add_transition(self, target: str, tr: Transition) -> None:
+        """Register `tr` to chart `target`, storing a copy with any missing
+        derivative filled by central differences inside this chart."""
+        tr = replace(tr)
+        inside = self.contains
+        if tr.d is None:
+            tr.d = lambda x: numdiff.jacobian(tr.map, x, inside=inside)
+        if tr.d2 is None:
+            tr.d2 = lambda x: numdiff.second_derivative(tr.map, x, inside=inside)
         self.transitions[target] = tr
 
 
@@ -135,15 +146,12 @@ class Atlas:
         return Point(target, y)
 
     def d_transition(self, point: Point, target: str) -> np.ndarray:
-        """Jacobian dh of the transition at `point` (analytic if declared)."""
+        """Jacobian dh of the transition at `point`."""
         src = self.chart(point.chart)
         if point.chart == target:
             return np.eye(self.dim)
         self.transition(point, target)  # overlap check
-        tr = src.transitions[target]
-        if tr.d is not None:
-            return np.asarray(tr.d(point.coords), float)
-        return numdiff.jacobian(tr.map, point.coords, inside=lambda p: src.contains(p))
+        return np.asarray(src.transitions[target].d(point.coords), float)
 
     def d2_transition(self, point: Point, target: str) -> np.ndarray:
         """Symmetric second derivative tensor of the transition at `point`."""
@@ -151,41 +159,13 @@ class Atlas:
         if point.chart == target:
             return np.zeros((self.dim,) * 3)
         self.transition(point, target)
-        tr = src.transitions[target]
-        if tr.d2 is not None:
-            return np.asarray(tr.d2(point.coords), float)
-        return numdiff.second_derivative(tr.map, point.coords, inside=lambda p: src.contains(p))
+        return np.asarray(src.transitions[target].d2(point.coords), float)
 
     def rechart_tangent(self, t: Tangent, target: str) -> Tangent:
         """Push a tangent vector through the transition Jacobian."""
         p = self.transition(t.base, target)
         J = self.d_transition(t.base, target)
         return Tangent(p, J @ t.vec)
-
-    # Raw variants skip the domain policing: transition formulas are smooth
-    # on a neighbourhood of the nominal domain, and integrator hand-off may
-    # evaluate them a step past the boundary.
-
-    def _raw_transition(self, cid: str, x: Coords, target: str) -> Coords:
-        if cid == target:
-            return _vec(x).copy()
-        return _vec(self.chart(cid).transitions[target].map(x))
-
-    def _raw_d_transition(self, cid: str, x: Coords, target: str) -> np.ndarray:
-        if cid == target:
-            return np.eye(self.dim)
-        tr = self.chart(cid).transitions[target]
-        if tr.d is not None:
-            return np.asarray(tr.d(x), float)
-        return numdiff.jacobian(tr.map, _vec(x))
-
-    def _raw_d2_transition(self, cid: str, x: Coords, target: str) -> np.ndarray:
-        if cid == target:
-            return np.zeros((self.dim,) * 3)
-        tr = self.chart(cid).transitions[target]
-        if tr.d2 is not None:
-            return np.asarray(tr.d2(x), float)
-        return numdiff.second_derivative(tr.map, _vec(x))
 
     # -- chart selection and comparison ----------------------------------
 

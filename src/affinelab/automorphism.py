@@ -65,10 +65,12 @@ class Diffeo:
 
 @dataclass(eq=False)
 class ChartMap:
-    """Per-chart closed form: map x -> (target_chart, y) plus derivatives."""
+    """Per-chart closed form: map x -> (target_chart, y), its Jacobian `d`
+    and optionally its second derivative tensor `d2` (without it,
+    `d2_dir` falls back to central differences of `d`)."""
 
     map: Callable
-    d: Callable | None = None
+    d: Callable
     d2: Callable | None = None
 
 
@@ -99,16 +101,7 @@ class ClosedFormDiffeo(Diffeo):
         p = self._rep(point)
         cm = self._charts[p.chart]
         tid, y = cm.map(p.coords)
-        if cm.d is not None:
-            J = np.asarray(cm.d(p.coords), float)
-        else:
-            def fixed(x):
-                t2, y2 = cm.map(x)
-                if t2 != tid:
-                    raise NotInOverlap("chart choice changed across the FD stencil")
-                return y2
-
-            J = numdiff.jacobian(fixed, p.coords)
+        J = np.asarray(cm.d(p.coords), float)
         if p.chart != point.chart:
             J = J @ self.atlas.d_transition(point, p.chart)
         return J, Point(tid, _vec(y))
@@ -165,9 +158,6 @@ class FlowWord(Diffeo):
     def inverse(self) -> "FlowWord":
         return FlowWord(self.atlas, [(f, -t) for f, t in reversed(self.word)], self.cfg,
                         name=f"({self.name})^-1")
-
-    def concat(self, other: "FlowWord") -> "FlowWord":
-        return FlowWord(self.atlas, self.word + other.word, self.cfg)
 
 
 # -- frame actions -----------------------------------------------------------

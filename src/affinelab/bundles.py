@@ -4,7 +4,7 @@ A bundle point is stored flat: the first n entries are base coordinates,
 the remaining n*k entries an (n, k) fiber matrix in row-major order.
 k = 1 gives the tangent bundle (velocity column), k = n the frame bundle
 (frame matrix).  Transitions act as (x, G) -> (h(x), dh(x) G); their
-Jacobians use d2h of the base chart when available.  Like the base chart
+Jacobians use d2h of the base transition.  Like the base chart
 callables, bundle membership tests and transitions take (..., n + n k)
 inputs.
 """
@@ -25,19 +25,18 @@ def unpack(z: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return z[..., :n], z[..., n:].reshape(z.shape[:-1] + (n, k))
 
 
-def _bundle_transition(base: Atlas, src_id: str, tid: str, n: int, k: int) -> Transition:
-    tr = base.chart(src_id).transitions[tid]
+def _bundle_transition(tr: Transition, n: int, k: int) -> Transition:
+    """Lift the base transition `tr` to (x, G) -> (h(x), dh(x) G)."""
 
     def bmap(z):
         x, G = unpack(z, n, k)
-        J = base._raw_d_transition(src_id, x, tid)
-        return pack(_vec(tr.map(x)), J @ G)
+        return pack(_vec(tr.map(x)), np.asarray(tr.d(x), float) @ G)
 
     def bd(z):
         x, G = unpack(z, n, k)
         lead = x.shape[:-1]
-        J = base._raw_d_transition(src_id, x, tid)
-        T2 = base._raw_d2_transition(src_id, x, tid)
+        J = np.asarray(tr.d(x), float)
+        T2 = np.asarray(tr.d2(x), float)
         N = n + n * k
         out = np.zeros(lead + (N, N))
         out[..., :n, :n] = J
@@ -89,8 +88,8 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0,
     out.fiber_cols = k
     out.kind = kind
     for cid, c in base.charts.items():
-        for tid in c.transitions:
-            out.chart(cid).add_transition(tid, _bundle_transition(base, cid, tid, n, k))
+        for tid, tr in c.transitions.items():
+            out.chart(cid).add_transition(tid, _bundle_transition(tr, n, k))
     return out
 
 

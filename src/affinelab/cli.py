@@ -3,15 +3,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .atlas import Point, Tangent
-from .bundles import pack
 from .catalog import default_catalog
 from .errors import ScenarioError
 from .flows import IntegratorConfig, integrate
-from .frame_bundle import standard_horizontal
+from .frame_bundle import Frame, horizontal_flow
 from .geodesics import geodesic
 from .harness import check_names, emit, load_scenario, run_suite, trajectory_rows
 
@@ -20,13 +20,21 @@ def _vec_arg(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")], float)
 
 
+def _with_step(cfg: IntegratorConfig, step: float) -> IntegratorConfig:
+    """`cfg` with its step replaced; a step it rejects is a usage error."""
+    try:
+        return replace(cfg, step=step)
+    except ValueError as e:
+        raise ScenarioError(f"--step: {e}") from None
+
+
 def _cmd_run(args) -> int:
     catalog = default_catalog()
     scenario = load_scenario(args.scenario, catalog)
     if args.seed is not None:
         scenario.rng_seed = args.seed
     if args.step is not None:
-        scenario.integrator.step = args.step
+        scenario.integrator = _with_step(scenario.integrator, args.step)
     report = run_suite(scenario, catalog, tol_scale=args.tol_scale)
     for c in report.checks:
         worst = "n/a" if c.worst is None else f"{c.worst:.3e}"
@@ -58,7 +66,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_dump(args) -> int:
     catalog = default_catalog()
-    cfg = IntegratorConfig(step=args.step)
+    cfg = _with_step(IntegratorConfig(), args.step)
     if args.manifold not in catalog.manifold_names():
         raise ScenarioError(f"unknown manifold {args.manifold!r}")
     atlas = catalog.atlas(args.manifold)
@@ -89,11 +97,8 @@ def _cmd_dump(args) -> int:
         conn = catalog.connection(args.manifold, need("connection", args.connection))
         need("lam", args.lam)
         g = _vec_arg(args.frame).reshape(n, n) if args.frame else np.eye(n)
-        H = standard_horizontal(conn, _vec_arg(args.lam))
-        from .flows import _raise_for, _run
-        start = Point(args.chart, pack(_vec_arg(args.point), g))
-        _, _, t_ok, status = _run(H, start, args.t1, cfg, record=record)
-        _raise_for(status, H, t_ok)
+        horizontal_flow(conn, _vec_arg(args.lam), Frame(args.chart, _vec_arg(args.point), g),
+                        args.t1, cfg, record=record)
         rows = record
         payload = "frame"
     else:

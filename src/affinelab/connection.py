@@ -11,7 +11,7 @@ and the connector extracts the vertical part of a second-order tangent,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -40,35 +40,28 @@ class SecondOrderTangent:
 class ConnChart:
     """Connection data on a single chart.
 
-    Exactly one of `bilinear` (x, v, w) -> vec or `tensor` x -> (n,n,n)
-    must be supplied; the other is derived.  `bilinear` broadcasts over
-    leading axes of (..., n) arguments, which the batched geodesic spray
-    relies on; so does `tensor` when `bilinear` is derived from it.
-    `d_dir` (x, u) -> (n,n,n) is the directional derivative of the tensor
-    along u; it falls back to central differences of the tensor (step h1).
+    `tensor` x -> (n,n,n) is required.  `bilinear` (x, v, w) -> vec is
+    optional; when missing, `ConnectionField` derives it from `tensor` by
+    a broadcasting einsum.  `bilinear` broadcasts over leading axes of
+    (..., n) arguments, which the batched geodesic spray relies on; so
+    does `tensor` when `bilinear` is derived from it.  `d_dir` (x, u) ->
+    (n,n,n) is the directional derivative of the tensor along u;
+    `ConnectionField` fills a missing one once with central differences
+    of `tensor` (step h1) guarded by the chart's domain.
     """
 
+    tensor: Callable
     bilinear: Callable | None = None
-    tensor: Callable | None = None
     d_dir: Callable | None = None
 
 
 class ConnectionField:
-    def __init__(self, atlas: Atlas, name: str, charts: dict[str, ConnChart], torsion_free: bool = True):
+    def __init__(self, atlas: Atlas, name: str, charts: dict[str, ConnChart]):
         if not charts:
             raise ValueError("connection needs at least one chart entry")
         self.atlas = atlas
         self.name = name
-        self.torsion_free = torsion_free
-        self._charts = dict(charts)
-        n = atlas.dim
-        for cc in self._charts.values():
-            if cc.bilinear is None and cc.tensor is None:
-                raise ValueError("ConnChart needs bilinear or tensor")
-            if cc.tensor is None:
-                cc.tensor = _tensor_from_bilinear(cc.bilinear, n)
-            if cc.bilinear is None:
-                cc.bilinear = _bilinear_from_tensor(cc.tensor)
+        self._charts = {cid: _filled(cc, atlas.chart(cid).contains) for cid, cc in charts.items()}
 
     def has_chart(self, cid: str) -> bool:
         return cid in self._charts
@@ -88,12 +81,7 @@ class ConnectionField:
 
     def d_tensor_dir(self, point: Point, u) -> np.ndarray:
         """Directional derivative of x -> B_x along u, as an (n,n,n) tensor."""
-        cc = self._chart(point.chart)
-        u = _vec(u)
-        if cc.d_dir is not None:
-            return np.asarray(cc.d_dir(point.coords, u), float)
-        chart = self.atlas.chart(point.chart)
-        return numdiff.directional(cc.tensor, point.coords, u, inside=lambda p: chart.contains(p))
+        return np.asarray(self._chart(point.chart).d_dir(point.coords, _vec(u)), float)
 
     def bilinear_fn(self, cid: str) -> Callable:
         """Raw (x, v, w) -> vec callable for hot loops (ChartMissing if absent)."""
@@ -103,16 +91,15 @@ class ConnectionField:
         return self._chart(cid).tensor
 
 
-def _tensor_from_bilinear(bil, n):
-    def tensor(x):
-        T = np.empty((n, n, n))
-        basis = np.eye(n)
-        for j in range(n):
-            for k in range(n):
-                T[:, j, k] = bil(x, basis[j], basis[k])
-        return T
-
-    return tensor
+def _filled(cc: ConnChart, inside) -> ConnChart:
+    """A copy of `cc` with `bilinear` derived from `tensor` and `d_dir`
+    filled by central differences of `tensor` inside `inside`, if missing."""
+    cc = replace(cc)
+    if cc.bilinear is None:
+        cc.bilinear = _bilinear_from_tensor(cc.tensor)
+    if cc.d_dir is None:
+        cc.d_dir = lambda x, u: numdiff.directional(cc.tensor, x, u, inside=inside)
+    return cc
 
 
 def _bilinear_from_tensor(tensor):
@@ -154,8 +141,8 @@ def change_of_variable_residual(conn: ConnectionField, point: Point, v, w, targe
     return float(np.linalg.norm(lhs - rhs))
 
 
-def from_christoffel(atlas: Atlas, gammas: dict[str, Callable], name: str = "christoffel",
-                     torsion_free: bool = True) -> ConnectionField:
+def from_christoffel(atlas: Atlas, gammas: dict[str, Callable],
+                     name: str = "christoffel") -> ConnectionField:
     """Build a connection from per-chart Christoffel tensors G[i,j,k] = Gamma^i_{jk}.
 
     The sign/argument bridge is B_x(v, w) = -Gamma_x(w, v), so that the
@@ -168,4 +155,4 @@ def from_christoffel(atlas: Atlas, gammas: dict[str, Callable], name: str = "chr
             return -np.swapaxes(G, -2, -1)
 
         charts[cid] = ConnChart(tensor=tensor)
-    return ConnectionField(atlas, name, charts, torsion_free=torsion_free)
+    return ConnectionField(atlas, name, charts)

@@ -17,7 +17,7 @@ hand-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -55,8 +55,9 @@ class ChartField:
     """Per-chart evaluation procedures of a vector field.
 
     `value`: x -> xi(x); `d`: x -> (n, n) Jacobian; `d2`: x -> (n, n, n)
-    tensor of second partials.  Missing derivatives fall back to central
-    differences inside the chart domain.
+    tensor of second partials.  `VectorField` fills a missing `d` or `d2`
+    once with central differences of `value` guarded by the chart's
+    domain, so every caller finds both.
     """
 
     value: Callable
@@ -68,7 +69,7 @@ class VectorField:
     def __init__(self, atlas: Atlas, name: str, charts: dict[str, ChartField]):
         self.atlas = atlas
         self.name = name
-        self._charts = dict(charts)
+        self._charts = {cid: _filled(cf, atlas.chart(cid).contains) for cid, cf in charts.items()}
 
     def has_chart(self, cid: str) -> bool:
         return cid in self._charts
@@ -83,21 +84,24 @@ class VectorField:
         return _vec(self.chart_field(point.chart).value(point.coords))
 
     def jac(self, point: Point) -> np.ndarray:
-        cf = self.chart_field(point.chart)
-        if cf.d is not None:
-            return np.asarray(cf.d(point.coords), float)
-        chart = self.atlas.chart(point.chart)
-        return numdiff.jacobian(cf.value, point.coords, inside=lambda p: chart.contains(p))
+        return np.asarray(self.chart_field(point.chart).d(point.coords), float)
 
     def hess(self, point: Point) -> np.ndarray:
-        cf = self.chart_field(point.chart)
-        if cf.d2 is not None:
-            return np.asarray(cf.d2(point.coords), float)
-        chart = self.atlas.chart(point.chart)
-        return numdiff.second_derivative(cf.value, point.coords, inside=lambda p: chart.contains(p))
+        return np.asarray(self.chart_field(point.chart).d2(point.coords), float)
 
     def __repr__(self):
         return f"VectorField({self.name!r} on {self.atlas.name!r})"
+
+
+def _filled(cf: ChartField, inside) -> ChartField:
+    """A copy of `cf` with any missing derivative filled by central
+    differences of its value, every stencil point checked by `inside`."""
+    cf = replace(cf)
+    if cf.d is None:
+        cf.d = lambda x: numdiff.jacobian(cf.value, x, inside=inside)
+    if cf.d2 is None:
+        cf.d2 = lambda x: numdiff.second_derivative(cf.value, x, inside=inside)
+    return cf
 
 
 def constant_field(atlas: Atlas, name: str, vec) -> VectorField:
@@ -128,34 +132,25 @@ def combine(name: str, fields, coeffs) -> VectorField:
         def value(x, cfs=cfs):
             return sum(c * _vec(cf.value(x)) for c, cf in zip(coeffs, cfs))
 
-        d = d2 = None
-        if all(cf.d is not None for cf in cfs):
-            def d(x, cfs=cfs):
-                return sum(c * np.asarray(cf.d(x), float) for c, cf in zip(coeffs, cfs))
-        if all(cf.d2 is not None for cf in cfs):
-            def d2(x, cfs=cfs):
-                return sum(c * np.asarray(cf.d2(x), float) for c, cf in zip(coeffs, cfs))
+        def d(x, cfs=cfs):
+            return sum(c * np.asarray(cf.d(x), float) for c, cf in zip(coeffs, cfs))
+
+        def d2(x, cfs=cfs):
+            return sum(c * np.asarray(cf.d2(x), float) for c, cf in zip(coeffs, cfs))
+
         charts[cid] = ChartField(value=value, d=d, d2=d2)
     return VectorField(atlas, name, charts)
 
 
 # -- core stepping ---------------------------------------------------------
 
-def _jac_fn(field: VectorField, cid: str):
-    cf = field.chart_field(cid)
-    if cf.d is not None:
-        return lambda x: np.asarray(cf.d(x), float)
-    chart = field.atlas.chart(cid)
-    inside = lambda p: chart.contains(p)
-    return lambda x: numdiff.jacobian(cf.value, x, inside=inside)
-
-
 def _rhs(field: VectorField, cid: str, n: int, k: int) -> Callable:
     """Right-hand side on chart `cid` for states [x, w], w holding k columns."""
-    f = field.chart_field(cid).value
+    cf = field.chart_field(cid)
+    f = cf.value
     if not k:
         return lambda z: np.asarray(f(z), float)
-    dj = _jac_fn(field, cid)
+    dj = cf.d
 
     def rhs(z):
         x = z[..., :n]
@@ -287,7 +282,8 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                     record.append(snapshot((i + 1) * h, r))
                 if k:
                     W = rows[r, n:].reshape(n, k)
-                    rows[r, n:] = (atlas._raw_d_transition(cid, X[j], tid) @ W).ravel()
+                    J = atlas.chart(cid).transitions[tid].d(X[j])
+                    rows[r, n:] = (np.asarray(J, float) @ W).ravel()
                 rows[r, :n] = Y[j]
                 cids[r] = tid
                 hops[r] += 1

@@ -49,19 +49,6 @@ def geodesic_field(conn: ConnectionField) -> VectorField:
     return field
 
 
-@dataclass(frozen=True, eq=False)
-class GeodesicState:
-    """Position and velocity in one chart."""
-
-    chart: str
-    x: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _vec(self.x))
-        object.__setattr__(self, "v", _vec(self.v))
-
-
 class CurveSpec:
     """A curve with velocities, evaluable at arbitrary parameter values.
 
@@ -151,9 +138,6 @@ class CurveSpec:
     def tangent(self, t: float) -> Tangent:
         c, x, v = self.eval(t)
         return Tangent(Point(c, x), v)
-
-    def state(self, t: float) -> GeodesicState:
-        return GeodesicState(*self.eval(t))
 
     def rows(self):
         """Raw sample rows (t, chart, x, v) when sample-backed."""

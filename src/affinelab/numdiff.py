@@ -4,9 +4,18 @@ First derivatives use h1 = eps^(1/3) * max(1, |x|), second derivatives
 h2 = eps^(1/4) * max(1, |x|).  Callers that care about chart domains pass
 an `inside` predicate; a stencil point failing it raises
 StencilLeavesDomain.
+
+Each derivative accepts one point x of shape (n,) or rows of shape
+(..., n), which are differenced one at a time (each with its own step)
+and stacked, so a missing analytic derivative filled in from these
+broadcasts like the analytic ones.  This serves the library's one
+derivative policy: `Chart.add_transition`, `VectorField` and
+`ConnectionField` fill every missing derivative once, at construction,
+with these differences guarded by the owning chart's domain.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -34,9 +43,32 @@ def _guard(inside, pts):
             raise StencilLeavesDomain(f"stencil point {p} outside chart domain")
 
 
-def jacobian(f: Callable, x: np.ndarray, h: float | None = None, inside=None) -> np.ndarray:
+def _rowwise(one):
+    """Lift a derivative at one point to rows of points.
+
+    `one(f, x, *vecs, **kw)` takes x and the vectors `vecs` of shape (n,)
+    (its options are keyword-only); the lifted function also takes them
+    broadcast to (..., n), applies `one` row by row and prepends the
+    leading axes to its result.
+    """
+
+    @functools.wraps(one)
+    def lifted(f, x, *vecs, **kw):
+        x = np.asarray(x, float)
+        if x.ndim < 2 and all(np.ndim(v) < 2 for v in vecs):
+            return one(f, x, *vecs, **kw)
+        shape = np.broadcast_shapes(x.shape, *(np.shape(v) for v in vecs))
+        n = shape[-1]
+        rows = [np.broadcast_to(a, shape).reshape(-1, n) for a in (x, *vecs)]
+        out = [one(f, *row, **kw) for row in zip(*rows)]
+        return np.stack(out).reshape(shape[:-1] + out[0].shape)
+
+    return lifted
+
+
+@_rowwise
+def jacobian(f: Callable, x: np.ndarray, *, h: float | None = None, inside=None) -> np.ndarray:
     """Jacobian of f at x by central differences, columns stacked."""
-    x = np.asarray(x, float)
     h = step1(x) if h is None else h
     cols = []
     for j in range(x.size):
@@ -47,9 +79,10 @@ def jacobian(f: Callable, x: np.ndarray, h: float | None = None, inside=None) ->
     return np.stack(cols, axis=-1)
 
 
-def second_derivative(f: Callable, x: np.ndarray, h: float | None = None, inside=None) -> np.ndarray:
+@_rowwise
+def second_derivative(f: Callable, x: np.ndarray, *, h: float | None = None,
+                      inside=None) -> np.ndarray:
     """Symmetric second derivative T[..., j, k] = d^2 f / dx_j dx_k at x."""
-    x = np.asarray(x, float)
     n = x.size
     h = step2(x) if h is None else h
     f0 = np.asarray(f(x), float)
@@ -74,9 +107,9 @@ def second_derivative(f: Callable, x: np.ndarray, h: float | None = None, inside
     return T
 
 
-def directional(f: Callable, x: np.ndarray, u: np.ndarray, h: float | None = None, inside=None):
+@_rowwise
+def directional(f: Callable, x: np.ndarray, u: np.ndarray, *, h: float | None = None, inside=None):
     """Directional derivative of f at x along u (linear in |u|)."""
-    x = np.asarray(x, float)
     u = np.asarray(u, float)
     nu = float(np.linalg.norm(u))
     if nu == 0.0:

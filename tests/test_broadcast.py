@@ -5,12 +5,16 @@ block of rows.  For each catalog callable it touches, the block result
 must equal the 1-D evaluations stacked row by row.  Matrix products may
 run through different kernels for one row and for a block, so values
 agree to a few units of rounding, set from the float64 epsilon.
+Derivatives filled in by finite differences difference each row alone,
+so their block results equal the stacked 1-D results exactly.
 """
 import numpy as np
 import pytest
 
+from affinelab.atlas import Chart, Transition
 from affinelab.bundles import tangent_atlas
 from affinelab.catalog import default_catalog
+from affinelab.connection import ConnChart, ConnectionField
 from affinelab.geodesics import geodesic_field
 
 ROWS = 7
@@ -84,3 +88,29 @@ def test_tangent_bundle_broadcasts(manifold, rng):
         for margin in (0.0, 0.1):
             got = tm.chart(cid).contains_fn(z, margin)
             np.testing.assert_array_equal(got, [tm.chart(cid).contains_fn(row, margin) for row in z])
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_finite_difference_fills_broadcast(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    for cid, tid in atlas.overlap_pairs():
+        c = atlas.chart(cid)
+        fresh = Chart(cid, c.dim, c.contains_fn, c.sample_lo, c.sample_hi)
+        fresh.add_transition(tid, Transition(map=c.transitions[tid].map))
+        block = _overlap_block(atlas, cid, tid, rng)
+        for fn in (fresh.transitions[tid].d, fresh.transitions[tid].d2):
+            np.testing.assert_array_equal(fn(block), _stacked(fn, block))
+    for cname in CAT.connection_names(manifold):
+        conn = CAT.connection(manifold, cname)
+        spray = geodesic_field(conn)  # declares no derivatives
+        cids = [cid for cid in atlas.charts if conn.has_chart(cid)]
+        fd_conn = ConnectionField(atlas, cname, {cid: ConnChart(tensor=conn.tensor_fn(cid))
+                                                 for cid in cids})
+        for cid in cids:
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            z = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
+            for fn in (spray.chart_field(cid).d, spray.chart_field(cid).d2):
+                np.testing.assert_array_equal(fn(z), _stacked(fn, z))
+            u = rng.normal(size=x.shape)
+            d_dir = fd_conn._chart(cid).d_dir
+            np.testing.assert_array_equal(d_dir(x, u), np.stack([d_dir(r, s) for r, s in zip(x, u)]))

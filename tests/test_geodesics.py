@@ -253,3 +253,48 @@ def test_exp_inverse_no_convergence(cat):
     cfg = IntegratorConfig(step=5e-3)
     with pytest.raises(NoConvergence):
         exp_inverse(conn, Point("a", [0.0, 0.0]), Point("b", [0.05, 0.0]), cfg, max_iter=8)
+
+
+def _map_only_sphere():
+    """The catalog's two-chart sphere with transitions that declare only
+    `map`, so their derivatives are finite-difference fills."""
+    from affinelab.atlas import Atlas, Chart, Transition, disk_domain
+    from affinelab.catalog import _inversion, round_sphere_connection
+    a = Chart("a", 2, disk_domain(2.0), [-1.2, -1.2], [1.2, 1.2], priority=0)
+    b = Chart("b", 2, disk_domain(2.0), [-1.2, -1.2], [1.2, 1.2], priority=1)
+    a.add_transition("b", Transition(map=_inversion().map))
+    b.add_transition("a", Transition(map=_inversion().map))
+    return round_sphere_connection(Atlas("sphere_map_only", 2, [a, b]))
+
+
+def _hopping_seeds(count=8):
+    rng = np.random.default_rng(31)
+    seeds = []
+    for _ in range(count):
+        v = rng.normal(size=2)
+        seeds.append(Tangent(Point("a", rng.uniform(-1.0, 1.0, size=2)), 2.0 * v / np.linalg.norm(v)))
+    return seeds
+
+
+def test_map_only_transitions_exp_across_hops(cat):
+    conn = cat.connection("sphere", "round")
+    fd_conn = _map_only_sphere()
+    cfg = IntegratorConfig(step=1e-2)
+    ends = []
+    for s in _hopping_seeds():
+        want = exp_map(conn, s, cfg)
+        got = exp_map(fd_conn, s, cfg)
+        assert got.chart == want.chart
+        assert np.linalg.norm(got.coords - want.coords) <= 1e-8
+        ends.append(want.chart)
+    assert "b" in ends  # some seeds really hop
+
+
+def test_map_only_transitions_probe_across_hops(cat):
+    cfg = IntegratorConfig(step=1e-2)
+    seeds = _hopping_seeds()
+    rows = [(r.status_forward, r.status_backward, r.t_forward, r.t_backward)
+            for r in completeness_probe(cat.connection("sphere", "round"), seeds, 20.0, cfg).rows]
+    fd_rows = [(r.status_forward, r.status_backward, r.t_forward, r.t_backward)
+               for r in completeness_probe(_map_only_sphere(), seeds, 20.0, cfg).rows]
+    assert fd_rows == rows

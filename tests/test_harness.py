@@ -190,6 +190,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("step", ["0", "nan", "-1", "inf"])
+def test_cli_rejects_invalid_step_as_usage_error(step, tmp_path, capsys):
+    # an integrator step that IntegratorConfig rejects is a usage error (2),
+    # not a failed check (1) or a passing run (0)
+    assert cli_main(["run", str(SCENARIOS / "minimal_sphere.json"), "--step", step]) == 2
+    assert cli_main(["dump", "flow", "--manifold", "sphere", "--field", "rot_x", "--chart", "a",
+                     "--point", "0.1,0.2", "--t1", "0.1", "--step", step,
+                     "--out", str(tmp_path / "f.csv")]) == 2
+    assert "--step" in capsys.readouterr().err
+
+
 def test_cli_list(capsys):
     assert cli_main(["list"]) == 0
     text = capsys.readouterr().out
