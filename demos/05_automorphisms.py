@@ -45,7 +45,7 @@ fd = frame_lift(f)
 fr = Frame("a", [0.2, 0.3], np.eye(2) + 0.1)
 ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
 print(f"\nkappa pullback defect of Fr(exp(rot_z)): "
-      f"{kappa_pullback_defect(conn, fd, fr, ft, cfg):.2e}")
+      f"{kappa_pullback_defect(conn, fd, fr, ft):.2e}")
 
 # --- exp-naturality and orbit separation ----------------------------------------
 v = Tangent(Point("a", [0.3, 0.1]), [0.6, -0.4])

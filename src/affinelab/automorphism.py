@@ -10,6 +10,12 @@ durations).  A map f is affine when
 `affine_residual` returns the left minus right side.  `exp_aut` realizes
 the group exponential: it verifies the Killing residual on a sample set
 and returns the time-(-1) flow word.
+
+`Diffeo.push` maps a list of points (and tangent columns at them); a
+FlowWord integrates each segment as one block with a row per point, and
+its one-point methods are one-row pushes.  The defect functions and
+`FrameDiffeo.tangent_frame` take one point (frame, tangent) or a list of
+them, then returning one result per row.
 """
 from __future__ import annotations
 
@@ -19,12 +25,13 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .atlas import Atlas, Point, Tangent, _vec
-from .bundles import pack, unpack
+from .atlas import Atlas, Point, Tangent, _vec, as_rows
+from .bundles import frame_atlas
 from .connection import ConnectionField
 from .errors import ChartMissing, NotInOverlap, NotKilling
-from .flows import IntegratorConfig, VectorField, integrate, variational_flow
-from .frame_bundle import Frame, FrameTangent, kappa
+from .flows import OK, IntegratorConfig, VectorField, _raise_for, _run_block
+from .frame_bundle import (Frame, FrameTangent, frame_from_packed, frame_tangent_from_packed,
+                           kappa)
 from .killing import killing_residual, natural_lift
 
 
@@ -40,24 +47,52 @@ class Diffeo:
         """(df(x), f(x)); the matrix maps point-chart to output-chart coords."""
         raise NotImplementedError
 
+    def push(self, points, w0=None) -> tuple[list, np.ndarray | None]:
+        """(f(x) per point, df(x) w0 per point as an (m, n, k) array).
+
+        `w0` holds (m, n, k) tangent columns, one (n, k) block per point;
+        without it only the images are computed and W is None.
+        """
+        if w0 is None:
+            return [self.apply(p) for p in points], None
+        jets = [self.jac(p) for p in points]
+        return [out for _, out in jets], np.array([J @ w for (J, _), w in zip(jets, w0)])
+
     def tangent(self, t: Tangent) -> Tangent:
         J, out = self.jac(t.base)
         return Tangent(out, J @ t.vec)
 
-    def d2_dir(self, point: Point, v, w) -> np.ndarray:
-        """d2 f(x)(v, w) in the chart of apply(point); nested central FD."""
-        v = _vec(v)
-        w = _vec(w)
-        out = self.apply(point)
-        h = numdiff.step2(point.coords) / max(1.0, float(np.linalg.norm(w)))
+    def jets(self, points, vs, ws) -> list:
+        """(df(x), f(x), d2 f(x)(v, w)) per row, d2 by nested central FD of df.
 
-        def jv(x):
-            J, o = self.jac(Point(point.chart, x))
+        The centre and both stencil points of every row, x and x +- h w,
+        are pushed together, sample by sample, so a FlowWord integrates
+        all 3m of them as one block.
+        """
+        n = self.atlas.dim
+        hs, rows = [], []
+        for p, w in zip(points, ws):
+            h = numdiff.step2(p.coords) / max(1.0, float(np.linalg.norm(w)))
+            hs.append(h)
+            rows += [p, Point(p.chart, p.coords + h * w), Point(p.chart, p.coords - h * w)]
+        outs, Js = self.push(rows, np.broadcast_to(np.eye(n), (len(rows), n, n)))
+
+        def jv(i, out, v):
+            J, o = Js[i], outs[i]
             if o.chart != out.chart:
                 J = self.atlas.d_transition(o, out.chart) @ J
             return J @ v
 
-        return (jv(point.coords + h * w) - jv(point.coords - h * w)) / (2.0 * h)
+        result = []
+        for s, (v, h) in enumerate(zip(vs, hs)):
+            out = outs[3 * s]
+            d2 = (jv(3 * s + 1, out, v) - jv(3 * s + 2, out, v)) / (2.0 * h)
+            result.append((Js[3 * s], out, d2))
+        return result
+
+    def d2_dir(self, point: Point, v, w) -> np.ndarray:
+        """d2 f(x)(v, w) in the chart of apply(point); nested central FD."""
+        return self.jets([point], [_vec(v)], [_vec(w)])[0][2]
 
     def inverse(self) -> "Diffeo":
         raise NotImplementedError
@@ -110,9 +145,13 @@ class ClosedFormDiffeo(Diffeo):
         p = self._rep(point)
         cm = self._charts[p.chart]
         if cm.d2 is None or p.chart != point.chart:
-            return super().d2_dir(point, v, w)
+            # the base class's FD jets: this class's `jets` calls back here
+            return super().jets([point], [_vec(v)], [_vec(w)])[0][2]
         T2 = np.asarray(cm.d2(p.coords), float)
         return np.einsum("ijk,j,k->i", T2, _vec(v), _vec(w))
+
+    def jets(self, points, vs, ws) -> list:
+        return [(*self.jac(p), self.d2_dir(p, v, w)) for p, v, w in zip(points, vs, ws)]
 
     def d2_tensor(self, point: Point) -> np.ndarray | None:
         p = self._rep(point)
@@ -136,24 +175,43 @@ class FlowWord(Diffeo):
         self.cfg = cfg or IntegratorConfig()
         self.name = name or "*".join(f"Fl[{f.name},{t:g}]" for f, t in self.word)
 
-    def apply(self, point: Point) -> Point:
-        p = point
+    def push(self, points, w0=None) -> tuple[list, np.ndarray | None]:
+        """(end points, pushed columns) as `Diffeo.push`.
+
+        Each segment integrates every still-running row as one block, the
+        columns `w0` riding along as variational columns.  A failed row
+        stops; after the last segment the first failed row raises.
+        """
+        pts = list(points)
+        W = None if w0 is None else np.array(w0, float)
+        failed = {}
+        live = list(range(len(pts)))
         for f, t in self.word:
-            p = integrate(f, p, t, self.cfg)
-        return p
+            if not live:
+                break
+            ends, W_live, t_ok, status = _run_block(f, [pts[r] for r in live], t, self.cfg,
+                                                    None if W is None else W[live])
+            for j, r in enumerate(live):
+                pts[r] = ends[j]
+                if status[j] != OK:
+                    failed[r] = (status[j], f, t_ok[j])
+            if W is not None:
+                W[live] = W_live
+            live = [r for r in live if r not in failed]
+        if failed:
+            _raise_for(*failed[min(failed)])
+        return pts, W
+
+    def apply(self, point: Point) -> Point:
+        return self.push([point])[0][0]
 
     def jac(self, point: Point) -> tuple[np.ndarray, Point]:
-        p = point
-        J = np.eye(self.atlas.dim)
-        for f, t in self.word:
-            p, J = variational_flow(f, p, J, t, self.cfg)
-        return J, p
+        ends, W = self.push([point], np.eye(self.atlas.dim)[None])
+        return W[0], ends[0]
 
     def tangent(self, t: Tangent) -> Tangent:
-        p, v = t.base, t.vec
-        for f, dur in self.word:
-            p, v = variational_flow(f, p, v, dur, self.cfg)
-        return Tangent(p, v)
+        ends, W = self.push([t.base], t.vec[None, :, None])
+        return Tangent(ends[0], W[0, :, 0])
 
     def inverse(self) -> "FlowWord":
         return FlowWord(self.atlas, [(f, -t) for f, t in reversed(self.word)], self.cfg,
@@ -173,19 +231,31 @@ class FrameDiffeo:
         J, out = self.base.jac(frame.point())
         return Frame(out.chart, out.coords, J @ frame.g)
 
-    def tangent_frame(self, frame: Frame, ft: FrameTangent) -> tuple[Frame, FrameTangent]:
-        """(Fr(f)(p), T Fr(f)(ft)) in the output bundle chart."""
+    def tangent_frame(self, frame, ft):
+        """(Fr(f)(p), T Fr(f)(ft)) in the output bundle chart.
+
+        With lists of frames and tangents, returns (frames, tangents)
+        lists; a flow word then pushes every row through its lifted word
+        as one block.
+        """
+        frames, single = as_rows(frame, Frame)
+        fts = [ft] if single else list(ft)
+        n = self.atlas.dim
         if isinstance(self.base, FlowWord):
-            z = frame.packed()
-            wt = pack(ft.v, ft.w)
-            for f, dur in self.base.word:
-                lift = natural_lift(f)
-                z, wt = variational_flow(lift, z, wt, dur, self.base.cfg)
-            n = self.atlas.dim
-            x, g = unpack(z.coords, n, n)
-            v, w = unpack(wt, n, n)
-            return Frame(z.chart, x, g), FrameTangent(v, w)
-        # closed form: TF(dx, dg) = (df dx, d2f(dx, .) g + df dg)
+            lifted = FlowWord(frame_atlas(self.atlas),
+                              [(natural_lift(f), dur) for f, dur in self.base.word], self.base.cfg)
+            ends, W = lifted.push([fr.packed() for fr in frames],
+                                  np.array([t.packed() for t in fts])[..., None])
+            out = [(frame_from_packed(z, n), frame_tangent_from_packed(w[:, 0], n))
+                   for z, w in zip(ends, W)]
+        else:
+            out = [self._closed_tangent_frame(fr, t) for fr, t in zip(frames, fts)]
+        if single:
+            return out[0]
+        return [F for F, _ in out], [T for _, T in out]
+
+    def _closed_tangent_frame(self, frame: Frame, ft: FrameTangent):
+        # TF(dx, dg) = (df dx, d2f(dx, .) g + df dg)
         p = frame.point()
         J, out = self.base.jac(p)
         T2 = self.base.d2_tensor(p) if isinstance(self.base, ClosedFormDiffeo) else None
@@ -210,23 +280,24 @@ def orbit_point(fd: FrameDiffeo, p: Frame) -> Frame:
 
 def frame_gap(atlas: Atlas, f1: Frame, f2: Frame) -> float:
     """Distance between frames in a common bundle chart."""
-    from .bundles import frame_atlas
-
-    fr = frame_atlas(atlas)
-    return fr.gap(f1.packed(), f2.packed())
+    return frame_atlas(atlas).gap(f1.packed(), f2.packed())
 
 
 # -- operations ---------------------------------------------------------------
 
 def affine_residual(f: Diffeo, conn1: ConnectionField, conn2: ConnectionField,
-                    point: Point, v, w) -> np.ndarray:
-    """Left minus right of the affine-map equation at `point`, directions (v, w)."""
-    v = _vec(v)
-    w = _vec(w)
-    J, out = f.jac(point)
-    lhs = f.d2_dir(point, v, w) + J @ conn1.eval_B(point, v, w)
-    rhs = conn2.eval_B(out, J @ v, J @ w)
-    return lhs - rhs
+                    point, v, w) -> np.ndarray:
+    """Left minus right of the affine-map equation at `point`, directions (v, w).
+
+    `point` may be a list of points with v and w stacked as (m, n) rows;
+    the result is then (m, n), one residual per row.
+    """
+    points, single = as_rows(point, Point)
+    vs = [_vec(v)] if single else np.asarray(v, float)
+    ws = [_vec(w)] if single else np.asarray(w, float)
+    res = np.array([d2 + J @ conn1.eval_B(p, a, b) - conn2.eval_B(out, J @ a, J @ b)
+                    for p, a, b, (J, out, d2) in zip(points, vs, ws, f.jets(points, vs, ws))])
+    return res[0] if single else res
 
 
 def exp_aut(conn: ConnectionField, field: VectorField, samples, cfg: IntegratorConfig,
@@ -248,27 +319,42 @@ def exp_aut(conn: ConnectionField, field: VectorField, samples, cfg: IntegratorC
     return FlowWord(conn.atlas, [(field, -1.0)], cfg, name=f"exp({field.name})")
 
 
-def kappa_pullback_parts(conn: ConnectionField, fd: FrameDiffeo, frame: Frame,
-                         ft: FrameTangent) -> tuple[float, float]:
-    """(theta, omega) parts of |kappa_{F(p)}(TF ft) - kappa_p(ft)|."""
-    before = kappa(conn, frame, ft)
-    F, TFt = fd.tangent_frame(frame, ft)
-    after = kappa(conn, F, TFt)
-    return (float(np.linalg.norm(after.theta - before.theta)),
-            float(np.linalg.norm(after.omega - before.omega)))
+def kappa_pullback_parts(conn: ConnectionField, fd: FrameDiffeo, frame, ft):
+    """(theta, omega) parts of |kappa_{F(p)}(TF ft) - kappa_p(ft)|.
+
+    With lists of frames and tangents, returns one pair per row.
+    """
+    frames, single = as_rows(frame, Frame)
+    fts = [ft] if single else list(ft)
+    images, pushed = fd.tangent_frame(frames, fts)
+    parts = []
+    for fr, t, F, TFt in zip(frames, fts, images, pushed):
+        before = kappa(conn, fr, t)
+        after = kappa(conn, F, TFt)
+        parts.append((float(np.linalg.norm(after.theta - before.theta)),
+                      float(np.linalg.norm(after.omega - before.omega))))
+    return parts[0] if single else parts
 
 
-def kappa_pullback_defect(conn: ConnectionField, fd: FrameDiffeo, frame: Frame,
-                          ft: FrameTangent, cfg: IntegratorConfig | None = None) -> float:
-    th, om = kappa_pullback_parts(conn, fd, frame, ft)
-    return th + om
+def kappa_pullback_defect(conn: ConnectionField, fd: FrameDiffeo, frame, ft):
+    """theta + omega of `kappa_pullback_parts`, one value per row for lists."""
+    parts = kappa_pullback_parts(conn, fd, frame, ft)
+    if isinstance(frame, Frame):
+        return parts[0] + parts[1]
+    return [th + om for th, om in parts]
 
 
-def exp_commutes_defect(conn: ConnectionField, f: Diffeo, v: Tangent,
-                        cfg: IntegratorConfig) -> float:
-    """Gap between f(exp(v)) and exp(Tf(v)) in a common chart."""
+def exp_commutes_defect(conn: ConnectionField, f: Diffeo, v, cfg: IntegratorConfig):
+    """Gap between f(exp(v)) and exp(Tf(v)) in a common chart.
+
+    With a list of tangents, returns one gap per row; each exp and each
+    push of f then runs all rows at once.
+    """
     from .geodesics import exp_map
 
-    a = f.apply(exp_map(conn, v, cfg))
-    b = exp_map(conn, f.tangent(v), cfg)
-    return conn.atlas.gap(a, b)
+    vs, single = as_rows(v, Tangent)
+    a, _ = f.push(exp_map(conn, vs, cfg))
+    bases, W = f.push([u.base for u in vs], np.array([u.vec for u in vs])[..., None])
+    b = exp_map(conn, [Tangent(p, w[:, 0]) for p, w in zip(bases, W)], cfg)
+    gaps = [conn.atlas.gap(p, q) for p, q in zip(a, b)]
+    return gaps[0] if single else gaps

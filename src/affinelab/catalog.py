@@ -116,16 +116,31 @@ def _inversion():
 # -- quadratic per-chart fields ---------------------------------------------
 
 def quad_chart(c0, c1, c2) -> ChartField:
-    """Chart field xi_i(x) = c0_i + c1_ij x_j + c2_ijk x_j x_k (c2 symmetric)."""
+    """Chart field xi_i(x) = c0_i + c1_ij x_j + c2_ijk x_j x_k (c2 symmetric).
+
+    `value`, `d` and `d2` take (..., n) rows.  Both terms are matmuls
+    (`x @ c1.T` costs less than an einsum on one point), and a field
+    without `c2` skips the quadratic term.
+    """
     n = len(c0)
     c0 = np.asarray(c0, float)
     c1 = np.zeros((n, n)) if c1 is None else np.asarray(c1, float)
-    c2 = np.zeros((n, n, n)) if c2 is None else np.asarray(c2, float)
-    return ChartField(
-        value=lambda x: c0 + c1 @ x + np.einsum("ijk,j,k->i", c2, x, x),
-        d=lambda x: c1 + 2.0 * np.einsum("ijk,k->ij", c2, x),
-        d2=lambda x: 2.0 * c2,
-    )
+    c1t = c1.T
+    if c2 is None:
+        return ChartField(value=lambda x: c0 + x @ c1t,
+                          d=lambda x: np.zeros(x.shape[:-1] + (n, n)) + c1,
+                          d2=lambda x: np.zeros(x.shape[:-1] + (n, n, n)))
+    c2 = np.asarray(c2, float)
+    by_pair = c2.reshape(n, n * n).T  # (x_j x_k flattened) @ by_pair = c2_ijk x_j x_k
+    by_last = c2.reshape(n * n, n).T  # x @ by_last = c2_ijk x_k, flattened over (i, j)
+
+    def value(x):
+        xx = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (n * n,))
+        return c0 + x @ c1t + xx @ by_pair
+
+    return ChartField(value=value,
+                      d=lambda x: c1 + 2.0 * (x @ by_last).reshape(x.shape[:-1] + (n, n)),
+                      d2=lambda x: np.zeros(x.shape[:-1] + (n, n, n)) + 2.0 * c2)
 
 
 def _sym2(entries, n=2):
@@ -142,7 +157,10 @@ def _sym2(entries, n=2):
 
 def plane_atlas() -> Atlas:
     cart = Chart("cart", 2, all_space, [-2.0, -2.0], [2.0, 2.0], priority=0)
-    polar = Chart("polar", 2, box_domain([1e-3, -np.pi + 0.05], [1e6, np.pi - 0.05]),
+    # r < 3 holds the whole Cartesian sample box (|x| <= 2 sqrt 2); a box
+    # margin shrinks by a fraction of the half-width, so a far outer radius
+    # would push the margin-shrunk interior out past every sampled point
+    polar = Chart("polar", 2, box_domain([1e-3, -np.pi + 0.05], [3.0, np.pi - 0.05]),
                   [0.3, -2.0], [2.0, 2.0], priority=1)
 
     def c2p(x):
@@ -357,20 +375,20 @@ def _plane_fields(atlas: Atlas) -> dict[str, VectorField]:
 
     def polar_const(vec):
         def value(y):
-            r, th = y
+            r, th = y[..., 0], y[..., 1]
             c, s = np.cos(th), np.sin(th)
-            return np.array([c * vec[0] + s * vec[1], (-s * vec[0] + c * vec[1]) / r])
+            return np.stack([c * vec[0] + s * vec[1], (-s * vec[0] + c * vec[1]) / r], axis=-1)
 
         return ChartField(value=value)
 
     def polar_shear(y):
-        r, th = y
-        return np.array([r * np.sin(th) * np.cos(th), -np.sin(th) ** 2])
+        r, th = y[..., 0], y[..., 1]
+        return np.stack([r * np.sin(th) * np.cos(th), -np.sin(th) ** 2], axis=-1)
 
     def polar_sq(y):
-        r, th = y
+        r, th = y[..., 0], y[..., 1]
         c = np.cos(th)
-        return np.array([r**2 * c**3, -r * np.sin(th) * c**2])
+        return np.stack([r**2 * c**3, -r * np.sin(th) * c**2], axis=-1)
 
     fields = {
         "trans_x": {"cart": quad_chart([1, 0], None, None), "polar": polar_const([1, 0])},

@@ -32,6 +32,8 @@ def _cmd_run(args) -> int:
     catalog = default_catalog()
     scenario = load_scenario(args.scenario, catalog)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
         scenario.rng_seed = args.seed
     if args.step is not None:
         scenario.integrator = _with_step(scenario.integrator, args.step)
@@ -120,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the scenario rng_seed")
     run.add_argument("--step", type=float, default=None, help="override the integrator step")
     run.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
-                     help="multiply all check tolerances")
+                     help="loosen every check by this factor: tolerances are multiplied "
+                          "and lower bounds (floor, min_gap) divided")
     run.set_defaults(fn=_cmd_run)
 
     lst = sub.add_parser("list", help="list catalog manifolds, connections, fields, checks")

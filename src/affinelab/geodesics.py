@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import Atlas, Point, Tangent, _vec
+from .atlas import Atlas, Point, Tangent, _vec, as_rows
 from .bundles import pack, tangent_atlas, unpack
 from .connection import ConnectionField
 from .errors import LeftAtlas, NoConvergence
@@ -182,17 +182,25 @@ def geodesic(conn: ConnectionField, v0: Tangent, t_span, cfg: IntegratorConfig) 
     return CurveSpec.from_samples(base, rows)
 
 
-def exp_map(conn: ConnectionField, v: Tangent, cfg: IntegratorConfig, t: float = 1.0) -> Point:
-    """exp_x(t v) = alpha_v(t); t defaults to 1."""
+def exp_map(conn: ConnectionField, v, cfg: IntegratorConfig, t: float = 1.0):
+    """exp_x(t v) = alpha_v(t); t defaults to 1.
+
+    `v` is a Tangent, giving a Point, or a list of Tangents, giving one
+    Point per row from a single block; the first row that fails raises
+    the error it would raise alone.
+    """
+    vs, single = as_rows(v, Tangent)
     n = conn.atlas.dim
     if t == 0.0:
-        return Point(v.base.chart, v.base.coords.copy())
-    fld = geodesic_field(conn)
-    start = Point(v.base.chart, pack(v.base.coords, v.vec.reshape(n, 1)))
-    end, _, t_ok, status = _run(fld, start, t, cfg)
-    _raise_for(status, fld, t_ok)
-    x, _ = unpack(end.coords, n, 1)
-    return Point(end.chart, x)
+        ends = [Point(u.base.chart, u.base.coords.copy()) for u in vs]
+    else:
+        fld = geodesic_field(conn)
+        starts = [Point(u.base.chart, pack(u.base.coords, u.vec.reshape(n, 1))) for u in vs]
+        ends, _, t_ok, status = _run_block(fld, starts, t, cfg)
+        for st, t_row in zip(status, t_ok):
+            _raise_for(st, fld, t_row)
+        ends = [Point(e.chart, e.coords[:n]) for e in ends]
+    return ends[0] if single else ends
 
 
 def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig,
@@ -325,7 +333,7 @@ def completeness_probe(conn: ConnectionField, seeds, horizon: float,
     seeds = list(seeds)
     starts = [Point(s.base.chart, pack(s.base.coords, s.vec.reshape(n, 1))) for s in seeds]
     m = len(starts)
-    _, t_ok, status = _run_block(fld, starts + starts, np.repeat([horizon, -horizon], m), cfg)
+    _, _, t_ok, status = _run_block(fld, starts + starts, np.repeat([horizon, -horizon], m), cfg)
     rows = [ProbeRow(seed, t_ok[i], t_ok[m + i], status[i], status[m + i])
             for i, seed in enumerate(seeds)]
     complete = all(r.status_forward == OK and r.status_backward == OK for r in rows)

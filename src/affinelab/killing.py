@@ -60,7 +60,11 @@ class HorizontalPath:
 
 
 def natural_lift(field: VectorField) -> VectorField:
-    """Lift xi to the frame bundle: (x, g) -> (xi(x), d xi(x) g)."""
+    """Lift xi to the frame bundle: (x, g) -> (xi(x), d xi(x) g).
+
+    The lift's `value` and `d` take (..., n + n^2) rows, like the base
+    field's callables they are built from.
+    """
     base = field.atlas
     n = base.dim
     fr = frame_atlas(base)
@@ -68,24 +72,26 @@ def natural_lift(field: VectorField) -> VectorField:
     for cid in base.charts:
         if not field.has_chart(cid):
             continue
+        cf = field.chart_field(cid)
 
-        def value(z, cid=cid):
+        def value(z, cf=cf):
             x, g = unpack(z, n, n)
-            p = Point(cid, x)
-            return pack(field.value(p), field.jac(p) @ g)
+            return pack(cf.value(x), np.asarray(cf.d(x), float) @ g)
 
-        def d(z, cid=cid):
+        def d(z, cf=cf):
             x, g = unpack(z, n, n)
-            p = Point(cid, x)
-            J = field.jac(p)
-            H = field.hess(p)  # H[i, j, k] = d2 xi_i / dx_j dx_k
+            lead = x.shape[:-1]
+            J = np.asarray(cf.d(x), float)
+            H = np.asarray(cf.d2(x), float)  # H[..., i, j, k] = d2 xi_i / dx_j dx_k
             N = n + n * n
-            out = np.zeros((N, N))
-            out[:n, :n] = J
+            out = np.zeros(lead + (N, N))
+            out[..., :n, :n] = J
             for j in range(n):
                 # d/dx_j of (d xi(x) g): contract the Hessian slice with g
-                out[n:, j] = (H[:, :, j] @ g).ravel()
-            out[n:, n:] = np.kron(J, np.eye(n))
+                out[..., n:, j] = (H[..., :, :, j] @ g).reshape(lead + (n * n,))
+            # d xi(x) acts on each column of g: kron(J, I_n)
+            kron = np.einsum("...ab,cd->...acbd", J, np.eye(n))
+            out[..., n:, n:] = kron.reshape(lead + (n * n, n * n))
             return out
 
         charts[cid] = ChartField(value=value, d=d)

@@ -244,8 +244,7 @@ def test_criterion_10_automorphism_suite():
     for p in samples[:5]:
         g = np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2))
         ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
-        worst_kappa = max(worst_kappa, kappa_pullback_defect(conn, fd, Frame("a", p.coords, g),
-                                                             ft, CFG))
+        worst_kappa = max(worst_kappa, kappa_pullback_defect(conn, fd, Frame("a", p.coords, g), ft))
 
     worst_expc = 0.0
     for p in samples[:3]:

@@ -227,7 +227,7 @@ def test_kappa_pullback_sphere_exp_aut(cat, cfg, rng):
     for _ in range(5):
         fr = Frame("a", rng.uniform(-0.8, 0.8, size=2), np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2)))
         ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
-        worst = max(worst, kappa_pullback_defect(conn, fd, fr, ft, cfg))
+        worst = max(worst, kappa_pullback_defect(conn, fd, fr, ft))
     assert worst <= 1e-5
 
 

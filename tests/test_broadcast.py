@@ -1,7 +1,8 @@
 """Chart callables broadcast over leading axes.
 
 The batched integrator evaluates one chart's callables on an (m, N)
-block of rows.  For each catalog callable it touches, the block result
+block of rows: the geodesic spray, every catalog vector field and its
+natural lift to the frame bundle.  For each catalog callable it touches, the block result
 must equal the 1-D evaluations stacked row by row.  Matrix products may
 run through different kernels for one row and for a block, so values
 agree to a few units of rounding, set from the float64 epsilon.
@@ -16,6 +17,7 @@ from affinelab.bundles import tangent_atlas
 from affinelab.catalog import default_catalog
 from affinelab.connection import ConnChart, ConnectionField
 from affinelab.geodesics import geodesic_field
+from affinelab.killing import natural_lift
 
 ROWS = 7
 ULPS = 8 * np.finfo(float).eps
@@ -114,3 +116,35 @@ def test_finite_difference_fills_broadcast(manifold, rng):
             u = rng.normal(size=x.shape)
             d_dir = fd_conn._chart(cid).d_dir
             np.testing.assert_array_equal(d_dir(x, u), np.stack([d_dir(r, s) for r, s in zip(x, u)]))
+
+
+def _field_charts(manifold):
+    atlas = CAT.atlas(manifold)
+    for fname in CAT.field_names(manifold):
+        field = CAT.field(manifold, fname)
+        for cid in atlas.charts:
+            if field.has_chart(cid):
+                yield field, cid
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_vector_fields_broadcast(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    for field, cid in _field_charts(manifold):
+        cf = field.chart_field(cid)
+        x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+        for fn in (cf.value, cf.d, cf.d2):
+            _assert_rowwise(fn, x)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_natural_lift_broadcasts(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    n = atlas.dim
+    for field, cid in _field_charts(manifold):
+        lift = natural_lift(field).chart_field(cid)
+        x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+        g = np.eye(n) + rng.uniform(-0.2, 0.2, size=(ROWS, n, n))
+        z = np.concatenate([x, g.reshape(ROWS, n * n)], axis=-1)
+        for fn in (lift.value, lift.d):
+            _assert_rowwise(fn, z)

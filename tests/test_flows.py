@@ -208,3 +208,15 @@ def test_step_halving_1e3_to_5e4(cat):
     change = np.linalg.norm(ends[0].coords - ends[1].coords)
     assert change <= 16.0 * errs[1] * 1.3
     assert 8.0 <= errs[0] / errs[1] <= 24.0
+
+
+def test_polar_chart_is_usable_at_the_default_margin(cat, cfg, rng):
+    atlas = cat.atlas("plane")
+    polar = atlas.chart("polar")
+    assert all(polar.contains(p.coords, 0.1) for p in atlas.sample_points("polar", 20, rng))
+    # the farthest corner of the Cartesian sample box still lies in the polar chart
+    assert atlas.transition(Point("cart", [2.0, -2.0]), "polar").chart == "polar"
+    # a polar-started rotation stays in polar: r is constant, theta advances by t
+    end = integrate(cat.field("plane", "rotation"), Point("polar", [1.0, 0.5]), 1.0, cfg)
+    assert end.chart == "polar"
+    np.testing.assert_allclose(end.coords, [1.0, 1.5], atol=1e-12)

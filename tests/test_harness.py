@@ -227,3 +227,34 @@ def test_cli_dump_horizontal(tmp_path):
     assert rc == 0
     header = out.read_text().split("\n")[0]
     assert header == "t,chart,x0,x1,g00,g01,g10,g11"
+
+
+def test_tol_scale_divides_lower_bounds(cat):
+    scenario = scenario_from_dict({
+        "manifold": "plane", "connection": "flat", "fields": ["trans_x", "trans_y", "rotation"],
+        "checks": [{"name": "killing_floor", "field": "nonaffine_sq", "floor": 1e-2},
+                   {"name": "orbit_separation", "chart": "cart", "point": [0.3, 0.2],
+                    "min_gap": 1e-3}]}, cat)
+    # the floor 1e-2 and the gap 1e-3 are met (residual ~94, gaps ~0.1);
+    # loosening lowers both bounds, tightening raises them past what is seen
+    for scale, status in ((1.0, "pass"), (1e4, "pass"), (1e-4, "fail")):
+        rep = run_suite(scenario, cat, tol_scale=scale)
+        assert [c.status for c in rep.checks] == [status, status], scale
+
+
+def test_check_that_sampled_nothing_fails(cat):
+    scenario = scenario_from_dict({"manifold": "sphere", "connection": "round",
+                                   "checks": [{"name": "killing_residual"},
+                                              {"name": "killing_equivalence"}]}, cat)
+    rep = run_suite(scenario, cat)
+    assert [(c.status, c.samples) for c in rep.checks] == [("fail", 0), ("fail", 0)]
+    assert all(c.error for c in rep.checks)
+    assert not rep.all_passed
+
+
+def test_negative_seed_is_rejected(cat, capsys):
+    with pytest.raises(ParseError):
+        scenario_from_dict({"manifold": "sphere", "connection": "round", "rng_seed": -1}, cat)
+    # a usage error (2), not a failed check (1) or a traceback
+    assert cli_main(["run", str(SCENARIOS / "minimal_sphere.json"), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
