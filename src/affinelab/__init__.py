@@ -28,8 +28,8 @@ from .frame_bundle import (Frame, FrameTangent, KappaValue, connection_form,
                            horizontal_projection_defect, horizontal_projection_parts, kappa,
                            kappa_inverse, kappa_inverse_field, kappa_matrix, rho, soldering,
                            standard_horizontal)
-from .geodesics import (CurveSpec, completeness_probe, exp_inverse, exp_map, geodesic,
-                        parallel_transport)
+from .geodesics import (CurveSpec, completeness_probe, exp_inverse, exp_map, exp_map_rows,
+                        geodesic, parallel_transport)
 from .harness import Report, Scenario, emit, load_scenario, run_suite, scenario_from_dict
 from .killing import (HorizontalPath, KillingSeed, bracket, ev_embedding, extend_killing,
                       gram_rank, killing_residual, lift_commutation_defect, natural_lift,

@@ -55,17 +55,6 @@ class Tangent:
         return f"Tangent({self.base!r}, {np.array2string(self.vec, precision=6)})"
 
 
-def as_rows(item, kind) -> tuple[list, bool]:
-    """(rows, single): a lone `kind` instance becomes one row.
-
-    Calls that accept one point (tangent, frame) or a list of them use
-    this to run both through the same block code.
-    """
-    if isinstance(item, kind):
-        return [item], True
-    return list(item), False
-
-
 @dataclass(eq=False)
 class Transition:
     """Map between two chart coordinate systems with optional derivatives.

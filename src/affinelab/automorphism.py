@@ -13,9 +13,9 @@ and returns the time-(-1) flow word.
 
 `Diffeo.push` maps a list of points (and tangent columns at them); a
 FlowWord integrates each segment as one block with a row per point, and
-its one-point methods are one-row pushes.  The defect functions and
-`FrameDiffeo.tangent_frame` take one point (frame, tangent) or a list of
-them, then returning one result per row.
+its one-point methods are one-row pushes.  `affine_residual`,
+`FrameDiffeo.tangent_frame` and the defect functions take lists of
+points (frames, tangents) and return one result per row.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .atlas import Atlas, Point, Tangent, _vec, as_rows
+from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import frame_atlas
 from .connection import ConnectionField
 from .errors import ChartMissing, NotInOverlap, NotKilling
@@ -63,32 +63,8 @@ class Diffeo:
         return Tangent(out, J @ t.vec)
 
     def jets(self, points, vs, ws) -> list:
-        """(df(x), f(x), d2 f(x)(v, w)) per row, d2 by nested central FD of df.
-
-        The centre and both stencil points of every row, x and x +- h w,
-        are pushed together, sample by sample, so a FlowWord integrates
-        all 3m of them as one block.
-        """
-        n = self.atlas.dim
-        hs, rows = [], []
-        for p, w in zip(points, ws):
-            h = numdiff.step2(p.coords) / max(1.0, float(np.linalg.norm(w)))
-            hs.append(h)
-            rows += [p, Point(p.chart, p.coords + h * w), Point(p.chart, p.coords - h * w)]
-        outs, Js = self.push(rows, np.broadcast_to(np.eye(n), (len(rows), n, n)))
-
-        def jv(i, out, v):
-            J, o = Js[i], outs[i]
-            if o.chart != out.chart:
-                J = self.atlas.d_transition(o, out.chart) @ J
-            return J @ v
-
-        result = []
-        for s, (v, h) in enumerate(zip(vs, hs)):
-            out = outs[3 * s]
-            d2 = (jv(3 * s + 1, out, v) - jv(3 * s + 2, out, v)) / (2.0 * h)
-            result.append((Js[3 * s], out, d2))
-        return result
+        """(df(x), f(x), d2 f(x)(v, w)) per row; d2 by `_fd_jets`."""
+        return _fd_jets(self, points, vs, ws)
 
     def d2_dir(self, point: Point, v, w) -> np.ndarray:
         """d2 f(x)(v, w) in the chart of apply(point); nested central FD."""
@@ -96,6 +72,35 @@ class Diffeo:
 
     def inverse(self) -> "Diffeo":
         raise NotImplementedError
+
+
+def _fd_jets(f: Diffeo, points, vs, ws) -> list:
+    """(df(x), f(x), d2 f(x)(v, w)) per row, d2 by nested central FD of df.
+
+    The centre and both stencil points of every row, x and x +- h w, are
+    pushed together, sample by sample, so a FlowWord integrates all 3m
+    of them as one block.
+    """
+    n = f.atlas.dim
+    hs, rows = [], []
+    for p, w in zip(points, ws):
+        h = numdiff.step2(p.coords) / max(1.0, float(np.linalg.norm(w)))
+        hs.append(h)
+        rows += [p, Point(p.chart, p.coords + h * w), Point(p.chart, p.coords - h * w)]
+    outs, Js = f.push(rows, np.broadcast_to(np.eye(n), (len(rows), n, n)))
+
+    def jv(i, out, v):
+        J, o = Js[i], outs[i]
+        if o.chart != out.chart:
+            J = f.atlas.d_transition(o, out.chart) @ J
+        return J @ v
+
+    result = []
+    for s, (v, h) in enumerate(zip(vs, hs)):
+        out = outs[3 * s]
+        d2 = (jv(3 * s + 1, out, v) - jv(3 * s + 2, out, v)) / (2.0 * h)
+        result.append((Js[3 * s], out, d2))
+    return result
 
 
 @dataclass(eq=False)
@@ -142,12 +147,9 @@ class ClosedFormDiffeo(Diffeo):
         return J, Point(tid, _vec(y))
 
     def d2_dir(self, point: Point, v, w) -> np.ndarray:
-        p = self._rep(point)
-        cm = self._charts[p.chart]
-        if cm.d2 is None or p.chart != point.chart:
-            # the base class's FD jets: this class's `jets` calls back here
-            return super().jets([point], [_vec(v)], [_vec(w)])[0][2]
-        T2 = np.asarray(cm.d2(p.coords), float)
+        T2 = self.d2_tensor(point)
+        if T2 is None:
+            return _fd_jets(self, [point], [_vec(v)], [_vec(w)])[0][2]
         return np.einsum("ijk,j,k->i", T2, _vec(v), _vec(w))
 
     def jets(self, points, vs, ws) -> list:
@@ -231,27 +233,19 @@ class FrameDiffeo:
         J, out = self.base.jac(frame.point())
         return Frame(out.chart, out.coords, J @ frame.g)
 
-    def tangent_frame(self, frame, ft):
-        """(Fr(f)(p), T Fr(f)(ft)) in the output bundle chart.
-
-        With lists of frames and tangents, returns (frames, tangents)
-        lists; a flow word then pushes every row through its lifted word
-        as one block.
-        """
-        frames, single = as_rows(frame, Frame)
-        fts = [ft] if single else list(ft)
+    def tangent_frame(self, frames, fts) -> tuple[list, list]:
+        """(Fr(f)(p) per frame, T Fr(f)(ft) per tangent) in the output
+        bundle charts; a flow word pushes every row through its lifted
+        word as one block."""
         n = self.atlas.dim
         if isinstance(self.base, FlowWord):
             lifted = FlowWord(frame_atlas(self.atlas),
                               [(natural_lift(f), dur) for f, dur in self.base.word], self.base.cfg)
             ends, W = lifted.push([fr.packed() for fr in frames],
                                   np.array([t.packed() for t in fts])[..., None])
-            out = [(frame_from_packed(z, n), frame_tangent_from_packed(w[:, 0], n))
-                   for z, w in zip(ends, W)]
-        else:
-            out = [self._closed_tangent_frame(fr, t) for fr, t in zip(frames, fts)]
-        if single:
-            return out[0]
+            return ([frame_from_packed(z, n) for z in ends],
+                    [frame_tangent_from_packed(w[:, 0], n) for w in W])
+        out = [self._closed_tangent_frame(fr, t) for fr, t in zip(frames, fts)]
         return [F for F, _ in out], [T for _, T in out]
 
     def _closed_tangent_frame(self, frame: Frame, ft: FrameTangent):
@@ -286,18 +280,14 @@ def frame_gap(atlas: Atlas, f1: Frame, f2: Frame) -> float:
 # -- operations ---------------------------------------------------------------
 
 def affine_residual(f: Diffeo, conn1: ConnectionField, conn2: ConnectionField,
-                    point, v, w) -> np.ndarray:
-    """Left minus right of the affine-map equation at `point`, directions (v, w).
+                    points, vs, ws) -> np.ndarray:
+    """Left minus right of the affine-map equation, one (n,) row per point.
 
-    `point` may be a list of points with v and w stacked as (m, n) rows;
-    the result is then (m, n), one residual per row.
+    `vs` and `ws` stack the directions (v, w) as (m, n) rows.
     """
-    points, single = as_rows(point, Point)
-    vs = [_vec(v)] if single else np.asarray(v, float)
-    ws = [_vec(w)] if single else np.asarray(w, float)
-    res = np.array([d2 + J @ conn1.eval_B(p, a, b) - conn2.eval_B(out, J @ a, J @ b)
-                    for p, a, b, (J, out, d2) in zip(points, vs, ws, f.jets(points, vs, ws))])
-    return res[0] if single else res
+    vs, ws = np.asarray(vs, float), np.asarray(ws, float)
+    return np.array([d2 + J @ conn1.eval_B(p, a, b) - conn2.eval_B(out, J @ a, J @ b)
+                     for p, a, b, (J, out, d2) in zip(points, vs, ws, f.jets(points, vs, ws))])
 
 
 def exp_aut(conn: ConnectionField, field: VectorField, samples, cfg: IntegratorConfig,
@@ -319,13 +309,8 @@ def exp_aut(conn: ConnectionField, field: VectorField, samples, cfg: IntegratorC
     return FlowWord(conn.atlas, [(field, -1.0)], cfg, name=f"exp({field.name})")
 
 
-def kappa_pullback_parts(conn: ConnectionField, fd: FrameDiffeo, frame, ft):
-    """(theta, omega) parts of |kappa_{F(p)}(TF ft) - kappa_p(ft)|.
-
-    With lists of frames and tangents, returns one pair per row.
-    """
-    frames, single = as_rows(frame, Frame)
-    fts = [ft] if single else list(ft)
+def kappa_pullback_parts(conn: ConnectionField, fd: FrameDiffeo, frames, fts) -> list:
+    """(theta, omega) parts of |kappa_{F(p)}(TF ft) - kappa_p(ft)| per row."""
     images, pushed = fd.tangent_frame(frames, fts)
     parts = []
     for fr, t, F, TFt in zip(frames, fts, images, pushed):
@@ -333,28 +318,25 @@ def kappa_pullback_parts(conn: ConnectionField, fd: FrameDiffeo, frame, ft):
         after = kappa(conn, F, TFt)
         parts.append((float(np.linalg.norm(after.theta - before.theta)),
                       float(np.linalg.norm(after.omega - before.omega))))
-    return parts[0] if single else parts
+    return parts
 
 
-def kappa_pullback_defect(conn: ConnectionField, fd: FrameDiffeo, frame, ft):
-    """theta + omega of `kappa_pullback_parts`, one value per row for lists."""
-    parts = kappa_pullback_parts(conn, fd, frame, ft)
-    if isinstance(frame, Frame):
-        return parts[0] + parts[1]
-    return [th + om for th, om in parts]
+def kappa_pullback_defect(conn: ConnectionField, fd: FrameDiffeo, frames, fts) -> list:
+    """theta + omega of `kappa_pullback_parts`, one value per row."""
+    return [th + om for th, om in kappa_pullback_parts(conn, fd, frames, fts)]
 
 
-def exp_commutes_defect(conn: ConnectionField, f: Diffeo, v, cfg: IntegratorConfig):
-    """Gap between f(exp(v)) and exp(Tf(v)) in a common chart.
+def exp_commutes_defect(conn: ConnectionField, f: Diffeo, vs, cfg: IntegratorConfig) -> list:
+    """Gap between f(exp(v)) and exp(Tf(v)) in a common chart, one per tangent.
 
-    With a list of tangents, returns one gap per row; each exp and each
-    push of f then runs all rows at once.
+    The four steps (exp, push by f, tangent push by f, exp) each run all
+    rows as one block, and a step with failing rows raises the error of
+    its first one; so when rows fail in different steps, the error raised
+    can be a later row's than the first row that fails.
     """
-    from .geodesics import exp_map
+    from .geodesics import exp_map_rows
 
-    vs, single = as_rows(v, Tangent)
-    a, _ = f.push(exp_map(conn, vs, cfg))
+    a, _ = f.push(exp_map_rows(conn, vs, cfg))
     bases, W = f.push([u.base for u in vs], np.array([u.vec for u in vs])[..., None])
-    b = exp_map(conn, [Tangent(p, w[:, 0]) for p, w in zip(bases, W)], cfg)
-    gaps = [conn.atlas.gap(p, q) for p, q in zip(a, b)]
-    return gaps[0] if single else gaps
+    b = exp_map_rows(conn, [Tangent(p, w[:, 0]) for p, w in zip(bases, W)], cfg)
+    return [conn.atlas.gap(p, q) for p, q in zip(a, b)]

@@ -4,7 +4,7 @@ Fixed-step classical RK4 throughout; no adaptivity.  One core integrates
 rows of states, entered through `_run_block`: a single row (`_run` is
 that single-trajectory form) runs as a 1-D state with a float step, and
 several rows (the completeness probe's seeds in both directions,
-`exp_map` over a list, each segment of a flow word over a sample set) as
+`exp_map_rows`, each segment of a flow word over a sample set) as
 an (m, N) array whose rows each carry their own chart, signed step, hop
 count, status and reach time.  Each step advances one chart group of
 rows at a time through the chart's field callable, which therefore
@@ -56,9 +56,11 @@ class ChartField:
     """Per-chart evaluation procedures of a vector field.
 
     `value`: x -> xi(x); `d`: x -> (n, n) Jacobian; `d2`: x -> (n, n, n)
-    tensor of second partials.  `VectorField` fills a missing `d` or `d2`
-    once with central differences of `value` guarded by the chart's
-    domain, so every caller finds both.
+    tensor of second partials.  Each takes (..., n) rows and broadcasts
+    over the leading axes, since flows integrate blocks of rows.
+    `VectorField` fills a missing `d` or `d2` once with central
+    differences of `value` guarded by the chart's domain, so every caller
+    finds both.
     """
 
     value: Callable
@@ -94,6 +96,20 @@ class VectorField:
         return f"VectorField({self.name!r} on {self.atlas.name!r})"
 
 
+def rowwise(fn: Callable) -> Callable:
+    """`fn` on one (N,) state array, extended to (..., N) rows by a row loop.
+
+    Meets the broadcast rule of `ChartField` for callables written for
+    one point; a 1-D input is passed through unchanged.
+    """
+    def on_rows(z):
+        if z.ndim == 1:
+            return fn(z)
+        out = [np.asarray(fn(row), float) for row in z.reshape(-1, z.shape[-1])]
+        return np.reshape(out, z.shape[:-1] + out[0].shape)
+    return on_rows
+
+
 def _filled(cf: ChartField, inside) -> ChartField:
     """A copy of `cf` with any missing derivative filled by central
     differences of its value, every stencil point checked by `inside`."""
@@ -110,9 +126,10 @@ def constant_field(atlas: Atlas, name: str, vec) -> VectorField:
     where all transition Jacobians are the identity (single-chart or
     torus-style atlases)."""
     vec = _vec(vec)
-    charts = {cid: ChartField(value=lambda x, v=vec: v,
-                              d=lambda x, n=atlas.dim: np.zeros((n, n)),
-                              d2=lambda x, n=atlas.dim: np.zeros((n, n, n)))
+    n = atlas.dim
+    charts = {cid: ChartField(value=lambda x: np.broadcast_to(vec, np.shape(x)),
+                              d=lambda x: np.zeros(np.shape(x)[:-1] + (n, n)),
+                              d2=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)))
               for cid in atlas.charts}
     return VectorField(atlas, name, charts)
 

@@ -22,7 +22,7 @@ from .atlas import Point, Tangent, _vec
 from .bundles import frame_atlas, pack, unpack
 from .connection import ConnectionField
 from .errors import SingularFrame, SingularGroupElement
-from .flows import ChartField, IntegratorConfig, VectorField, _run, _raise_for
+from .flows import ChartField, IntegratorConfig, VectorField, _raise_for, _run, rowwise
 from .geodesics import geodesic
 
 DET_GUARD = 1e-12
@@ -151,7 +151,8 @@ def kappa_inverse_field(conn: ConnectionField, lam, A=None, name: str | None = N
 
     A = 0 gives the standard horizontal field H_lambda.  The analytic
     derivative uses dB when the connection provides it (FD fallback
-    otherwise).
+    otherwise).  Both are written for one state and take blocks of rows
+    through `rowwise`.
     """
     base = conn.atlas
     n = base.dim
@@ -198,7 +199,7 @@ def kappa_inverse_field(conn: ConnectionField, lam, A=None, name: str | None = N
                     col += 1
             return out
 
-        charts[cid] = ChartField(value=value, d=d)
+        charts[cid] = ChartField(value=rowwise(value), d=rowwise(d))
     label = name or f"kappa_inv[{np.array2string(lam, precision=3)}]"
     return VectorField(fr, label, charts)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import Atlas, Point, Tangent, _vec, as_rows
+from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas, unpack
 from .connection import ConnectionField
 from .errors import LeftAtlas, NoConvergence
@@ -182,25 +182,26 @@ def geodesic(conn: ConnectionField, v0: Tangent, t_span, cfg: IntegratorConfig) 
     return CurveSpec.from_samples(base, rows)
 
 
-def exp_map(conn: ConnectionField, v, cfg: IntegratorConfig, t: float = 1.0):
-    """exp_x(t v) = alpha_v(t); t defaults to 1.
+def exp_map(conn: ConnectionField, v: Tangent, cfg: IntegratorConfig, t: float = 1.0) -> Point:
+    """exp_x(t v) = alpha_v(t); t defaults to 1.  A one-row `exp_map_rows`."""
+    return exp_map_rows(conn, [v], cfg, t)[0]
 
-    `v` is a Tangent, giving a Point, or a list of Tangents, giving one
-    Point per row from a single block; the first row that fails raises
-    the error it would raise alone.
+
+def exp_map_rows(conn: ConnectionField, vs, cfg: IntegratorConfig, t: float = 1.0) -> list:
+    """`exp_map` of every tangent in `vs`, integrated as rows of one block.
+
+    If rows fail, the first failing row raises the error it would raise
+    alone.
     """
-    vs, single = as_rows(v, Tangent)
     n = conn.atlas.dim
     if t == 0.0:
-        ends = [Point(u.base.chart, u.base.coords.copy()) for u in vs]
-    else:
-        fld = geodesic_field(conn)
-        starts = [Point(u.base.chart, pack(u.base.coords, u.vec.reshape(n, 1))) for u in vs]
-        ends, _, t_ok, status = _run_block(fld, starts, t, cfg)
-        for st, t_row in zip(status, t_ok):
-            _raise_for(st, fld, t_row)
-        ends = [Point(e.chart, e.coords[:n]) for e in ends]
-    return ends[0] if single else ends
+        return [Point(u.base.chart, u.base.coords.copy()) for u in vs]
+    fld = geodesic_field(conn)
+    starts = [Point(u.base.chart, pack(u.base.coords, u.vec.reshape(n, 1))) for u in vs]
+    ends, _, t_ok, status = _run_block(fld, starts, t, cfg)
+    for st, t_row in zip(status, t_ok):
+        _raise_for(st, fld, t_row)
+    return [Point(e.chart, e.coords[:n]) for e in ends]
 
 
 def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig,

@@ -122,9 +122,11 @@ def bracket(f1: VectorField, f2: VectorField) -> VectorField:
         raise ValueError("fields must share an atlas")
     charts = {}
     for cid in f1._charts.keys() & f2._charts.keys():
-        def value(x, cid=cid):
-            p = Point(cid, x)
-            return f2.jac(p) @ f1.value(p) - f1.jac(p) @ f2.value(p)
+        cf1, cf2 = f1.chart_field(cid), f2.chart_field(cid)
+
+        def value(x, cf1=cf1, cf2=cf2):
+            v1, v2 = _vec(cf1.value(x))[..., None], _vec(cf2.value(x))[..., None]
+            return (np.asarray(cf2.d(x), float) @ v1 - np.asarray(cf1.d(x), float) @ v2)[..., 0]
 
         charts[cid] = ChartField(value=value)
     return VectorField(atlas, f"[{f1.name},{f2.name}]", charts)

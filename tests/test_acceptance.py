@@ -237,19 +237,21 @@ def test_criterion_10_automorphism_suite():
     worst_aff = 0.0
     for p in samples:
         v, w = rng.normal(size=(2, 2))
-        worst_aff = max(worst_aff, float(np.linalg.norm(affine_residual(f, conn, conn, p, v, w))))
+        worst_aff = max(worst_aff,
+                        float(np.linalg.norm(affine_residual(f, conn, conn, [p], [v], [w]))))
 
     fd = frame_lift(f)
     worst_kappa = 0.0
     for p in samples[:5]:
         g = np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2))
         ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
-        worst_kappa = max(worst_kappa, kappa_pullback_defect(conn, fd, Frame("a", p.coords, g), ft))
+        worst_kappa = max(worst_kappa,
+                          kappa_pullback_defect(conn, fd, [Frame("a", p.coords, g)], [ft])[0])
 
     worst_expc = 0.0
     for p in samples[:3]:
         worst_expc = max(worst_expc,
-                         exp_commutes_defect(conn, f, Tangent(p, rng.normal(size=2)), CFG))
+                         exp_commutes_defect(conn, f, [Tangent(p, rng.normal(size=2))], CFG)[0])
 
     Ra = rotation_matrix_3d(0, 0.7)
     Rb = rotation_matrix_3d(2, -1.2)

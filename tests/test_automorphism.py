@@ -22,7 +22,7 @@ def test_identity_flow_word(cat, cfg):
     p = Point("cart", [0.4, -0.7])
     assert np.allclose(ident.apply(p).coords, p.coords)
     conn = cat.connection("plane", "flat")
-    assert np.allclose(affine_residual(ident, conn, conn, p, [1, 0], [0, 1]), 0.0)
+    assert np.allclose(affine_residual(ident, conn, conn, [p], [[1, 0]], [[0, 1]]), 0.0)
 
 
 def test_flat_affine_map_residual_zero(cat, rng):
@@ -31,7 +31,7 @@ def test_flat_affine_map_residual_zero(cat, rng):
     for _ in range(20):
         p = Point("cart", rng.uniform(-2, 2, size=2))
         v, w = rng.normal(size=(2, 2))
-        assert np.linalg.norm(affine_residual(f, conn, conn, p, v, w)) <= 1e-12
+        assert np.linalg.norm(affine_residual(f, conn, conn, [p], [v], [w])) <= 1e-12
 
 
 def test_sphere_rotation_residual(cat, rng):
@@ -41,7 +41,7 @@ def test_sphere_rotation_residual(cat, rng):
     worst = 0.0
     for p in sphere_samples(cat, rng, 100):
         v, w = rng.normal(size=(2, 2))
-        worst = max(worst, float(np.linalg.norm(affine_residual(f, conn, conn, p, v, w))))
+        worst = max(worst, float(np.linalg.norm(affine_residual(f, conn, conn, [p], [v], [w]))))
     assert worst <= 1e-8
 
 
@@ -96,7 +96,7 @@ def test_frame_lift_preserves_theta(cat, rng):
     for _ in range(10):
         fr = Frame("a", rng.uniform(-1, 1, size=2), np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2)))
         ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
-        F, TFt = fd.tangent_frame(fr, ft)
+        (F,), (TFt,) = fd.tangent_frame([fr], [ft])
         assert np.linalg.norm(soldering(F, TFt) - soldering(fr, ft)) <= 1e-8
 
 
@@ -215,7 +215,7 @@ def test_kappa_pullback_flat_affine(cat, rng):
     for _ in range(10):
         fr = Frame("cart", rng.uniform(-1, 1, size=2), np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2)))
         ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
-        assert kappa_pullback_defect(conn, fd, fr, ft) <= 1e-10
+        assert kappa_pullback_defect(conn, fd, [fr], [ft])[0] <= 1e-10
 
 
 def test_kappa_pullback_sphere_exp_aut(cat, cfg, rng):
@@ -227,7 +227,7 @@ def test_kappa_pullback_sphere_exp_aut(cat, cfg, rng):
     for _ in range(5):
         fr = Frame("a", rng.uniform(-0.8, 0.8, size=2), np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2)))
         ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
-        worst = max(worst, kappa_pullback_defect(conn, fd, fr, ft))
+        worst = max(worst, kappa_pullback_defect(conn, fd, [fr], [ft])[0])
     assert worst <= 1e-5
 
 
@@ -237,7 +237,7 @@ def test_kappa_pullback_rotation_closed_form(cat, rng):
     for _ in range(10):
         fr = Frame("a", rng.uniform(-0.8, 0.8, size=2), np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2)))
         ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
-        th, om = kappa_pullback_parts(conn, fd, fr, ft)
+        (th, om), = kappa_pullback_parts(conn, fd, [fr], [ft])
         assert th <= 1e-9
         assert om <= 1e-9
 
@@ -245,8 +245,9 @@ def test_kappa_pullback_rotation_closed_form(cat, rng):
 def test_exp_commutes(cat, cfg, rng):
     flat = cat.connection("plane", "flat")
     ftrans = plane_affine_map(flat.atlas, np.eye(2), [0.7, -0.1])
-    assert exp_commutes_defect(flat, ftrans, Tangent(Point("cart", [0.1, 0.2]), [0.5, 0.5]), cfg) <= 1e-12
+    v = Tangent(Point("cart", [0.1, 0.2]), [0.5, 0.5])
+    assert exp_commutes_defect(flat, ftrans, [v], cfg)[0] <= 1e-12
     conn = cat.connection("sphere", "round")
     f = sphere_rotation(conn.atlas, rotation_matrix_3d(1, 0.6))
     v = Tangent(Point("a", [0.3, 0.1]), [0.7, 0.7])
-    assert exp_commutes_defect(conn, f, v, cfg) <= 1e-5
+    assert exp_commutes_defect(conn, f, [v], cfg)[0] <= 1e-5

@@ -1,9 +1,11 @@
 """Chart callables broadcast over leading axes.
 
 The batched integrator evaluates one chart's callables on an (m, N)
-block of rows: the geodesic spray, every catalog vector field and its
-natural lift to the frame bundle.  For each catalog callable it touches, the block result
-must equal the 1-D evaluations stacked row by row.  Matrix products may
+block of rows: the geodesic spray, every catalog vector field, the
+fields the library builds (constant fields, brackets, the kappa-inverse
+fields on the frame bundle) and natural lifts to the frame bundle.  For
+each such callable, the block result must equal the 1-D evaluations
+stacked row by row.  Matrix products may
 run through different kernels for one row and for a block, so values
 agree to a few units of rounding, set from the float64 epsilon.
 Derivatives filled in by finite differences difference each row alone,
@@ -16,8 +18,10 @@ from affinelab.atlas import Chart, Transition
 from affinelab.bundles import tangent_atlas
 from affinelab.catalog import default_catalog
 from affinelab.connection import ConnChart, ConnectionField
+from affinelab.flows import constant_field
+from affinelab.frame_bundle import kappa_inverse_field
 from affinelab.geodesics import geodesic_field
-from affinelab.killing import natural_lift
+from affinelab.killing import bracket, natural_lift
 
 ROWS = 7
 ULPS = 8 * np.finfo(float).eps
@@ -118,19 +122,29 @@ def test_finite_difference_fills_broadcast(manifold, rng):
             np.testing.assert_array_equal(d_dir(x, u), np.stack([d_dir(r, s) for r, s in zip(x, u)]))
 
 
-def _field_charts(manifold):
+def _field_charts(manifold, fields=None):
     atlas = CAT.atlas(manifold)
-    for fname in CAT.field_names(manifold):
-        field = CAT.field(manifold, fname)
+    if fields is None:
+        fields = [CAT.field(manifold, fname) for fname in CAT.field_names(manifold)]
+    for field in fields:
         for cid in atlas.charts:
             if field.has_chart(cid):
                 yield field, cid
 
 
+def _built_fields(manifold):
+    """The catalog's fields and the fields the library's constructors
+    build from them: a constant field and brackets."""
+    atlas = CAT.atlas(manifold)
+    fields = [CAT.field(manifold, fname) for fname in CAT.field_names(manifold)]
+    return fields + [constant_field(atlas, "const", np.arange(1.0, atlas.dim + 1.0))] + [
+        bracket(a, b) for a, b in zip(fields, fields[1:])]
+
+
 @pytest.mark.parametrize("manifold", MANIFOLDS)
 def test_vector_fields_broadcast(manifold, rng):
     atlas = CAT.atlas(manifold)
-    for field, cid in _field_charts(manifold):
+    for field, cid in _field_charts(manifold, _built_fields(manifold)):
         cf = field.chart_field(cid)
         x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
         for fn in (cf.value, cf.d, cf.d2):
@@ -148,3 +162,21 @@ def test_natural_lift_broadcasts(manifold, rng):
         z = np.concatenate([x, g.reshape(ROWS, n * n)], axis=-1)
         for fn in (lift.value, lift.d):
             _assert_rowwise(fn, z)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_kappa_inverse_fields_broadcast(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    n = atlas.dim
+    for cname in CAT.connection_names(manifold):
+        conn = CAT.connection(manifold, cname)
+        fld = kappa_inverse_field(conn, rng.normal(size=n), rng.normal(size=(n, n)))
+        for cid in atlas.charts:
+            if not fld.has_chart(cid):
+                continue
+            cf = fld.chart_field(cid)
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            g = np.eye(n) + rng.uniform(-0.2, 0.2, size=(ROWS, n, n))
+            z = np.concatenate([x, g.reshape(ROWS, n * n)], axis=-1)
+            for fn in (cf.value, cf.d):
+                _assert_rowwise(fn, z)
