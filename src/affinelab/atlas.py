@@ -28,7 +28,10 @@ Coords = np.ndarray
 
 
 def _vec(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, float))
+    """`x` as a float array of at least one dimension (np.atleast_1d without
+    its call overhead, which the per-step chart callables pay)."""
+    x = np.asarray(x, float)
+    return x if x.ndim else x.reshape(1)
 
 
 @dataclass(frozen=True, eq=False)

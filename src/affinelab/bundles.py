@@ -25,6 +25,23 @@ def unpack(z: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return z[..., :n], z[..., n:].reshape(z.shape[:-1] + (n, k))
 
 
+def lift_jacobian(J: np.ndarray, d2: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Jacobian of the lift (x, G) -> (f(x), df(x) G) at (x, G), given
+    J = df(x) and d2 = d2f(x): [[J, 0], [d2f . G, kron(J, I_k)]] on flat
+    (n + n k) states, over the leading axes of G."""
+    n, k = G.shape[-2:]
+    lead = G.shape[:-2]
+    N = n + n * k
+    out = np.zeros(lead + (N, N))
+    out[..., :n, :n] = J
+    # fiber rows vs base columns: d(df(x) G) along e_j = d2f(e_j, .) G
+    for j in range(n):
+        out[..., n:, j] = (d2[..., :, j, :] @ G).reshape(lead + (n * k,))
+    # fiber rows vs fiber columns: df(x) acts column-wise
+    out[..., n:, n:] = np.einsum("...ab,cd->...acbd", J, np.eye(k)).reshape(lead + (n * k, n * k))
+    return out
+
+
 def _bundle_transition(tr: Transition, n: int, k: int) -> Transition:
     """Lift the base transition `tr` to (x, G) -> (h(x), dh(x) G)."""
 
@@ -34,19 +51,7 @@ def _bundle_transition(tr: Transition, n: int, k: int) -> Transition:
 
     def bd(z):
         x, G = unpack(z, n, k)
-        lead = x.shape[:-1]
-        J = np.asarray(tr.d(x), float)
-        T2 = np.asarray(tr.d2(x), float)
-        N = n + n * k
-        out = np.zeros(lead + (N, N))
-        out[..., :n, :n] = J
-        # fiber rows vs base columns: d(dh(x) G) along e_j = d2h(e_j, .) G
-        for j in range(n):
-            out[..., n:, j] = (T2[..., :, j, :] @ G).reshape(lead + (n * k,))
-        # fiber rows vs fiber columns: dh acts column-wise, kron(J, I_k)
-        kron = np.einsum("...ab,cd->...acbd", J, np.eye(k))
-        out[..., n:, n:] = kron.reshape(lead + (n * k, n * k))
-        return out
+        return lift_jacobian(np.asarray(tr.d(x), float), np.asarray(tr.d2(x), float), G)
 
     return Transition(map=bmap, d=bd)
 

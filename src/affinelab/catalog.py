@@ -263,13 +263,19 @@ def sphere_colat_atlas() -> Atlas:
 
 # -- connections --------------------------------------------------------------
 
+def _flat_chart(n: int) -> ConnChart:
+    return ConnChart(bilinear=lambda x, v, w: np.zeros(np.broadcast(x, v, w).shape),
+                     tensor=lambda x: np.zeros(x.shape[:-1] + (n, n, n)),
+                     d_dir=lambda x, u: np.zeros(np.broadcast(x, u).shape + (n, n)))
+
+
 def flat_connection(atlas: Atlas) -> ConnectionField:
-    n = atlas.dim
-    charts = {cid: ConnChart(bilinear=lambda x, v, w: np.zeros(np.broadcast(x, v, w).shape),
-                             tensor=lambda x: np.zeros((n, n, n)),
-                             d_dir=lambda x, u: np.zeros((n, n, n)))
-              for cid in atlas.charts}
-    return ConnectionField(atlas, "flat", charts)
+    return ConnectionField(atlas, "flat", {cid: _flat_chart(atlas.dim) for cid in atlas.charts})
+
+
+# the polar-chart tensor is r _POLAR_R - _POLAR_INV / r
+_POLAR_R = np.array([[[0, 0], [0, 1]], [[0, 0], [0, 0]]], float)
+_POLAR_INV = np.array([[[0, 0], [0, 0]], [[0, 1], [1, 0]]], float)
 
 
 def plane_flat_connection(atlas: Atlas) -> ConnectionField:
@@ -281,25 +287,34 @@ def plane_flat_connection(atlas: Atlas) -> ConnectionField:
         return np.array([r * v[1] * w[1], -(v[0] * w[1] + v[1] * w[0]) / r]).T
 
     def polar_tensor(x):
-        r = x[0]
-        T = np.zeros((2, 2, 2))
-        T[0, 1, 1] = r
-        T[1, 0, 1] = T[1, 1, 0] = -1.0 / r
-        return T
+        r = x[..., 0, None, None, None]
+        return r * _POLAR_R - _POLAR_INV / r
 
     def polar_d_dir(x, u):
-        T = np.zeros((2, 2, 2))
-        T[0, 1, 1] = 1.0
-        T[1, 0, 1] = T[1, 1, 0] = 1.0 / x[0] ** 2
-        return u[0] * T
+        r = x[..., 0, None, None, None]
+        return u[..., 0, None, None, None] * (_POLAR_R + _POLAR_INV / r**2)
 
     charts = {
-        "cart": ConnChart(bilinear=lambda x, v, w: np.zeros(np.broadcast(x, v, w).shape),
-                          tensor=lambda x: np.zeros((2, 2, 2)),
-                          d_dir=lambda x, u: np.zeros((2, 2, 2))),
+        "cart": _flat_chart(2),
         "polar": ConnChart(bilinear=polar_bil, tensor=polar_tensor, d_dir=polar_d_dir),
     }
     return ConnectionField(atlas, "flat", charts)
+
+
+_EYE2 = np.eye(2)
+# x @ _ROUND_FORM, reshaped to (..., 2, 2, 2), is the round-sphere tensor over
+# its conformal factor: x_j delta_ik + x_k delta_ij - delta_jk x_i
+_ROUND_FORM = (np.einsum("lj,ik->lijk", _EYE2, _EYE2) + np.einsum("lk,ij->lijk", _EYE2, _EYE2)
+               - np.einsum("jk,il->lijk", _EYE2, _EYE2)).reshape(2, 8)
+
+
+def _round_form(x):
+    return (x @ _ROUND_FORM).reshape(x.shape[:-1] + (2, 2, 2))
+
+
+def _dot(a, b):
+    """<a, b> of (..., n) rows, shaped (..., 1, 1, 1) to scale (n, n, n) tensors."""
+    return (a[..., None, :] @ b[..., :, None])[..., None]
 
 
 def round_sphere_connection(atlas: Atlas) -> ConnectionField:
@@ -315,23 +330,18 @@ def round_sphere_connection(atlas: Atlas) -> ConnectionField:
         return np.array([c * (xv * w0 + xw * v0 - vw * x0), c * (xv * w1 + xw * v1 - vw * x1)]).T
 
     def tensor(x):
-        c = 2.0 / (1.0 + x @ x)
-        eye = np.eye(2)
-        return c * (np.einsum("j,ik->ijk", x, eye) + np.einsum("k,ij->ijk", x, eye)
-                    - np.einsum("jk,i->ijk", eye, x))
+        return 2.0 / (1.0 + _dot(x, x)) * _round_form(x)
 
     def d_dir(x, u):
-        c = 2.0 / (1.0 + x @ x)
-        dc = -c * c * (x @ u)
-        eye = np.eye(2)
-        base = (np.einsum("j,ik->ijk", x, eye) + np.einsum("k,ij->ijk", x, eye)
-                - np.einsum("jk,i->ijk", eye, x))
-        du = (np.einsum("j,ik->ijk", u, eye) + np.einsum("k,ij->ijk", u, eye)
-              - np.einsum("jk,i->ijk", eye, u))
-        return dc * base + c * du
+        c = 2.0 / (1.0 + _dot(x, x))
+        return -c * c * _dot(x, u) * _round_form(x) + c * _round_form(u)
 
     charts = {cid: ConnChart(bilinear=bil, tensor=tensor, d_dir=d_dir) for cid in ("a", "b")}
     return ConnectionField(atlas, "round", charts)
+
+
+# the half-plane tensor is _HYPERBOLIC / y
+_HYPERBOLIC = np.array([[[0, 1], [1, 0]], [[-1, 0], [0, 1]]], float)
 
 
 def hyperbolic_connection(atlas: Atlas) -> ConnectionField:
@@ -342,15 +352,11 @@ def hyperbolic_connection(atlas: Atlas) -> ConnectionField:
         return np.array([(v[0] * w[1] + v[1] * w[0]) / y, (v[1] * w[1] - v[0] * w[0]) / y]).T
 
     def tensor(x):
-        y = x[1]
-        T = np.zeros((2, 2, 2))
-        T[0, 0, 1] = T[0, 1, 0] = 1.0 / y
-        T[1, 1, 1] = 1.0 / y
-        T[1, 0, 0] = -1.0 / y
-        return T
+        return _HYPERBOLIC / x[..., 1, None, None, None]
 
     def d_dir(x, u):
-        return -(u[1] / x[1]) * tensor(x)
+        y = x[..., 1, None, None, None]
+        return -(u[..., 1, None, None, None] / y) * (_HYPERBOLIC / y)
 
     return ConnectionField(atlas, "hyperbolic", {"hp": ConnChart(bilinear=bil, tensor=tensor, d_dir=d_dir)})
 

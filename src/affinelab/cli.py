@@ -9,7 +9,7 @@ import numpy as np
 
 from .atlas import Point, Tangent
 from .catalog import default_catalog
-from .errors import ScenarioError
+from .errors import GeometryError, ScenarioError
 from .flows import IntegratorConfig, integrate
 from .frame_bundle import Frame, horizontal_flow
 from .geodesics import geodesic
@@ -37,7 +37,10 @@ def _cmd_run(args) -> int:
         scenario.rng_seed = args.seed
     if args.step is not None:
         scenario.integrator = _with_step(scenario.integrator, args.step)
-    report = run_suite(scenario, catalog, tol_scale=args.tol_scale)
+    try:
+        report = run_suite(scenario, catalog, tol_scale=args.tol_scale)
+    except ValueError as e:  # run_suite isolates check errors; this is its tol_scale check
+        raise ScenarioError(f"--tol-scale: {e}") from None
     for c in report.checks:
         worst = "n/a" if c.worst is None else f"{c.worst:.3e}"
         line = f"[{c.status.upper():4s}] {c.name:24s} worst={worst:>10s} samples={c.samples:4d} ({c.ms:.0f} ms)"
@@ -113,7 +116,9 @@ def _cmd_dump(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="affinelab",
-                                description="chart-based affine-manifold engine harness")
+                                description="chart-based affine-manifold engine harness",
+                                epilog="exit codes: 0 ok, 1 a check failed, 2 usage error, "
+                                       "3 geometry error (e.g. a flow left the atlas)")
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario file and report pass/fail per check")
@@ -154,6 +159,9 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except GeometryError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -42,12 +42,14 @@ class ConnChart:
 
     `tensor` x -> (n,n,n) is required.  `bilinear` (x, v, w) -> vec is
     optional; when missing, `ConnectionField` derives it from `tensor` by
-    a broadcasting einsum.  `bilinear` broadcasts over leading axes of
-    (..., n) arguments, which the batched geodesic spray relies on; so
-    does `tensor` when `bilinear` is derived from it.  `d_dir` (x, u) ->
-    (n,n,n) is the directional derivative of the tensor along u;
-    `ConnectionField` fills a missing one once with central differences
-    of `tensor` (step h1) guarded by the chart's domain.
+    a broadcasting einsum.  `d_dir` (x, u) -> (n,n,n) is the directional
+    derivative of the tensor along u; `ConnectionField` fills a missing
+    one once with central differences of `tensor` (step h1) guarded by
+    the chart's domain.  All three take (..., n) arguments, broadcast
+    together, and prepend the leading axes to their results: the
+    geodesic spray calls `bilinear` on blocks of rows, and the frame-bundle
+    fields call `tensor` on blocks and `d_dir` on every coordinate
+    direction at once.
     """
 
     tensor: Callable
@@ -86,9 +88,6 @@ class ConnectionField:
     def bilinear_fn(self, cid: str) -> Callable:
         """Raw (x, v, w) -> vec callable for hot loops (ChartMissing if absent)."""
         return self._chart(cid).bilinear
-
-    def tensor_fn(self, cid: str) -> Callable:
-        return self._chart(cid).tensor
 
 
 def _filled(cc: ConnChart, inside) -> ConnChart:

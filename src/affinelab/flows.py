@@ -57,7 +57,8 @@ class ChartField:
 
     `value`: x -> xi(x); `d`: x -> (n, n) Jacobian; `d2`: x -> (n, n, n)
     tensor of second partials.  Each takes (..., n) rows and broadcasts
-    over the leading axes, since flows integrate blocks of rows.
+    over the leading axes, since flows integrate blocks of rows; a
+    callable written for one point must be rewritten in array form.
     `VectorField` fills a missing `d` or `d2` once with central
     differences of `value` guarded by the chart's domain, so every caller
     finds both.
@@ -94,20 +95,6 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({self.name!r} on {self.atlas.name!r})"
-
-
-def rowwise(fn: Callable) -> Callable:
-    """`fn` on one (N,) state array, extended to (..., N) rows by a row loop.
-
-    Meets the broadcast rule of `ChartField` for callables written for
-    one point; a 1-D input is passed through unchanged.
-    """
-    def on_rows(z):
-        if z.ndim == 1:
-            return fn(z)
-        out = [np.asarray(fn(row), float) for row in z.reshape(-1, z.shape[-1])]
-        return np.reshape(out, z.shape[:-1] + out[0].shape)
-    return on_rows
 
 
 def _filled(cf: ChartField, inside) -> ChartField:

@@ -22,7 +22,7 @@ from .atlas import Point, Tangent, _vec
 from .bundles import frame_atlas, pack, unpack
 from .connection import ConnectionField
 from .errors import SingularFrame, SingularGroupElement
-from .flows import ChartField, IntegratorConfig, VectorField, _raise_for, _run, rowwise
+from .flows import ChartField, IntegratorConfig, VectorField, _raise_for, _run
 from .geodesics import geodesic
 
 DET_GUARD = 1e-12
@@ -105,16 +105,22 @@ def soldering(frame: Frame, ft: FrameTangent) -> np.ndarray:
     return np.linalg.solve(frame.g, ft.v)
 
 
-def _b_columns(conn: ConnectionField, point: Point, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix with columns B_x(g e_m, v)."""
-    T = conn.tensor(point)
-    return np.einsum("ijk,jm,k->im", T, g, v)
+def _b_columns(T: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix with columns B_x(g e_m, v), T the tensor at x; broadcasts."""
+    return np.einsum("...ijk,...jm,...k->...im", T, g, v)
+
+
+def _kappa_inv(T: np.ndarray, g: np.ndarray, lam: np.ndarray, A: np.ndarray):
+    """(v, w) = kappa^{-1}(lam, A) at the frame g over a point with tensor T:
+    v = g lam, w = g A + B_x(g . , v).  Broadcasts over leading axes."""
+    v = g @ lam
+    return v, g @ A + _b_columns(T, g, v)
 
 
 def connection_form(conn: ConnectionField, frame: Frame, ft: FrameTangent) -> np.ndarray:
     """omega(v, w) = g^{-1}(w - B_x(g . , v))."""
     _check_invertible(frame.g, SingularFrame, "frame")
-    M = _b_columns(conn, frame.point(), frame.g, ft.v)
+    M = _b_columns(conn.tensor(frame.point()), frame.g, ft.v)
     return np.linalg.solve(frame.g, ft.w - M)
 
 
@@ -125,9 +131,7 @@ def kappa(conn: ConnectionField, frame: Frame, ft: FrameTangent) -> KappaValue:
 def kappa_inverse(conn: ConnectionField, frame: Frame, kv: KappaValue) -> FrameTangent:
     """Closed-form inverse: v = g lambda, w = g A + B_x(g . , g lambda)."""
     _check_invertible(frame.g, SingularFrame, "frame")
-    v = frame.g @ kv.theta
-    w = frame.g @ kv.omega + _b_columns(conn, frame.point(), frame.g, v)
-    return FrameTangent(v, w)
+    return FrameTangent(*_kappa_inv(conn.tensor(frame.point()), frame.g, kv.theta, kv.omega))
 
 
 def kappa_matrix(conn: ConnectionField, frame: Frame) -> np.ndarray:
@@ -149,59 +153,52 @@ def kappa_matrix(conn: ConnectionField, frame: Frame) -> np.ndarray:
 def kappa_inverse_field(conn: ConnectionField, lam, A=None, name: str | None = None) -> VectorField:
     """The field eta_(lam, A)(p) = kappa_p^{-1}(lam, A) on the frame bundle.
 
-    A = 0 gives the standard horizontal field H_lambda.  The analytic
-    derivative uses dB when the connection provides it (FD fallback
-    otherwise).  Both are written for one state and take blocks of rows
-    through `rowwise`.
+    A = 0 gives the standard horizontal field H_lambda.  `value` and `d`
+    take (..., n + n^2) rows.  `d` is the closed-form Jacobian: with
+    v = g lam at p = (x, g),
+
+        d/dx_j  (v, w) = (0, dB(e_j)(g . , v))
+        d/dg_ab (v, w) = (E_ab lam, E_ab A + B(E_ab . , v) + B(g . , E_ab lam)),
+
+    the base columns from one `d_dir` call over the n coordinate
+    directions.
     """
     base = conn.atlas
     n = base.dim
     lam = _vec(lam)
     A = np.zeros((n, n)) if A is None else np.asarray(A, float)
-    fr = frame_atlas(base)
     eye = np.eye(n)
+    dv_fibre = (eye[:, :, None] * lam).reshape(n, n * n)  # [i, (a, b)] = delta_ia lam_b
+    dgA_fibre = eye[:, None, :, None] * A.T[:, None, :]  # [i, m, a, b] = delta_ia A_bm
+    N = n + n * n
     charts = {}
     for cid in base.charts:
         if not conn.has_chart(cid):
             continue
-        tensor = conn.tensor_fn(cid)
+        cc = conn._chart(cid)
 
-        def value(z, tensor=tensor):
+        def value(z, cc=cc):
             x, g = unpack(z, n, n)
-            gl = g @ lam
-            T = np.asarray(tensor(x), float)
-            M = np.einsum("ijk,jm,k->im", T, g, gl)
-            return pack(gl, g @ A + M)
+            return pack(*_kappa_inv(cc.tensor(x), g, lam, A))
 
-        def d(z, cid=cid, tensor=tensor):
+        def d(z, cc=cc):
             x, g = unpack(z, n, n)
-            gl = g @ lam
-            T = np.asarray(tensor(x), float)
-            p = Point(cid, x)
-            N = n + n * n
-            out = np.zeros((N, N))
-            # base directions: only the B-term depends on x
-            for j in range(n):
-                dT = conn.d_tensor_dir(p, eye[j])
-                out[n:, j] = np.einsum("ijk,jm,k->im", dT, g, gl).ravel()
-            # fiber directions E_ab: d v = E_ab lam, d w = E_ab A
-            #   + B(E_ab e_m, g lam) + B(g e_m, E_ab lam)
-            col = n
-            for a in range(n):
-                for b in range(n):
-                    E = np.zeros((n, n))
-                    E[a, b] = 1.0
-                    dv = E @ lam
-                    dM = (np.einsum("ijk,jm,k->im", T, E, gl)
-                          + np.einsum("ijk,jm,k->im", T, g, dv))
-                    out[:n, col] = dv
-                    out[n:, col] = (E @ A + dM).ravel()
-                    col += 1
+            lead = x.shape[:-1]
+            T = cc.tensor(x)
+            v = g @ lam
+            dT = cc.d_dir(x[..., None, :], eye)  # dT[..., j, :, :, :] along e_j
+            base_cols = _b_columns(dT, g[..., None, :, :], v[..., None, :])  # (..., j, i, m)
+            fibre = (dgA_fibre + np.einsum("...iak,...k,mb->...imab", T, v, eye)
+                     + np.einsum("...ija,...jm,b->...imab", T, g, lam))
+            out = np.zeros(lead + (N, N))
+            out[..., :n, n:] = dv_fibre
+            out[..., n:, :n] = np.moveaxis(base_cols, -3, -1).reshape(lead + (n * n, n))
+            out[..., n:, n:] = fibre.reshape(lead + (n * n, n * n))
             return out
 
-        charts[cid] = ChartField(value=rowwise(value), d=rowwise(d))
+        charts[cid] = ChartField(value=value, d=d)
     label = name or f"kappa_inv[{np.array2string(lam, precision=3)}]"
-    return VectorField(fr, label, charts)
+    return VectorField(frame_atlas(base), label, charts)
 
 
 def standard_horizontal(conn: ConnectionField, lam) -> VectorField:

@@ -14,6 +14,7 @@ and keeps checks independent of each other.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -555,9 +556,13 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
     """Run all checks; a failing check never prevents later checks.
 
     `tol_scale` > 1 loosens every check: tolerances are multiplied by it
-    and lower bounds (`floor`, `min_gap`) divided.  A check that sampled
-    nothing fails, whatever its residual.
+    and lower bounds (`floor`, `min_gap`) divided; it must be finite and
+    positive (ValueError otherwise).  A check that sampled nothing fails,
+    whatever its residual, and so does each check of a scenario whose
+    `rng_seed` cannot seed a generator.
     """
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"tol_scale must be finite and positive, got {tol_scale!r}")
     catalog = catalog or default_catalog()
     results = []
     for idx, entry in enumerate(scenario.checks):
@@ -568,10 +573,10 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
         if tol_scale != 1.0:
             for k in set(params) & _POSITIVE_PARAMS:
                 params[k] = params[k] / tol_scale if k in _LOWER_BOUNDS else params[k] * tol_scale
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([scenario.rng_seed, idx])))
-        ctx = _Ctx(scenario, catalog, rng)
         t0 = time.perf_counter()
         try:
+            seed = np.random.SeedSequence([scenario.rng_seed, idx])
+            ctx = _Ctx(scenario, catalog, np.random.Generator(np.random.PCG64(seed)))
             worst, samples, passed = fn(ctx, **params)
             ms = 1000.0 * (time.perf_counter() - t0)
             error = None if samples else "sampled nothing (no fields or samples to check)"

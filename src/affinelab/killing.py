@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import Point, Tangent, _vec
-from .bundles import frame_atlas, pack, unpack
+from .bundles import frame_atlas, lift_jacobian, pack, unpack
 from .connection import ConnectionField
 from .errors import BasePointMismatch, SeedChartMismatch
 from .flows import ChartField, IntegratorConfig, VectorField, commutation_defect, variational_flow
@@ -80,19 +80,7 @@ def natural_lift(field: VectorField) -> VectorField:
 
         def d(z, cf=cf):
             x, g = unpack(z, n, n)
-            lead = x.shape[:-1]
-            J = np.asarray(cf.d(x), float)
-            H = np.asarray(cf.d2(x), float)  # H[..., i, j, k] = d2 xi_i / dx_j dx_k
-            N = n + n * n
-            out = np.zeros(lead + (N, N))
-            out[..., :n, :n] = J
-            for j in range(n):
-                # d/dx_j of (d xi(x) g): contract the Hessian slice with g
-                out[..., n:, j] = (H[..., :, :, j] @ g).reshape(lead + (n * n,))
-            # d xi(x) acts on each column of g: kron(J, I_n)
-            kron = np.einsum("...ab,cd->...acbd", J, np.eye(n))
-            out[..., n:, n:] = kron.reshape(lead + (n * n, n * n))
-            return out
+            return lift_jacobian(np.asarray(cf.d(x), float), np.asarray(cf.d2(x), float), g)
 
         charts[cid] = ChartField(value=value, d=d)
     return VectorField(fr, f"lift[{field.name}]", charts)

@@ -3,7 +3,9 @@
 The batched integrator evaluates one chart's callables on an (m, N)
 block of rows: the geodesic spray, every catalog vector field, the
 fields the library builds (constant fields, brackets, the kappa-inverse
-fields on the frame bundle) and natural lifts to the frame bundle.  For
+fields on the frame bundle) and natural lifts to the frame bundle.  The
+connection tensors those fields evaluate (`tensor`, and `d_dir` with
+points and directions broadcast together) take blocks too.  For
 each such callable, the block result must equal the 1-D evaluations
 stacked row by row.  Matrix products may
 run through different kernels for one row and for a block, so values
@@ -55,6 +57,27 @@ def test_geodesic_spray_broadcasts(manifold, rng):
             x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
             z = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
             _assert_rowwise(field.chart_field(cid).value, z)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+def test_connection_tensors_broadcast(manifold, rng):
+    atlas = CAT.atlas(manifold)
+    for cname in CAT.connection_names(manifold):
+        conn = CAT.connection(manifold, cname)
+        for cid in atlas.charts:
+            if not conn.has_chart(cid):
+                continue
+            cc = conn._chart(cid)
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            u = rng.normal(size=x.shape)
+            _assert_rowwise(cc.tensor, x)
+            got = cc.d_dir(x, u)
+            want = np.stack([cc.d_dir(r, s) for r, s in zip(x, u)])
+            np.testing.assert_allclose(got, want, rtol=0, atol=ULPS * max(1.0, np.abs(want).max()))
+            # x and u broadcast together: every point against every direction
+            got = cc.d_dir(x[:, None, :], u[None, :3, :])
+            want = np.stack([[cc.d_dir(r, s) for s in u[:3]] for r in x])
+            np.testing.assert_allclose(got, want, rtol=0, atol=ULPS * max(1.0, np.abs(want).max()))
 
 
 @pytest.mark.parametrize("manifold", MANIFOLDS)
@@ -110,7 +133,7 @@ def test_finite_difference_fills_broadcast(manifold, rng):
         conn = CAT.connection(manifold, cname)
         spray = geodesic_field(conn)  # declares no derivatives
         cids = [cid for cid in atlas.charts if conn.has_chart(cid)]
-        fd_conn = ConnectionField(atlas, cname, {cid: ConnChart(tensor=conn.tensor_fn(cid))
+        fd_conn = ConnectionField(atlas, cname, {cid: ConnChart(tensor=conn._chart(cid).tensor)
                                                  for cid in cids})
         for cid in cids:
             x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affinelab import numdiff
 from affinelab.atlas import Point
 from affinelab.bundles import pack, unpack
+from affinelab.catalog import default_catalog
 from affinelab.errors import SingularFrame, SingularGroupElement
 from affinelab.flows import parameter_flow_derivative_defect
 from affinelab.frame_bundle import (Frame, FrameTangent, KappaValue, connection_form,
@@ -134,17 +138,52 @@ def test_standard_horizontal_rho_equivariance(cat, rng):
         assert np.linalg.norm(w2 - w1 @ g2) <= 1e-12
 
 
-def test_kappa_inverse_field_jacobian_matches_fd(cat, rng):
-    # the hand-assembled bundle Jacobian against plain finite differences
-    conn = cat.connection("sphere", "round")
-    fld = kappa_inverse_field(conn, [0.3, -0.5], rng.normal(size=(2, 2)))
-    from affinelab import numdiff
-    for _ in range(5):
-        f = random_frame(conn.atlas, "a", rng)
-        z = f.packed()
-        J = fld.jac(z)
-        J_fd = numdiff.jacobian(fld.chart_field("a").value, z.coords)
-        assert np.allclose(J, J_fd, atol=1e-6)
+CONNECTIONS = [(m, c) for m in default_catalog().manifold_names()
+               for c in default_catalog().connection_names(m)]
+
+
+def _sample_frames(atlas, cid, count, rng):
+    n = atlas.dim
+    return [Frame(cid, p.coords, np.eye(n) + rng.uniform(-0.2, 0.2, size=(n, n)))
+            for p in atlas.sample_points(cid, count, rng)]
+
+
+@pytest.mark.parametrize("manifold,connection", CONNECTIONS,
+                         ids=[f"{m}-{c}" for m, c in CONNECTIONS])
+def test_kappa_inverse_field_jacobian_matches_fd(cat, rng, manifold, connection):
+    # the closed-form bundle Jacobian against plain finite differences
+    conn = cat.connection(manifold, connection)
+    n = conn.atlas.dim
+    fld = kappa_inverse_field(conn, rng.normal(size=n), rng.normal(size=(n, n)))
+    for cid in conn.atlas.charts:
+        if not conn.has_chart(cid):
+            continue
+        for f in _sample_frames(conn.atlas, cid, 3, rng):
+            z = f.packed()
+            J_fd = numdiff.jacobian(fld.chart_field(cid).value, z.coords)
+            assert np.allclose(fld.jac(z), J_fd, atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CONNECTIONS), seed=st.integers(0, 2**32 - 1))
+def test_kappa_inverse_roundtrip_and_field_agree(case, seed):
+    # kappa(kappa^{-1}(lam, A)) = (lam, A), and the kappa^{-1} field's value
+    # is the packed kappa_inverse, at random frames of every catalog connection
+    cat = default_catalog()
+    conn = cat.connection(*case)
+    n = conn.atlas.dim
+    rng = np.random.default_rng(seed)
+    lam, A = rng.normal(size=n), rng.normal(size=(n, n))
+    fld = kappa_inverse_field(conn, lam, A)
+    for cid in conn.atlas.charts:
+        if not conn.has_chart(cid):
+            continue
+        (f,) = _sample_frames(conn.atlas, cid, 1, rng)
+        ft = kappa_inverse(conn, f, KappaValue(lam, A))
+        kv = kappa(conn, f, ft)
+        scale = 1.0 + np.linalg.norm(ft.packed())
+        assert np.linalg.norm(kv.theta - lam) + np.linalg.norm(kv.omega - A) <= 1e-12 * scale
+        np.testing.assert_array_equal(fld.value(f.packed()), ft.packed())
 
 
 def test_horizontal_flow_projects_to_great_circle(cat, cfg):

@@ -6,7 +6,8 @@ import pytest
 
 from affinelab.cli import main as cli_main
 from affinelab.errors import ParseError, UnknownCatalogName
-from affinelab.harness import emit, load_scenario, run_suite, scenario_from_dict, trajectory_rows
+from affinelab.harness import (check_names, emit, load_scenario, run_suite, scenario_from_dict,
+                               trajectory_rows)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -258,3 +259,44 @@ def test_negative_seed_is_rejected(cat, capsys):
     # a usage error (2), not a failed check (1) or a traceback
     assert cli_main(["run", str(SCENARIOS / "minimal_sphere.json"), "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_negative_seed_set_in_code_fails_each_check(cat):
+    # a seed assigned after parsing cannot seed a generator: each check is a
+    # fail row carrying the error, not an exception out of run_suite
+    s = _small_scenario(cat)
+    s.rng_seed = -1
+    rep = run_suite(s, cat)
+    assert [c.status for c in rep.checks] == ["fail"] * 3
+    assert all("ValueError" in c.error for c in rep.checks)
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+def test_invalid_tol_scale_is_rejected(cat, tmp_path, capsys, scale):
+    with pytest.raises(ValueError):
+        run_suite(_small_scenario(cat), cat, tol_scale=float(scale))
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "manifold": "plane", "connection": "flat", "fields": ["trans_x"],
+        "checks": [{"name": "killing_residual", "samples": 5},
+                   {"name": "killing_floor", "field": "nonaffine_sq"}],
+    }))
+    assert cli_main(["run", str(scenario), "--tol-scale", scale]) == 2
+    assert "--tol-scale" in capsys.readouterr().err
+
+
+def test_geometry_error_exits_3(tmp_path, capsys):
+    # the dilation flow backwards from (0, 1) reaches y = e^-30, below the chart
+    rc = cli_main(["dump", "flow", "--manifold", "halfplane", "--field", "hyp_dilate",
+                   "--chart", "hp", "--point", "0,1", "--t1", "-30", "--step", "0.01",
+                   "--out", str(tmp_path / "f.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: LeftAtlas") and "Traceback" not in err
+
+
+def test_every_check_runs_in_a_shipped_scenario():
+    named = set()
+    for path in SCENARIOS.glob("*.json"):
+        named |= {c["name"] for c in json.loads(path.read_text()).get("checks", [])}
+    assert set(check_names()) <= named, sorted(set(check_names()) - named)
