@@ -33,10 +33,10 @@ print(f"residual of (x1^2, 0) at (1, 0.5): {r}  (non-affine)")
 
 # --- the flow-commutation route agrees ---------------------------------------
 frame = Frame("a", [0.3, -0.2], np.eye(2))
-good = lift_commutation_defect(conn, cat.field("sphere", "rot_x"), [0.4, 0.1], frame,
-                               0.5, 0.5, cfg)
-badc = lift_commutation_defect(flat, bad, [1.0, 0.0], Frame("cart", [0.5, 0.1], np.eye(2)),
-                               0.5, 0.5, cfg)
+[good] = lift_commutation_defect(conn, [cat.field("sphere", "rot_x")], [[0.4, 0.1]], [frame],
+                                 0.5, 0.5, cfg)
+[badc] = lift_commutation_defect(flat, [bad], [[1.0, 0.0]],
+                                 [Frame("cart", [0.5, 0.1], np.eye(2))], 0.5, 0.5, cfg)
 print(f"\n[lift, horizontal] commutation defect: rot_x {good:.2e}, (x1^2,0) {badc:.2e}")
 
 # --- brackets close like so(3) ------------------------------------------------

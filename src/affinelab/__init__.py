@@ -26,8 +26,8 @@ from .flows import (ChartField, IntegratorConfig, VectorField, combine,
                     parameter_flow_derivative_defect, variational_flow)
 from .frame_bundle import (Frame, FrameTangent, KappaValue, connection_form,
                            horizontal_projection_defect, horizontal_projection_parts, kappa,
-                           kappa_inverse, kappa_inverse_field, kappa_matrix, rho, soldering,
-                           standard_horizontal)
+                           kappa_inverse, kappa_inverse_family, kappa_inverse_field,
+                           kappa_matrix, rho, soldering, standard_horizontal)
 from .geodesics import (CurveSpec, completeness_probe, exp_inverse, exp_map, exp_map_rows,
                         geodesic, parallel_transport)
 from .harness import Report, Scenario, emit, load_scenario, run_suite, scenario_from_dict

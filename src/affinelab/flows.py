@@ -13,7 +13,9 @@ its chart is handed off to the highest-priority neighbouring chart that
 contains it; a divergence, left-atlas or hop-limit stop retires that row
 and leaves the rest running.  The variational flow appends
 w' = d xi(x) w to the state as extra columns, re-charting w through the
-transition Jacobian at every hand-off.
+transition Jacobian at every hand-off.  A family field (`params` = q)
+takes a constant parameter row per trajectory, which is never stepped
+and never re-charted, so flows of different members share a block.
 """
 from __future__ import annotations
 
@@ -70,10 +72,16 @@ class ChartField:
 
 
 class VectorField:
-    def __init__(self, atlas: Atlas, name: str, charts: dict[str, ChartField]):
+    """A vector field given per chart.  With `params` = q > 0 it is a
+    family: its chart callables take (x, p), p the (..., q) parameter rows
+    held constant along each flow, and it supplies its own `d`."""
+
+    def __init__(self, atlas: Atlas, name: str, charts: dict[str, ChartField], params: int = 0):
         self.atlas = atlas
         self.name = name
-        self._charts = {cid: _filled(cf, atlas.chart(cid).contains) for cid, cf in charts.items()}
+        self.params = params
+        self._charts = {cid: cf if params else _filled(cf, atlas.chart(cid).contains)
+                        for cid, cf in charts.items()}
 
     def has_chart(self, cid: str) -> bool:
         return cid in self._charts
@@ -149,13 +157,15 @@ def combine(name: str, fields, coeffs) -> VectorField:
 
 # -- core stepping ---------------------------------------------------------
 
-def _rhs(field: VectorField, cid: str, n: int, k: int) -> Callable:
-    """Right-hand side on chart `cid` for states [x, w], w holding k columns."""
+def _rhs(field: VectorField, cid: str, n: int, k: int, p=None) -> Callable:
+    """Right-hand side on chart `cid` for states [x, w], w holding k
+    columns; a family's callables are bound to its parameter rows `p`."""
     cf = field.chart_field(cid)
-    f = cf.value
+    f, dj = cf.value, cf.d
+    if p is not None:
+        f, dj = (lambda x: cf.value(x, p)), (lambda x: cf.d(x, p))
     if not k:
         return lambda z: np.asarray(f(z), float)
-    dj = cf.d
 
     def rhs(z):
         x = z[..., :n]
@@ -174,16 +184,18 @@ def _rk4(rhs: Callable, z: np.ndarray, h) -> np.ndarray:
 
 
 def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: IntegratorConfig,
-               w_shape: tuple | None = None, record: list | None = None):
+               w_shape: tuple | None = None, record: list | None = None, params=None):
     """The RK4 core.
 
     `z` is one state (n + n k,) with `t` a float, or a block of rows
     (m, n + n k) with `t` an (m,) array of signed durations; n is the
     field's state dimension and the last n k columns hold the variational
-    block of shape `w_shape`.  `z` is updated in place.  Returns (chart
-    ids, z, t_reached, statuses) with one entry per row.  `record` (one
-    row only) is appended with rows (t, chart_id, x_copy[, w_copy]), a
-    hop adding its pre-hop state at the same time.
+    block of shape `w_shape`.  `z` is updated in place.  A family's
+    parameter rows `params`, shaped like `z`, are never stepped or
+    re-charted; each chart group passes its share to the chart callables.
+    Returns (chart ids, z, t_reached, statuses) with one entry per row.
+    `record` (one row only) is appended with rows (t, chart_id, x_copy[,
+    w_copy]), a hop adding its pre-hop state at the same time.
     """
     atlas = field.atlas
     n = atlas.dim
@@ -191,7 +203,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     single = z.ndim == 1
     cids = list(cids)
     m = len(cids)
-    rows = z.reshape(m, -1)
+    rows = z.reshape(m, z.shape[-1])
     ts = [float(t)] if single else [float(ti) for ti in t]
     steps = [max(1, int(math.ceil(abs(ti) / cfg.step - 1e-12))) if ti != 0.0 else 0 for ti in ts]
     hs = [ti / s if s else 0.0 for ti, s in zip(ts, steps)]
@@ -199,7 +211,9 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
 
     rhs = {}
 
-    def rhs_on(cid):
+    def rhs_on(cid, sel=...):
+        if params is not None:
+            return _rhs(field, cid, n, k, params[sel])
         if cid not in rhs:
             rhs[cid] = _rhs(field, cid, n, k)
         return rhs[cid]
@@ -207,7 +221,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     for cid, row in zip(cids, rows):
         if not atlas.chart(cid).contains(row[:n]):
             raise LeftAtlas(f"start {Point(cid, row[:n])!r} outside its chart domain")
-        rhs_on(cid)
+        field.chart_field(cid)
 
     def snapshot(tcur, r):
         x = rows[r, :n].copy()
@@ -244,8 +258,8 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             sels = {cids[0]: ...}
         else:
             sels = {cid: np.array(rs) for cid, rs in by_chart.items()}
-        return [(cid, sel, h if sel is ... else h[sel], rhs_on(cid), atlas.chart(cid).contains_fn)
-                for cid, sel in sels.items()]
+        return [(cid, sel, h if sel is ... else h[sel], rhs_on(cid, sel),
+                 atlas.chart(cid).contains_fn) for cid, sel in sels.items()]
 
     for i in range(max(steps, default=0)):
         if plan is None:
@@ -327,15 +341,16 @@ def _run(field: VectorField, start: Point, t: float, cfg: IntegratorConfig,
 
 
 def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
-               record: list | None = None):
+               record: list | None = None, params=None):
     """Integrate trajectories from `starts` (Points) as rows of one block.
 
     `t` is one signed duration or one per row, `w0` None or (m, ...)
     variational columns per row (n rows each), `record` as in `_run`
-    (one row only).  Each row stops on its own.  Returns (end points, W,
-    t_reached, statuses), one per row, W holding the pushed columns in
-    the shape of `w0` (None without it).  A single row runs as a 1-D
-    state, which numpy steps about 2.5x faster than a one-row block.
+    (one row only), `params` the (m, q) parameter rows of a family field.
+    Each row stops on its own.  Returns (end points, W, t_reached,
+    statuses), one per row, W holding the pushed columns in the shape of
+    `w0` (None without it).  A single row runs as a 1-D state, which numpy
+    steps about 2.5x faster than a one-row block.
     """
     m, n = len(starts), field.atlas.dim
     z = np.array([p.coords for p in starts], float).reshape(m, n)
@@ -344,13 +359,14 @@ def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
         w_shape = w0.shape[1:]
         z = np.concatenate([z, w0.reshape(m, -1)], axis=1)
     t = np.broadcast_to(np.asarray(t, float), (m,))
+    params = None if params is None else np.asarray(params, float).reshape(m, field.params)
     if m == 1:
         cids, z1, t_ok, status = _integrate(field, [starts[0].chart], z[0], t[0], cfg, w_shape,
-                                            record)
+                                            record, None if params is None else params[0])
         z = z1[None]
     else:
         cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, t, cfg, w_shape,
-                                           record)
+                                           record, params)
     W = None if w0 is None else z[:, n:].reshape((m,) + w_shape)
     return [Point(c, x) for c, x in zip(cids, z[:, :n])], W, t_ok, status
 
@@ -395,12 +411,21 @@ def flow_word(segments, start: Point, cfg: IntegratorConfig) -> Point:
 
 # -- defects ---------------------------------------------------------------
 
-def commutation_defect(xi: VectorField, eta: VectorField, start: Point,
-                       s: float, t: float, cfg: IntegratorConfig) -> float:
-    """Gap between Fl^xi_s(Fl^eta_t(x)) and Fl^eta_t(Fl^xi_s(x))."""
-    a = integrate(xi, integrate(eta, start, t, cfg), s, cfg)
-    b = integrate(eta, integrate(xi, start, s, cfg), t, cfg)
-    return xi.atlas.gap(a, b)
+def _flow_rows(field: VectorField, points, t: float, cfg: IntegratorConfig, params=None) -> list:
+    """Fl_t of every point as rows of one block; a failed row raises."""
+    ends, _, t_ok, status = _run_block(field, points, t, cfg, params=params)
+    for st, t_r in zip(status, t_ok):
+        _raise_for(st, field, t_r)
+    return ends
+
+
+def commutation_defect(xi: VectorField, eta: VectorField, starts, s: float, t: float,
+                       cfg: IntegratorConfig) -> list:
+    """Gap between Fl^xi_s(Fl^eta_t(x)) and Fl^eta_t(Fl^xi_s(x)), one per
+    start; each of the four segments runs every start as one block."""
+    a = _flow_rows(xi, _flow_rows(eta, starts, t, cfg), s, cfg)
+    b = _flow_rows(eta, _flow_rows(xi, starts, s, cfg), t, cfg)
+    return [xi.atlas.gap(p, q) for p, q in zip(a, b)]
 
 
 def lie_derivative_defect(field: VectorField, other: VectorField, at: Point,
@@ -412,25 +437,18 @@ def lie_derivative_defect(field: VectorField, other: VectorField, at: Point,
     return float(np.linalg.norm(pulled - other.value(at)) / t)
 
 
-def parameter_flow_derivative_defect(family: Callable[[np.ndarray], VectorField], dim: int,
-                                     p: Point, cfg: IntegratorConfig, eps: float = 1e-3) -> float:
+def parameter_flow_derivative_defect(family: VectorField, p: Point, cfg: IntegratorConfig,
+                                     eps: float = 1e-3) -> float:
     """Operator-norm gap between the FD Jacobian of v -> Fl^{eta_v}_1(p) at 0
-    and the linear map v -> eta_v(p).
+    and the linear map v -> eta_v(p), for a family field eta with q =
+    `family.params` parameters.
 
-    The family must be linear in v (caller contract).
+    The family must be linear in v (caller contract).  The 2q flows at
+    v = +-eps e_j run as one block.
     """
-    atlas = family(np.zeros(dim)).atlas
-    fd = np.empty((atlas.dim, dim))
-    exact = np.empty((atlas.dim, dim))
-    for j in range(dim):
-        v = np.zeros(dim)
-        v[j] = 1.0
-        exact[:, j] = family(v).value(p)
-        v[j] = eps
-        plus = integrate(family(v), p, 1.0, cfg)
-        v[j] = -eps
-        minus = integrate(family(v), p, 1.0, cfg)
-        plus = atlas.transition(plus, p.chart)
-        minus = atlas.transition(minus, p.chart)
-        fd[:, j] = (plus.coords - minus.coords) / (2.0 * eps)
+    q, atlas = family.params, family.atlas
+    exact = _vec(family.chart_field(p.chart).value(np.tile(p.coords, (q, 1)), np.eye(q))).T
+    ends = _flow_rows(family, [p] * (2 * q), 1.0, cfg, eps * np.vstack([np.eye(q), -np.eye(q)]))
+    x = np.array([atlas.transition(e, p.chart).coords for e in ends])
+    fd = ((x[:q] - x[q:]) / (2.0 * eps)).T
     return float(np.linalg.norm(fd - exact, 2))

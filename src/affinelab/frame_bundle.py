@@ -11,10 +11,16 @@ with (v, w) in E x gl(E).  kappa is invertible on every fiber; the
 standard horizontal field H_lambda is kappa^{-1}(lambda, 0):
 
     H_lambda(x, g) = (g lambda, e -> B_x(g e, g lambda)).
+
+Since kappa is a {1}-structure, the constant fields kappa^{-1}(lam, A)
+form one map P x (E + gl(E)) -> TP, linear in (lam, A):
+`kappa_inverse_family` is that map as one field with per-row parameters,
+and `kappa_inverse_field` its member at one (lam, A).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,9 +89,6 @@ class KappaValue:
         object.__setattr__(self, "theta", _vec(self.theta))
         object.__setattr__(self, "omega", np.asarray(self.omega, float))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.theta) + np.linalg.norm(self.omega))
-
 
 def _check_invertible(g: np.ndarray, err, label: str) -> None:
     if abs(np.linalg.det(g)) <= DET_GUARD:
@@ -113,7 +116,7 @@ def _b_columns(T: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _kappa_inv(T: np.ndarray, g: np.ndarray, lam: np.ndarray, A: np.ndarray):
     """(v, w) = kappa^{-1}(lam, A) at the frame g over a point with tensor T:
     v = g lam, w = g A + B_x(g . , v).  Broadcasts over leading axes."""
-    v = g @ lam
+    v = g @ lam if lam.ndim == 1 else (g @ lam[..., None])[..., 0]
     return v, g @ A + _b_columns(T, g, v)
 
 
@@ -135,70 +138,93 @@ def kappa_inverse(conn: ConnectionField, frame: Frame, kv: KappaValue) -> FrameT
 
 
 def kappa_matrix(conn: ConnectionField, frame: Frame) -> np.ndarray:
-    """kappa_p as an (n + n^2) x (n + n^2) matrix on packed tangents."""
-    n = frame.dim
-    N = n + n * n
-    out = np.empty((N, N))
-    for j in range(N):
-        e = np.zeros(N)
-        e[j] = 1.0
-        ft = frame_tangent_from_packed(e, n)
-        kv = kappa(conn, frame, ft)
-        out[:, j] = pack(kv.theta, kv.omega)
-    return out
+    """kappa_p as an (n + n^2) x (n + n^2) matrix on packed tangents: the
+    inverse of kappa_p^{-1}, whose columns are the kappa^{-1} family at p."""
+    _check_invertible(frame.g, SingularFrame, "frame")
+    N = frame.dim + frame.dim ** 2
+    kinv = kappa_inverse_family(conn).chart_field(frame.chart).value
+    return np.linalg.inv(kinv(np.tile(frame.packed().coords, (N, 1)), np.eye(N)).T)
 
 
 # -- fields on the frame-bundle atlas ---------------------------------------
 
-def kappa_inverse_field(conn: ConnectionField, lam, A=None, name: str | None = None) -> VectorField:
-    """The field eta_(lam, A)(p) = kappa_p^{-1}(lam, A) on the frame bundle.
+def _lam_A_terms(lam: np.ndarray, A: np.ndarray):
+    """The (lam, A) blocks of the kappa^{-1} Jacobian: [i, (a, b)] =
+    delta_ia lam_b and [i, m, a, b] = delta_ia A_bm, over leading axes."""
+    n = lam.shape[-1]
+    eye = np.eye(n)
+    return ((eye[:, :, None] * lam[..., None, None, :]).reshape(lam.shape[:-1] + (n, n * n)),
+            eye[:, None, :, None] * np.swapaxes(A, -1, -2)[..., None, :, None, :])
 
-    A = 0 gives the standard horizontal field H_lambda.  `value` and `d`
-    take (..., n + n^2) rows.  `d` is the closed-form Jacobian: with
-    v = g lam at p = (x, g),
+
+def _kappa_inverse_charts(conn: ConnectionField) -> dict:
+    """Per chart, value(lam, A, z) and d(lam, *`_lam_A_terms`(lam, A), z) of
+    kappa^{-1}(lam, A) at frame rows z, lam and A broadcasting with them
+    (the parameters first, so `partial` binds one member).
+    `d` is the closed-form Jacobian in z: with v = g lam at p = (x, g),
 
         d/dx_j  (v, w) = (0, dB(e_j)(g . , v))
         d/dg_ab (v, w) = (E_ab lam, E_ab A + B(E_ab . , v) + B(g . , E_ab lam)),
 
-    the base columns from one `d_dir` call over the n coordinate
-    directions.
+    the base columns from one `d_dir` call over the n coordinate directions.
     """
-    base = conn.atlas
-    n = base.dim
-    lam = _vec(lam)
-    A = np.zeros((n, n)) if A is None else np.asarray(A, float)
+    n = conn.atlas.dim
     eye = np.eye(n)
-    dv_fibre = (eye[:, :, None] * lam).reshape(n, n * n)  # [i, (a, b)] = delta_ia lam_b
-    dgA_fibre = eye[:, None, :, None] * A.T[:, None, :]  # [i, m, a, b] = delta_ia A_bm
     N = n + n * n
     charts = {}
-    for cid in base.charts:
+    for cid in conn.atlas.charts:
         if not conn.has_chart(cid):
             continue
         cc = conn._chart(cid)
 
-        def value(z, cc=cc):
+        def value(lam, A, z, cc=cc):
             x, g = unpack(z, n, n)
             return pack(*_kappa_inv(cc.tensor(x), g, lam, A))
 
-        def d(z, cc=cc):
+        def d(lam, dv, dgA, z, cc=cc):
             x, g = unpack(z, n, n)
             lead = x.shape[:-1]
             T = cc.tensor(x)
-            v = g @ lam
+            v = g @ lam if lam.ndim == 1 else (g @ lam[..., None])[..., 0]
             dT = cc.d_dir(x[..., None, :], eye)  # dT[..., j, :, :, :] along e_j
             base_cols = _b_columns(dT, g[..., None, :, :], v[..., None, :])  # (..., j, i, m)
-            fibre = (dgA_fibre + np.einsum("...iak,...k,mb->...imab", T, v, eye)
-                     + np.einsum("...ija,...jm,b->...imab", T, g, lam))
+            fibre = (dgA + np.einsum("...iak,...k,mb->...imab", T, v, eye)
+                     + np.einsum("...ija,...jm,...b->...imab", T, g, lam))
             out = np.zeros(lead + (N, N))
-            out[..., :n, n:] = dv_fibre
+            out[..., :n, n:] = dv
             out[..., n:, :n] = np.moveaxis(base_cols, -3, -1).reshape(lead + (n * n, n))
             out[..., n:, n:] = fibre.reshape(lead + (n * n, n * n))
             return out
 
-        charts[cid] = ChartField(value=value, d=d)
+        charts[cid] = (value, d)
+    return charts
+
+
+def kappa_inverse_family(conn: ConnectionField) -> VectorField:
+    """Every field kappa^{-1}(lam, A) as one family on the frame bundle: its
+    chart callables take frame rows z and parameter rows p = pack(lam, A),
+    so flows of different (lam, A) share a block."""
+    n = conn.atlas.dim
+    charts = {cid: ChartField(value=lambda z, p, f=f: f(*unpack(p, n, n), z),
+                              d=lambda z, p, df=df: df(p[..., :n],
+                                                       *_lam_A_terms(*unpack(p, n, n)), z))
+              for cid, (f, df) in _kappa_inverse_charts(conn).items()}
+    return VectorField(frame_atlas(conn.atlas), "kappa_inv", charts, params=n + n * n)
+
+
+def kappa_inverse_field(conn: ConnectionField, lam, A=None, name: str | None = None) -> VectorField:
+    """The field eta_(lam, A)(p) = kappa_p^{-1}(lam, A) on the frame bundle,
+    the member (lam, A) of `kappa_inverse_family` with its parameter terms
+    computed once; A = 0 gives the standard horizontal field H_lambda.
+    `value` and `d` take (..., n + n^2) rows."""
+    n = conn.atlas.dim
+    lam = _vec(lam)
+    A = np.zeros((n, n)) if A is None else np.asarray(A, float)
+    dv, dgA = _lam_A_terms(lam, A)
+    charts = {cid: ChartField(value=partial(f, lam, A), d=partial(df, lam, dv, dgA))
+              for cid, (f, df) in _kappa_inverse_charts(conn).items()}
     label = name or f"kappa_inv[{np.array2string(lam, precision=3)}]"
-    return VectorField(frame_atlas(base), label, charts)
+    return VectorField(frame_atlas(conn.atlas), label, charts)
 
 
 def standard_horizontal(conn: ConnectionField, lam) -> VectorField:

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .atlas import Point, Tangent
-from .automorphism import (affine_residual, exp_aut, exp_commutes_defect, frame_gap,
+from .automorphism import (FlowWord, affine_residual, exp_aut, exp_commutes_defect, frame_gap,
                            frame_lift, kappa_pullback_defect, orbit_point)
 from .catalog import Catalog, default_catalog, rotation_matrix_3d, sphere_rotation
 from .connection import change_of_variable_residual
 from .errors import GeometryError, IoError, ParseError, UnknownCatalogName
-from .flows import (IntegratorConfig, combine, integrate, parameter_flow_derivative_defect)
-from .frame_bundle import Frame, FrameTangent, horizontal_projection_defect, kappa_inverse_field
+from .flows import IntegratorConfig, combine, parameter_flow_derivative_defect
+from .frame_bundle import Frame, FrameTangent, horizontal_projection_defect, kappa_inverse_family
 from .geodesics import CurveSpec, completeness_probe, geodesic, parallel_transport
 from .killing import (HorizontalPath, bracket, ev_embedding, extend_killing, gram_rank,
                       killing_residual, lift_commutation_defect, natural_lift, path_to)
@@ -170,24 +170,20 @@ def _change_of_variable(ctx, samples, tol):
 @check("flow_group_law", field=None, s=0.37, t=0.19, samples=5, tol=1e-8)
 def _flow_group_law(ctx, field, s, t, samples, tol):
     fld = ctx.field(field)
-    cid = ctx.atlas.chart_order()[0]
-    worst = 0.0
-    for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-        a = integrate(fld, integrate(fld, p, s, ctx.cfg), t, ctx.cfg)
-        b = integrate(fld, p, s + t, ctx.cfg)
-        worst = max(worst, ctx.atlas.gap(a, b))
-    return worst, samples, worst <= tol
+    pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
+    a, _ = FlowWord(ctx.atlas, [(fld, s), (fld, t)], ctx.cfg).push(pts)
+    b, _ = FlowWord(ctx.atlas, [(fld, s + t)], ctx.cfg).push(pts)
+    worst = max([0.0, *(ctx.atlas.gap(p, q) for p, q in zip(a, b))])
+    return worst, len(pts), worst <= tol
 
 
 @check("flow_reversibility", field=None, t=0.8, samples=5, tol=1e-8)
 def _flow_reversibility(ctx, field, t, samples, tol):
     fld = ctx.field(field)
-    cid = ctx.atlas.chart_order()[0]
-    worst = 0.0
-    for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-        out = integrate(fld, integrate(fld, p, t, ctx.cfg), -t, ctx.cfg)
-        worst = max(worst, ctx.atlas.gap(out, p))
-    return worst, samples, worst <= tol
+    pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
+    out, _ = FlowWord(ctx.atlas, [(fld, t), (fld, -t)], ctx.cfg).push(pts)
+    worst = max([0.0, *(ctx.atlas.gap(p, q) for p, q in zip(out, pts))])
+    return worst, len(pts), worst <= tol
 
 
 @check("geodesic_periodicity", chart=None, point=None, velocity=None, period=None, tol=1e-6)
@@ -271,26 +267,27 @@ def _killing_equivalence(ctx, fields, samples, frames, res_tol, comm_tol, s, t):
     cid = ctx.atlas.chart_order()[0]
     chart = ctx.atlas.chart(cid)
     center = 0.5 * (chart.sample_lo + chart.sample_hi)
-    disagreements = 0
-    count = 0
-    for name, fld in ctx.field_list(fields):
-        res = 0.0
+    flds = [fld for _, fld in ctx.field_list(fields)]
+    res, rows = [], []  # rows: (field index, lambda, frame)
+    for i, fld in enumerate(flds):
+        worst = 0.0
         for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
             v, w = ctx.sample_vw()
-            res = max(res, float(np.linalg.norm(killing_residual(ctx.conn, fld, p, v, w))))
-        comm = 0.0
+            worst = max(worst, float(np.linalg.norm(killing_residual(ctx.conn, fld, p, v, w))))
+        res.append(worst)
         for p in ctx.atlas.sample_points(cid, frames, ctx.rng):
             # inner half of the sample box: short composite flows must stay
             # inside bounded charts
             x = center + 0.5 * (p.coords - center)
             g = np.eye(ctx.atlas.dim) + ctx.rng.uniform(-0.2, 0.2, size=(ctx.atlas.dim,) * 2)
-            lam = ctx.rng.normal(size=ctx.atlas.dim)
-            comm = max(comm, lift_commutation_defect(ctx.conn, fld, lam,
-                                                     Frame(cid, x, g), s, t, ctx.cfg))
-        count += samples + frames
-        if (res <= res_tol) != (comm <= comm_tol):
-            disagreements += 1
-    return float(disagreements), count, disagreements == 0
+            rows.append((i, ctx.rng.normal(size=ctx.atlas.dim), Frame(cid, x, g)))
+    comms = lift_commutation_defect(ctx.conn, [flds[i] for i, _, _ in rows],
+                                    [lam for _, lam, _ in rows], [fr for _, _, fr in rows],
+                                    s, t, ctx.cfg)
+    comm = [max([0.0, *(c for (j, _, _), c in zip(rows, comms) if j == i)])
+            for i in range(len(flds))]
+    disagreements = sum((r <= res_tol) != (c <= comm_tol) for r, c in zip(res, comm))
+    return float(disagreements), samples * len(flds) + len(comms), disagreements == 0
 
 
 @check("bracket_structure", f1=None, f2=None, f3=None, samples=20, tol=1e-8)
@@ -430,14 +427,10 @@ def _gram_rank_check(ctx, fields, chart, point, expected):
 
 @check("parameter_flow", chart=None, point=None, tol=1e-4, eps=1e-3)
 def _parameter_flow(ctx, chart, point, tol, eps):
-    n = ctx.atlas.dim
-    p = Frame(chart, np.asarray(point, float), np.eye(n)).packed()
-
-    def family(v):
-        return kappa_inverse_field(ctx.conn, v[:n], v[n:].reshape(n, n))
-
-    worst = parameter_flow_derivative_defect(family, n + n * n, p, ctx.cfg, eps=float(eps))
-    return worst, n + n * n, worst <= tol
+    family = kappa_inverse_family(ctx.conn)
+    p = Frame(chart, np.asarray(point, float), np.eye(ctx.atlas.dim)).packed()
+    worst = parameter_flow_derivative_defect(family, p, ctx.cfg, eps=float(eps))
+    return worst, family.params, worst <= tol
 
 
 @check("completeness", seeds=20, horizon=1000.0, step=0.1, vel_scale=1.0, expect="complete",
@@ -469,6 +462,38 @@ _INTEGRATOR_KEYS = {"step", "max_hops", "rechart_margin"}
 _POSITIVE_PARAMS = {"tol", "tol_kill", "res_tol", "comm_tol", "floor", "min_gap", "slack"}
 # lower bounds a check's observation must reach: loosening divides them
 _LOWER_BOUNDS = {"floor", "min_gap"}
+_COUNT_PARAMS = {"samples", "frames", "seeds"}
+_VECTOR_PARAMS = {"point", "lam", "velocity", "target"}
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_params(where: str, name: str, params: dict, defaults: dict, atlas) -> None:
+    """ParseError unless every required parameter is given (a None default,
+    except `fields`, which falls back to the scenario's fields, and the
+    point inputs completeness reads only to expect "fails"), and the
+    tolerances, counts, FD step `eps`, vectors and charts are well formed."""
+    optional = {"fields"}
+    if name == "completeness" and params.get("expect") != "fails":
+        optional |= {"chart", "point", "velocity", "fail_before"}
+    missing = [k for k, v in defaults.items()
+               if v is None and k not in optional and params.get(k) is None]
+    if missing:
+        raise ParseError(f"{where}: missing required parameters {missing}")
+    for k, v in params.items():
+        if k in _POSITIVE_PARAMS and not (isinstance(v, (int, float)) and v > 0):
+            raise ParseError(f"{where}: {k} must be positive")
+        if k in _COUNT_PARAMS and not (type(v) is int and v > 0):
+            raise ParseError(f"{where}: {k} must be a positive integer, got {v!r}")
+        if k == "eps" and not (_finite(v) and v > 0):
+            raise ParseError(f"{where}: eps must be finite and positive, got {v!r}")
+        if k in _VECTOR_PARAMS and not (isinstance(v, list) and len(v) == atlas.dim
+                                        and all(map(_finite, v))):
+            raise ParseError(f"{where}: {k} must be {atlas.dim} finite numbers, got {v!r}")
+        if k == "chart" and not (isinstance(v, str) and v in atlas.charts):
+            raise ParseError(f"{where}: unknown chart {v!r} (charts: {sorted(atlas.charts)})")
 
 
 def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenario:
@@ -509,9 +534,7 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
         unknown = set(params) - set(defaults)
         if unknown:
             raise ParseError(f"check #{i} ({name}): unknown parameters {sorted(unknown)}")
-        for k in set(params) & _POSITIVE_PARAMS:
-            if not (isinstance(params[k], (int, float)) and params[k] > 0):
-                raise ParseError(f"check #{i} ({name}): {k} must be positive")
+        _check_params(f"check #{i} ({name})", name, params, defaults, catalog.atlas(manifold))
         parsed_checks.append({"name": name, **params})
 
     integ = data.get("integrator", {})

@@ -22,8 +22,8 @@ from .atlas import Point, Tangent, _vec
 from .bundles import frame_atlas, lift_jacobian, pack, unpack
 from .connection import ConnectionField
 from .errors import BasePointMismatch, SeedChartMismatch
-from .flows import ChartField, IntegratorConfig, VectorField, commutation_defect, variational_flow
-from .frame_bundle import Frame, standard_horizontal
+from .flows import ChartField, IntegratorConfig, VectorField, _flow_rows, variational_flow
+from .frame_bundle import Frame, kappa_inverse_family, standard_horizontal
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +120,23 @@ def bracket(f1: VectorField, f2: VectorField) -> VectorField:
     return VectorField(atlas, f"[{f1.name},{f2.name}]", charts)
 
 
-def lift_commutation_defect(conn: ConnectionField, field: VectorField, lam, frame: Frame,
-                            s: float, t: float, cfg: IntegratorConfig) -> float:
-    """Flow-commutation defect between the natural lift and H_lambda."""
-    lifted = natural_lift(field)
-    H = standard_horizontal(conn, lam)
-    return commutation_defect(lifted, H, frame.packed(), s, t, cfg)
+def lift_commutation_defect(conn: ConnectionField, fields, lams, frames, s: float, t: float,
+                            cfg: IntegratorConfig) -> list:
+    """Flow-commutation defect between the natural lift of fields[i] and
+    H_lams[i] at frames[i], one per row.  Each H segment runs every row as
+    one block of `kappa_inverse_family` with its own lambda, and each
+    field's lifted segments of both words run as one block."""
+    H = kappa_inverse_family(conn)
+    params = [pack(lam, np.zeros((conn.atlas.dim,) * 2)) for lam in lams]
+    b = [fr.packed() for fr in frames]
+    a = _flow_rows(H, b, t, cfg, params)  # word a flows H first, word b the lift
+    for fld in {id(f): f for f in fields}.values():
+        rows = [r for r, f in enumerate(fields) if f is fld]
+        ends = _flow_rows(natural_lift(fld), [a[r] for r in rows] + [b[r] for r in rows], s, cfg)
+        for r, end_a, end_b in zip(rows, ends, ends[len(rows):]):
+            a[r], b[r] = end_a, end_b
+    b = _flow_rows(H, b, t, cfg, params)
+    return [H.atlas.gap(p, q) for p, q in zip(a, b)]
 
 
 def ev_embedding(conn: ConnectionField, field: VectorField, at: Point) -> KillingSeed:

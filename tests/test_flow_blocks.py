@@ -1,8 +1,10 @@
-"""Flow words evaluated over a sample set as one block per segment.
+"""Flow words evaluated over a sample set as one block per segment, and
+blocks of the kappa^{-1} family with one parameter row per trajectory.
 
 Every block result is compared with the per-sample loop the block
 replaced, kept here as the reference: `integrate` and `variational_flow`
-composed segment by segment, one point at a time, and nested central
+composed segment by segment, one point at a time (for the family, of the
+member `kappa_inverse_field(lam, A)` of each row), and nested central
 differences of those Jacobians.  A block steps all rows through batched
 numpy calls while the reference steps one 1-D state, so their sums may
 round differently; each RK4 step may then differ by a few units of
@@ -12,6 +14,8 @@ its stencil step 2h, which scales the bound by 1/h.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinelab import numdiff
 from affinelab.atlas import Point, Tangent
@@ -19,10 +23,13 @@ from affinelab.automorphism import (FlowWord, affine_residual, exp_commutes_defe
                                     kappa_pullback_defect)
 from affinelab.bundles import frame_atlas, pack, unpack
 from affinelab.errors import LeftAtlas
-from affinelab.flows import IntegratorConfig, constant_field, integrate, variational_flow
-from affinelab.frame_bundle import Frame, FrameTangent, standard_horizontal
+from affinelab.catalog import default_catalog
+from affinelab.flows import (OK, IntegratorConfig, _run_block, commutation_defect,
+                             constant_field, integrate, variational_flow)
+from affinelab.frame_bundle import (Frame, FrameTangent, kappa_inverse_family,
+                                    kappa_inverse_field, standard_horizontal)
 from affinelab.geodesics import exp_map, exp_map_rows
-from affinelab.killing import bracket, natural_lift
+from affinelab.killing import bracket, lift_commutation_defect, natural_lift
 
 EPS = np.finfo(float).eps
 ROWS = 6
@@ -245,3 +252,104 @@ def test_stencil_rows_ending_in_another_chart_are_recharted(cat, rng):
     _close(d2, ref, _bound(50, 1.0 / h))
     res = affine_residual(f, conn, conn, [p], v[None], w[None])
     assert np.linalg.norm(res) <= 1e-5
+
+
+# -- the kappa^{-1} family: per-row parameters ------------------------------------------
+
+CONNECTIONS = [(m, c) for m in default_catalog().manifold_names()
+               for c in default_catalog().connection_names(m)]
+
+
+def _family_block_matches_single_fields(conn, starts, lams, As, ts, cfg):
+    """Push `starts` as one block of the kappa^{-1} family, parameter row
+    (lam_i, A_i) and duration t_i per row, with Jacobian columns, and
+    compare each row with the one-row flow of kappa_inverse_field(lam_i, A_i)."""
+    n = conn.atlas.dim
+    N = n + n * n
+    params = [pack(lam, A) for lam, A in zip(lams, As)]
+    ends, Js, _, status = _run_block(kappa_inverse_family(conn), starts, ts, cfg,
+                                     np.broadcast_to(np.eye(N), (len(starts), N, N)), params=params)
+    assert status == [OK] * len(starts)
+    for z, lam, A, t, end, J in zip(starts, lams, As, ts, ends, Js):
+        ref, J_ref = variational_flow(kappa_inverse_field(conn, lam, A), z, np.eye(N), t, cfg)
+        steps = int(np.ceil(t / cfg.step))
+        assert end.chart == ref.chart
+        _close(end.coords, ref.coords, _bound(steps))
+        _close(J, J_ref, _bound(steps))
+    return ends
+
+
+@pytest.mark.parametrize("manifold,connection", CONNECTIONS,
+                         ids=[f"{m}-{c}" for m, c in CONNECTIONS])
+def test_kappa_inverse_family_block_equals_single_fields(cat, rng, manifold, connection):
+    conn = cat.connection(manifold, connection)
+    n = conn.atlas.dim
+    cid = conn.atlas.chart_order()[0]
+    chart = conn.atlas.chart(cid)
+    center = 0.5 * (chart.sample_lo + chart.sample_hi)
+    starts = [Frame(cid, center + 0.5 * (p.coords - center),
+                    np.eye(n) + rng.uniform(-0.2, 0.2, size=(n, n))).packed()
+              for p in conn.atlas.sample_points(cid, ROWS, rng)]
+    lams, As = 0.5 * rng.normal(size=(ROWS, n)), 0.3 * rng.normal(size=(ROWS, n, n))
+    _family_block_matches_single_fields(conn, starts, lams, As, [0.3] * ROWS,
+                                        IntegratorConfig(step=1e-2))
+
+
+def test_kappa_inverse_family_rows_keep_their_parameters_through_hops(cat, rng):
+    # sphere frames heading outward from different radii of chart a hop to
+    # chart b at different steps, one heading inward stays in a, and the
+    # short row stops early: every regrouping must keep each row's (lam, A)
+    conn = cat.connection("sphere", "round")
+    cfg = IntegratorConfig(step=1e-2)
+    radii = [1.2, 1.4, 1.6, 1.0, 1.5]
+    signs = [1.0, 1.0, 1.0, -1.0, 1.0]
+    ts = [0.8, 0.8, 0.8, 0.8, 0.05]
+    starts = [Frame("a", [r, 0.1], np.eye(2)).packed() for r in radii]
+    lams = np.array([[s * (0.8 + 0.1 * i), 0.1] for i, s in enumerate(signs)])
+    As = 0.2 * rng.normal(size=(len(radii), 2, 2))
+    ends = _family_block_matches_single_fields(conn, starts, lams, As, ts, cfg)
+    assert [e.chart for e in ends] == ["b", "b", "b", "a", "a"]
+    hop_times = set()
+    for z, lam, A, t in zip(starts[:3], lams, As, ts):
+        rec = []
+        integrate(kappa_inverse_field(conn, lam, A), z, t, cfg, record=rec)
+        hop_times.add(next(r[0] for r in rec if r[1] == "b"))
+    assert len(hop_times) == 3
+
+
+FIELDS = [(m, f) for m in default_catalog().manifold_names()
+          for f in default_catalog().field_names(m)]
+
+
+@pytest.mark.parametrize("manifold,name", FIELDS, ids=[f"{m}-{f}" for m, f in FIELDS])
+@settings(max_examples=5, deadline=None)
+@given(i=st.integers(1, 15), j=st.integers(1, 15), sign=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_flow_group_law_over_sample_rows(manifold, name, i, j, sign, seed):
+    # Fl_t o Fl_s = Fl_{s+t} for s, t on the step grid and of one sign:
+    # both sides then take the same RK4 steps, up to rounding in the step
+    # length, so the gap is bounded by rounding alone
+    cat = default_catalog()
+    atlas = cat.atlas(manifold)
+    fld = cat.field(manifold, name)
+    cfg = IntegratorConfig(step=1e-2)
+    rng = np.random.default_rng(seed)
+    cid = atlas.chart_order()[0]
+    chart = atlas.chart(cid)
+    center = 0.5 * (chart.sample_lo + chart.sample_hi)
+    points = [Point(cid, center + 0.5 * (p.coords - center))
+              for p in atlas.sample_points(cid, 3, rng)]
+    s, t = sign * i * cfg.step, sign * j * cfg.step
+    composed, _ = FlowWord(atlas, [(fld, s), (fld, t)], cfg).push(points)
+    direct, _ = FlowWord(atlas, [(fld, s + t)], cfg).push(points)
+    for a, b in zip(composed, direct):
+        assert a.chart == b.chart
+        _close(a.coords, b.coords, _bound(2 * (i + j)))
+
+
+def test_list_forms_take_empty_lists(cat, cfg):
+    conn = cat.connection("sphere", "round")
+    rot_x, rot_y = cat.field("sphere", "rot_x"), cat.field("sphere", "rot_y")
+    assert commutation_defect(rot_x, rot_y, [], 0.4, 0.4, cfg) == []
+    assert lift_commutation_defect(conn, [], [], [], 0.4, 0.4, cfg) == []
+    assert exp_map_rows(conn, [], cfg) == []

@@ -6,9 +6,9 @@ import oracles
 from affinelab.atlas import Point
 from affinelab.bundles import pack, unpack
 from affinelab.errors import LeftAtlas
-from affinelab.flows import (IntegratorConfig, commutation_defect, constant_field, integrate,
-                             lie_derivative_defect, parameter_flow_derivative_defect,
-                             variational_flow)
+from affinelab.flows import (ChartField, IntegratorConfig, VectorField, commutation_defect,
+                             constant_field, integrate, lie_derivative_defect,
+                             parameter_flow_derivative_defect, variational_flow)
 from affinelab.geodesics import geodesic_field
 
 
@@ -136,10 +136,10 @@ def test_variational_matrix_transport(cat, cfg):
 
 def test_commutation_defect_self_and_translations(cat, cfg):
     rot = cat.field("plane", "rotation")
-    assert commutation_defect(rot, rot, Point("cart", [0.3, 0.1]), 0.4, 0.7, cfg) <= 1e-12
+    assert commutation_defect(rot, rot, [Point("cart", [0.3, 0.1])], 0.4, 0.7, cfg)[0] <= 1e-12
     tx = cat.field("plane", "trans_x")
     ty = cat.field("plane", "trans_y")
-    assert commutation_defect(tx, ty, Point("cart", [0.0, 0.0]), 0.5, 0.5, cfg) <= 1e-12
+    assert commutation_defect(tx, ty, [Point("cart", [0.0, 0.0])], 0.5, 0.5, cfg)[0] <= 1e-12
 
 
 def test_commutation_defect_rotation_translation(cat, cfg):
@@ -147,7 +147,7 @@ def test_commutation_defect_rotation_translation(cat, cfg):
     rot = cat.field("plane", "rotation")
     tx = cat.field("plane", "trans_x")
     s = t = 0.5
-    d = commutation_defect(rot, tx, Point("cart", [0.2, -0.1]), s, t, cfg)
+    [d] = commutation_defect(rot, tx, [Point("cart", [0.2, -0.1])], s, t, cfg)
     assert d >= 0.05
     assert abs(d - 2 * t * np.sin(s / 2)) <= 1e-8
 
@@ -166,14 +166,11 @@ def test_lie_derivative_defect(cat, cfg):
 def test_parameter_flow_defect_constant_family(cat, cfg):
     # family eta_v = v (constant): flow is x + v, derivative exactly v -> v
     atlas = cat.atlas("torus")
-    tx = cat.field("torus", "t_trans_x")
-    ty = cat.field("torus", "t_trans_y")
-    from affinelab.flows import combine
+    chart = ChartField(value=lambda x, v: np.broadcast_to(v, np.shape(x)),
+                       d=lambda x, v: np.zeros(np.shape(x) + (2,)))
+    family = VectorField(atlas, "c", dict.fromkeys(atlas.charts, chart), params=2)
 
-    def family(v):
-        return combine("c", [tx, ty], [v[0], v[1]])
-
-    d = parameter_flow_derivative_defect(family, 2, Point("t00", [0.05, -0.05]), cfg)
+    d = parameter_flow_derivative_defect(family, Point("t00", [0.05, -0.05]), cfg)
     assert d <= 1e-10
 
 

@@ -11,8 +11,8 @@ from affinelab.errors import SingularFrame, SingularGroupElement
 from affinelab.flows import parameter_flow_derivative_defect
 from affinelab.frame_bundle import (Frame, FrameTangent, KappaValue, connection_form,
                                     horizontal_flow, horizontal_projection_defect, kappa,
-                                    kappa_inverse, kappa_inverse_field, kappa_matrix, rho,
-                                    soldering, standard_horizontal)
+                                    kappa_inverse, kappa_inverse_family, kappa_inverse_field,
+                                    kappa_matrix, rho, soldering, standard_horizontal)
 
 
 def random_frame(atlas, cid, rng, spread=0.3):
@@ -227,18 +227,10 @@ def test_parameter_flow_defect_bundles(cat):
     cfg = IntegratorConfig(step=2e-3)
     flat = cat.connection("plane", "flat")
     p = Frame("cart", [0.2, -0.1], np.eye(2)).packed()
-
-    def family_flat(v):
-        return kappa_inverse_field(flat, v[:2], v[2:].reshape(2, 2))
-
-    d = parameter_flow_derivative_defect(family_flat, 6, p, cfg)
+    d = parameter_flow_derivative_defect(kappa_inverse_family(flat), p, cfg)
     assert d <= 1e-5
 
     conn = cat.connection("sphere", "round")
     q = Frame("a", [0.3, 0.2], np.eye(2)).packed()
-
-    def family_sphere(v):
-        return kappa_inverse_field(conn, v[:2], v[2:].reshape(2, 2))
-
-    d2 = parameter_flow_derivative_defect(family_sphere, 6, q, cfg)
+    d2 = parameter_flow_derivative_defect(kappa_inverse_family(conn), q, cfg)
     assert d2 <= 1e-4

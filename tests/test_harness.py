@@ -300,3 +300,74 @@ def test_every_check_runs_in_a_shipped_scenario():
     for path in SCENARIOS.glob("*.json"):
         named |= {c["name"] for c in json.loads(path.read_text()).get("checks", [])}
     assert set(check_names()) <= named, sorted(set(check_names()) - named)
+
+
+def _plane_check(cat, **check):
+    return scenario_from_dict({"manifold": "plane", "connection": "flat",
+                               "fields": ["trans_x", "rotation"], "checks": [check]}, cat)
+
+
+@pytest.mark.parametrize("check", [
+    {"name": "flow_group_law"},
+    {"name": "flow_group_law", "field": None},
+    {"name": "geodesic_periodicity"},
+    {"name": "parameter_flow", "chart": "cart", "point": [0.2, -0.1, 0.3]},
+    {"name": "parameter_flow", "chart": "nowhere", "point": [0.2, -0.1]},
+    {"name": "parameter_flow", "chart": ["cart"], "point": [0.2, -0.1]},
+    {"name": "horizontal_projection", "chart": "cart", "point": [0.2, -0.1], "lam": "up"},
+    {"name": "extension_recovery", "field": "rotation", "chart": "cart", "point": [0.2, 0.1],
+     "target": [0.3, float("nan")]},
+    {"name": "completeness", "expect": "fails", "chart": "cart", "point": [0.1, 0.2]},
+])
+def test_missing_or_malformed_parameters_fail_parsing(cat, check):
+    # each of these used to parse and then fail at run time (KeyError,
+    # TypeError, a reshape ValueError) or not at all
+    with pytest.raises(ParseError):
+        _plane_check(cat, **check)
+
+
+def test_optional_none_parameters_still_parse(cat):
+    # a `fields` list falls back to the scenario's fields, and completeness
+    # needs its point inputs only to expect "fails"
+    s = _plane_check(cat, name="killing_residual", samples=3)
+    assert run_suite(s, cat).checks[0].samples == 6
+    _plane_check(cat, name="completeness", seeds=2, horizon=1.0)
+
+
+@pytest.mark.parametrize("check", [
+    {"name": "flow_group_law", "field": "rotation", "samples": -3},
+    {"name": "flow_group_law", "field": "rotation", "samples": 2.5},
+    {"name": "flow_reversibility", "field": "rotation", "samples": True},
+    {"name": "killing_equivalence", "frames": 0},
+    {"name": "killing_equivalence", "samples": "10"},
+    {"name": "completeness", "seeds": 0},
+])
+def test_counts_must_be_positive_integers(cat, check):
+    # samples -3 passed on zero samples, 2.5 sampled 3 points and reported
+    # 2, frames 0 passed with the commutation half unsampled
+    with pytest.raises(ParseError):
+        _plane_check(cat, **check)
+
+
+def test_checks_report_the_rows_they_ran(cat):
+    s = scenario_from_dict({"manifold": "plane", "connection": "flat",
+                            "fields": ["trans_x", "nonaffine_sq"],
+                            "checks": [{"name": "flow_group_law", "field": "rotation",
+                                        "samples": 3},
+                                       {"name": "killing_equivalence", "samples": 2, "frames": 1,
+                                        "s": 0.1, "t": 0.1}]}, cat)
+    rep = run_suite(s, cat)
+    assert [(c.status, c.samples) for c in rep.checks] == [("pass", 3), ("pass", 6)]
+
+
+@pytest.mark.parametrize("eps", [0, -1e-3, float("nan"), float("inf"), "1e-3", True])
+def test_parameter_flow_eps_must_be_finite_and_positive(cat, eps):
+    # eps 0 used to end in "LinAlgError: SVD did not converge"
+    with pytest.raises(ParseError):
+        _plane_check(cat, name="parameter_flow", chart="cart", point=[0.2, -0.1], eps=eps)
+
+
+def test_tol_scale_leaves_the_fd_step_alone(cat):
+    # scaling eps by 1e6 as well would overflow the perturbed frame flows
+    s = _plane_check(cat, name="parameter_flow", chart="cart", point=[0.2, -0.1], eps=1e-3)
+    assert run_suite(s, cat, tol_scale=1e6).checks[0].status == "pass"

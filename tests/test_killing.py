@@ -163,11 +163,10 @@ def test_lift_commutation_affine_vs_not(cat):
     cfg = IntegratorConfig()
     flat = cat.connection("plane", "flat")
     frame = Frame("cart", [0.2, 0.1], np.eye(2))
-    d_affine = lift_commutation_defect(flat, cat.field("plane", "trans_y"), [1.0, 0.0],
-                                       frame, 0.5, 0.5, cfg)
+    d_affine, d_bad = lift_commutation_defect(
+        flat, [cat.field("plane", "trans_y"), cat.field("plane", "nonaffine_sq")],
+        [[1.0, 0.0]] * 2, [frame] * 2, 0.5, 0.5, cfg)
     assert d_affine <= 1e-8
-    d_bad = lift_commutation_defect(flat, cat.field("plane", "nonaffine_sq"), [1.0, 0.0],
-                                    frame, 0.5, 0.5, cfg)
     assert d_bad >= 1e-3
 
 
@@ -175,8 +174,8 @@ def test_lift_commutation_sphere_rotation(cat):
     cfg = IntegratorConfig()
     conn = cat.connection("sphere", "round")
     frame = Frame("a", [0.4, -0.3], np.eye(2))
-    d = lift_commutation_defect(conn, cat.field("sphere", "rot_x"), [0.3, 0.5],
-                                frame, 0.5, 0.5, cfg)
+    [d] = lift_commutation_defect(conn, [cat.field("sphere", "rot_x")], [[0.3, 0.5]], [frame],
+                                  0.5, 0.5, cfg)
     assert d <= 1e-5
 
 
