@@ -7,12 +7,11 @@ integral curves project to geodesics.
 """
 import numpy as np
 
-from affinelab import (Frame, FrameTangent, IntegratorConfig, horizontal_projection_parts,
-                       kappa, kappa_inverse, kappa_matrix, rho, soldering,
-                       standard_horizontal)
+from affinelab import (Frame, FrameTangent, IntegratorConfig, horizontal_flow,
+                       horizontal_projection_parts, kappa, kappa_inverse, kappa_matrix, rho,
+                       soldering, standard_horizontal)
 from affinelab.bundles import unpack
 from affinelab.catalog import default_catalog
-from affinelab.flows import _run
 
 cat = default_catalog()
 cfg = IntegratorConfig()
@@ -40,7 +39,7 @@ lam = np.array([0.0, 1.0])
 H = standard_horizontal(conn, lam)
 start = Frame("a", [1.0, 0.0], np.eye(2))
 rec = []
-_run(H, start.packed(), 2.0, cfg, record=rec)
+horizontal_flow(conn, lam, start, 2.0, cfg, record=rec)
 print("\nhorizontal flow of H_lambda from a frame over the equator:")
 for t, cid, z in [rec[0], rec[len(rec) // 2], rec[-1]]:
     x, g = unpack(z, 2, 2)

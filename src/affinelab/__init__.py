@@ -24,7 +24,7 @@ from .errors import (BasePointMismatch, ChartMissing, GeometryError, HopLimit, I
 from .flows import (ChartField, IntegratorConfig, VectorField, combine,
                     commutation_defect, constant_field, integrate, lie_derivative_defect,
                     parameter_flow_derivative_defect, variational_flow)
-from .frame_bundle import (Frame, FrameTangent, KappaValue, connection_form,
+from .frame_bundle import (Frame, FrameTangent, KappaValue, connection_form, horizontal_flow,
                            horizontal_projection_defect, horizontal_projection_parts, kappa,
                            kappa_inverse, kappa_inverse_family, kappa_inverse_field,
                            kappa_matrix, rho, soldering, standard_horizontal)

@@ -90,13 +90,11 @@ class Chart:
     sample_lo: Coords
     sample_hi: Coords
     priority: int = 0
-    transitions: dict[str, Transition] = field(default_factory=dict)
+    transitions: dict[str, Transition] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self.sample_lo = _vec(self.sample_lo)
         self.sample_hi = _vec(self.sample_hi)
-        for target, tr in list(self.transitions.items()):
-            self.add_transition(target, tr)
 
     def contains(self, x, margin: float = 0.0) -> bool:
         return bool(self.contains_fn(_vec(x), float(margin)))

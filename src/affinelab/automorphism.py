@@ -1,9 +1,11 @@
 """Represented diffeomorphisms and the flow-generated automorphism group.
 
-A Diffeo is either a ClosedFormDiffeo (per-chart map with analytic
-derivatives) or a FlowWord (ordered flow segments of named fields,
+A Diffeo is either a ClosedFormDiffeo (a `ChartMap` per chart with
+analytic first and second derivatives; a point in any other chart raises
+ChartMissing) or a FlowWord (ordered flow segments of named fields,
 composed left-to-right; the inverse reverses the word and negates
-durations).  A map f is affine when
+durations, and its second derivatives come from `_fd_jets`).  A map f
+is affine when
 
     d2 f(v, w) + df(B1_x(v, w)) = B2_{f(x)}(df v, df w);
 
@@ -28,7 +30,7 @@ from . import numdiff
 from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import frame_atlas
 from .connection import ConnectionField
-from .errors import ChartMissing, NotInOverlap, NotKilling
+from .errors import ChartMissing, NotKilling
 from .flows import OK, IntegratorConfig, VectorField, _raise_for, _run_block
 from .frame_bundle import (Frame, FrameTangent, frame_from_packed, frame_tangent_from_packed,
                            kappa)
@@ -70,6 +72,10 @@ class Diffeo:
         """d2 f(x)(v, w) in the chart of apply(point); nested central FD."""
         return self.jets([point], [_vec(v)], [_vec(w)])[0][2]
 
+    def d2_tensor(self, point: Point) -> np.ndarray:
+        """d2 f(x) as an (n, n, n) tensor, for maps that have it in closed form."""
+        raise NotImplementedError
+
     def inverse(self) -> "Diffeo":
         raise NotImplementedError
 
@@ -106,12 +112,11 @@ def _fd_jets(f: Diffeo, points, vs, ws) -> list:
 @dataclass(eq=False)
 class ChartMap:
     """Per-chart closed form: map x -> (target_chart, y), its Jacobian `d`
-    and optionally its second derivative tensor `d2` (without it,
-    `d2_dir` falls back to central differences of `d`)."""
+    and its second derivative tensor `d2`, all at one point x."""
 
     map: Callable
     d: Callable
-    d2: Callable | None = None
+    d2: Callable
 
 
 class ClosedFormDiffeo(Diffeo):
@@ -121,46 +126,29 @@ class ClosedFormDiffeo(Diffeo):
         self._charts = dict(charts)
         self._inverse = inverse
 
-    def _rep(self, point: Point) -> Point:
-        if point.chart in self._charts:
-            return point
-        for cid in self.atlas.chart_order():
-            if cid in self._charts:
-                try:
-                    return self.atlas.transition(point, cid)
-                except NotInOverlap:
-                    continue
-        raise ChartMissing(f"diffeo {self.name!r} has no chart holding {point!r}")
+    def _chart_map(self, point: Point) -> ChartMap:
+        try:
+            return self._charts[point.chart]
+        except KeyError:
+            raise ChartMissing(f"diffeo {self.name!r} undefined on chart {point.chart!r}") from None
 
     def apply(self, point: Point) -> Point:
-        p = self._rep(point)
-        tid, y = self._charts[p.chart].map(p.coords)
+        tid, y = self._chart_map(point).map(point.coords)
         return Point(tid, _vec(y))
 
     def jac(self, point: Point) -> tuple[np.ndarray, Point]:
-        p = self._rep(point)
-        cm = self._charts[p.chart]
-        tid, y = cm.map(p.coords)
-        J = np.asarray(cm.d(p.coords), float)
-        if p.chart != point.chart:
-            J = J @ self.atlas.d_transition(point, p.chart)
-        return J, Point(tid, _vec(y))
+        cm = self._chart_map(point)
+        tid, y = cm.map(point.coords)
+        return np.asarray(cm.d(point.coords), float), Point(tid, _vec(y))
 
     def d2_dir(self, point: Point, v, w) -> np.ndarray:
-        T2 = self.d2_tensor(point)
-        if T2 is None:
-            return _fd_jets(self, [point], [_vec(v)], [_vec(w)])[0][2]
-        return np.einsum("ijk,j,k->i", T2, _vec(v), _vec(w))
+        return np.einsum("ijk,j,k->i", self.d2_tensor(point), _vec(v), _vec(w))
 
     def jets(self, points, vs, ws) -> list:
         return [(*self.jac(p), self.d2_dir(p, v, w)) for p, v, w in zip(points, vs, ws)]
 
-    def d2_tensor(self, point: Point) -> np.ndarray | None:
-        p = self._rep(point)
-        cm = self._charts[p.chart]
-        if cm.d2 is None or p.chart != point.chart:
-            return None
-        return np.asarray(cm.d2(p.coords), float)
+    def d2_tensor(self, point: Point) -> np.ndarray:
+        return np.asarray(self._chart_map(point).d2(point.coords), float)
 
     def inverse(self) -> "Diffeo":
         if self._inverse is None:
@@ -252,14 +240,7 @@ class FrameDiffeo:
         # TF(dx, dg) = (df dx, d2f(dx, .) g + df dg)
         p = frame.point()
         J, out = self.base.jac(p)
-        T2 = self.base.d2_tensor(p) if isinstance(self.base, ClosedFormDiffeo) else None
-        n = self.atlas.dim
-        if T2 is None:
-            M = np.empty((n, n))
-            for m in range(n):
-                M[:, m] = self.base.d2_dir(p, ft.v, frame.g[:, m])
-        else:
-            M = np.einsum("ijk,j,km->im", T2, ft.v, frame.g)
+        M = np.einsum("ijk,j,km->im", self.base.d2_tensor(p), ft.v, frame.g)
         return (Frame(out.chart, out.coords, J @ frame.g),
                 FrameTangent(J @ ft.v, M + J @ ft.w))
 

@@ -6,13 +6,16 @@ k = 1 gives the tangent bundle (velocity column), k = n the frame bundle
 (frame matrix).  Transitions act as (x, G) -> (h(x), dh(x) G); their
 Jacobians use d2h of the base transition.  Like the base chart
 callables, bundle membership tests and transitions take (..., n + n k)
-inputs.
+inputs.  Each base atlas has one tangent and one frame atlas, built on
+first use; a frame chart also requires |det G| > DET_GUARD.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .atlas import Atlas, Chart, Transition, _vec
+
+DET_GUARD = 1e-12
 
 
 def pack(x: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -56,18 +59,14 @@ def _bundle_transition(tr: Transition, n: int, k: int) -> Transition:
     return Transition(map=bmap, d=bd)
 
 
-def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0,
-                 fiber_lo: np.ndarray | None = None, fiber_hi: np.ndarray | None = None) -> Atlas:
+def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atlas:
     """Atlas of the rank-k column bundle over `base`.
 
     `det_guard` > 0 additionally requires |det G| above the guard (frame
     bundle).  Sample boxes extend the base box by the fiber box.
     """
     n = base.dim
-    if fiber_lo is None:
-        fiber_lo = (np.eye(n)[:, :k] - 0.3).ravel() if det_guard > 0 else -np.ones(n * k)
-    if fiber_hi is None:
-        fiber_hi = (np.eye(n)[:, :k] + 0.3).ravel() if det_guard > 0 else np.ones(n * k)
+    fiber, half = (np.eye(n)[:, :k].ravel(), 0.3) if det_guard > 0 else (np.zeros(n * k), 1.0)
 
     charts = []
     for cid, c in base.charts.items():
@@ -81,8 +80,8 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0,
             id=cid,
             dim=n + n * k,
             contains_fn=contains,
-            sample_lo=np.concatenate([c.sample_lo, fiber_lo]),
-            sample_hi=np.concatenate([c.sample_hi, fiber_hi]),
+            sample_lo=np.concatenate([c.sample_lo, fiber - half]),
+            sample_hi=np.concatenate([c.sample_hi, fiber + half]),
             priority=c.priority,
         )
         charts.append(bc)
@@ -106,9 +105,9 @@ def tangent_atlas(base: Atlas) -> Atlas:
     return cached
 
 
-def frame_atlas(base: Atlas, det_guard: float = 1e-12) -> Atlas:
+def frame_atlas(base: Atlas) -> Atlas:
     cached = getattr(base, "_frame_atlas", None)
     if cached is None:
-        cached = bundle_atlas(base, base.dim, "Fr", det_guard=det_guard)
+        cached = bundle_atlas(base, base.dim, "Fr", det_guard=DET_GUARD)
         base._frame_atlas = cached
     return cached

@@ -209,8 +209,9 @@ def r3_atlas() -> Atlas:
     return Atlas("r3", 3, [Chart("cart", 3, all_space, [-2.0] * 3, [2.0] * 3)])
 
 
-def torus_atlas(half_width: float = 0.35) -> Atlas:
+def torus_atlas() -> Atlas:
     """Square torus R^2/Z^2; four box charts centered on the half-integer grid."""
+    half_width = 0.35
     centers = {"t00": (0.0, 0.0), "t10": (0.5, 0.0), "t01": (0.0, 0.5), "t11": (0.5, 0.5)}
     charts = {}
     for i, (cid, c) in enumerate(centers.items()):
@@ -233,9 +234,9 @@ def torus_atlas(half_width: float = 0.35) -> Atlas:
     return Atlas("torus", 2, list(charts.values()))
 
 
-def sphere_atlas(radius_cap: float = 2.0) -> Atlas:
-    a = Chart("a", 2, disk_domain(radius_cap), [-1.2, -1.2], [1.2, 1.2], priority=0)
-    b = Chart("b", 2, disk_domain(radius_cap), [-1.2, -1.2], [1.2, 1.2], priority=1)
+def sphere_atlas() -> Atlas:
+    a = Chart("a", 2, disk_domain(2.0), [-1.2, -1.2], [1.2, 1.2], priority=0)
+    b = Chart("b", 2, disk_domain(2.0), [-1.2, -1.2], [1.2, 1.2], priority=1)
     a.add_transition("b", _inversion())
     b.add_transition("a", _inversion())
     return Atlas("sphere", 2, [a, b])

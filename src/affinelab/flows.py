@@ -2,8 +2,9 @@
 
 Fixed-step classical RK4 throughout; no adaptivity.  One core integrates
 rows of states, entered through `_run_block`: a single row (`_run` is
-that single-trajectory form) runs as a 1-D state with a float step, and
-several rows (the completeness probe's seeds in both directions,
+that single-trajectory form; without variational columns it may record
+its trajectory as (t, chart, x) rows) runs as a 1-D state with a float
+step, and several rows (the completeness probe's seeds in both directions,
 `exp_map_rows`, each segment of a flow word over a sample set) as
 an (m, N) array whose rows each carry their own chart, signed step, hop
 count, status and reach time.  Each step advances one chart group of
@@ -194,8 +195,8 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     parameter rows `params`, shaped like `z`, are never stepped or
     re-charted; each chart group passes its share to the chart callables.
     Returns (chart ids, z, t_reached, statuses) with one entry per row.
-    `record` (one row only) is appended with rows (t, chart_id, x_copy[,
-    w_copy]), a hop adding its pre-hop state at the same time.
+    `record` (one row, no variational block) is appended with rows (t,
+    chart_id, x_copy), a hop adding its pre-hop state at the same time.
     """
     atlas = field.atlas
     n = atlas.dim
@@ -224,10 +225,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
         field.chart_field(cid)
 
     def snapshot(tcur, r):
-        x = rows[r, :n].copy()
-        if k:
-            return tcur, cids[r], x, rows[r, n:].reshape(w_shape).copy()
-        return tcur, cids[r], x
+        return tcur, cids[r], rows[r, :n].copy()
 
     if record is not None:
         record.append(snapshot(0.0, 0))
@@ -333,7 +331,7 @@ def _run(field: VectorField, start: Point, t: float, cfg: IntegratorConfig,
 
     The single-trajectory entry: a one-row `_run_block`.  Returns (point,
     w, t_reached, status).  `record`, when supplied, is appended with
-    rows (t, chart_id, x_copy[, w_copy]).
+    rows (t, chart_id, x_copy).
     """
     ends, W, t_ok, status = _run_block(field, [start], t, cfg,
                                        None if w0 is None else np.asarray(w0, float)[None], record)
@@ -429,9 +427,9 @@ def commutation_defect(xi: VectorField, eta: VectorField, starts, s: float, t: f
 
 
 def lie_derivative_defect(field: VectorField, other: VectorField, at: Point,
-                          cfg: IntegratorConfig, t: float = 1e-4) -> float:
-    """|((Fl^xi_t)^* other - other)(x)| / t, a one-sided bracket-norm probe."""
-    n = field.atlas.dim
+                          cfg: IntegratorConfig) -> float:
+    """|((Fl^xi_t)^* other - other)(x)| / t at t = 1e-4, a one-sided bracket probe."""
+    n, t = field.atlas.dim, 1e-4
     end, W = variational_flow(field, at, np.eye(n), t, cfg)
     pulled = np.linalg.solve(W, other.value(end))
     return float(np.linalg.norm(pulled - other.value(at)) / t)

@@ -25,13 +25,11 @@ from functools import partial
 import numpy as np
 
 from .atlas import Point, Tangent, _vec
-from .bundles import frame_atlas, pack, unpack
+from .bundles import DET_GUARD, frame_atlas, pack, unpack
 from .connection import ConnectionField
 from .errors import SingularFrame, SingularGroupElement
 from .flows import ChartField, IntegratorConfig, VectorField, _raise_for, _run
 from .geodesics import geodesic
-
-DET_GUARD = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,10 +253,8 @@ def horizontal_projection_parts(conn: ConnectionField, lam, frame: Frame, t_span
         raise ValueError("t_span must start at 0")
     n = conn.atlas.dim
     lam = _vec(lam)
-    fld = standard_horizontal(conn, lam)
     rec = []
-    _, _, t_ok, status = _run(fld, frame.packed(), t1, cfg, record=rec)
-    _raise_for(status, fld, t_ok)
+    horizontal_flow(conn, lam, frame, t1, cfg, record=rec)
 
     worst_prime = 0.0
     for i in range(1, len(rec) - 1):

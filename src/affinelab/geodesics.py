@@ -20,7 +20,8 @@ from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas, unpack
 from .connection import ConnectionField
 from .errors import LeftAtlas, NoConvergence
-from .flows import OK, ChartField, IntegratorConfig, VectorField, _raise_for, _run, _run_block
+from .flows import (OK, ChartField, IntegratorConfig, VectorField, _flow_rows, _raise_for, _run,
+                    _run_block)
 from . import numdiff
 
 
@@ -135,10 +136,6 @@ class CurveSpec:
         c, x, _ = self.eval(t)
         return Point(c, x)
 
-    def tangent(self, t: float) -> Tangent:
-        c, x, v = self.eval(t)
-        return Tangent(Point(c, x), v)
-
     def rows(self):
         """Raw sample rows (t, chart, x, v) when sample-backed."""
         if self._ts is None:
@@ -196,12 +193,8 @@ def exp_map_rows(conn: ConnectionField, vs, cfg: IntegratorConfig, t: float = 1.
     n = conn.atlas.dim
     if t == 0.0:
         return [Point(u.base.chart, u.base.coords.copy()) for u in vs]
-    fld = geodesic_field(conn)
     starts = [Point(u.base.chart, pack(u.base.coords, u.vec.reshape(n, 1))) for u in vs]
-    ends, _, t_ok, status = _run_block(fld, starts, t, cfg)
-    for st, t_row in zip(status, t_ok):
-        _raise_for(st, fld, t_row)
-    return [Point(e.chart, e.coords[:n]) for e in ends]
+    return [Point(e.chart, e.coords[:n]) for e in _flow_rows(geodesic_field(conn), starts, t, cfg)]
 
 
 def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -96,14 +97,11 @@ class _Ctx:
         self.catalog = catalog
         self.atlas = catalog.atlas(scenario.manifold)
         self.conn = catalog.connection(scenario.manifold, scenario.connection)
-        self.fields = {n: catalog.field(scenario.manifold, n) for n in scenario.fields}
         self.cfg = scenario.integrator
         self.rng = rng
         self.scenario = scenario
 
     def field(self, name):
-        if name in self.fields:
-            return self.fields[name]
         return self.catalog.field(self.scenario.manifold, name)
 
     def field_list(self, names):
@@ -111,11 +109,21 @@ class _Ctx:
             names = list(self.scenario.fields)
         return [(n, self.field(n)) for n in names]
 
-    def point(self, chart, coords) -> Point:
-        return Point(chart, np.asarray(coords, float))
-
     def sample_vw(self):
         return self.rng.normal(size=(2, self.atlas.dim))
+
+    def killing_worst(self, fld, samples) -> float:
+        """Largest |killing_residual| over `samples` first-chart points, a random (v, w) each."""
+        worst = 0.0
+        for p in self.atlas.sample_points(self.atlas.chart_order()[0], samples, self.rng):
+            v, w = self.sample_vw()
+            worst = max(worst, float(np.linalg.norm(killing_residual(self.conn, fld, p, v, w))))
+        return worst
+
+    def frame(self, chart, x) -> Frame:
+        """A frame at x whose matrix is I plus uniform(-0.2, 0.2) entries."""
+        n = self.atlas.dim
+        return Frame(chart, x, np.eye(n) + self.rng.uniform(-0.2, 0.2, size=(n, n)))
 
 
 @check("transition_roundtrip", samples=100, tol=1e-10)
@@ -188,7 +196,7 @@ def _flow_reversibility(ctx, field, t, samples, tol):
 
 @check("geodesic_periodicity", chart=None, point=None, velocity=None, period=None, tol=1e-6)
 def _geodesic_periodicity(ctx, chart, point, velocity, period, tol):
-    start = Tangent(ctx.point(chart, point), np.asarray(velocity, float))
+    start = Tangent(Point(chart, point), np.asarray(velocity, float))
     curve = geodesic(ctx.conn, start, (0.0, float(period)), ctx.cfg)
     worst = ctx.atlas.gap(curve.point(float(period)), start.base)
     return worst, 1, worst <= tol
@@ -196,7 +204,7 @@ def _geodesic_periodicity(ctx, chart, point, velocity, period, tol):
 
 @check("geodesic_convergence", chart=None, point=None, velocity=None, period=None, min_ratio=8.0)
 def _geodesic_convergence(ctx, chart, point, velocity, period, min_ratio):
-    start = Tangent(ctx.point(chart, point), np.asarray(velocity, float))
+    start = Tangent(Point(chart, point), np.asarray(velocity, float))
     errs = []
     for step in (ctx.cfg.step, ctx.cfg.step / 2.0):
         cfg = IntegratorConfig(step=step, max_hops=ctx.cfg.max_hops,
@@ -239,25 +247,14 @@ def _horizontal_projection(ctx, chart, point, lam, t1, tol):
 
 @check("killing_residual", fields=None, samples=100, tol=1e-8)
 def _killing_residual(ctx, fields, samples, tol):
-    worst, count = 0.0, 0
-    for _, fld in ctx.field_list(fields):
-        for cid in ctx.atlas.chart_order()[:1]:
-            for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-                v, w = ctx.sample_vw()
-                worst = max(worst, float(np.linalg.norm(killing_residual(ctx.conn, fld, p, v, w))))
-                count += 1
-    return worst, count, worst <= tol
+    flds = ctx.field_list(fields)
+    worst = max([0.0, *(ctx.killing_worst(fld, samples) for _, fld in flds)])
+    return worst, samples * len(flds), worst <= tol
 
 
 @check("killing_floor", field=None, samples=20, floor=1e-2)
 def _killing_floor(ctx, field, samples, floor):
-    fld = ctx.field(field)
-    cid = ctx.atlas.chart_order()[0]
-    observed = 0.0
-    for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-        v, w = ctx.sample_vw()
-        observed = max(observed, float(np.linalg.norm(killing_residual(ctx.conn, fld, p, v, w))))
-    worst = max(0.0, float(floor) - observed)
+    worst = max(0.0, float(floor) - ctx.killing_worst(ctx.field(field), samples))
     return worst, samples, worst <= 0.0
 
 
@@ -270,17 +267,12 @@ def _killing_equivalence(ctx, fields, samples, frames, res_tol, comm_tol, s, t):
     flds = [fld for _, fld in ctx.field_list(fields)]
     res, rows = [], []  # rows: (field index, lambda, frame)
     for i, fld in enumerate(flds):
-        worst = 0.0
-        for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-            v, w = ctx.sample_vw()
-            worst = max(worst, float(np.linalg.norm(killing_residual(ctx.conn, fld, p, v, w))))
-        res.append(worst)
+        res.append(ctx.killing_worst(fld, samples))
         for p in ctx.atlas.sample_points(cid, frames, ctx.rng):
             # inner half of the sample box: short composite flows must stay
             # inside bounded charts
-            x = center + 0.5 * (p.coords - center)
-            g = np.eye(ctx.atlas.dim) + ctx.rng.uniform(-0.2, 0.2, size=(ctx.atlas.dim,) * 2)
-            rows.append((i, ctx.rng.normal(size=ctx.atlas.dim), Frame(cid, x, g)))
+            fr = ctx.frame(cid, center + 0.5 * (p.coords - center))
+            rows.append((i, ctx.rng.normal(size=ctx.atlas.dim), fr))
     comms = lift_commutation_defect(ctx.conn, [flds[i] for i, _, _ in rows],
                                     [lam for _, lam, _ in rows], [fr for _, _, fr in rows],
                                     s, t, ctx.cfg)
@@ -307,11 +299,9 @@ def _lift_homomorphism(ctx, f1, f2, samples, tol):
     lhs = natural_lift(bracket(a, b))
     rhs = bracket(natural_lift(a), natural_lift(b))
     cid = ctx.atlas.chart_order()[0]
-    n = ctx.atlas.dim
     worst = 0.0
     for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-        g = np.eye(n) + ctx.rng.uniform(-0.2, 0.2, size=(n, n))
-        z = Frame(cid, p.coords, g).packed()
+        z = ctx.frame(cid, p.coords).packed()
         worst = max(worst, float(np.linalg.norm(lhs.value(z) - rhs.value(z))))
     return worst, samples, worst <= tol
 
@@ -319,8 +309,8 @@ def _lift_homomorphism(ctx, f1, f2, samples, tol):
 @check("extension_recovery", field=None, chart=None, point=None, target=None, tol=1e-5)
 def _extension_recovery(ctx, field, chart, point, target, tol):
     fld = ctx.field(field)
-    x = ctx.point(chart, point)
-    y = ctx.point(chart, target)
+    x = Point(chart, point)
+    y = Point(chart, target)
     seed = ev_embedding(ctx.conn, fld, x)
     path = path_to(ctx.conn, x, y, ctx.cfg)
     out = extend_killing(ctx.conn, seed, path, ctx.cfg)
@@ -330,7 +320,7 @@ def _extension_recovery(ctx, field, chart, point, target, tol):
 
 @check("extension_linearity", f1=None, f2=None, chart=None, point=None, lam=None, a=0.7, tol=1e-8)
 def _extension_linearity(ctx, f1, f2, chart, point, lam, a, tol):
-    x = ctx.point(chart, point)
+    x = Point(chart, point)
     s1 = ev_embedding(ctx.conn, ctx.field(f1), x)
     s2 = ev_embedding(ctx.conn, ctx.field(f2), x)
     from .killing import KillingSeed
@@ -364,7 +354,7 @@ def _kappa_pullback(ctx, field, samples, tol, tol_kill):
     n = ctx.atlas.dim
     frames, fts = [], []
     for p in pts:
-        frames.append(Frame(cid, p.coords, np.eye(n) + ctx.rng.uniform(-0.2, 0.2, size=(n, n))))
+        frames.append(ctx.frame(cid, p.coords))
         fts.append(FrameTangent(ctx.rng.normal(size=n), ctx.rng.normal(size=(n, n))))
     worst = max([0.0, *kappa_pullback_defect(ctx.conn, fd, frames, fts)])
     return worst, samples, worst <= tol
@@ -390,11 +380,9 @@ def _frame_homomorphism(ctx, axis_a, angle_a, axis_b, angle_b, samples, tol):
     Ff = frame_lift(sphere_rotation(ctx.atlas, Ra))
     Fg = frame_lift(sphere_rotation(ctx.atlas, Rb))
     Ffg = frame_lift(sphere_rotation(ctx.atlas, Ra @ Rb))
-    n = ctx.atlas.dim
     worst = 0.0
     for p in ctx.atlas.sample_points("a", samples, ctx.rng):
-        g = np.eye(n) + ctx.rng.uniform(-0.2, 0.2, size=(n, n))
-        fr = Frame("a", p.coords, g)
+        fr = ctx.frame("a", p.coords)
         worst = max(worst, frame_gap(ctx.atlas, Ffg.apply_frame(fr),
                                      Ff.apply_frame(Fg.apply_frame(fr))))
     return worst, samples, worst <= tol
@@ -418,7 +406,7 @@ def _orbit_separation(ctx, fields, scale, min_gap, chart, point, tol_kill):
 
 @check("gram_rank_check", fields=None, chart=None, point=None, expected=None)
 def _gram_rank_check(ctx, fields, chart, point, expected):
-    p = ctx.point(chart, point)
+    p = Point(chart, point)
     seeds = [ev_embedding(ctx.conn, fld, p) for _, fld in ctx.field_list(fields)]
     rank = gram_rank(seeds)
     worst = float(abs(rank - int(expected)))
@@ -439,20 +427,18 @@ def _completeness(ctx, seeds, horizon, step, vel_scale, expect, chart, point, ve
                   fail_before, slack):
     cfg = IntegratorConfig(step=float(step), max_hops=ctx.cfg.max_hops,
                            rechart_margin=ctx.cfg.rechart_margin)
-    if expect == "complete":
-        cid = ctx.atlas.chart_order()[0]
-        tangents = [Tangent(p, vel_scale * ctx.rng.normal(size=ctx.atlas.dim))
-                    for p in ctx.atlas.sample_points(cid, int(seeds), ctx.rng)]
-        rep = completeness_probe(ctx.conn, tangents, float(horizon), cfg)
-        worst = max(float(horizon) - min(r.t_forward, abs(r.t_backward)) for r in rep.rows)
-        return worst, len(tangents), rep.complete_up_to_horizon and worst <= slack
     if expect == "fails":
-        seed = Tangent(ctx.point(chart, point), np.asarray(velocity, float))
+        seed = Tangent(Point(chart, point), np.asarray(velocity, float))
         rep = completeness_probe(ctx.conn, [seed], float(horizon), cfg)
         reached = rep.rows[0].t_forward
         worst = max(0.0, reached - float(fail_before))
         return worst, 1, (not rep.complete_up_to_horizon) and worst == 0.0
-    raise ParseError(f"completeness: unknown expect mode {expect!r}")
+    cid = ctx.atlas.chart_order()[0]
+    tangents = [Tangent(p, vel_scale * ctx.rng.normal(size=ctx.atlas.dim))
+                for p in ctx.atlas.sample_points(cid, int(seeds), ctx.rng)]
+    rep = completeness_probe(ctx.conn, tangents, float(horizon), cfg)
+    worst = max(float(horizon) - min(r.t_forward, abs(r.t_backward)) for r in rep.rows)
+    return worst, len(tangents), rep.complete_up_to_horizon and worst <= slack
 
 
 # -- scenario loading ----------------------------------------------------------
@@ -464,17 +450,27 @@ _POSITIVE_PARAMS = {"tol", "tol_kill", "res_tol", "comm_tol", "floor", "min_gap"
 _LOWER_BOUNDS = {"floor", "min_gap"}
 _COUNT_PARAMS = {"samples", "frames", "seeds"}
 _VECTOR_PARAMS = {"point", "lam", "velocity", "target"}
+_FIELD_PARAMS = {"field", "f1", "f2", "f3"}
 
 
 def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A number, not a boolean, that converts to a finite float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _check_params(where: str, name: str, params: dict, defaults: dict, atlas) -> None:
+def _known_fields(where: str, names, known: list) -> None:
+    if not isinstance(names, list):
+        raise ParseError(f"{where}fields must be a list of names, got {names!r}")
+    for f in names:
+        if not (isinstance(f, str) and f in known):
+            raise UnknownCatalogName(f"{where}unknown field {f!r} (fields: {known})")
+
+
+def _check_params(where: str, name: str, params: dict, defaults: dict, atlas, known) -> None:
     """ParseError unless every required parameter is given (a None default,
     except `fields`, which falls back to the scenario's fields, and the
-    point inputs completeness reads only to expect "fails"), and the
-    tolerances, counts, FD step `eps`, vectors and charts are well formed."""
+    point inputs completeness reads only to expect "fails") and every other
+    is well formed; UnknownCatalogName for a field not in `known`."""
     optional = {"fields"}
     if name == "completeness" and params.get("expect") != "fails":
         optional |= {"chart", "point", "velocity", "fail_before"}
@@ -483,8 +479,8 @@ def _check_params(where: str, name: str, params: dict, defaults: dict, atlas) ->
     if missing:
         raise ParseError(f"{where}: missing required parameters {missing}")
     for k, v in params.items():
-        if k in _POSITIVE_PARAMS and not (isinstance(v, (int, float)) and v > 0):
-            raise ParseError(f"{where}: {k} must be positive")
+        if k in _POSITIVE_PARAMS and not (_finite(v) and v > 0):
+            raise ParseError(f"{where}: {k} must be a finite positive number, got {v!r}")
         if k in _COUNT_PARAMS and not (type(v) is int and v > 0):
             raise ParseError(f"{where}: {k} must be a positive integer, got {v!r}")
         if k == "eps" and not (_finite(v) and v > 0):
@@ -494,6 +490,14 @@ def _check_params(where: str, name: str, params: dict, defaults: dict, atlas) ->
             raise ParseError(f"{where}: {k} must be {atlas.dim} finite numbers, got {v!r}")
         if k == "chart" and not (isinstance(v, str) and v in atlas.charts):
             raise ParseError(f"{where}: unknown chart {v!r} (charts: {sorted(atlas.charts)})")
+        if k == "expect" and v not in ("complete", "fails"):
+            raise ParseError(f"{where}: expect must be \"complete\" or \"fails\", got {v!r}")
+        if k in ("axis_a", "axis_b") and not (type(v) is int and 0 <= v <= 2):
+            raise ParseError(f"{where}: {k} must be 0, 1 or 2, got {v!r}")
+        if k in _FIELD_PARAMS:
+            _known_fields(f"{where}: ", [v], known)
+        if k == "fields" and v is not None:
+            _known_fields(f"{where}: ", v, known)
 
 
 def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenario:
@@ -512,20 +516,17 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
     if connection not in catalog.connection_names(manifold):
         raise UnknownCatalogName(f"unknown connection {connection!r} on {manifold!r}")
     fields = data.get("fields", [])
-    if not isinstance(fields, list):
-        raise ParseError("fields must be a list of names")
-    for f in fields:
-        if f not in catalog.field_names(manifold):
-            raise UnknownCatalogName(f"unknown field {f!r} on {manifold!r}")
+    known = catalog.field_names(manifold)
+    _known_fields("", fields, known)
 
     checks = data.get("checks", [])
     if not isinstance(checks, list):
         raise ParseError("checks must be a list")
     parsed_checks = []
     for i, entry in enumerate(checks):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ParseError(f"check #{i}: must be an object with a 'name'")
-        name = entry["name"]
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ParseError(f"check #{i}: must be an object with a string 'name'")
         if name not in _CHECKS:
             raise ParseError(f"check #{i}: unknown check {name!r} "
                              f"(known: {', '.join(check_names())})")
@@ -534,7 +535,8 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
         unknown = set(params) - set(defaults)
         if unknown:
             raise ParseError(f"check #{i} ({name}): unknown parameters {sorted(unknown)}")
-        _check_params(f"check #{i} ({name})", name, params, defaults, catalog.atlas(manifold))
+        _check_params(f"check #{i} ({name})", name, params, defaults, catalog.atlas(manifold),
+                      known)
         parsed_checks.append({"name": name, **params})
 
     integ = data.get("integrator", {})
@@ -543,19 +545,24 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
     unknown = set(integ) - _INTEGRATOR_KEYS
     if unknown:
         raise ParseError(f"unknown integrator keys: {sorted(unknown)}")
+    if any(isinstance(v, bool) for v in integ.values()):
+        raise ParseError(f"integrator values must be numbers, got {integ!r}")
     try:
         cfg = IntegratorConfig(**integ)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad integrator config: {e}") from None
 
     rng_seed = data.get("rng_seed", 0)
-    if not isinstance(rng_seed, int) or rng_seed < 0:
+    if not isinstance(rng_seed, int) or isinstance(rng_seed, bool) or rng_seed < 0:
         raise ParseError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
     return Scenario(manifold=manifold, connection=connection, fields=list(fields),
                     checks=parsed_checks, integrator=cfg, rng_seed=rng_seed, source=source)
 
 
 def load_scenario(path: str, catalog: Catalog | None = None) -> Scenario:
+    def reject(literal):
+        raise ParseError(f"{path}: {literal} is not strict JSON")
+
     catalog = catalog or default_catalog()
     try:
         with open(path) as fh:
@@ -563,7 +570,7 @@ def load_scenario(path: str, catalog: Catalog | None = None) -> Scenario:
     except OSError as e:
         raise ParseError(f"cannot read scenario {path!r}: {e}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     return _parse_scenario(data, path, catalog)

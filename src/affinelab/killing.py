@@ -205,8 +205,8 @@ def path_to(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig) ->
     return HorizontalPath.single(v.vec, 1.0)
 
 
-def gram_rank(seeds, tol: float = 1e-8) -> int:
-    """Numerical rank of seed vectors flattened in E x gl(E)."""
+def gram_rank(seeds) -> int:
+    """Numerical rank (relative tolerance 1e-8) of seeds flattened in E x gl(E)."""
     if not seeds:
         return 0
     first = seeds[0].at
@@ -217,4 +217,4 @@ def gram_rank(seeds, tol: float = 1e-8) -> int:
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > 1e-8 * sv[0]))

@@ -67,9 +67,9 @@ def _rowwise(one):
 
 
 @_rowwise
-def jacobian(f: Callable, x: np.ndarray, *, h: float | None = None, inside=None) -> np.ndarray:
+def jacobian(f: Callable, x: np.ndarray, *, inside=None) -> np.ndarray:
     """Jacobian of f at x by central differences, columns stacked."""
-    h = step1(x) if h is None else h
+    h = step1(x)
     cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -80,11 +80,10 @@ def jacobian(f: Callable, x: np.ndarray, *, h: float | None = None, inside=None)
 
 
 @_rowwise
-def second_derivative(f: Callable, x: np.ndarray, *, h: float | None = None,
-                      inside=None) -> np.ndarray:
+def second_derivative(f: Callable, x: np.ndarray, *, inside=None) -> np.ndarray:
     """Symmetric second derivative T[..., j, k] = d^2 f / dx_j dx_k at x."""
     n = x.size
-    h = step2(x) if h is None else h
+    h = step2(x)
     f0 = np.asarray(f(x), float)
     T = np.zeros(f0.shape + (n, n))
     for j in range(n):
@@ -108,12 +107,12 @@ def second_derivative(f: Callable, x: np.ndarray, *, h: float | None = None,
 
 
 @_rowwise
-def directional(f: Callable, x: np.ndarray, u: np.ndarray, *, h: float | None = None, inside=None):
+def directional(f: Callable, x: np.ndarray, u: np.ndarray, *, inside=None):
     """Directional derivative of f at x along u (linear in |u|)."""
     u = np.asarray(u, float)
     nu = float(np.linalg.norm(u))
     if nu == 0.0:
         return np.zeros_like(np.asarray(f(x), float))
-    h = (step1(x) if h is None else h) / nu
+    h = step1(x) / nu
     _guard(inside, (x + h * u, x - h * u))
     return (np.asarray(f(x + h * u), float) - np.asarray(f(x - h * u), float)) / (2.0 * h)

@@ -6,7 +6,7 @@ from affinelab.automorphism import (FlowWord, affine_residual, exp_aut, exp_comm
                                     frame_gap, frame_lift, kappa_pullback_defect,
                                     kappa_pullback_parts, orbit_point)
 from affinelab.catalog import plane_affine_map, rotation_matrix_3d, sphere_rotation
-from affinelab.errors import NotKilling
+from affinelab.errors import ChartMissing, NotKilling
 from affinelab.flows import combine
 from affinelab.frame_bundle import Frame, FrameTangent
 from affinelab.geodesics import geodesic, parallel_transport
@@ -32,6 +32,11 @@ def test_flat_affine_map_residual_zero(cat, rng):
         p = Point("cart", rng.uniform(-2, 2, size=2))
         v, w = rng.normal(size=(2, 2))
         assert np.linalg.norm(affine_residual(f, conn, conn, [p], [v], [w])) <= 1e-12
+    # a closed form takes points in its own charts only
+    polar = Point("polar", [1.0, 0.3])
+    for method in (f.apply, f.jac, f.d2_tensor):
+        with pytest.raises(ChartMissing):
+            method(polar)
 
 
 def test_sphere_rotation_residual(cat, rng):

@@ -7,7 +7,7 @@ from affinelab.atlas import Point
 from affinelab.bundles import pack, unpack
 from affinelab.errors import LeftAtlas
 from affinelab.flows import (ChartField, IntegratorConfig, VectorField, commutation_defect,
-                             constant_field, integrate, lie_derivative_defect,
+                             constant_field, flow_word, integrate, lie_derivative_defect,
                              parameter_flow_derivative_defect, variational_flow)
 from affinelab.geodesics import geodesic_field
 
@@ -16,6 +16,20 @@ def test_constant_field_exact(cat, cfg):
     fld = cat.field("torus", "t_trans_x")
     end = integrate(fld, Point("t00", [0.0, 0.1]), 0.25, cfg)
     assert np.allclose(end.coords - np.array([0.25, 0.1]), 0.0, atol=1e-14)
+
+
+def test_flow_word_is_sequential_integration(cat):
+    # the segments hop between the two stereographic charts
+    cfg = IntegratorConfig(step=1e-2)
+    rx, rz = cat.field("sphere", "rot_x"), cat.field("sphere", "rot_z")
+    word = [(rx, 2.0), (rz, -0.7), (rx, -1.1)]
+    p = Point("a", [0.3, -0.2])
+    q = p
+    for fld, t in word:
+        q = integrate(fld, q, t, cfg)
+    end = flow_word(word, p, cfg)
+    assert end.chart == q.chart
+    assert np.array_equal(end.coords, q.coords)
 
 
 def test_rotation_quarter_turn(cat, cfg):

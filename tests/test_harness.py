@@ -3,11 +3,13 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinelab.cli import main as cli_main
-from affinelab.errors import ParseError, UnknownCatalogName
-from affinelab.harness import (check_names, emit, load_scenario, run_suite, scenario_from_dict,
-                               trajectory_rows)
+from affinelab.errors import ParseError, ScenarioError, UnknownCatalogName
+from affinelab.harness import (_CHECKS, check_names, emit, load_scenario, run_suite,
+                               scenario_from_dict, trajectory_rows)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -371,3 +373,118 @@ def test_tol_scale_leaves_the_fd_step_alone(cat):
     # scaling eps by 1e6 as well would overflow the perturbed frame flows
     s = _plane_check(cat, name="parameter_flow", chart="cart", point=[0.2, -0.1], eps=1e-3)
     assert run_suite(s, cat, tol_scale=1e6).checks[0].status == "pass"
+
+
+@pytest.mark.parametrize("check, error", [
+    ({"name": "killing_floor", "field": "nope"}, UnknownCatalogName),
+    ({"name": "killing_residual", "fields": ["nope"]}, UnknownCatalogName),
+    ({"name": "killing_residual", "fields": "rotation"}, ParseError),
+    ({"name": "bracket_structure", "f1": "trans_x", "f2": "rotation", "f3": 3},
+     UnknownCatalogName),
+    ({"name": "lift_homomorphism", "f1": ["trans_x"], "f2": "rotation"}, UnknownCatalogName),
+])
+def test_field_names_are_checked_at_parse_time(cat, check, error):
+    # these parsed and then failed at run time as KeyError rows ("fields":
+    # "rotation" iterated the string's characters)
+    with pytest.raises(error):
+        _plane_check(cat, **check)
+
+
+@pytest.mark.parametrize("param, literal", [("tol", "Infinity"), ("t", "-Infinity"),
+                                            ("t", "NaN")])
+def test_non_strict_json_literals_are_rejected(cat, tmp_path, param, literal):
+    # "tol": Infinity used to make the check pass whatever it measured
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"manifold": "plane", "connection": "flat", "checks": [{"name": '
+                        '"flow_reversibility", "field": "rotation", "%s": %s}]}' % (param, literal))
+    with pytest.raises(ParseError):
+        load_scenario(str(scenario), cat)
+    assert cli_main(["run", str(scenario)]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"checks": [{"name": "killing_residual", "tol": True}]},
+    {"checks": [{"name": "killing_residual", "tol": float("inf")}]},
+    {"checks": [{"name": "killing_floor", "field": "nonaffine_sq", "floor": True}]},
+    {"checks": [{"name": "killing_residual", "tol": 10 ** 400}]},
+    {"rng_seed": True},
+    {"integrator": {"step": True}},
+    {"integrator": {"step": 10 ** 400}},
+])
+def test_tolerances_and_seeds_reject_booleans_and_infinities(cat, data):
+    # "tol": true was taken as 1 and "rng_seed": true as seed 1
+    with pytest.raises(ParseError):
+        scenario_from_dict({"manifold": "plane", "connection": "flat", **data}, cat)
+
+
+@pytest.mark.parametrize("check", [
+    {"name": ["transition_roundtrip"]},
+    {"name": "completeness", "expect": "nope"},
+    {"name": "frame_homomorphism", "axis_a": 5},
+    {"name": "frame_homomorphism", "axis_b": True},
+])
+def test_malformed_choices_are_usage_errors(cat, tmp_path, capsys, check):
+    # an unhashable name was a TypeError traceback, expect "nope" a run-time
+    # ParseError fail row and axis 5 a silent rotation about z
+    data = {"manifold": "sphere", "connection": "round", "checks": [check]}
+    with pytest.raises(ParseError):
+        scenario_from_dict(data, cat)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert cli_main(["run", str(scenario)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=6)
+# values for the sphere of every parameter some check requires, so that a
+# fuzzed value reaches its own validator
+_REQUIRED = {"chart": "a", "expected": 3, "f1": "rot_x", "f2": "rot_y", "f3": "rot_z",
+             "fail_before": 1.0, "field": "rot_x", "fields": ["rot_x"], "lam": [0.5, 0.1],
+             "period": 6.0, "point": [0.1, 0.2], "target": [0.2, 0.1], "velocity": [0.3, 0.1]}
+# every top-level and integrator key, one fields entry, and each check
+# parameter name (with "name") in the first check that takes it
+_SLOTS = ([("top", k) for k in ("manifold", "connection", "fields", "checks", "integrator",
+                                "rng_seed")]
+          + [("integrator", k) for k in ("step", "max_hops", "rechart_margin")]
+          + [("field", 0)]
+          + [("check", (name, key)) for key, name in
+             {key: name for name in reversed(check_names())
+              for key in ["name", *_CHECKS[name][0]]}.items()])
+
+
+@settings(max_examples=500, deadline=None)
+@given(slot=st.sampled_from(_SLOTS), value=_JSON)
+def test_parser_raises_only_scenario_errors(cat, slot, value):
+    data = {"manifold": "sphere", "connection": "round", "fields": ["rot_x", "rot_y"],
+            "integrator": {"step": 0.01}, "rng_seed": 3, "checks": []}
+    kind, key = slot
+    if kind == "top":
+        data[key] = value
+    elif kind == "integrator":
+        data["integrator"][key] = value
+    elif kind == "field":
+        data["fields"][key] = value
+    else:
+        name, param = key
+        required = {k: _REQUIRED[k] for k, v in _CHECKS[name][0].items() if v is None}
+        data["checks"] = [{"name": name, **required, param: value}]
+    try:
+        scenario_from_dict(data, cat)
+    except ScenarioError:
+        pass
+
+
+def test_completeness_fails_mode(cat):
+    # the straight line from the seed leaves the unit disk near t = 1 and
+    # reaches the horizon on the plane
+    check = {"name": "completeness", "expect": "fails", "point": [0.2, 0.1],
+             "velocity": [0.7, -0.4], "horizon": 100.0, "fail_before": 10.0}
+    disk = scenario_from_dict({"manifold": "disk", "connection": "flat",
+                               "checks": [dict(check, chart="disk")]}, cat)
+    plane = _plane_check(cat, **dict(check, chart="cart"))
+    ok, = run_suite(disk, cat).checks
+    assert (ok.status, ok.samples, ok.worst) == ("pass", 1, 0.0)
+    bad, = run_suite(plane, cat).checks
+    assert (bad.status, bad.samples, bad.worst) == ("fail", 1, 90.0)
