@@ -11,6 +11,8 @@ first use; a frame chart also requires |det G| > DET_GUARD.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .atlas import Atlas, Chart, Transition, _vec
@@ -68,18 +70,22 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atla
     n = base.dim
     fiber, half = (np.eye(n)[:, :k].ravel(), 0.3) if det_guard > 0 else (np.zeros(n * k), 1.0)
 
-    charts = []
-    for cid, c in base.charts.items():
-        def contains(z, margin=0.0, c=c):
-            inside = c.contains_fn(z[..., :n], margin)
+    @cache  # one test per distinct base test, so charts that share it test rows together
+    def lifted(base_contains):
+        def contains(z, margin=0.0):
+            inside = base_contains(z[..., :n], margin)
             if det_guard > 0.0:
                 inside = inside & ~(np.abs(np.linalg.det(unpack(z, n, k)[1])) <= det_guard)
             return inside
 
+        return contains
+
+    charts = []
+    for cid, c in base.charts.items():
         bc = Chart(
             id=cid,
             dim=n + n * k,
-            contains_fn=contains,
+            contains_fn=lifted(c.contains_fn),
             sample_lo=np.concatenate([c.sample_lo, fiber - half]),
             sample_hi=np.concatenate([c.sample_hi, fiber + half]),
             priority=c.priority,

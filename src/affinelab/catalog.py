@@ -235,8 +235,9 @@ def torus_atlas() -> Atlas:
 
 
 def sphere_atlas() -> Atlas:
-    a = Chart("a", 2, disk_domain(2.0), [-1.2, -1.2], [1.2, 1.2], priority=0)
-    b = Chart("b", 2, disk_domain(2.0), [-1.2, -1.2], [1.2, 1.2], priority=1)
+    disk = disk_domain(2.0)
+    a = Chart("a", 2, disk, [-1.2, -1.2], [1.2, 1.2], priority=0)
+    b = Chart("b", 2, disk, [-1.2, -1.2], [1.2, 1.2], priority=1)
     a.add_transition("b", _inversion())
     b.add_transition("a", _inversion())
     return Atlas("sphere", 2, [a, b])
@@ -271,7 +272,8 @@ def _flat_chart(n: int) -> ConnChart:
 
 
 def flat_connection(atlas: Atlas) -> ConnectionField:
-    return ConnectionField(atlas, "flat", {cid: _flat_chart(atlas.dim) for cid in atlas.charts})
+    flat = _flat_chart(atlas.dim)
+    return ConnectionField(atlas, "flat", {cid: flat for cid in atlas.charts})
 
 
 # the polar-chart tensor is r _POLAR_R - _POLAR_INV / r
@@ -417,6 +419,7 @@ def _sphere_fields(atlas: Atlas) -> dict[str, VectorField]:
     generators), which makes bracket(rot_x, rot_y) = rot_z with the
     convention [f, g] = dg(f) - df(g).
     """
+    rot_z = quad_chart([0, 0], [[0, 1], [-1, 0]], None)
     fields = {
         "rot_x": {
             "a": quad_chart([0, -0.5], None, _sym2({(0, 0, 1): -1.0, (1, 0, 0): 0.5, (1, 1, 1): -0.5})),
@@ -426,10 +429,7 @@ def _sphere_fields(atlas: Atlas) -> dict[str, VectorField]:
             "a": quad_chart([0.5, 0], None, _sym2({(0, 0, 0): 0.5, (0, 1, 1): -0.5, (1, 0, 1): 1.0})),
             "b": quad_chart([-0.5, 0], None, _sym2({(0, 0, 0): -0.5, (0, 1, 1): 0.5, (1, 0, 1): -1.0})),
         },
-        "rot_z": {
-            "a": quad_chart([0, 0], [[0, 1], [-1, 0]], None),
-            "b": quad_chart([0, 0], [[0, 1], [-1, 0]], None),
-        },
+        "rot_z": {"a": rot_z, "b": rot_z},
     }
     return {name: VectorField(atlas, name, charts) for name, charts in fields.items()}
 
@@ -446,8 +446,8 @@ def _halfplane_fields(atlas: Atlas) -> dict[str, VectorField]:
 def _torus_fields(atlas: Atlas) -> dict[str, VectorField]:
     out = {}
     for name, vec in (("t_trans_x", [1.0, 0.0]), ("t_trans_y", [0.0, 1.0])):
-        charts = {cid: quad_chart(vec, None, None) for cid in atlas.charts}
-        out[name] = VectorField(atlas, name, charts)
+        cf = quad_chart(vec, None, None)
+        out[name] = VectorField(atlas, name, {cid: cf for cid in atlas.charts})
     return out
 
 

@@ -7,9 +7,11 @@ its trajectory as (t, chart, x) rows) runs as a 1-D state with a float
 step, and several rows (the completeness probe's seeds in both directions,
 `exp_map_rows`, each segment of a flow word over a sample set) as
 an (m, N) array whose rows each carry their own chart, signed step, hop
-count, status and reach time.  Each step advances one chart group of
-rows at a time through the chart's field callable, which therefore
-takes (..., N) inputs.  A row that leaves the margin-shrunk domain of
+count, status and reach time.  Each step advances the rows in groups
+keyed on the callables their right-hand side calls, not on their chart:
+rows of every chart whose field hands out the same callables step
+through one RK4 call, so the callables take (..., N) inputs.  Each row
+keeps its own margin test: a row that leaves the margin-shrunk domain of
 its chart is handed off to the highest-priority neighbouring chart that
 contains it; a divergence, left-atlas or hop-limit stop retires that row
 and leaves the rest running.  The variational flow appends
@@ -65,6 +67,13 @@ class ChartField:
     `VectorField` fills a missing `d` or `d2` once with central
     differences of `value` guarded by the chart's domain, so every caller
     finds both.
+
+    Charts that hand out the same callables step together: a flow steps
+    the rows of every chart whose `value` (and, with variational columns,
+    `d`) are the same objects as one group, so a builder that writes one
+    formula for several charts should hand out one callable.  A
+    finite-difference fill is guarded by its own chart's domain and so
+    never merges with another chart's.
     """
 
     value: Callable
@@ -123,11 +132,10 @@ def constant_field(atlas: Atlas, name: str, vec) -> VectorField:
     torus-style atlases)."""
     vec = _vec(vec)
     n = atlas.dim
-    charts = {cid: ChartField(value=lambda x: np.broadcast_to(vec, np.shape(x)),
-                              d=lambda x: np.zeros(np.shape(x)[:-1] + (n, n)),
-                              d2=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)))
-              for cid in atlas.charts}
-    return VectorField(atlas, name, charts)
+    cf = ChartField(value=lambda x: np.broadcast_to(vec, np.shape(x)),
+                    d=lambda x: np.zeros(np.shape(x)[:-1] + (n, n)),
+                    d2=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)))
+    return VectorField(atlas, name, {cid: cf for cid in atlas.charts})
 
 
 def combine(name: str, fields, coeffs) -> VectorField:
@@ -191,9 +199,13 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     `z` is one state (n + n k,) with `t` a float, or a block of rows
     (m, n + n k) with `t` an (m,) array of signed durations; n is the
     field's state dimension and the last n k columns hold the variational
-    block of shape `w_shape`.  `z` is updated in place.  A family's
-    parameter rows `params`, shaped like `z`, are never stepped or
-    re-charted; each chart group passes its share to the chart callables.
+    block of shape `w_shape`.  `z` is updated in place.  Rows step in
+    groups that share a right-hand side: the chart `value`, plus `d` when
+    variational columns are carried, the same objects; the margin test,
+    the hop search and the re-chart of the variational block use each
+    row's own chart.  A family's parameter rows `params`, shaped like `z`,
+    are never stepped or re-charted; each group passes its share to the
+    chart callables.
     Returns (chart ids, z, t_reached, statuses) with one entry per row.
     `record` (one row, no variational block) is appended with rows (t,
     chart_id, x_copy), a hop adding its pre-hop state at the same time.
@@ -210,19 +222,30 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     hs = [ti / s if s else 0.0 for ti, s in zip(ts, steps)]
     h = hs[0] if single else np.array(hs)[:, None]
 
+    keys = {}
+
+    def keyed(cid):
+        """(right-hand side key, membership test) of chart `cid`: the chart
+        callables the step calls, and the chart's margin test."""
+        if cid not in keys:
+            cf = field.chart_field(cid)
+            keys[cid] = ((cf.value, cf.d) if k else cf.value), atlas.chart(cid).contains_fn
+        return keys[cid]
+
     rhs = {}
 
     def rhs_on(cid, sel=...):
         if params is not None:
             return _rhs(field, cid, n, k, params[sel])
-        if cid not in rhs:
-            rhs[cid] = _rhs(field, cid, n, k)
-        return rhs[cid]
+        key = keyed(cid)[0]
+        if key not in rhs:
+            rhs[key] = _rhs(field, cid, n, k)
+        return rhs[key]
 
     for cid, row in zip(cids, rows):
         if not atlas.chart(cid).contains(row[:n]):
             raise LeftAtlas(f"start {Point(cid, row[:n])!r} outside its chart domain")
-        field.chart_field(cid)
+        keyed(cid)
 
     def snapshot(tcur, r):
         return tcur, cids[r], rows[r, :n].copy()
@@ -242,76 +265,91 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     plan = None
 
     def stop(r, why, at):
+        nonlocal plan
         status[r] = why
         reached[r] = at
         live.discard(r)
+        plan = None
 
     def groups():
-        """(chart id, row selector, step, rhs, membership test) per chart
-        holding live rows; the selector `...` takes every row."""
-        by_chart = {}
+        """(row selector, step, rhs, margin tests) per right-hand side that
+        live rows share, each test a (membership test, indices into the
+        group's rows) pair; the selector `...` takes every row."""
+        by_key = {}
         for r in sorted(live):
-            by_chart.setdefault(cids[r], []).append(r)
-        if len(by_chart) == 1 and len(live) == m:
-            sels = {cids[0]: ...}
-        else:
-            sels = {cid: np.array(rs) for cid, rs in by_chart.items()}
-        return [(cid, sel, h if sel is ... else h[sel], rhs_on(cid, sel),
-                 atlas.chart(cid).contains_fn) for cid, sel in sels.items()]
+            by_key.setdefault(keyed(cids[r])[0], []).append(r)
+        out = []
+        for rs in by_key.values():
+            sel = ... if len(rs) == m else np.array(rs)
+            tests = {}
+            for j, r in enumerate(rs):
+                tests.setdefault(keyed(cids[r])[1], []).append(j)
+            tests = [(fn, np.array(js)) for fn, js in tests.items()]
+            out.append((sel, h if sel is ... else h[sel], rhs_on(cids[rs[0]], sel), tests))
+        return out
 
     for i in range(max(steps, default=0)):
         if plan is None:
             plan = groups()
-        for cid, sel, h_sel, rhs_fn, contains in plan:
+        for sel, h_sel, rhs_fn, tests in plan:
             zs = _rk4(rhs_fn, z[sel], h_sel)
             z[sel] = zs
             xs = zs[..., :n]
             # a non-finite state fails the guard comparison too
             sound = (xs * xs).sum(axis=-1) <= guard2
-            inside = contains(xs, margin)
+            if len(tests) == 1:
+                inside = tests[0][0](xs, margin)
+            else:
+                inside = np.empty(len(xs), bool)
+                for contains, sub in tests:
+                    inside[sub] = contains(xs[sub], margin)
             ok = sound & inside
             if ok.all() if ok.ndim else ok:
                 continue
-            # rare path: stop diverged rows, hop (or stop) rows outside the margin
-            plan = None
+            # rare path: stop diverged rows, hop (or stop) rows outside the
+            # margin; the plan holds while every row keeps its group and test
             idx = np.arange(m) if sel is ... else sel
             sound = np.reshape(sound, -1)
             for r in idx[~sound]:
                 stop(r, DIVERGED, i)
-            out = idx[sound & ~np.reshape(inside, -1)]
-            if not out.size:
-                continue
-            X = rows[out, :n]
-            if single:
-                hop = atlas.hop_target(cid, X[0], margin)
-                targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
-            else:
-                targets, Y = atlas.hop_targets(cid, X, margin)
-            stranded = []
-            for j, r in enumerate(out):
-                tid = targets[j]
-                if tid is None:
-                    stranded.append(j)
-                    continue
-                if not field.has_chart(tid):
-                    raise ChartMissing(f"field {field.name!r} undefined on hop target {tid!r}")
-                if record is not None:
-                    record.append(snapshot((i + 1) * h, r))
-                if k:
-                    W = rows[r, n:].reshape(n, k)
-                    J = atlas.chart(cid).transitions[tid].d(X[j])
-                    rows[r, n:] = (np.asarray(J, float) @ W).ravel()
-                rows[r, :n] = Y[j]
-                cids[r] = tid
-                hops[r] += 1
-                if hops[r] > cfg.max_hops:
-                    stop(r, HOP_LIMIT, i + 1)
-            # rows with no better chart keep integrating here while they
-            # are still inside the chart itself
-            if stranded:
-                left = ~np.reshape(contains(X[stranded], 0.0), -1)
-                for r in out[stranded][np.broadcast_to(left, (len(stranded),))]:
-                    stop(r, LEFT_ATLAS, i)
+            by_chart = {}
+            for r in idx[sound & ~np.reshape(inside, -1)]:
+                by_chart.setdefault(cids[r], []).append(r)
+            for cid, out in by_chart.items():
+                out = np.array(out)
+                X = rows[out, :n]
+                if single:
+                    hop = atlas.hop_target(cid, X[0], margin)
+                    targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
+                else:
+                    targets, Y = atlas.hop_targets(cid, X, margin)
+                stranded = []
+                for j, r in enumerate(out):
+                    tid = targets[j]
+                    if tid is None:
+                        stranded.append(j)
+                        continue
+                    if not field.has_chart(tid):
+                        raise ChartMissing(f"field {field.name!r} undefined on hop target {tid!r}")
+                    if record is not None:
+                        record.append(snapshot((i + 1) * h, r))
+                    if k:
+                        W = rows[r, n:].reshape(n, k)
+                        J = atlas.chart(cid).transitions[tid].d(X[j])
+                        rows[r, n:] = (np.asarray(J, float) @ W).ravel()
+                    rows[r, :n] = Y[j]
+                    cids[r] = tid
+                    if keyed(tid) != keyed(cid):
+                        plan = None
+                    hops[r] += 1
+                    if hops[r] > cfg.max_hops:
+                        stop(r, HOP_LIMIT, i + 1)
+                # rows with no better chart keep integrating here while they
+                # are still inside the chart itself
+                if stranded:
+                    left = ~np.reshape(atlas.chart(cid).contains_fn(X[stranded], 0.0), -1)
+                    for r in out[stranded][np.broadcast_to(left, (len(stranded),))]:
+                        stop(r, LEFT_ATLAS, i)
         if record is not None and live:
             record.append(snapshot((i + 1) * h, 0))
         done = finish.get(i + 1)

@@ -20,7 +20,7 @@ and `kappa_inverse_field` its member at one (lam, A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -158,7 +158,8 @@ def _lam_A_terms(lam: np.ndarray, A: np.ndarray):
 def _kappa_inverse_charts(conn: ConnectionField) -> dict:
     """Per chart, value(lam, A, z) and d(lam, *`_lam_A_terms`(lam, A), z) of
     kappa^{-1}(lam, A) at frame rows z, lam and A broadcasting with them
-    (the parameters first, so `partial` binds one member).
+    (the parameters first, so `partial` binds one member).  Charts whose
+    connection shares `tensor` and `d_dir` share one pair.
     `d` is the closed-form Jacobian in z: with v = g lam at p = (x, g),
 
         d/dx_j  (v, w) = (0, dB(e_j)(g . , v))
@@ -169,22 +170,19 @@ def _kappa_inverse_charts(conn: ConnectionField) -> dict:
     n = conn.atlas.dim
     eye = np.eye(n)
     N = n + n * n
-    charts = {}
-    for cid in conn.atlas.charts:
-        if not conn.has_chart(cid):
-            continue
-        cc = conn._chart(cid)
 
-        def value(lam, A, z, cc=cc):
+    @cache
+    def pair(tensor, d_dir):
+        def value(lam, A, z):
             x, g = unpack(z, n, n)
-            return pack(*_kappa_inv(cc.tensor(x), g, lam, A))
+            return pack(*_kappa_inv(tensor(x), g, lam, A))
 
-        def d(lam, dv, dgA, z, cc=cc):
+        def d(lam, dv, dgA, z):
             x, g = unpack(z, n, n)
             lead = x.shape[:-1]
-            T = cc.tensor(x)
+            T = tensor(x)
             v = g @ lam if lam.ndim == 1 else (g @ lam[..., None])[..., 0]
-            dT = cc.d_dir(x[..., None, :], eye)  # dT[..., j, :, :, :] along e_j
+            dT = d_dir(x[..., None, :], eye)  # dT[..., j, :, :, :] along e_j
             base_cols = _b_columns(dT, g[..., None, :, :], v[..., None, :])  # (..., j, i, m)
             fibre = (dgA + np.einsum("...iak,...k,mb->...imab", T, v, eye)
                      + np.einsum("...ija,...jm,...b->...imab", T, g, lam))
@@ -194,8 +192,10 @@ def _kappa_inverse_charts(conn: ConnectionField) -> dict:
             out[..., n:, n:] = fibre.reshape(lead + (n * n, n * n))
             return out
 
-        charts[cid] = (value, d)
-    return charts
+        return value, d
+
+    return {cid: pair(conn._chart(cid).tensor, conn._chart(cid).d_dir)
+            for cid in conn.atlas.charts if conn.has_chart(cid)}
 
 
 def kappa_inverse_family(conn: ConnectionField) -> VectorField:
@@ -203,10 +203,13 @@ def kappa_inverse_family(conn: ConnectionField) -> VectorField:
     chart callables take frame rows z and parameter rows p = pack(lam, A),
     so flows of different (lam, A) share a block."""
     n = conn.atlas.dim
-    charts = {cid: ChartField(value=lambda z, p, f=f: f(*unpack(p, n, n), z),
-                              d=lambda z, p, df=df: df(p[..., :n],
-                                                       *_lam_A_terms(*unpack(p, n, n)), z))
-              for cid, (f, df) in _kappa_inverse_charts(conn).items()}
+
+    @cache
+    def family(f, df):
+        return ChartField(value=lambda z, p: f(*unpack(p, n, n), z),
+                          d=lambda z, p: df(p[..., :n], *_lam_A_terms(*unpack(p, n, n)), z))
+
+    charts = {cid: family(*fd) for cid, fd in _kappa_inverse_charts(conn).items()}
     return VectorField(frame_atlas(conn.atlas), "kappa_inv", charts, params=n + n * n)
 
 
@@ -219,8 +222,12 @@ def kappa_inverse_field(conn: ConnectionField, lam, A=None, name: str | None = N
     lam = _vec(lam)
     A = np.zeros((n, n)) if A is None else np.asarray(A, float)
     dv, dgA = _lam_A_terms(lam, A)
-    charts = {cid: ChartField(value=partial(f, lam, A), d=partial(df, lam, dv, dgA))
-              for cid, (f, df) in _kappa_inverse_charts(conn).items()}
+
+    @cache
+    def member(f, df):
+        return ChartField(value=partial(f, lam, A), d=partial(df, lam, dv, dgA))
+
+    charts = {cid: member(*fd) for cid, fd in _kappa_inverse_charts(conn).items()}
     label = name or f"kappa_inv[{np.array2string(lam, precision=3)}]"
     return VectorField(frame_atlas(conn.atlas), label, charts)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,18 +34,18 @@ def geodesic_field(conn: ConnectionField) -> VectorField:
     base = conn.atlas
     n = base.dim
     tm = tangent_atlas(base)
-    charts = {}
-    for cid in base.charts:
-        if not conn.has_chart(cid):
-            continue
-        bil = conn.bilinear_fn(cid)
 
-        def value(z, bil=bil):
+    @cache  # one spray per distinct bilinear: charts that share it step together
+    def spray(bil):
+        def value(z):
             x = z[..., :n]
             v = z[..., n:]
             return np.concatenate([v, bil(x, v, v)], axis=-1)
 
-        charts[cid] = ChartField(value=value)
+        return value
+
+    charts = {cid: ChartField(value=spray(conn.bilinear_fn(cid)))
+              for cid in base.charts if conn.has_chart(cid)}
     field = VectorField(tm, f"geodesic[{conn.name}]", charts)
     conn._geodesic_field = field
     return field

@@ -450,6 +450,8 @@ _POSITIVE_PARAMS = {"tol", "tol_kill", "res_tol", "comm_tol", "floor", "min_gap"
 _LOWER_BOUNDS = {"floor", "min_gap"}
 _COUNT_PARAMS = {"samples", "frames", "seeds"}
 _VECTOR_PARAMS = {"point", "lam", "velocity", "target"}
+_NUMBER_PARAMS = {"s", "t", "t1", "period", "horizon", "step", "vel_scale", "scale", "a",
+                  "angle_a", "angle_b", "fail_before", "min_ratio"}
 _FIELD_PARAMS = {"field", "f1", "f2", "f3"}
 
 
@@ -485,6 +487,13 @@ def _check_params(where: str, name: str, params: dict, defaults: dict, atlas, kn
             raise ParseError(f"{where}: {k} must be a positive integer, got {v!r}")
         if k == "eps" and not (_finite(v) and v > 0):
             raise ParseError(f"{where}: eps must be finite and positive, got {v!r}")
+        if k in _NUMBER_PARAMS and not _finite(v):
+            raise ParseError(f"{where}: {k} must be a finite number, got {v!r}")
+        if k == "expected" and not (type(v) is int and v >= 0):
+            raise ParseError(f"{where}: expected must be a non-negative integer, got {v!r}")
+        if k == "colatitudes" and not (isinstance(v, list) and v and all(map(_finite, v))):
+            raise ParseError(f"{where}: colatitudes must be a non-empty list of finite numbers, "
+                             f"got {v!r}")
         if k in _VECTOR_PARAMS and not (isinstance(v, list) and len(v) == atlas.dim
                                         and all(map(_finite, v))):
             raise ParseError(f"{where}: {k} must be {atlas.dim} finite numbers, got {v!r}")

@@ -15,6 +15,7 @@ off at the far end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,21 +69,24 @@ def natural_lift(field: VectorField) -> VectorField:
     base = field.atlas
     n = base.dim
     fr = frame_atlas(base)
+
+    @cache  # one lift per distinct chart field callables: charts sharing them step together
+    def lift(f, df, d2f):
+        def value(z):
+            x, g = unpack(z, n, n)
+            return pack(f(x), np.asarray(df(x), float) @ g)
+
+        def d(z):
+            x, g = unpack(z, n, n)
+            return lift_jacobian(np.asarray(df(x), float), np.asarray(d2f(x), float), g)
+
+        return ChartField(value=value, d=d)
+
     charts = {}
     for cid in base.charts:
-        if not field.has_chart(cid):
-            continue
-        cf = field.chart_field(cid)
-
-        def value(z, cf=cf):
-            x, g = unpack(z, n, n)
-            return pack(cf.value(x), np.asarray(cf.d(x), float) @ g)
-
-        def d(z, cf=cf):
-            x, g = unpack(z, n, n)
-            return lift_jacobian(np.asarray(cf.d(x), float), np.asarray(cf.d2(x), float), g)
-
-        charts[cid] = ChartField(value=value, d=d)
+        if field.has_chart(cid):
+            cf = field.chart_field(cid)
+            charts[cid] = lift(cf.value, cf.d, cf.d2)
     return VectorField(fr, f"lift[{field.name}]", charts)
 
 

@@ -1,9 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition
+from affinelab.catalog import default_catalog
 from affinelab.errors import NotInOverlap
+from affinelab.harness import _CHECKS
 
 
 def _map_only(atlas):
@@ -176,3 +182,59 @@ def test_fd_stencil_leaves_domain():
         atlas.d_transition(edge, "b")
     with pytest.raises(StencilLeavesDomain):
         atlas.d2_transition(edge, "b")
+
+
+def test_gap_through_a_third_chart(cat):
+    # neither point's chart holds the other point; only t01 holds both, and
+    # the gap there is the flat torus distance
+    atlas = cat.atlas("torus")
+    p, q = Point("t11", [0.338727, 0.589213]), Point("t00", [0.032271, -0.167795])
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(NotInOverlap):
+            atlas.transition(a, b.chart)
+    d = p.coords - q.coords
+    d -= np.round(d)
+    assert abs(atlas.gap(p, q) - np.linalg.norm(d)) <= 1e-12
+    assert abs(atlas.gap(p, q) - 0.39110) <= 1e-5
+
+
+MULTI_CHART = [m for m in default_catalog().manifold_names()
+               if len(default_catalog().atlas(m).charts) > 1]
+# the harness's own bound on a transition round trip
+ROUNDTRIP_TOL = _CHECKS["transition_roundtrip"][0]["tol"]
+
+
+def _held_in(atlas, p):
+    """Chart id -> p's coordinates, for every chart that holds p."""
+    out = {p.chart: p.coords}
+    for tid in atlas.chart(p.chart).transitions:
+        try:
+            out[tid] = atlas.transition(p, tid).coords
+        except NotInOverlap:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("manifold", MULTI_CHART)
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 3), u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+@example(which=0, u=(0.85, 0.85))  # a torus point of t00 that all four charts hold
+def test_transitions_round_trip_and_compose(cat, manifold, which, u):
+    # on every overlap, h_ba o h_ab = id and h_bc o h_ab = h_ac, and the
+    # Jacobians multiply the same way
+    atlas = cat.atlas(manifold)
+    cid = sorted(atlas.charts)[which % len(atlas.charts)]
+    chart = atlas.chart(cid)
+    x = chart.sample_lo + np.array(u) * (chart.sample_hi - chart.sample_lo)
+    if not chart.contains(x):
+        return
+    held = _held_in(atlas, Point(cid, x))
+    tr = {(a, b): atlas.chart(a).transitions[b] for a in held for b in held if a != b}
+    for b in held.keys() - {cid}:
+        y = held[b]
+        assert np.linalg.norm(tr[b, cid].map(y) - x) <= ROUNDTRIP_TOL
+        assert np.linalg.norm(tr[b, cid].d(y) @ tr[cid, b].d(x) - np.eye(2)) <= ROUNDTRIP_TOL
+    for b, c in itertools.permutations(held.keys() - {cid}, 2):
+        y = held[b]
+        assert np.linalg.norm(tr[b, c].map(y) - held[c]) <= ROUNDTRIP_TOL
+        assert np.linalg.norm(tr[b, c].d(y) @ tr[cid, b].d(x) - tr[cid, c].d(x)) <= ROUNDTRIP_TOL

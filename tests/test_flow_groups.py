@@ -1,0 +1,164 @@
+"""Rows step in groups keyed on the callables their right-hand side calls.
+
+Charts whose field hands out the same `value` (and, with variational
+columns, the same `d`) step their rows through one RK4 call; the margin
+test, the hop search and the re-chart of the variational columns stay
+per chart.  A mixed-chart block must therefore give every row exactly
+what that row gives when it runs alone, bit for bit: the grouped step
+applies the same elementwise arithmetic to each row.
+"""
+import numpy as np
+import pytest
+
+from affinelab import flows
+from affinelab.atlas import Point
+from affinelab.bundles import pack
+from affinelab.catalog import Catalog
+from affinelab.flows import OK, ChartField, IntegratorConfig, VectorField, _run_block
+from affinelab.frame_bundle import Frame, kappa_inverse_family, standard_horizontal
+from affinelab.geodesics import geodesic_field
+
+TORUS_CENTERS = {"t00": (0.0, 0.0), "t10": (0.5, 0.0), "t01": (0.0, 0.5), "t11": (0.5, 0.5)}
+
+
+def _block_equals_rows(field, starts, ts, cfg, w0=None, params=None):
+    """Run `starts` as one block and each row alone; every row must end in
+    the same chart with the same bytes, reach time and status."""
+    ends, W, t_ok, status = _run_block(field, starts, ts, cfg, w0, params=params)
+    for r, start in enumerate(starts):
+        end1, W1, t1, status1 = _run_block(field, [start], ts[r], cfg,
+                                           None if w0 is None else w0[r:r + 1],
+                                           params=None if params is None else params[r:r + 1])
+        assert end1[0].chart == ends[r].chart
+        assert end1[0].coords.tobytes() == ends[r].coords.tobytes()
+        assert (t1[0], status1[0]) == (t_ok[r], status[r])
+        if W is not None:
+            assert W1[0].tobytes() == W[r].tobytes()
+    return ends, t_ok, status
+
+
+def _tm(chart, x, v):
+    return Point(chart, pack(np.array(x, float), np.array(v, float).reshape(2, 1)))
+
+
+@pytest.fixture
+def fresh():
+    # counting wrappers go on a private catalog, never the shared one
+    return Catalog()
+
+
+@pytest.fixture
+def rk4_calls(monkeypatch):
+    calls = []
+    rk4 = flows._rk4
+
+    def counted(rhs, z, h):
+        calls.append(np.shape(z))
+        return rk4(rhs, z, h)
+
+    monkeypatch.setattr(flows, "_rk4", counted)
+    return calls
+
+
+def test_sphere_block_calls_the_shared_spray_once_per_stage(fresh):
+    fld = geodesic_field(fresh.connection("sphere", "round"))
+    calls = []
+    wrapped = {}
+    for cid in ("a", "b"):
+        cf = fld.chart_field(cid)
+        if cf.value not in wrapped:
+            def value(z, f=cf.value):
+                calls.append(z.shape)
+                return f(z)
+
+            wrapped[cf.value] = value
+        cf.value = wrapped[cf.value]
+    starts = [_tm("a", [0.3, 0.1], [0.2, 0.1]), _tm("b", [0.2, -0.4], [0.1, 0.3]),
+              _tm("a", [-0.5, 0.2], [0.0, 0.2]), _tm("b", [0.1, 0.1], [-0.2, 0.1])]
+    steps = 10
+    _, _, status = _block_equals_rows(fld, starts, np.full(4, steps * 0.01),
+                                      IntegratorConfig(step=0.01))
+    assert status == [OK] * 4
+    # the single-row reference runs add one call per stage each
+    block = calls[:4 * steps]
+    assert block == [(4, 4)] * (4 * steps)
+    assert len(calls) == 4 * steps + 4 * 4 * steps
+
+
+def test_sphere_rows_hopping_at_different_steps_equal_single_rows(cat):
+    # geodesics leaving chart a outward from different radii hop to b at
+    # different steps, rows starting in b hop to a or stay, and the short
+    # row stops early
+    fld = geodesic_field(cat.connection("sphere", "round"))
+    starts = [_tm("a", [1.2, 0.1], [1.0, 0.2]), _tm("a", [1.4, -0.2], [0.8, 0.0]),
+              _tm("b", [0.3, -0.5], [0.7, 0.7]), _tm("a", [0.2, 0.3], [-1.5, 0.4]),
+              _tm("b", [1.5, 0.2], [0.9, -0.3]), _tm("a", [0.9, -0.9], [0.5, 0.5])]
+    ts = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 0.4])
+    ends, _, status = _block_equals_rows(fld, starts, ts, IntegratorConfig(step=0.05))
+    assert status == [OK] * len(starts)
+    assert {e.chart for e in ends} == {"a", "b"}
+
+
+def test_torus_rows_over_all_four_charts_equal_single_rows(cat, rng, rk4_calls):
+    # the flat connection is one formula on every box, so the spray steps
+    # rows of all four charts as one group
+    fld = geodesic_field(cat.connection("torus", "flat"))
+    starts = [_tm(cid, np.add(c, rng.uniform(-0.2, 0.2, 2)), rng.normal(size=2))
+              for cid, c in [*TORUS_CENTERS.items(), *TORUS_CENTERS.items()]]
+    cfg = IntegratorConfig(step=0.05)
+    ends, _, _, status = _run_block(fld, starts, np.full(len(starts), 2.0), cfg)
+    assert len(rk4_calls) == 40 and rk4_calls[0] == (8, 4)
+    _block_equals_rows(fld, starts, np.full(len(starts), 2.0), cfg)
+    assert status == [OK] * len(starts)
+    assert any(e.chart != s.chart for e, s in zip(ends, starts))
+
+
+def test_variational_block_equals_single_rows(cat, rng):
+    # standard horizontal frames over both sphere charts carry variational
+    # columns, which each hop re-charts through its own transition Jacobian
+    conn = cat.connection("sphere", "round")
+    H = standard_horizontal(conn, [0.9, 0.2])
+    starts = [Frame(c, x, np.eye(2) + 0.1 * rng.normal(size=(2, 2))).packed()
+              for c, x in [("a", [1.3, 0.1]), ("b", [1.1, 0.3]), ("a", [0.4, 0.2]),
+                           ("b", [-0.5, 1.4])]]
+    w0 = rng.normal(size=(len(starts), 6, 6))
+    ends, _, _ = _block_equals_rows(H, starts, np.full(len(starts), 1.0),
+                                    IntegratorConfig(step=0.02), w0=w0)
+    assert [e.chart for e in ends] != [s.chart for s in starts]
+
+
+def test_kappa_inverse_family_block_with_parameter_rows_equals_single_rows(cat, rng):
+    conn = cat.connection("sphere", "round")
+    fam = kappa_inverse_family(conn)
+    starts = [Frame(c, x, np.eye(2) + 0.1 * rng.normal(size=(2, 2))).packed()
+              for c, x in [("a", [1.3, 0.1]), ("b", [1.1, 0.3]), ("a", [0.4, 0.2]),
+                           ("b", [-0.5, 1.4])]]
+    params = np.array([pack(0.8 * rng.normal(size=2), 0.3 * rng.normal(size=(2, 2)))
+                       for _ in starts])
+    _block_equals_rows(fam, starts, np.array([1.0, 1.0, 0.7, 0.2]),
+                       IntegratorConfig(step=0.02), params=params)
+
+
+def test_charts_with_different_callables_step_as_separate_groups(cat, rk4_calls):
+    # the plane's rotation has one formula in Cartesian and another in
+    # polar coordinates: two groups per step, whatever the rows
+    fld = cat.field("plane", "rotation")
+    starts = [Point("cart", [0.5, 0.5]), Point("polar", [1.0, 0.5]), Point("cart", [-0.3, 0.2])]
+    _run_block(fld, starts, 0.1, IntegratorConfig(step=0.01))
+    assert sorted(rk4_calls[:2]) == [(1, 2), (2, 2)] and len(rk4_calls) == 20
+
+
+def test_finite_difference_fills_never_merge(cat, rk4_calls):
+    # one `value` on every torus box, with `d` left to central differences:
+    # each chart's fill is guarded by its own domain, so variational rows
+    # step per chart, while plain rows share the one `value`
+    torus = cat.atlas("torus")
+    cf = ChartField(value=lambda x: np.stack([1.0 + 0.0 * x[..., 0], 0.3 * x[..., 0]], -1))
+    fld = VectorField(torus, "fd", {cid: cf for cid in torus.charts})
+    starts = [Point("t00", [0.0, 0.1]), Point("t10", [0.5, -0.1])]
+    cfg = IntegratorConfig(step=0.01)
+    _run_block(fld, starts, 0.1, cfg)
+    assert len(rk4_calls) == 10
+    del rk4_calls[:]
+    _run_block(fld, starts, 0.1, cfg, w0=np.array([np.eye(2)] * 2))
+    assert len(rk4_calls) == 20 and set(rk4_calls) == {(1, 6)}

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from affinelab.atlas import Point, Tangent
-from affinelab.errors import NoConvergence
+from affinelab.errors import NoConvergence, NotInOverlap
 from affinelab.flows import IntegratorConfig
 from affinelab.geodesics import (CurveSpec, completeness_probe, exp_inverse, exp_map, geodesic,
                                  parallel_transport)
@@ -298,3 +298,58 @@ def test_map_only_transitions_probe_across_hops(cat):
     fd_rows = [(r.status_forward, r.status_backward, r.t_forward, r.t_backward)
                for r in completeness_probe(_map_only_sphere(), seeds, 20.0, cfg).rows]
     assert fd_rows == rows
+
+
+def test_backward_span_ends_at_the_start(cat, cfg):
+    # t_span (-1, 0) integrates backward only; the curve's last sample is
+    # the start itself
+    conn = cat.connection("plane", "flat")
+    x0, v0 = np.array([0.3, -0.2]), np.array([0.7, 0.4])
+    curve = geodesic(conn, Tangent(Point("cart", x0), v0), (-1.0, 0.0), cfg)
+    assert (curve.t0, curve.t1) == (-1.0, 0.0)
+    last = curve.rows()[-1]
+    assert last[0] == 0.0 and np.array_equal(last[2], x0) and np.array_equal(last[3], v0)
+    for t in (-1.0, -0.37, 0.0):
+        c, x, v = curve.eval(t)
+        assert c == "cart"
+        assert np.linalg.norm(x - (x0 + t * v0)) <= 1e-9
+        assert np.linalg.norm(v - v0) <= 1e-9
+
+
+def test_exp_inverse_shoots_in_y_chart_when_x_chart_misses_y(cat):
+    # y is not in chart a, so the residual is measured in y's chart b; the
+    # metric length of the answer is the great-circle distance
+    conn = cat.connection("sphere", "round")
+    cfg = IntegratorConfig(step=1e-2)
+    x, y = Point("a", [1.7, 0.0]), Point("b", [0.45, 0.05])
+    with pytest.raises(NotInOverlap):
+        conn.atlas.transition(y, "a")
+    v = exp_inverse(conn, x, y, cfg)
+    assert conn.atlas.gap(exp_map(conn, v, cfg), y) <= 1e-10
+    X = oracles.chart_to_sphere(x.coords, oracles.SIGMA["a"])
+    Y = oracles.chart_to_sphere(y.coords, oracles.SIGMA["b"])
+    speed = 2.0 * np.linalg.norm(v.vec) / (1.0 + x.coords @ x.coords)
+    assert abs(speed - np.arccos(X @ Y)) <= 1e-6
+
+
+def test_transport_result_is_recharted_into_the_curves_end_chart(cat, cfg):
+    # the latitude loop of the holonomy test, with its end point reported in
+    # chart a: transport runs in chart b, and the result comes back in a
+    conn = cat.connection("sphere", "round")
+    atlas = conn.atlas
+    theta0 = np.pi / 3  # the loop lies in both charts
+    rho = np.tan(theta0 / 2.0)
+    end = Point("b", [rho, 0.0])
+
+    def circ(t):
+        x, v = rho * np.array([np.cos(t), np.sin(t)]), rho * np.array([-np.sin(t), np.cos(t)])
+        if t < 2 * np.pi:
+            return "b", x, v
+        p = Point("b", x)
+        return "a", atlas.transition(p, "a").coords, atlas.d_transition(p, "a") @ v
+
+    curve = CurveSpec.from_callable(atlas, circ, 0.0, 2 * np.pi)
+    assert curve.eval(2 * np.pi)[0] == "a"
+    P = parallel_transport(conn, curve, 0.0, 2 * np.pi, np.eye(2), cfg)
+    expected = atlas.d_transition(end, "a") @ oracles.rotmat(-2 * np.pi * np.cos(theta0))
+    assert np.linalg.norm(P - expected) <= 1e-5

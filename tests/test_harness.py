@@ -435,6 +435,28 @@ def test_malformed_choices_are_usage_errors(cat, tmp_path, capsys, check):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", [
+    {"name": "flow_reversibility", "field": "rot_x", "t": "x"},
+    {"name": "gram_rank_check", "chart": "a", "point": [0.3, 0.2], "expected": "three"},
+    {"name": "frame_homomorphism", "angle_a": [1]},
+    {"name": "completeness", "horizon": "far"},
+    {"name": "flow_group_law", "field": "rot_x", "s": True},
+    {"name": "gram_rank_check", "chart": "a", "point": [0.3, 0.2], "expected": -1},
+    {"name": "sphere_holonomy", "colatitudes": []},
+    {"name": "sphere_holonomy", "colatitudes": [0.5, "x"]},
+])
+def test_scalar_parameters_are_checked_at_parse_time(cat, tmp_path, capsys, check):
+    # the first four parsed and then failed at run time as TypeError or
+    # ValueError rows (exit code 1); "s": true ran as s = 1 and passed
+    data = {"manifold": "sphere", "connection": "round", "checks": [check]}
+    with pytest.raises(ParseError):
+        scenario_from_dict(data, cat)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert cli_main(["run", str(scenario)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=6)
