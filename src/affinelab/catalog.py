@@ -25,67 +25,6 @@ from .connection import ConnChart, ConnectionField, from_christoffel
 from .flows import ChartField, VectorField
 
 
-# -- stereographic helpers (unit sphere in R^3) -----------------------------
-
-def stereo_to_sphere(p: np.ndarray, sigma: float) -> np.ndarray:
-    """Inverse stereographic projection; sigma=+1 projects from the north pole."""
-    r2 = float(p @ p)
-    D = 1.0 + r2
-    return np.array([2.0 * p[0] / D, 2.0 * p[1] / D, sigma * (r2 - 1.0) / D])
-
-
-def sphere_to_stereo(X: np.ndarray, sigma: float) -> np.ndarray:
-    return np.array([X[0], X[1]]) / (1.0 - sigma * X[2])
-
-
-def d_stereo_to_sphere(p: np.ndarray, sigma: float) -> np.ndarray:
-    r2 = float(p @ p)
-    D = 1.0 + r2
-    J = np.zeros((3, 2))
-    for i in range(2):
-        for j in range(2):
-            J[i, j] = 2.0 * (1.0 if i == j else 0.0) / D - 4.0 * p[i] * p[j] / D**2
-    for j in range(2):
-        J[2, j] = sigma * 4.0 * p[j] / D**2
-    return J
-
-
-def d2_stereo_to_sphere(p: np.ndarray, sigma: float) -> np.ndarray:
-    r2 = float(p @ p)
-    D = 1.0 + r2
-    T = np.zeros((3, 2, 2))
-    eye = np.eye(2)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                T[i, j, k] = (-4.0 * (eye[i, j] * p[k] + eye[i, k] * p[j] + eye[j, k] * p[i]) / D**2
-                              + 16.0 * p[i] * p[j] * p[k] / D**3)
-    for j in range(2):
-        for k in range(2):
-            T[2, j, k] = sigma * (4.0 * eye[j, k] / D**2 - 16.0 * p[j] * p[k] / D**3)
-    return T
-
-
-def d_sphere_to_stereo(X: np.ndarray, sigma: float) -> np.ndarray:
-    w = 1.0 - sigma * X[2]
-    J = np.zeros((2, 3))
-    J[0, 0] = 1.0 / w
-    J[1, 1] = 1.0 / w
-    J[0, 2] = sigma * X[0] / w**2
-    J[1, 2] = sigma * X[1] / w**2
-    return J
-
-
-def d2_sphere_to_stereo(X: np.ndarray, sigma: float) -> np.ndarray:
-    w = 1.0 - sigma * X[2]
-    T = np.zeros((2, 3, 3))
-    for i in range(2):
-        T[i, i, 2] = sigma / w**2
-        T[i, 2, i] = sigma / w**2
-        T[i, 2, 2] = 2.0 * X[i] / w**3
-    return T
-
-
 def _sq(p):
     """|p|^2 of (..., 2) coordinates."""
     p0, p1 = p[..., 0], p[..., 1]
@@ -461,58 +400,71 @@ def _colat_fields(atlas: Atlas) -> dict[str, VectorField]:
 # -- closed-form diffeomorphisms --------------------------------------------------
 
 def sphere_rotation(atlas: Atlas, R) -> "ClosedFormDiffeo":
-    """Rigid rotation of the round sphere as a closed-form chart map.
+    """Orthogonal map X -> R X of the round sphere as a closed-form chart map.
 
-    The chart map is projection . R . inverse-projection; first and second
-    derivatives come from the chain rule through the analytic pieces.  The
-    target chart is the one where the image lies closer to the origin.
+    A rotation with unit quaternion (w, q1, q2, q3) acts on the stereographic
+    coordinate z = (X + iY) / (1 - Z) of chart "a" as the Moebius map
+    z -> (alpha z + beta) / (-conj(beta) z + conj(alpha)), alpha = w + i q3,
+    beta = -q2 + i q1, and on chart "b" (coordinate 1 / conj(z)) by the same
+    matrix with beta negated.  An improper R is R' E with R' a rotation and
+    E = diag(1, 1, -1), which sends the point at chart-"a" coordinates p to
+    the point at chart-"b" coordinates p, so each chart runs the other
+    chart's map of R'.  The target chart is the one where the image lies
+    closer to the origin ("a" on the unit circle).
     """
     from .automorphism import ClosedFormDiffeo
 
     R = np.asarray(R, float)
-    fwd = ClosedFormDiffeo(atlas, "rotation",
-                           {"a": _rotation_chart_map(R, 1.0), "b": _rotation_chart_map(R, -1.0)})
-    bwd = ClosedFormDiffeo(atlas, "rotation^-1",
-                           {"a": _rotation_chart_map(R.T, 1.0), "b": _rotation_chart_map(R.T, -1.0)},
-                           inverse=fwd)
+    fwd = ClosedFormDiffeo(atlas, "rotation", _mobius_charts(R))
+    bwd = ClosedFormDiffeo(atlas, "rotation^-1", _mobius_charts(R.T), inverse=fwd)
     fwd._inverse = bwd
     return fwd
 
 
-def _rotation_chart_map(R, sigma_src):
+def _mobius_charts(R) -> dict:
+    """{chart: ChartMap} of the orthogonal R on the two stereographic charts."""
+    improper = np.linalg.det(R) < 0
+    if improper:
+        R = R * [1.0, 1.0, -1.0]  # R E
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    # Bar-Itzhack's symmetric matrix: its top eigenvector is the unit
+    # quaternion of R, well conditioned at half-turns (w = 0) too
+    K = np.array([[r00 + r11 + r22, r21 - r12, r02 - r20, r10 - r01],
+                  [r21 - r12, r00 - r11 - r22, r01 + r10, r02 + r20],
+                  [r02 - r20, r01 + r10, r11 - r00 - r22, r12 + r21],
+                  [r10 - r01, r02 + r20, r12 + r21, r22 - r00 - r11]])
+    w, q1, q2, q3 = np.linalg.eigh(K)[1][:, -1]
+    alpha, beta = complex(w, q3), complex(-q2, q1)
+    maps = {"a": _mobius_map((alpha, beta, -beta.conjugate(), alpha.conjugate()), "a", "b"),
+            "b": _mobius_map((alpha, -beta, beta.conjugate(), alpha.conjugate()), "b", "a")}
+    return {"a": maps["b"], "b": maps["a"]} if improper else maps
+
+
+def _mobius_map(m, home: str, other: str):
+    """ChartMap of z -> (a z + b) / (c z + d), m = (a, b, c, d), into chart
+    `home`, or into `other` as conj((c z + d) / (a z + b)) when the image
+    leaves the unit circle (on the circle: into "a")."""
     from .automorphism import ChartMap
 
-    R = np.asarray(R, float)
+    def jets(p):
+        a, b, c, d = m
+        z = complex(p[0], p[1])
+        num, den = a * z + b, c * z + d
+        tid, conj = home, 1.0
+        if abs(num) > abs(den) or (abs(num) == abs(den) and home == "b"):
+            a, b, c, d, num, den = c, d, a, b, den, num
+            tid, conj = other, -1.0
+        f = num / den
+        f1 = (a * d - b * c) / den**2
+        f2 = -2.0 * c * f1 / den
+        # d/dx = d/dz and d/dy = i d/dz; conj negates the imaginary rows
+        sign = np.array([1.0, conj])
+        J = np.array([[f1.real, -f1.imag], [f1.imag, f1.real]]) * sign[:, None]
+        H = np.array([[f2, 1j * f2], [1j * f2, -f2]])
+        T = np.stack([H.real, H.imag]) * sign[:, None, None]
+        return tid, np.array([f.real, f.imag]) * sign, J, T
 
-    def target_of(Y):
-        ya = sphere_to_stereo(Y, 1.0)
-        yb = sphere_to_stereo(Y, -1.0)
-        na, nb = ya @ ya, yb @ yb
-        if np.isfinite(na) and (not np.isfinite(nb) or na <= nb):
-            return "a", 1.0, ya
-        return "b", -1.0, yb
-
-    def mapper(p):
-        tid, _, y = target_of(R @ stereo_to_sphere(p, sigma_src))
-        return tid, y
-
-    def d(p):
-        Y = R @ stereo_to_sphere(p, sigma_src)
-        _, sigma_t, _ = target_of(Y)
-        return d_sphere_to_stereo(Y, sigma_t) @ R @ d_stereo_to_sphere(p, sigma_src)
-
-    def d2(p):
-        X = stereo_to_sphere(p, sigma_src)
-        Y = R @ X
-        _, sigma_t, _ = target_of(Y)
-        dg = R @ d_stereo_to_sphere(p, sigma_src)
-        d2g = np.einsum("lm,mjk->ljk", R, d2_stereo_to_sphere(p, sigma_src))
-        dpi = d_sphere_to_stereo(Y, sigma_t)
-        d2pi = d2_sphere_to_stereo(Y, sigma_t)
-        return (np.einsum("iab,aj,bk->ijk", d2pi, dg, dg)
-                + np.einsum("ia,ajk->ijk", dpi, d2g))
-
-    return ChartMap(map=mapper, d=d, d2=d2)
+    return ChartMap(map=lambda p: jets(p)[:2], d=lambda p: jets(p)[2], d2=lambda p: jets(p)[3])
 
 
 def rotation_matrix_3d(axis: int, angle: float) -> np.ndarray:

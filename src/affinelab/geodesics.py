@@ -278,6 +278,7 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
 
         def rhs(x, vv, W):
             out = np.empty_like(W)
+            # per column: the sphere's `bilinear` is fast on 1-D rows only (a block call: 2x slower)
             for c in range(W.shape[1]):
                 out[:, c] = bil(x, W[:, c], vv)
             return out

@@ -446,12 +446,14 @@ def _completeness(ctx, seeds, horizon, step, vel_scale, expect, chart, point, ve
 _TOP_KEYS = {"manifold", "connection", "fields", "checks", "integrator", "rng_seed"}
 _INTEGRATOR_KEYS = {"step", "max_hops", "rechart_margin"}
 _POSITIVE_PARAMS = {"tol", "tol_kill", "res_tol", "comm_tol", "floor", "min_gap", "slack"}
+# positive as well, but not tolerances: `tol_scale` leaves them alone
+_DURATIONS = {"t1", "period", "horizon", "step"}
 # lower bounds a check's observation must reach: loosening divides them
 _LOWER_BOUNDS = {"floor", "min_gap"}
 _COUNT_PARAMS = {"samples", "frames", "seeds"}
 _VECTOR_PARAMS = {"point", "lam", "velocity", "target"}
-_NUMBER_PARAMS = {"s", "t", "t1", "period", "horizon", "step", "vel_scale", "scale", "a",
-                  "angle_a", "angle_b", "fail_before", "min_ratio"}
+_NUMBER_PARAMS = {"s", "t", "vel_scale", "scale", "a", "angle_a", "angle_b", "fail_before",
+                  "min_ratio"}
 _FIELD_PARAMS = {"field", "f1", "f2", "f3"}
 
 
@@ -481,7 +483,7 @@ def _check_params(where: str, name: str, params: dict, defaults: dict, atlas, kn
     if missing:
         raise ParseError(f"{where}: missing required parameters {missing}")
     for k, v in params.items():
-        if k in _POSITIVE_PARAMS and not (_finite(v) and v > 0):
+        if k in _POSITIVE_PARAMS | _DURATIONS and not (_finite(v) and v > 0):
             raise ParseError(f"{where}: {k} must be a finite positive number, got {v!r}")
         if k in _COUNT_PARAMS and not (type(v) is int and v > 0):
             raise ParseError(f"{where}: {k} must be a positive integer, got {v!r}")
@@ -546,6 +548,9 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
             raise ParseError(f"check #{i} ({name}): unknown parameters {sorted(unknown)}")
         _check_params(f"check #{i} ({name})", name, params, defaults, catalog.atlas(manifold),
                       known)
+        separated = fields if params.get("fields") is None else params["fields"]
+        if name == "orbit_separation" and len(separated) < 2:
+            raise ParseError(f"check #{i} ({name}): needs at least two fields, got {separated}")
         parsed_checks.append({"name": name, **params})
 
     integ = data.get("integrator", {})

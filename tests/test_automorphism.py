@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from affinelab.atlas import Point, Tangent
 from affinelab.automorphism import (FlowWord, affine_residual, exp_aut, exp_commutes_defect,
                                     frame_gap, frame_lift, kappa_pullback_defect,
@@ -48,6 +49,42 @@ def test_sphere_rotation_residual(cat, rng):
         v, w = rng.normal(size=(2, 2))
         worst = max(worst, float(np.linalg.norm(affine_residual(f, conn, conn, [p], [v], [w]))))
     assert worst <= 1e-8
+
+
+def test_sphere_rotation_matches_the_ambient_rotation(cat, rng):
+    # the chart maps against R acting on the embedded sphere: the image
+    # within 1e-12 in the chart where its coordinates are smaller ("a" on
+    # the unit circle), the Jacobian within 1e-8 (the oracle pushes
+    # velocities by central differences of step 1e-7, good to about 1e-9),
+    # and the second derivatives through the affine-map equation; R runs
+    # over +-I at points on the unit circle, and over half-turns about each
+    # axis and a random one and random rotations, each also times -I
+    conn = cat.connection("sphere", "round")
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    proper = [rotation_matrix_3d(k, np.pi) for k in range(3)]
+    proper.append(2.0 * np.outer(axis, axis) - np.eye(3))
+    for _ in range(4):
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        proper.append(Q * np.linalg.det(Q))
+    cases = [(np.eye(3), [[1.0, 0.0], [0.0, -1.0]]), (-np.eye(3), [[1.0, 0.0], [0.0, -1.0]])]
+    cases += [(s * R, rng.uniform(-1.8, 1.8, size=(4, 2))) for R in proper for s in (1.0, -1.0)]
+    for R, coords in cases:
+        f = sphere_rotation(conn.atlas, R)
+        points = [Point(cid, p) for cid in ("a", "b") for p in coords]
+        for p in points:
+            Y = R @ oracles.chart_to_sphere(p.coords, oracles.SIGMA[p.chart])
+            ya, yb = oracles.sphere_to_chart(Y, 1.0), oracles.sphere_to_chart(Y, -1.0)
+            tid, y = ("a", ya) if ya @ ya <= yb @ yb else ("b", yb)
+            J, q = f.jac(p)
+            assert q.chart == tid
+            assert np.abs(q.coords - y).max() <= 1e-12
+            V = [R @ oracles.chart_velocity_to_ambient(p.coords, oracles.SIGMA[p.chart], e)
+                 for e in np.eye(2)]
+            pushed = [oracles.ambient_velocity_to_chart(Y, oracles.SIGMA[tid], v) for v in V]
+            assert np.abs(J - np.stack(pushed, axis=-1)).max() <= 1e-8
+        vs, ws = rng.normal(size=(2, len(points), 2))
+        assert np.abs(affine_residual(f, conn, conn, points, vs, ws)).max() <= 1e-8
 
 
 def test_sphere_rotation_roundtrip_inverse(cat, rng):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affinelab import numdiff
 from affinelab.atlas import Point, Tangent
+from affinelab.catalog import default_catalog
 from affinelab.connection import (ConnChart, ConnectionField, SecondOrderTangent,
                                   change_of_variable_residual, connector_apply,
                                   covariant_derivative, from_christoffel)
-from affinelab.errors import ChartMissing
+from affinelab.errors import ChartMissing, NotInOverlap
+from affinelab.harness import _CHECKS
 
 
 def test_flat_plane_B_is_zero(cat, rng):
@@ -204,3 +208,32 @@ def test_dB_fd_matches_analytic(cat, rng):
         u = rng.normal(size=2)
         fd = conn.d_tensor_dir(p, u)
         assert np.allclose(fd, analytic(p.coords, u), atol=1e-6)
+
+
+# every connection of every catalog atlas with more than one chart
+MULTI_CHART_CONNECTIONS = [(m, c) for m in default_catalog().manifold_names()
+                           if len(default_catalog().atlas(m).charts) > 1
+                           for c in default_catalog().connection_names(m)]
+# the harness's own bound on the change-of-variable residual
+CHANGE_OF_VARIABLE_TOL = _CHECKS["change_of_variable"][0]["tol"]
+
+
+@pytest.mark.parametrize("manifold, connection", MULTI_CHART_CONNECTIONS)
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 3), u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       vw=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+@example(which=0, u=(0.85, 0.85), vw=[1.0, 0.0, 0.0, 1.0])  # in an overlap on each atlas
+def test_change_of_variable_residual_vanishes(cat, manifold, connection, which, u, vw):
+    # on every overlap the two chart forms of B agree:
+    # B2_{h(x)}(dh v, dh w) = d2h(v, w) + dh B1_x(v, w)
+    conn = cat.connection(manifold, connection)
+    cid = sorted(conn.atlas.charts)[which % len(conn.atlas.charts)]
+    chart = conn.atlas.chart(cid)
+    x = chart.sample_lo + np.array(u) * (chart.sample_hi - chart.sample_lo)
+    v, w = np.reshape(vw, (2, 2))
+    for tid in chart.transitions:
+        try:
+            residual = change_of_variable_residual(conn, Point(cid, x), v, w, tid)
+        except NotInOverlap:
+            continue
+        assert residual <= CHANGE_OF_VARIABLE_TOL

@@ -457,13 +457,54 @@ def test_scalar_parameters_are_checked_at_parse_time(cat, tmp_path, capsys, chec
     assert "Traceback" not in capsys.readouterr().err
 
 
+_SEED = {"chart": "a", "point": [0.3, 0.2], "velocity": [0.4, 0.1]}
+
+
+@pytest.mark.parametrize("manifold, check", [
+    ("disk", {"name": "completeness", "seeds": 3, "horizon": 0.0}),
+    ("disk", {"name": "completeness", "seeds": 3, "horizon": -5.0}),
+    ("sphere", {"name": "completeness", "step": 0.0}),
+    ("sphere", {"name": "completeness", "step": -0.1}),
+    ("sphere", {"name": "geodesic_periodicity", **_SEED, "period": -6.0}),
+    ("sphere", {"name": "geodesic_convergence", **_SEED, "period": 0.0}),
+    ("sphere", {"name": "horizontal_projection", "chart": "a", "point": [0.3, 0.2],
+                "lam": [0.5, 0.1], "t1": 0.0}),
+])
+def test_durations_must_be_positive(cat, tmp_path, capsys, manifold, check):
+    # horizon 0 on the incomplete disk passed with worst 0 and horizon -5
+    # reported a negative worst; the others failed at run time as ValueError
+    # rows (exit code 1)
+    data = {"manifold": manifold, "connection": cat.connection_names(manifold)[0],
+            "checks": [check]}
+    with pytest.raises(ParseError, match="finite positive"):
+        scenario_from_dict(data, cat)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert cli_main(["run", str(scenario)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario_fields, own", [(["rot_x", "rot_y"], ["rot_z"]),
+                                                  (["rot_x"], None), ([], None),
+                                                  (["rot_x", "rot_y"], [])])
+def test_orbit_separation_needs_two_fields(cat, scenario_fields, own):
+    # with fewer than two fields the check failed at run time with
+    # "min() arg is an empty sequence"
+    check = {"name": "orbit_separation", "chart": "a", "point": [0.3, 0.2]}
+    data = {"manifold": "sphere", "connection": "round", "fields": scenario_fields,
+            "checks": [check if own is None else dict(check, fields=own)]}
+    with pytest.raises(ParseError, match="at least two fields"):
+        scenario_from_dict(data, cat)
+    assert scenario_from_dict(dict(data, fields=["rot_x", "rot_y"], checks=[check]), cat)
+
+
 _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=6)
 # values for the sphere of every parameter some check requires, so that a
 # fuzzed value reaches its own validator
 _REQUIRED = {"chart": "a", "expected": 3, "f1": "rot_x", "f2": "rot_y", "f3": "rot_z",
-             "fail_before": 1.0, "field": "rot_x", "fields": ["rot_x"], "lam": [0.5, 0.1],
+             "fail_before": 1.0, "field": "rot_x", "fields": ["rot_x", "rot_y"], "lam": [0.5, 0.1],
              "period": 6.0, "point": [0.1, 0.2], "target": [0.2, 0.1], "velocity": [0.3, 0.1]}
 # every top-level and integrator key, one fields entry, and each check
 # parameter name (with "name") in the first check that takes it
