@@ -123,16 +123,6 @@ class CurveSpec:
         v = (d00 * xa + d01 * xb) / h + d10 * va + d11 * vb
         return self._charts[i], x, v
 
-    def eval_in(self, t: float, cid: str):
-        """Evaluate and re-chart position/velocity into chart `cid`."""
-        c, x, v = self.eval(t)
-        if c == cid:
-            return x, v
-        p = Point(c, x)
-        q = self.atlas.transition(p, cid)
-        J = self.atlas.d_transition(p, cid)
-        return q.coords, J @ v
-
     def point(self, t: float) -> Point:
         c, x, _ = self.eval(t)
         return Point(c, x)
@@ -245,10 +235,27 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
                         "(target likely outside the normal neighbourhood)")
 
 
+def _columns(bil, x, v, W):
+    out = np.empty_like(W)
+    # per column: the sphere's `bilinear` is fast on 1-D rows only (a block call: 2x slower)
+    for c in range(W.shape[1]):
+        out[:, c] = bil(x, W[:, c], v)
+    return out
+
+
+def _in_chart(atlas: Atlas, c: str, x, v, cid: str):
+    """Curve position/velocity (x, v) in chart `c`, re-charted into `cid`."""
+    if c == cid:
+        return x, v
+    u = atlas.rechart_tangent(Tangent(Point(c, x), v), cid)
+    return u.base.coords, u.vec
+
+
 def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: float,
                        v, cfg: IntegratorConfig) -> np.ndarray:
     """P^{t1}_{t0}(alpha)(v): transport v (vector or (n, k) matrix of columns)
-    along the curve from parameter t0 to t1."""
+    along the curve from parameter t0 to t1, evaluating the curve once per
+    grid point (a step's end is the next step's start) and per midpoint."""
     atlas = conn.atlas
     n = atlas.dim
     v = np.asarray(v, float)
@@ -263,37 +270,26 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
         grid = grid[::-1]
     ts = np.concatenate([[t0], grid, [t1]])
 
-    cid, x_prev, _ = curve.eval(ts[0])
+    c, x, vel = curve.eval(ts[0])
+    cid, bil = c, conn.bilinear_fn(c)
     for a, b in zip(ts[:-1], ts[1:]):
-        ca, xa, va = curve.eval(a)
-        if ca != cid:
+        if c != cid:
             # re-chart the transported block at the segment start
-            J = atlas.d_transition(Point(cid, x_prev), ca)
-            G = J @ G
-            cid = ca
-        bil = conn.bilinear_fn(cid)
+            G = atlas.d_transition(Point(cid, xb), c) @ G
+            cid, bil = c, conn.bilinear_fn(c)
         h = b - a
-        xm, vm = curve.eval_in(0.5 * (a + b), cid)
-        xb, vb = curve.eval_in(b, cid)
-
-        def rhs(x, vv, W):
-            out = np.empty_like(W)
-            # per column: the sphere's `bilinear` is fast on 1-D rows only (a block call: 2x slower)
-            for c in range(W.shape[1]):
-                out[:, c] = bil(x, W[:, c], vv)
-            return out
-
-        k1 = rhs(xa, va, G)
-        k2 = rhs(xm, vm, G + 0.5 * h * k1)
-        k3 = rhs(xm, vm, G + 0.5 * h * k2)
-        k4 = rhs(xb, vb, G + h * k3)
+        k1 = _columns(bil, x, vel, G)
+        xm, vm = _in_chart(atlas, *curve.eval(0.5 * (a + b)), cid)
+        c, x, vel = curve.eval(b)
+        xb, vb = _in_chart(atlas, c, x, vel, cid)
+        k2 = _columns(bil, xm, vm, G + 0.5 * h * k1)
+        k3 = _columns(bil, xm, vm, G + 0.5 * h * k2)
+        k4 = _columns(bil, xb, vb, G + h * k3)
         G = G + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x_prev = xb
 
     # express the result in the curve's own end-point chart
-    c_end, _, _ = curve.eval(t1)
-    if c_end != cid:
-        G = atlas.d_transition(Point(cid, x_prev), c_end) @ G
+    if c != cid:
+        G = atlas.d_transition(Point(cid, xb), c) @ G
     return G[:, 0] if vec_in else G
 
 

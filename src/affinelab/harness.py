@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -207,9 +207,7 @@ def _geodesic_convergence(ctx, chart, point, velocity, period, min_ratio):
     start = Tangent(Point(chart, point), np.asarray(velocity, float))
     errs = []
     for step in (ctx.cfg.step, ctx.cfg.step / 2.0):
-        cfg = IntegratorConfig(step=step, max_hops=ctx.cfg.max_hops,
-                               rechart_margin=ctx.cfg.rechart_margin)
-        curve = geodesic(ctx.conn, start, (0.0, float(period)), cfg)
+        curve = geodesic(ctx.conn, start, (0.0, float(period)), replace(ctx.cfg, step=step))
         errs.append(ctx.atlas.gap(curve.point(float(period)), start.base))
     ratio = errs[0] / max(errs[1], 1e-300)
     worst = max(0.0, float(min_ratio) - ratio)
@@ -425,8 +423,7 @@ def _parameter_flow(ctx, chart, point, tol, eps):
        chart=None, point=None, velocity=None, fail_before=None, slack=1e-6)
 def _completeness(ctx, seeds, horizon, step, vel_scale, expect, chart, point, velocity,
                   fail_before, slack):
-    cfg = IntegratorConfig(step=float(step), max_hops=ctx.cfg.max_hops,
-                           rechart_margin=ctx.cfg.rechart_margin)
+    cfg = replace(ctx.cfg, step=float(step))
     if expect == "fails":
         seed = Tangent(Point(chart, point), np.asarray(velocity, float))
         rep = completeness_probe(ctx.conn, [seed], float(horizon), cfg)
@@ -437,7 +434,7 @@ def _completeness(ctx, seeds, horizon, step, vel_scale, expect, chart, point, ve
     tangents = [Tangent(p, vel_scale * ctx.rng.normal(size=ctx.atlas.dim))
                 for p in ctx.atlas.sample_points(cid, int(seeds), ctx.rng)]
     rep = completeness_probe(ctx.conn, tangents, float(horizon), cfg)
-    worst = max(float(horizon) - min(r.t_forward, abs(r.t_backward)) for r in rep.rows)
+    worst = max(float(horizon) - r.reached for r in rep.rows)
     return worst, len(tangents), rep.complete_up_to_horizon and worst <= slack
 
 
@@ -454,6 +451,9 @@ _COUNT_PARAMS = {"samples", "frames", "seeds"}
 _VECTOR_PARAMS = {"point", "lam", "velocity", "target"}
 _NUMBER_PARAMS = {"s", "t", "vel_scale", "scale", "a", "angle_a", "angle_b", "fail_before",
                   "min_ratio"}
+# zero makes the check compare a computation with itself (flow times, scales,
+# directions), so it would pass on anything
+_NONZERO_PARAMS = {"s", "t", "scale", "vel_scale", "a", "velocity", "lam"}
 _FIELD_PARAMS = {"field", "f1", "f2", "f3"}
 
 
@@ -493,12 +493,19 @@ def _check_params(where: str, name: str, params: dict, defaults: dict, atlas, kn
             raise ParseError(f"{where}: {k} must be a finite number, got {v!r}")
         if k == "expected" and not (type(v) is int and v >= 0):
             raise ParseError(f"{where}: expected must be a non-negative integer, got {v!r}")
-        if k == "colatitudes" and not (isinstance(v, list) and v and all(map(_finite, v))):
-            raise ParseError(f"{where}: colatitudes must be a non-empty list of finite numbers, "
-                             f"got {v!r}")
+        if k == "min_ratio" and not v > 1:
+            raise ParseError(f"{where}: min_ratio must exceed 1, got {v!r}")
+        if k == "colatitudes" and not (isinstance(v, list) and v and
+                                       all(_finite(c) and 0 < c < math.pi for c in v)):
+            raise ParseError(f"{where}: colatitudes must be a non-empty list of numbers in "
+                             f"(0, pi), got {v!r}")
         if k in _VECTOR_PARAMS and not (isinstance(v, list) and len(v) == atlas.dim
                                         and all(map(_finite, v))):
             raise ParseError(f"{where}: {k} must be {atlas.dim} finite numbers, got {v!r}")
+        if k in _NONZERO_PARAMS and not np.any(v):
+            raise ParseError(f"{where}: {k} must be nonzero, got {v!r}")
+        if k == "target" and v == params.get("point"):
+            raise ParseError(f"{where}: target must differ from point, got {v!r}")
         if k == "chart" and not (isinstance(v, str) and v in atlas.charts):
             raise ParseError(f"{where}: unknown chart {v!r} (charts: {sorted(atlas.charts)})")
         if k == "expect" and v not in ("complete", "fails"):
@@ -676,16 +683,9 @@ def _csv_cell(c) -> str:
 
 def trajectory_rows(record, n: int, payload: str = "coords"):
     """(header, rows) for integrator records; payload coords / tangent / frame."""
-    if payload == "coords":
-        header = ["t", "chart"] + [f"x{i}" for i in range(n)]
-        rows = [(r[0], r[1], *r[2]) for r in record]
-    elif payload == "tangent":
-        header = ["t", "chart"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
-        rows = [(r[0], r[1], *r[2][:n], *r[2][n:]) for r in record]
-    elif payload == "frame":
-        header = ["t", "chart"] + [f"x{i}" for i in range(n)] + \
-            [f"g{i}{j}" for i in range(n) for j in range(n)]
-        rows = [(r[0], r[1], *r[2]) for r in record]
-    else:
+    fiber = {"coords": [], "tangent": [f"v{i}" for i in range(n)],
+             "frame": [f"g{i}{j}" for i in range(n) for j in range(n)]}
+    if payload not in fiber:
         raise ValueError(f"unknown payload {payload!r}")
-    return header, rows
+    header = ["t", "chart"] + [f"x{i}" for i in range(n)] + fiber[payload]
+    return header, [(r[0], r[1], *r[2]) for r in record]

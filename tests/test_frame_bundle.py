@@ -212,6 +212,22 @@ def test_horizontal_projection_defect(cat, cfg):
     assert d1 <= 1e-4
 
 
+def test_horizontal_projection_across_chart_hand_offs(cat):
+    # the meridian through chart a's (1, 0) passes the north pole: the frame
+    # flow hands off to chart b and back, so the defect's skip of
+    # hop-adjacent rows runs
+    from affinelab.flows import IntegratorConfig
+    cfg = IntegratorConfig(step=5e-3)
+    conn = cat.connection("sphere", "round")
+    frame = Frame("a", [1.0, 0.0], np.eye(2))
+    rec = []
+    horizontal_flow(conn, [1.0, 0.0], frame, 2 * np.pi, cfg, record=rec)
+    charts = [r[1] for r in rec]
+    assert sum(c != d for c, d in zip(charts, charts[1:])) == 2
+    d = horizontal_projection_defect(conn, [1.0, 0.0], frame, (0.0, 2 * np.pi), cfg)
+    assert d <= 1e-4
+
+
 def test_completeness_link(cat):
     # horizontal flows reach the horizon whenever geodesics do (sphere)
     from affinelab.flows import IntegratorConfig

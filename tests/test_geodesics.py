@@ -140,6 +140,22 @@ def test_sphere_holonomy_latitude_circles(cat, cfg):
         assert np.linalg.norm(P - oracles.latitude_holonomy_matrix(theta0, steps=4000)) <= 1e-5
 
 
+@pytest.mark.parametrize("t0, t1, steps", [(0.0, 1.0, 10), (1.0, 0.0, 10), (0.25, 0.75, 6)])
+def test_transport_evaluates_each_point_of_its_curve_once(cat, t0, t1, steps):
+    # one evaluation per grid point (a step's end is the next step's start)
+    # and one per midpoint: 2N + 1 for N steps
+    conn = cat.connection("plane", "flat")
+    calls = []
+
+    def parabola(t):
+        calls.append(t)
+        return "cart", np.array([t, t * t]), np.array([1.0, 2 * t])
+
+    curve = CurveSpec.from_callable(conn.atlas, parabola, 0.0, 1.0)
+    parallel_transport(conn, curve, t0, t1, np.eye(2), IntegratorConfig(step=0.1))
+    assert len(calls) == 2 * steps + 1
+
+
 def test_transport_along_geodesic_autoparallel(cat, cfg):
     conn = cat.connection("sphere", "round")
     curve = geodesic(conn, Tangent(Point("a", [0.5, 0.1]), [0.4, -0.7]), (0.0, 2.0), cfg)

@@ -484,6 +484,46 @@ def test_durations_must_be_positive(cat, tmp_path, capsys, manifold, check):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_GEO = {"chart": "cart", "point": [0.2, 0.1], "velocity": [0.3, 0.1], "period": 1.0}
+_LIN = {"name": "extension_linearity", "f1": "trans_x", "f2": "rotation", "chart": "cart",
+        "point": [0.2, 0.1], "lam": [0.3, 0.4]}
+
+
+@pytest.mark.parametrize("manifold, check", [
+    ("plane", {"name": "flow_group_law", "field": "nonaffine_sq", "s": 0}),
+    ("plane", {"name": "flow_group_law", "field": "nonaffine_sq", "t": 0}),
+    ("plane", {"name": "flow_reversibility", "field": "nonaffine_sq", "t": 0}),
+    ("plane", {"name": "killing_equivalence", "samples": 2, "frames": 1, "s": 0}),
+    ("plane", {"name": "killing_equivalence", "samples": 2, "frames": 1, "t": 0.0}),
+    ("plane", {"name": "exp_commutes", "field": "rotation", "scale": 0}),
+    ("disk", {"name": "completeness", "seeds": 3, "horizon": 50.0, "vel_scale": 0}),
+    ("plane", dict(_LIN, a=0)),
+    ("plane", dict(_LIN, lam=[0, 0])),
+    ("plane", {"name": "horizontal_projection", "chart": "cart", "point": [0.2, 0.1],
+               "lam": [0.0, 0.0], "t1": 1.0}),
+    ("plane", {"name": "geodesic_periodicity", **_GEO, "velocity": [0, 0]}),
+    ("plane", {"name": "extension_recovery", "field": "rotation", "chart": "cart",
+               "point": [0.2, 0.1], "target": [0.2, 0.1]}),
+    ("plane", {"name": "geodesic_convergence", **_GEO, "min_ratio": 0}),
+    ("plane", {"name": "geodesic_convergence", **_GEO, "min_ratio": -1.0}),
+    ("sphere", {"name": "sphere_holonomy", "colatitudes": [0.0]}),
+    ("sphere", {"name": "sphere_holonomy", "colatitudes": [0.5, math.pi]}),
+])
+def test_vacuous_parameters_fail_parsing(cat, tmp_path, capsys, manifold, check):
+    # each of these parsed and then passed, the check comparing a computation
+    # with itself: a zero flow time, scale or direction, a target at the
+    # start point, a ratio bound every error meets, or a pole for a latitude
+    data = {"manifold": manifold, "connection": cat.connection_names(manifold)[0],
+            "fields": ["trans_x", "rotation"] if manifold == "plane" else [],
+            "integrator": {"step": 0.01}, "checks": [check]}
+    with pytest.raises(ParseError):
+        scenario_from_dict(data, cat)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert cli_main(["run", str(scenario)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario_fields, own", [(["rot_x", "rot_y"], ["rot_z"]),
                                                   (["rot_x"], None), ([], None),
                                                   (["rot_x", "rot_y"], [])])
