@@ -12,11 +12,15 @@ leading axes, so one representation serves a single point and a block of
 rows.  Catalog formulas read components as `x[..., i]`; those the
 integrator calls every step read them from the transpose, `x.T[i]`, which
 gives numpy scalars for one point (cheaper than 0-d arrays), and undo the
-transpose when assembling the result, `np.array([...]).T`.
+transpose when assembling the result, `np.array([...]).T`.  Charts that
+share a formula share its callable, so blocks of rows are tested and
+hopped in one call each; a test `functools.partial(f, p)` belongs to the
+test family f (`box_domain` charts to `in_box`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -81,7 +85,8 @@ class Chart:
     `contains_fn(x, margin)` implements the membership test on (..., n)
     coordinates, one boolean per leading index; `margin` in [0, 1) shrinks
     the domain toward its interior (0.1 keeps integration states one tenth
-    away from the boundary so FD stencils stay inside).
+    away from the boundary so FD stencils stay inside).  A family member
+    `partial(f, p)` needs f(P, X, margin) to test row i of X against P[i].
     """
 
     id: str
@@ -176,35 +181,33 @@ class Atlas:
         Returns (chart_id, new_coords) or None when no declared neighbour
         holds the state inside its margin-shrunk domain.
         """
-        targets, Y = self.hop_targets(cid, _vec(x)[None], margin)
-        if targets[0] is None:
-            return None
-        return targets[0], Y[0]
+        targets, Y = self.hop_targets((cid,), _vec(x)[None], margin)
+        return None if targets[0] is None else (targets[0], Y[0])
 
-    def hop_targets(self, cid: str, X: np.ndarray, margin: float):
-        """`hop_target` for every row of X (r, n) at once.
+    def hop_targets(self, cids, X: np.ndarray, margin: float):
+        """`hop_target` for every row of X (r, n) at once, row i in chart cids[i].
 
-        Neighbours are tried in priority order, each on the rows still
-        without a target; a neighbour whose map raises is skipped for those
-        rows.  Returns (targets, Y): targets[i] is a chart id or None, Y[i]
-        the row's coordinates in that chart (row i of X where None).
+        Neighbours are tried in `chart_order` on the rows still without a
+        target, rows whose transitions share a map in one call; a row whose
+        map raises skips that neighbour.  Returns (targets, Y): targets[i] is
+        a chart id or None, Y[i] the row's coordinates in that chart (row i of
+        X where None).
         """
-        src = self.chart(cid)
         targets = np.full(len(X), None, dtype=object)
         Y = np.array(X, float)
-        todo = np.arange(len(X))
-        for tid in sorted(src.transitions, key=lambda t: (self.chart(t).priority, t)):
-            try:
-                y = np.asarray(src.transitions[tid].map(X[todo]), float)
-            except (FloatingPointError, ZeroDivisionError, ValueError):
-                continue
-            ok = np.isfinite(y).all(axis=-1)
-            ok[ok] = self.chart(tid).contains_fn(y[ok], margin)
-            targets[todo[ok]] = tid
-            Y[todo[ok]] = y[ok]
-            todo = todo[~ok]
-            if not todo.size:
-                break
+        for tid in self._order:
+            by_map = {}
+            for i, cid in enumerate(cids):
+                tr = self.chart(cid).transitions.get(tid)
+                if tr is not None and targets[i] is None:
+                    by_map.setdefault(tr.map, []).append(i)
+            for fmap, rs in by_map.items():
+                y = _map_rows(fmap, X[rs])
+                ok = np.isfinite(y).all(axis=-1)
+                ok[ok] = self.charts[tid].contains_fn(y[ok], margin)
+                rs = np.array(rs)[ok]
+                targets[rs] = tid
+                Y[rs] = y[ok]
         return targets, Y
 
     def gap(self, p: Point, q: Point) -> float:
@@ -264,6 +267,15 @@ class Atlas:
         return [(cid, tid) for cid, c in self.charts.items() for tid in c.transitions]
 
 
+def _map_rows(fmap, X: np.ndarray) -> np.ndarray:
+    """fmap over the rows of X; where that raises, row by row, NaN where a row raises."""
+    try:
+        return np.asarray(fmap(X), float)
+    except (FloatingPointError, ZeroDivisionError, ValueError):
+        return (np.full(X.shape, np.nan) if len(X) == 1
+                else np.concatenate([_map_rows(fmap, x[None]) for x in X]))
+
+
 # -- common domain shapes -------------------------------------------------
 
 def all_space(x, margin=0.0):
@@ -277,13 +289,11 @@ def disk_domain(radius: float):
     return contains
 
 
+def in_box(box, x, margin=0.0):
+    """The box charts' test family: box[..., 0, :] the centre, box[..., 1, :] the half-width."""
+    return (np.abs(x - box[..., 0, :]) < box[..., 1, :] * (1.0 - margin)).all(axis=-1)
+
+
 def box_domain(lo, hi):
-    lo = _vec(lo)
-    hi = _vec(hi)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-
-    def contains(x, margin=0.0):
-        return (np.abs(x - center) < half * (1.0 - margin)).all(axis=-1)
-
-    return contains
+    lo, hi = _vec(lo), _vec(hi)
+    return partial(in_box, np.array([0.5 * (lo + hi), 0.5 * (hi - lo)]))

@@ -6,12 +6,13 @@ k = 1 gives the tangent bundle (velocity column), k = n the frame bundle
 (frame matrix).  Transitions act as (x, G) -> (h(x), dh(x) G); their
 Jacobians use d2h of the base transition.  Like the base chart
 callables, bundle membership tests and transitions take (..., n + n k)
-inputs.  Each base atlas has one tangent and one frame atlas, built on
-first use; a frame chart also requires |det G| > DET_GUARD.
+inputs, and a base test family or shared transition lifts to one.  Each
+base atlas has one tangent and one frame atlas, built on first use; a
+frame chart also requires |det G| > DET_GUARD.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -70,15 +71,20 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atla
     n = base.dim
     fiber, half = (np.eye(n)[:, :k].ravel(), 0.3) if det_guard > 0 else (np.zeros(n * k), 1.0)
 
+    def guarded(inside, z):  # a frame chart also requires |det G| > det_guard
+        if det_guard > 0.0:
+            inside = inside & ~(np.abs(np.linalg.det(unpack(z, n, k)[1])) <= det_guard)
+        return inside
+
     @cache  # one test per distinct base test, so charts that share it test rows together
     def lifted(base_contains):
-        def contains(z, margin=0.0):
-            inside = base_contains(z[..., :n], margin)
-            if det_guard > 0.0:
-                inside = inside & ~(np.abs(np.linalg.det(unpack(z, n, k)[1])) <= det_guard)
-            return inside
+        if isinstance(base_contains, partial):  # a family member lifts into the lifted family
+            return partial(lifted_family(base_contains.func), *base_contains.args)
+        return lambda z, margin=0.0: guarded(base_contains(z[..., :n], margin), z)
 
-        return contains
+    @cache
+    def lifted_family(f):
+        return lambda p, z, margin=0.0: guarded(f(p, z[..., :n], margin), z)
 
     charts = []
     for cid, c in base.charts.items():
@@ -97,9 +103,10 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atla
     out.base_dim = n
     out.fiber_cols = k
     out.kind = kind
+    lift = cache(lambda *fns: _bundle_transition(Transition(*fns), n, k))  # one per base map
     for cid, c in base.charts.items():
         for tid, tr in c.transitions.items():
-            out.chart(cid).add_transition(tid, _bundle_transition(tr, n, k))
+            out.chart(cid).add_transition(tid, lift(tr.map, tr.d, tr.d2))
     return out
 
 

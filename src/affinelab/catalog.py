@@ -158,18 +158,16 @@ def torus_atlas() -> Atlas:
         charts[cid] = Chart(cid, 2, box_domain(c - half_width, c + half_width),
                             c - 0.8 * half_width, c + 0.8 * half_width, priority=i)
     eye = np.eye(2)
-    for cid in centers:
-        for tid in centers:
-            if tid == cid:
-                continue
-            ct = np.array(centers[tid])
+    d, d2 = (lambda x: np.zeros(x.shape + (2,)) + eye), (lambda x: np.zeros(x.shape + (2, 2)))
+    for tid, ct in centers.items():  # one shift onto each box, shared by its three sources
+        ct = np.array(ct)
 
-            def shift(x, ct=ct):
-                return x - np.round(x - ct)
+        def shift(x, ct=ct):
+            return x - np.round(x - ct)
 
-            charts[cid].add_transition(tid, Transition(
-                shift, d=lambda x: np.zeros(x.shape + (2,)) + eye,
-                d2=lambda x: np.zeros(x.shape + (2, 2))))
+        for cid in centers:
+            if cid != tid:
+                charts[cid].add_transition(tid, Transition(shift, d, d2))
     return Atlas("torus", 2, list(charts.values()))
 
 

@@ -16,8 +16,15 @@ from .geodesics import geodesic
 from .harness import check_names, emit, load_scenario, run_suite, trajectory_rows
 
 
-def _vec_arg(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")], float)
+def _vec_arg(flag: str, text: str, size: int) -> np.ndarray:
+    """The `size` comma-separated numbers of --flag; anything else is a usage error."""
+    try:
+        v = np.array([float(x) for x in text.split(",")], float)
+        if v.size == size:
+            return v
+    except ValueError:
+        pass
+    raise ScenarioError(f"--{flag}: expected {size} comma-separated numbers, got {text!r}")
 
 
 def _with_step(cfg: IntegratorConfig, step: float) -> IntegratorConfig:
@@ -72,42 +79,41 @@ def _cmd_list(args) -> int:
 def _cmd_dump(args) -> int:
     catalog = default_catalog()
     cfg = _with_step(IntegratorConfig(), args.step)
-    if args.manifold not in catalog.manifold_names():
-        raise ScenarioError(f"unknown manifold {args.manifold!r}")
-    atlas = catalog.atlas(args.manifold)
-    n = atlas.dim
 
-    def need(flag, value):
+    def need(flag, value, known=None):
         if value is None:
             raise ScenarioError(f"dump {args.kind} requires --{flag}")
+        if known is not None and value not in known:
+            raise ScenarioError(f"--{flag}: unknown {flag} {value!r} (known: {', '.join(known)})")
         return value
 
+    atlas = catalog.atlas(need("manifold", args.manifold, catalog.manifold_names()))
+    n = atlas.dim
+    if not np.isfinite([args.t0, args.t1]).all():
+        raise ScenarioError(f"--t0 and --t1 must be finite, got {args.t0}, {args.t1}")
+    start = Point(need("chart", args.chart, atlas.charts), _vec_arg("point", args.point, n))
+    if args.kind != "flow":
+        conn = catalog.connection(args.manifold, need("connection", args.connection,
+                                                      catalog.connection_names(args.manifold)))
     record = []
     if args.kind == "geodesic":
-        conn = catalog.connection(args.manifold, need("connection", args.connection))
-        curve = geodesic(conn, Tangent(Point(args.chart, _vec_arg(args.point)),
-                                       _vec_arg(need("velocity", args.velocity))),
-                         (min(args.t0, 0.0), args.t1), cfg)
+        span = (min(args.t0, 0.0), args.t1)
+        if not (args.t1 >= 0.0 and args.t1 > span[0]):
+            raise ScenarioError(f"--t0/--t1: span {span} must contain 0, with positive length")
+        v0 = _vec_arg("velocity", need("velocity", args.velocity), n)
+        curve = geodesic(conn, Tangent(start, v0), span, cfg)
         rows = [(t, c, np.concatenate([x, v])) for t, c, x, v in curve.rows()]
         payload = "tangent"
     elif args.kind == "flow":
-        fname = need("field", args.field)
-        if fname not in catalog.field_names(args.manifold):
-            raise ScenarioError(f"unknown field {fname!r} on {args.manifold!r}")
-        field = catalog.field(args.manifold, fname)
-        integrate(field, Point(args.chart, _vec_arg(args.point)), args.t1, cfg, record=record)
-        rows = record
-        payload = "coords"
-    elif args.kind == "horizontal":
-        conn = catalog.connection(args.manifold, need("connection", args.connection))
-        need("lam", args.lam)
-        g = _vec_arg(args.frame).reshape(n, n) if args.frame else np.eye(n)
-        horizontal_flow(conn, _vec_arg(args.lam), Frame(args.chart, _vec_arg(args.point), g),
-                        args.t1, cfg, record=record)
-        rows = record
-        payload = "frame"
-    else:
-        raise ScenarioError(f"unknown dump kind {args.kind!r}")
+        fname = need("field", args.field, catalog.field_names(args.manifold))
+        integrate(catalog.field(args.manifold, fname), start, args.t1, cfg, record=record)
+        rows, payload = record, "coords"
+    else:  # horizontal: argparse admits no other kind
+        lam = _vec_arg("lam", need("lam", args.lam), n)
+        g = _vec_arg("frame", args.frame, n * n).reshape(n, n) if args.frame else np.eye(n)
+        horizontal_flow(conn, lam, Frame(start.chart, start.coords, g), args.t1, cfg,
+                        record=record)
+        rows, payload = record, "frame"
     header, out_rows = trajectory_rows(rows, n, payload)
     emit((header, out_rows), args.out, format="csv")
     print(f"{len(out_rows)} rows written to {args.out}")

@@ -10,11 +10,13 @@ an (m, N) array whose rows each carry their own chart, signed step, hop
 count, status and reach time.  Each step advances the rows in groups
 keyed on the callables their right-hand side calls, not on their chart:
 rows of every chart whose field hands out the same callables step
-through one RK4 call, so the callables take (..., N) inputs.  Each row
-keeps its own margin test: a row that leaves the margin-shrunk domain of
-its chart is handed off to the highest-priority neighbouring chart that
-contains it; a divergence, left-atlas or hop-limit stop retires that row
-and leaves the rest running.  The variational flow appends
+through one RK4 call, so the callables take (..., N) inputs.  Margin
+tests group by test family, each row with its own parameters: a row
+that leaves the margin-shrunk domain of its chart is handed off to the
+highest-priority neighbouring chart that contains it, all of a step's
+hops found in one `Atlas.hop_targets` call; a divergence, left-atlas or
+hop-limit stop retires that row and leaves the rest running.  The
+variational flow appends
 w' = d xi(x) w to the state as extra columns, re-charting w through the
 transition Jacobian at every hand-off.  A family field (`params` = q)
 takes a constant parameter row per trajectory, which is never stepped
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -225,12 +228,21 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     keys = {}
 
     def keyed(cid):
-        """(right-hand side key, membership test) of chart `cid`: the chart
-        callables the step calls, and the chart's margin test."""
+        """(right-hand side key, margin test, None) of chart `cid`, the test
+        of a family member `partial(f, p)` given as f, p."""
         if cid not in keys:
             cf = field.chart_field(cid)
-            keys[cid] = ((cf.value, cf.d) if k else cf.value), atlas.chart(cid).contains_fn
+            test = atlas.chart(cid).contains_fn
+            fam = (test.func, test.args[0]) if isinstance(test, partial) else (test, None)
+            keys[cid] = ((cf.value, cf.d) if k else cf.value), *fam
         return keys[cid]
+
+    tparams = {}  # test family -> (m, ...) parameters, row r's at [r]; never stepped
+
+    def place(r, cid):
+        _, fam, p = keyed(cid)
+        if p is not None:
+            tparams.setdefault(fam, np.empty((m,) + np.shape(p)))[r] = p
 
     rhs = {}
 
@@ -242,10 +254,10 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             rhs[key] = _rhs(field, cid, n, k)
         return rhs[key]
 
-    for cid, row in zip(cids, rows):
+    for r, (cid, row) in enumerate(zip(cids, rows)):
         if not atlas.chart(cid).contains(row[:n]):
             raise LeftAtlas(f"start {Point(cid, row[:n])!r} outside its chart domain")
-        keyed(cid)
+        place(r, cid)
 
     def snapshot(tcur, r):
         return tcur, cids[r], rows[r, :n].copy()
@@ -273,8 +285,8 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
 
     def groups():
         """(row selector, step, rhs, margin tests) per right-hand side that
-        live rows share, each test a (membership test, indices into the
-        group's rows) pair; the selector `...` takes every row."""
+        live rows share, each test (test, indices into the group's rows,
+        family parameters or None, their rows); `...` takes every row."""
         by_key = {}
         for r in sorted(live):
             by_key.setdefault(keyed(cids[r])[0], []).append(r)
@@ -284,7 +296,9 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             tests = {}
             for j, r in enumerate(rs):
                 tests.setdefault(keyed(cids[r])[1], []).append(j)
-            tests = [(fn, np.array(js)) for fn, js in tests.items()]
+            tests = [(fn, np.array(js), tparams.get(fn),
+                      0 if single else ... if len(js) == m else np.array(rs)[js])
+                     for fn, js in tests.items()]
             out.append((sel, h if sel is ... else h[sel], rhs_on(cids[rs[0]], sel), tests))
         return out
 
@@ -298,11 +312,13 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             # a non-finite state fails the guard comparison too
             sound = (xs * xs).sum(axis=-1) <= guard2
             if len(tests) == 1:
-                inside = tests[0][0](xs, margin)
+                contains, _, P, at = tests[0]
+                inside = contains(xs, margin) if P is None else contains(P[at], xs, margin)
             else:
                 inside = np.empty(len(xs), bool)
-                for contains, sub in tests:
-                    inside[sub] = contains(xs[sub], margin)
+                for contains, sub, P, at in tests:
+                    inside[sub] = (contains(xs[sub], margin) if P is None
+                                   else contains(P[at], xs[sub], margin))
             ok = sound & inside
             if ok.all() if ok.ndim else ok:
                 continue
@@ -312,44 +328,37 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             sound = np.reshape(sound, -1)
             for r in idx[~sound]:
                 stop(r, DIVERGED, i)
-            by_chart = {}
-            for r in idx[sound & ~np.reshape(inside, -1)]:
-                by_chart.setdefault(cids[r], []).append(r)
-            for cid, out in by_chart.items():
-                out = np.array(out)
-                X = rows[out, :n]
-                if single:
-                    hop = atlas.hop_target(cid, X[0], margin)
-                    targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
-                else:
-                    targets, Y = atlas.hop_targets(cid, X, margin)
-                stranded = []
-                for j, r in enumerate(out):
-                    tid = targets[j]
-                    if tid is None:
-                        stranded.append(j)
-                        continue
-                    if not field.has_chart(tid):
-                        raise ChartMissing(f"field {field.name!r} undefined on hop target {tid!r}")
-                    if record is not None:
-                        record.append(snapshot((i + 1) * h, r))
-                    if k:
-                        W = rows[r, n:].reshape(n, k)
-                        J = atlas.chart(cid).transitions[tid].d(X[j])
-                        rows[r, n:] = (np.asarray(J, float) @ W).ravel()
-                    rows[r, :n] = Y[j]
-                    cids[r] = tid
-                    if keyed(tid) != keyed(cid):
-                        plan = None
-                    hops[r] += 1
-                    if hops[r] > cfg.max_hops:
-                        stop(r, HOP_LIMIT, i + 1)
-                # rows with no better chart keep integrating here while they
-                # are still inside the chart itself
-                if stranded:
-                    left = ~np.reshape(atlas.chart(cid).contains_fn(X[stranded], 0.0), -1)
-                    for r in out[stranded][np.broadcast_to(left, (len(stranded),))]:
+            out = idx[sound & ~np.reshape(inside, -1)]
+            X = rows[out, :n]
+            if single:
+                hop = atlas.hop_target(cids[0], X[0], margin) if out.size else None
+                targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
+            else:
+                targets, Y = atlas.hop_targets([cids[r] for r in out], X, margin)
+            for j, r in enumerate(out):
+                cid, tid = cids[r], targets[j]
+                if tid is None:
+                    # a row with no better chart keeps integrating here while
+                    # it is still inside the chart itself
+                    if not atlas.chart(cid).contains(X[j]):
                         stop(r, LEFT_ATLAS, i)
+                    continue
+                if not field.has_chart(tid):
+                    raise ChartMissing(f"field {field.name!r} undefined on hop target {tid!r}")
+                if record is not None:
+                    record.append(snapshot((i + 1) * h, r))
+                if k:
+                    W = rows[r, n:].reshape(n, k)
+                    J = atlas.chart(cid).transitions[tid].d(X[j])
+                    rows[r, n:] = (np.asarray(J, float) @ W).ravel()
+                rows[r, :n] = Y[j]
+                cids[r] = tid
+                if keyed(tid)[:2] != keyed(cid)[:2]:
+                    plan = None
+                place(r, tid)
+                hops[r] += 1
+                if hops[r] > cfg.max_hops:
+                    stop(r, HOP_LIMIT, i + 1)
         if record is not None and live:
             record.append(snapshot((i + 1) * h, 0))
         done = finish.get(i + 1)

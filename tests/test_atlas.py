@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition
+from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition, all_space
+from affinelab.bundles import frame_atlas, tangent_atlas
 from affinelab.catalog import default_catalog
 from affinelab.errors import NotInOverlap
 from affinelab.harness import _CHECKS
@@ -238,3 +239,67 @@ def test_transitions_round_trip_and_compose(cat, manifold, which, u):
         y = held[b]
         assert np.linalg.norm(tr[b, c].map(y) - held[c]) <= ROUNDTRIP_TOL
         assert np.linalg.norm(tr[b, c].d(y) @ tr[cid, b].d(x) - tr[cid, c].d(x)) <= ROUNDTRIP_TOL
+
+
+def _hop_reference(atlas, cid, x, margin):
+    """One row's hop by the rule: the first neighbour in (priority, id) order
+    whose map, called on this row alone, does not raise, is finite and lands
+    inside the neighbour's margin-shrunk domain; (None, x) when none does."""
+    src = atlas.chart(cid)
+    for tid in sorted(src.transitions, key=lambda t: (atlas.chart(t).priority, t)):
+        try:
+            y = np.asarray(src.transitions[tid].map(x[None]), float)[0]
+        except (FloatingPointError, ZeroDivisionError, ValueError):
+            continue
+        if np.isfinite(y).all() and atlas.chart(tid).contains(y, margin):
+            return tid, y
+    return None, x
+
+
+# every multi-chart catalog atlas with its tangent and frame atlases
+HOP_ATLASES = [a for m in MULTI_CHART for base in [default_catalog().atlas(m)]
+               for a in (base, tangent_atlas(base), frame_atlas(base))]
+
+
+@pytest.mark.parametrize("atlas", HOP_ATLASES, ids=lambda a: a.name)
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 3),
+                               st.lists(st.floats(-0.3, 1.3), min_size=6, max_size=6)),
+                     min_size=1, max_size=12),
+       margin=st.sampled_from([0.0, 0.1]))
+def test_batched_hops_equal_per_row_hops(atlas, rows, margin):
+    # rows of every chart, inside and around its sample box, hop in one call
+    # exactly as each row hops alone
+    order = atlas.chart_order()
+    cids = [order[which % len(order)] for which, _ in rows]
+    X = np.array([atlas.chart(cid).sample_lo + np.array(u[:atlas.dim])
+                  * (atlas.chart(cid).sample_hi - atlas.chart(cid).sample_lo)
+                  for cid, (_, u) in zip(cids, rows)])
+    targets, Y = atlas.hop_targets(cids, X, margin)
+    for cid, x, tid, y in zip(cids, X, targets, Y):
+        want_tid, want_y = _hop_reference(atlas, cid, x, margin)
+        assert tid == want_tid
+        assert y.tobytes() == want_y.tobytes()
+
+
+def test_a_row_whose_map_raises_skips_that_neighbour():
+    # a -> b raises on any row with a negative first coordinate; called on a
+    # block, it raises for the whole block, yet only those rows go on to c
+    def picky(x):
+        if (x[..., 0] < 0).any():
+            raise ValueError("negative first coordinate")
+        return x + 1.0
+
+    a, b, c = (Chart(cid, 2, all_space, [-1.0, -1.0], [1.0, 1.0], priority=i)
+               for i, cid in enumerate("abc"))
+    a.add_transition("b", Transition(picky))
+    a.add_transition("c", Transition(lambda x: x - 1.0))
+    b.add_transition("c", Transition(lambda x: x - 2.0))
+    atlas = Atlas("toy", 2, [a, b, c])
+    cids = ["a", "a", "b", "a", "a"]
+    X = np.array([[0.5, 0.0], [-0.5, 0.0], [0.3, 0.1], [0.2, 0.3], [-0.1, -0.2]])
+    targets, Y = atlas.hop_targets(cids, X, 0.1)
+    assert list(targets) == ["b", "c", "c", "b", "c"]
+    np.testing.assert_array_equal(Y, X + [[1.0], [-1.0], [-2.0], [1.0], [-1.0]])
+    for cid, x, tid, y in zip(cids, X, targets, Y):
+        assert _hop_reference(atlas, cid, x, 0.1) == (tid, pytest.approx(y))

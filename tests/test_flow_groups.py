@@ -1,19 +1,22 @@
 """Rows step in groups keyed on the callables their right-hand side calls.
 
 Charts whose field hands out the same `value` (and, with variational
-columns, the same `d`) step their rows through one RK4 call; the margin
-test, the hop search and the re-chart of the variational columns stay
-per chart.  A mixed-chart block must therefore give every row exactly
+columns, the same `d`) step their rows through one RK4 call; charts
+whose margin test is one family (the torus boxes) test their rows in one
+call with per-row parameters, and the rows leaving at one step hop in
+one call, while the re-chart of the variational columns stays per row.
+A mixed-chart block must therefore give every row exactly
 what that row gives when it runs alone, bit for bit: the grouped step
 applies the same elementwise arithmetic to each row.
 """
 import numpy as np
 import pytest
 
+from affinelab import atlas as atlas_module
 from affinelab import flows
-from affinelab.atlas import Point
+from affinelab.atlas import Atlas, Point
 from affinelab.bundles import pack
-from affinelab.catalog import Catalog
+from affinelab.catalog import Catalog, flat_connection, torus_atlas
 from affinelab.flows import OK, ChartField, IntegratorConfig, VectorField, _run_block
 from affinelab.frame_bundle import Frame, kappa_inverse_family, standard_horizontal
 from affinelab.geodesics import geodesic_field
@@ -111,6 +114,45 @@ def test_torus_rows_over_all_four_charts_equal_single_rows(cat, rng, rk4_calls):
     _block_equals_rows(fld, starts, np.full(len(starts), 2.0), cfg)
     assert status == [OK] * len(starts)
     assert any(e.chart != s.chart for e, s in zip(ends, starts))
+
+
+def test_torus_block_tests_its_margin_once_per_step_and_hops_once(monkeypatch, rng, rk4_calls):
+    # the four boxes share one margin test (`in_box` with per-row centre and
+    # half-width) and one shift onto each box, so a block over all four boxes
+    # tests its margin once per step, whatever the boxes its rows hop
+    # between, and looks for every hop of a step in one call
+    calls = {"steps": 0, "hops": 0, "trials": 0}
+    hopping = []
+    in_box, hop_targets = atlas_module.in_box, Atlas.hop_targets
+
+    def counted_box(*args):
+        calls["trials" if hopping else "steps"] += 1
+        return in_box(*args)
+
+    def counted_hops(self, *args):
+        calls["hops"] += 1
+        hopping.append(True)
+        try:
+            return hop_targets(self, *args)
+        finally:
+            hopping.pop()
+
+    monkeypatch.setattr(atlas_module, "in_box", counted_box)
+    monkeypatch.setattr(Atlas, "hop_targets", counted_hops)
+    fld = geodesic_field(flat_connection(torus_atlas()))
+    starts = [_tm(cid, np.add(c, rng.uniform(-0.2, 0.2, 2)), rng.normal(size=2))
+              for cid, c in [*TORUS_CENTERS.items(), *TORUS_CENTERS.items()]]
+    ends, _, _, status = _run_block(fld, starts, np.full(len(starts), 2.0),
+                                    IntegratorConfig(step=0.05))
+    assert status == [OK] * len(starts)
+    assert any(e.chart != s.chart for e, s in zip(ends, starts))
+    steps = len(rk4_calls)
+    assert steps == 40 and rk4_calls[0] == (8, 4)
+    # one start check per row, then one test of the whole block per step
+    assert calls["steps"] == len(starts) + steps
+    # at most one hop search per step, each trying every box at most once
+    assert 0 < calls["hops"] <= steps
+    assert calls["trials"] <= len(TORUS_CENTERS) * calls["hops"]
 
 
 def test_variational_block_equals_single_rows(cat, rng):

@@ -204,6 +204,34 @@ def test_cli_rejects_invalid_step_as_usage_error(step, tmp_path, capsys):
     assert "--step" in capsys.readouterr().err
 
 
+_DUMP_ARGS = {
+    "geodesic": {"--manifold": "sphere", "--connection": "round", "--chart": "a",
+                 "--point": "0.1,0.2", "--velocity": "0,1", "--t1": "0.1", "--step": "0.01"},
+    "horizontal": {"--manifold": "sphere", "--connection": "round", "--chart": "a",
+                   "--point": "0.1,0.2", "--lam": "1,0", "--t1": "0.1", "--step": "0.01"},
+}
+
+
+@pytest.mark.parametrize("kind, changed, flag", [
+    ("geodesic", {"--chart": "zz"}, "--chart"),
+    ("geodesic", {"--connection": "nope"}, "--connection"),
+    ("geodesic", {"--point": "0,0,0"}, "--point"),
+    ("geodesic", {"--point": "a,b"}, "--point"),
+    ("geodesic", {"--velocity": "1"}, "--velocity"),
+    ("geodesic", {"--t1": "nan"}, "--t1"),
+    ("geodesic", {"--t0": "-1", "--t1": "-2"}, "--t1"),
+    ("horizontal", {"--frame": "1,2,3"}, "--frame"),
+    ("horizontal", {"--lam": "1"}, "--lam"),
+])
+def test_cli_dump_rejects_bad_flags_as_usage_errors(kind, changed, flag, tmp_path, capsys):
+    # a dump flag the run cannot use is a usage error (2) that names the
+    # flag, not a traceback with exit code 1 (a failed check)
+    args = {**_DUMP_ARGS[kind], **changed, "--out": str(tmp_path / "d.csv")}
+    assert cli_main(["dump", kind, *(a for kv in args.items() for a in kv)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
 def test_cli_list(capsys):
     assert cli_main(["list"]) == 0
     text = capsys.readouterr().out
