@@ -17,14 +17,14 @@ from .harness import check_names, emit, load_scenario, run_suite, trajectory_row
 
 
 def _vec_arg(flag: str, text: str, size: int) -> np.ndarray:
-    """The `size` comma-separated numbers of --flag; anything else is a usage error."""
+    """The `size` comma-separated finite numbers of --flag; anything else is a usage error."""
     try:
         v = np.array([float(x) for x in text.split(",")], float)
-        if v.size == size:
+        if v.size == size and np.isfinite(v).all():
             return v
     except ValueError:
         pass
-    raise ScenarioError(f"--{flag}: expected {size} comma-separated numbers, got {text!r}")
+    raise ScenarioError(f"--{flag}: expected {size} comma-separated finite numbers, got {text!r}")
 
 
 def _with_step(cfg: IntegratorConfig, step: float) -> IntegratorConfig:

@@ -1,26 +1,29 @@
 """Chart-hopping ODE machinery for vector fields expressed per chart.
 
-Fixed-step classical RK4 throughout; no adaptivity.  One core integrates
-rows of states, entered through `_run_block`: a single row (`_run` is
-that single-trajectory form; without variational columns it may record
-its trajectory as (t, chart, x) rows) runs as a 1-D state with a float
-step, and several rows (the completeness probe's seeds in both directions,
-`exp_map_rows`, each segment of a flow word over a sample set) as
-an (m, N) array whose rows each carry their own chart, signed step, hop
-count, status and reach time.  Each step advances the rows in groups
-keyed on the callables their right-hand side calls, not on their chart:
-rows of every chart whose field hands out the same callables step
-through one RK4 call, so the callables take (..., N) inputs.  Margin
-tests group by test family, each row with its own parameters: a row
-that leaves the margin-shrunk domain of its chart is handed off to the
-highest-priority neighbouring chart that contains it, all of a step's
-hops found in one `Atlas.hop_targets` call; a divergence, left-atlas or
+Fixed-step classical RK4 throughout, every step one `_rk4` call; no
+adaptivity.  One core integrates an (m, N) block of rows, entered through
+`_run_block`, each row with its own chart, signed step, hop count, status
+and reach time: the completeness probe's seeds in both directions,
+`exp_map_rows`, each segment of a flow word over a sample set.  A single
+trajectory (`_run`; without variational columns it may record its
+trajectory as (t, chart, x) rows) is a block of one, stepped as its 1-D
+view with a scalar step, which numpy runs about 2.6x faster than a
+(1, N) block (sphere `exp_map`, 1,000 steps: 28-29 ms against 74-78 ms);
+it takes the same loop as any block, its hops the one-row search
+`Atlas.hop_target`.  Each step advances the rows in groups keyed on the
+callables their right-hand side calls, not on their chart: rows of every
+chart whose field hands out the same callables step through one RK4
+call, so the callables take (..., N) inputs.  Margin tests group by test
+family, each row with its own parameters: a row that leaves the
+margin-shrunk domain of its chart is handed off to the highest-priority
+neighbouring chart that contains it, all of a block's hops in a step
+found in one `Atlas.hop_targets` call; a divergence, left-atlas or
 hop-limit stop retires that row and leaves the rest running.  The
-variational flow appends
-w' = d xi(x) w to the state as extra columns, re-charting w through the
-transition Jacobian at every hand-off.  A family field (`params` = q)
-takes a constant parameter row per trajectory, which is never stepped
-and never re-charted, so flows of different members share a block.
+variational flow appends w' = d xi(x) w to the state as extra columns,
+re-charting w through the transition Jacobian at every hand-off.  A
+family field (`params` = q) takes a constant parameter row per
+trajectory, which is never stepped and never re-charted, so flows of
+different members share a block.
 """
 from __future__ import annotations
 
@@ -188,6 +191,7 @@ def _rhs(field: VectorField, cid: str, n: int, k: int, p=None) -> Callable:
 
 
 def _rk4(rhs: Callable, z: np.ndarray, h) -> np.ndarray:
+    """One RK4 step, calling rhs at z, z + h/2 k1, z + h/2 k2, z + h k3 in that order."""
     k1 = rhs(z)
     k2 = rhs(z + 0.5 * h * k1)
     k3 = rhs(z + 0.5 * h * k2)
@@ -199,16 +203,18 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                w_shape: tuple | None = None, record: list | None = None, params=None):
     """The RK4 core.
 
-    `z` is one state (n + n k,) with `t` a float, or a block of rows
-    (m, n + n k) with `t` an (m,) array of signed durations; n is the
-    field's state dimension and the last n k columns hold the variational
-    block of shape `w_shape`.  `z` is updated in place.  Rows step in
-    groups that share a right-hand side: the chart `value`, plus `d` when
-    variational columns are carried, the same objects; the margin test,
-    the hop search and the re-chart of the variational block use each
-    row's own chart.  A family's parameter rows `params`, shaped like `z`,
-    are never stepped or re-charted; each group passes its share to the
-    chart callables.
+    `z` is a block of rows (m, n + n k) with `t` an (m,) array of signed
+    durations; n is the field's state dimension and the last n k columns
+    hold the variational block of shape `w_shape`.  `z` is updated in
+    place.  A block of one row is stepped as its 1-D view `z[0]` with a
+    scalar step, so the right-hand side and the margin test see a 1-D
+    state (about 2.6x faster than a (1, N) block); a one-row group of a
+    larger block stays 2-D.  Rows step in groups that share a right-hand
+    side: the chart `value`, plus `d` when variational columns are
+    carried, the same objects; the margin test, the hop search and the
+    re-chart of the variational block use each row's own chart.  A
+    family's parameter rows `params`, shaped like `z`, are never stepped
+    or re-charted; each group passes its share to the chart callables.
     Returns (chart ids, z, t_reached, statuses) with one entry per row.
     `record` (one row, no variational block) is appended with rows (t,
     chart_id, x_copy), a hop adding its pre-hop state at the same time.
@@ -216,14 +222,14 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     atlas = field.atlas
     n = atlas.dim
     k = 0 if w_shape is None else int(np.prod(w_shape)) // n
-    single = z.ndim == 1
     cids = list(cids)
     m = len(cids)
-    rows = z.reshape(m, z.shape[-1])
-    ts = [float(t)] if single else [float(ti) for ti in t]
+    ts = [float(ti) for ti in t]
     steps = [max(1, int(math.ceil(abs(ti) / cfg.step - 1e-12))) if ti != 0.0 else 0 for ti in ts]
     hs = [ti / s if s else 0.0 for ti, s in zip(ts, steps)]
-    h = hs[0] if single else np.array(hs)[:, None]
+    h = np.array(hs)[:, None]
+    # the whole block: one row as its 1-D view and scalar step, else every row
+    whole = (0, hs[0]) if m == 1 else (..., h)
 
     keys = {}
 
@@ -254,13 +260,13 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             rhs[key] = _rhs(field, cid, n, k)
         return rhs[key]
 
-    for r, (cid, row) in enumerate(zip(cids, rows)):
+    for r, (cid, row) in enumerate(zip(cids, z)):
         if not atlas.chart(cid).contains(row[:n]):
             raise LeftAtlas(f"start {Point(cid, row[:n])!r} outside its chart domain")
         place(r, cid)
 
     def snapshot(tcur, r):
-        return tcur, cids[r], rows[r, :n].copy()
+        return tcur, cids[r], z[r, :n].copy()
 
     if record is not None:
         record.append(snapshot(0.0, 0))
@@ -286,20 +292,20 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     def groups():
         """(row selector, step, rhs, margin tests) per right-hand side that
         live rows share, each test (test, indices into the group's rows,
-        family parameters or None, their rows); `...` takes every row."""
+        family parameters or None, their rows); the selector is `whole`'s
+        when the group holds every row."""
         by_key = {}
         for r in sorted(live):
             by_key.setdefault(keyed(cids[r])[0], []).append(r)
         out = []
         for rs in by_key.values():
-            sel = ... if len(rs) == m else np.array(rs)
+            sel, h_sel = whole if len(rs) == m else (np.array(rs), h[rs])
             tests = {}
             for j, r in enumerate(rs):
                 tests.setdefault(keyed(cids[r])[1], []).append(j)
-            tests = [(fn, np.array(js), tparams.get(fn),
-                      0 if single else ... if len(js) == m else np.array(rs)[js])
+            tests = [(fn, np.array(js), tparams.get(fn), sel if len(js) == m else np.array(rs)[js])
                      for fn, js in tests.items()]
-            out.append((sel, h if sel is ... else h[sel], rhs_on(cids[rs[0]], sel), tests))
+            out.append((sel, h_sel, rhs_on(cids[rs[0]], sel), tests))
         return out
 
     for i in range(max(steps, default=0)):
@@ -324,14 +330,14 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 continue
             # rare path: stop diverged rows, hop (or stop) rows outside the
             # margin; the plan holds while every row keeps its group and test
-            idx = np.arange(m) if sel is ... else sel
+            idx = sel if isinstance(sel, np.ndarray) else np.arange(m)
             sound = np.reshape(sound, -1)
             for r in idx[~sound]:
                 stop(r, DIVERGED, i)
             out = idx[sound & ~np.reshape(inside, -1)]
-            X = rows[out, :n]
-            if single:
-                hop = atlas.hop_target(cids[0], X[0], margin) if out.size else None
+            X = z[out, :n]
+            if m == 1 and out.size:  # perfbench counts hops only in hop_target (ROADMAP 1)
+                hop = atlas.hop_target(cids[0], X[0], margin)
                 targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
             else:
                 targets, Y = atlas.hop_targets([cids[r] for r in out], X, margin)
@@ -346,12 +352,12 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 if not field.has_chart(tid):
                     raise ChartMissing(f"field {field.name!r} undefined on hop target {tid!r}")
                 if record is not None:
-                    record.append(snapshot((i + 1) * h, r))
+                    record.append(snapshot((i + 1) * hs[r], r))
                 if k:
-                    W = rows[r, n:].reshape(n, k)
+                    W = z[r, n:].reshape(n, k)
                     J = atlas.chart(cid).transitions[tid].d(X[j])
-                    rows[r, n:] = (np.asarray(J, float) @ W).ravel()
-                rows[r, :n] = Y[j]
+                    z[r, n:] = (np.asarray(J, float) @ W).ravel()
+                z[r, :n] = Y[j]
                 cids[r] = tid
                 if keyed(tid)[:2] != keyed(cid)[:2]:
                     plan = None
@@ -360,7 +366,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 if hops[r] > cfg.max_hops:
                     stop(r, HOP_LIMIT, i + 1)
         if record is not None and live:
-            record.append(snapshot((i + 1) * h, 0))
+            record.append(snapshot((i + 1) * hs[0], 0))
         done = finish.get(i + 1)
         if done:
             live -= done
@@ -394,8 +400,8 @@ def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
     (one row only), `params` the (m, q) parameter rows of a family field.
     Each row stops on its own.  Returns (end points, W, t_reached,
     statuses), one per row, W holding the pushed columns in the shape of
-    `w0` (None without it).  A single row runs as a 1-D state, which numpy
-    steps about 2.5x faster than a one-row block.
+    `w0` (None without it).  A single row is a block of one, which
+    `_integrate` steps as its 1-D view (about 2.6x faster than (1, N)).
     """
     m, n = len(starts), field.atlas.dim
     z = np.array([p.coords for p in starts], float).reshape(m, n)
@@ -405,13 +411,8 @@ def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
         z = np.concatenate([z, w0.reshape(m, -1)], axis=1)
     t = np.broadcast_to(np.asarray(t, float), (m,))
     params = None if params is None else np.asarray(params, float).reshape(m, field.params)
-    if m == 1:
-        cids, z1, t_ok, status = _integrate(field, [starts[0].chart], z[0], t[0], cfg, w_shape,
-                                            record, None if params is None else params[0])
-        z = z1[None]
-    else:
-        cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, t, cfg, w_shape,
-                                           record, params)
+    cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, t, cfg, w_shape,
+                                       record, params)
     W = None if w0 is None else z[:, n:].reshape((m,) + w_shape)
     return [Point(c, x) for c, x in zip(cids, z[:, :n])], W, t_ok, status
 

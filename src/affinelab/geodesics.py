@@ -21,8 +21,8 @@ from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas, unpack
 from .connection import ConnectionField
 from .errors import LeftAtlas, NoConvergence
-from .flows import (OK, ChartField, IntegratorConfig, VectorField, _flow_rows, _raise_for, _run,
-                    _run_block)
+from .flows import (OK, ChartField, IntegratorConfig, VectorField, _flow_rows, _raise_for, _rk4,
+                    _run, _run_block)
 from . import numdiff
 
 
@@ -95,11 +95,15 @@ class CurveSpec:
         return np.linspace(self.t0, self.t1, n + 1)
 
     def eval(self, t: float):
-        """(chart_id, x, v) at parameter t."""
+        """(chart_id, x, v) at parameter t.  A sampled curve raises
+        ValueError for t outside its samples by more than round-off."""
         if self._fn is not None:
             cid, x, v = self._fn(float(t))
             return cid, _vec(x), _vec(v)
-        t = float(min(max(t, self._ts[0]), self._ts[-1]))
+        slack = 1e-12 * max(1.0, abs(self.t0), abs(self.t1))
+        if not self.t0 - slack <= t <= self.t1 + slack:
+            raise ValueError(f"t={t!r} lies outside the sampled span [{self.t0!r}, {self.t1!r}]")
+        t = float(min(max(t, self.t0), self.t1))
         k = int(np.searchsorted(self._seg_starts, t, side="right") - 1)
         k = min(max(k, 0), len(self._segs) - 1)
         i = self._segs[k]
@@ -255,7 +259,8 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
                        v, cfg: IntegratorConfig) -> np.ndarray:
     """P^{t1}_{t0}(alpha)(v): transport v (vector or (n, k) matrix of columns)
     along the curve from parameter t0 to t1, evaluating the curve once per
-    grid point (a step's end is the next step's start) and per midpoint."""
+    grid point (a step's end is the next step's start) and per midpoint.
+    Each grid interval is one `flows._rk4` step of the linear chart ODE."""
     atlas = conn.atlas
     n = atlas.dim
     v = np.asarray(v, float)
@@ -277,15 +282,13 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
             # re-chart the transported block at the segment start
             G = atlas.d_transition(Point(cid, xb), c) @ G
             cid, bil = c, conn.bilinear_fn(c)
-        h = b - a
-        k1 = _columns(bil, x, vel, G)
-        xm, vm = _in_chart(atlas, *curve.eval(0.5 * (a + b)), cid)
+        mid = _in_chart(atlas, *curve.eval(0.5 * (a + b)), cid)
+        # the curve at the RK4 stages, in `_rk4`'s call order
+        stages = [(x, vel), mid, mid]
         c, x, vel = curve.eval(b)
         xb, vb = _in_chart(atlas, c, x, vel, cid)
-        k2 = _columns(bil, xm, vm, G + 0.5 * h * k1)
-        k3 = _columns(bil, xm, vm, G + 0.5 * h * k2)
-        k4 = _columns(bil, xb, vb, G + h * k3)
-        G = G + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        stages = iter(stages + [(xb, vb)])
+        G = _rk4(lambda W: _columns(bil, *next(stages), W), G, b - a)
 
     # express the result in the curve's own end-point chart
     if c != cid:

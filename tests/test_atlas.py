@@ -280,6 +280,12 @@ def test_batched_hops_equal_per_row_hops(atlas, rows, margin):
         want_tid, want_y = _hop_reference(atlas, cid, x, margin)
         assert tid == want_tid
         assert y.tobytes() == want_y.tobytes()
+        # the one-row form agrees, None where the row has no target
+        hop = atlas.hop_target(cid, x, margin)
+        if tid is None:
+            assert hop is None
+        else:
+            assert hop[0] == tid and hop[1].tobytes() == y.tobytes()
 
 
 def test_a_row_whose_map_raises_skips_that_neighbour():

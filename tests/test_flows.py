@@ -6,7 +6,7 @@ import oracles
 from affinelab.atlas import Point
 from affinelab.bundles import pack, unpack
 from affinelab.errors import LeftAtlas
-from affinelab.flows import (ChartField, IntegratorConfig, VectorField, commutation_defect,
+from affinelab.flows import (ChartField, IntegratorConfig, VectorField, _rk4, commutation_defect,
                              constant_field, flow_word, integrate, lie_derivative_defect,
                              parameter_flow_derivative_defect, variational_flow)
 from affinelab.geodesics import geodesic_field
@@ -16,6 +16,19 @@ def test_constant_field_exact(cat, cfg):
     fld = cat.field("torus", "t_trans_x")
     end = integrate(fld, Point("t00", [0.0, 0.1]), 0.25, cfg)
     assert np.allclose(end.coords - np.array([0.25, 0.1]), 0.0, atol=1e-14)
+
+
+def test_rk4_calls_its_right_hand_side_once_per_stage_in_order():
+    # parallel transport pairs each call with a curve point by this order
+    def f(z):
+        return np.array([z[1] ** 2, -z[0]])
+
+    calls = []
+    z, h = np.array([0.3, -0.2]), 0.1
+    _rk4(lambda w: calls.append(w.copy()) or f(w), z, h)
+    k1, k2, k3 = f(z), f(calls[1]), f(calls[2])
+    want = [z, z + 0.5 * h * k1, z + 0.5 * h * k2, z + h * k3]
+    assert len(calls) == 4 and all(np.array_equal(c, w) for c, w in zip(calls, want))
 
 
 def test_flow_word_is_sequential_integration(cat):

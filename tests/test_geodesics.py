@@ -156,6 +156,28 @@ def test_transport_evaluates_each_point_of_its_curve_once(cat, t0, t1, steps):
     assert len(calls) == 2 * steps + 1
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, 3.0), (-2.0, 1.0), (1.5, 0.5)])
+def test_sampled_curve_rejects_parameters_outside_its_samples(cat, t0, t1):
+    # past its last sample a sampled curve has stopped moving, so transport
+    # over a longer span would run on along a wrong curve without an error
+    conn = cat.connection("sphere", "round")
+    cfg = IntegratorConfig(step=1e-2)
+    curve = geodesic(conn, Tangent(Point("a", [0.2, 0.1]), [0.5, 0.2]), (0.0, 1.0), cfg)
+    with pytest.raises(ValueError, match="outside the sampled span"):
+        parallel_transport(conn, curve, t0, t1, np.eye(2), cfg)
+
+
+def test_sampled_curve_accepts_its_end_missed_by_round_off(cat):
+    # the last sample time is steps * (t1 / steps), an ulp short of t1 here
+    conn = cat.connection("sphere", "round")
+    curve = geodesic(conn, Tangent(Point("a", [0.2, 0.1]), [0.5, 0.2]), (0.0, 1.0),
+                     IntegratorConfig(step=1 / 49))
+    assert curve.t1 == 49 * (1 / 49) < 1.0
+    assert curve.point(1.0).coords.tobytes() == curve.point(curve.t1).coords.tobytes()
+    with pytest.raises(ValueError, match="outside the sampled span"):
+        curve.eval(1.0 + 1e-9)
+
+
 def test_transport_along_geodesic_autoparallel(cat, cfg):
     conn = cat.connection("sphere", "round")
     curve = geodesic(conn, Tangent(Point("a", [0.5, 0.1]), [0.4, -0.7]), (0.0, 2.0), cfg)

@@ -222,6 +222,10 @@ _DUMP_ARGS = {
     ("geodesic", {"--t0": "-1", "--t1": "-2"}, "--t1"),
     ("horizontal", {"--frame": "1,2,3"}, "--frame"),
     ("horizontal", {"--lam": "1"}, "--lam"),
+    ("geodesic", {"--point": "nan,0"}, "--point"),
+    ("geodesic", {"--velocity": "inf,0"}, "--velocity"),
+    ("horizontal", {"--lam": "1,nan"}, "--lam"),
+    ("horizontal", {"--frame": "nan,0,0,1"}, "--frame"),
 ])
 def test_cli_dump_rejects_bad_flags_as_usage_errors(kind, changed, flag, tmp_path, capsys):
     # a dump flag the run cannot use is a usage error (2) that names the
