@@ -20,7 +20,7 @@ import numpy as np
 from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas, unpack
 from .connection import ConnectionField
-from .errors import LeftAtlas, NoConvergence
+from .errors import NoConvergence
 from .flows import (OK, ChartField, IntegratorConfig, VectorField, _flow_rows, _raise_for, _rk4,
                     _run, _run_block)
 from . import numdiff
@@ -56,7 +56,8 @@ class CurveSpec:
 
     Built either from dense integrator samples (rows (t, chart, x, v),
     duplicated t marking a chart hand-off) or from an analytic callable
-    t -> (chart_id, x, v).
+    t -> (chart_id, x, v).  Samples must span a positive length and
+    change chart only at a duplicated t (ValueError otherwise).
     """
 
     def __init__(self, atlas: Atlas, t0: float, t1: float):
@@ -69,8 +70,9 @@ class CurveSpec:
     @classmethod
     def from_samples(cls, atlas: Atlas, rows) -> "CurveSpec":
         ts = np.array([r[0] for r in rows], float)
-        if ts.size < 2 or np.any(np.diff(ts) < 0):
-            raise ValueError("need at least two samples with non-decreasing times")
+        if ts.size < 2 or np.any(np.diff(ts) < 0) or not ts[-1] > ts[0]:
+            raise ValueError("need at least two samples with non-decreasing times "
+                             "spanning a positive length")
         curve = cls(atlas, ts[0], ts[-1])
         curve._ts = ts
         curve._charts = [r[1] for r in rows]
@@ -78,6 +80,8 @@ class CurveSpec:
         curve._vs = np.stack([_vec(r[3]) for r in rows])
         # segment i spans [ts[i], ts[i+1]]; zero-length hop segments are skipped
         curve._segs = [i for i in range(ts.size - 1) if ts[i + 1] > ts[i]]
+        if any(curve._charts[i] != curve._charts[i + 1] for i in curve._segs):
+            raise ValueError("a chart hand-off between samples needs a duplicated t")
         curve._seg_starts = np.array([ts[i] for i in curve._segs])
         return curve
 
@@ -112,9 +116,6 @@ class CurveSpec:
         s = (t - ta) / h
         xa, xb = self._xs[i], self._xs[i + 1]
         va, vb = self._vs[i], self._vs[i + 1]
-        if self._charts[i] != self._charts[i + 1]:
-            # hop mid-segment should not happen (hops insert duplicate times)
-            raise LeftAtlas("curve segment straddles a chart hand-off")
         h00 = 2 * s**3 - 3 * s**2 + 1
         h10 = s**3 - 2 * s**2 + s
         h01 = -2 * s**3 + 3 * s**2
@@ -321,11 +322,14 @@ def completeness_probe(conn: ConnectionField, seeds, horizon: float,
     """Integrate each seed geodesic to +-horizon, recording how far it got.
 
     Every seed in both directions is one row of a single block.  Failures
-    (LeftAtlas / HopLimit / divergence) are data, not errors.
+    (LeftAtlas / HopLimit / divergence) are data, not errors.  No seeds is
+    a ValueError: completeness over zero rows would hold vacuously.
     """
     n = conn.atlas.dim
     fld = geodesic_field(conn)
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("completeness_probe needs at least one seed")
     starts = [Point(s.base.chart, pack(s.base.coords, s.vec.reshape(n, 1))) for s in seeds]
     m = len(starts)
     _, _, t_ok, status = _run_block(fld, starts + starts, np.repeat([horizon, -horizon], m), cfg)

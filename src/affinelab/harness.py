@@ -7,12 +7,16 @@ status = pass iff worst <= tol; floor-style checks (separation, rank,
 completeness) record their margin shortfall as `worst` with tol 0 so the
 same convention holds.
 
+Checks are registered with `check`; each parameter name has one kind in
+`_KIND`, which a scenario's values must pass when it is parsed.
+
 All randomness is drawn from numpy PCG64 generators seeded per check as
 SeedSequence([rng_seed, check_index]), which makes reports reproducible
 and keeps checks independent of each other.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
@@ -30,8 +34,8 @@ from .errors import GeometryError, IoError, ParseError, UnknownCatalogName
 from .flows import IntegratorConfig, combine, parameter_flow_derivative_defect
 from .frame_bundle import Frame, FrameTangent, horizontal_projection_defect, kappa_inverse_family
 from .geodesics import CurveSpec, completeness_probe, geodesic, parallel_transport
-from .killing import (HorizontalPath, bracket, ev_embedding, extend_killing, gram_rank,
-                      killing_residual, lift_commutation_defect, natural_lift, path_to)
+from .killing import (HorizontalPath, KillingSeed, bracket, ev_embedding, extend_killing,
+                      gram_rank, killing_residual, lift_commutation_defect, natural_lift, path_to)
 
 
 @dataclass
@@ -80,9 +84,11 @@ class Report:
 _CHECKS: dict[str, tuple[dict, callable]] = {}
 
 
-def check(name: str, **defaults):
+def check(name: str):
+    """Register `fn(ctx, ...)` as check `name`, its signature's defaults (None: required)."""
     def wrap(fn):
-        _CHECKS[name] = (defaults, fn)
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        _CHECKS[name] = ({p.name: p.default for p in params}, fn)
         return fn
 
     return wrap
@@ -126,8 +132,8 @@ class _Ctx:
         return Frame(chart, x, np.eye(n) + self.rng.uniform(-0.2, 0.2, size=(n, n)))
 
 
-@check("transition_roundtrip", samples=100, tol=1e-10)
-def _transition_roundtrip(ctx, samples, tol):
+@check("transition_roundtrip")
+def _transition_roundtrip(ctx, samples=100, tol=1e-10):
     worst, count = 0.0, 0
     for cid, tid in ctx.atlas.overlap_pairs():
         for p in ctx.atlas.overlap_samples(cid, tid, samples, ctx.rng):
@@ -137,8 +143,8 @@ def _transition_roundtrip(ctx, samples, tol):
     return worst, count, worst <= tol
 
 
-@check("d2_symmetry", samples=50, tol=1e-8)
-def _d2_symmetry(ctx, samples, tol):
+@check("d2_symmetry")
+def _d2_symmetry(ctx, samples=50, tol=1e-8):
     worst, count = 0.0, 0
     for cid, tid in ctx.atlas.overlap_pairs():
         for p in ctx.atlas.overlap_samples(cid, tid, samples, ctx.rng):
@@ -148,8 +154,8 @@ def _d2_symmetry(ctx, samples, tol):
     return worst, count, worst <= tol
 
 
-@check("bilinearity", samples=50, tol=1e-10)
-def _bilinearity(ctx, samples, tol):
+@check("bilinearity")
+def _bilinearity(ctx, samples=50, tol=1e-10):
     worst, count = 0.0, 0
     for cid in ctx.atlas.charts:
         if not ctx.conn.has_chart(cid):
@@ -164,8 +170,8 @@ def _bilinearity(ctx, samples, tol):
     return worst, count, worst <= tol
 
 
-@check("change_of_variable", samples=100, tol=1e-6)
-def _change_of_variable(ctx, samples, tol):
+@check("change_of_variable")
+def _change_of_variable(ctx, samples=100, tol=1e-6):
     worst, count = 0.0, 0
     for cid, tid in ctx.atlas.overlap_pairs():
         for p in ctx.atlas.overlap_samples(cid, tid, samples, ctx.rng):
@@ -175,8 +181,8 @@ def _change_of_variable(ctx, samples, tol):
     return worst, count, worst <= tol
 
 
-@check("flow_group_law", field=None, s=0.37, t=0.19, samples=5, tol=1e-8)
-def _flow_group_law(ctx, field, s, t, samples, tol):
+@check("flow_group_law")
+def _flow_group_law(ctx, field=None, s=0.37, t=0.19, samples=5, tol=1e-8):
     fld = ctx.field(field)
     pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
     a, _ = FlowWord(ctx.atlas, [(fld, s), (fld, t)], ctx.cfg).push(pts)
@@ -185,8 +191,8 @@ def _flow_group_law(ctx, field, s, t, samples, tol):
     return worst, len(pts), worst <= tol
 
 
-@check("flow_reversibility", field=None, t=0.8, samples=5, tol=1e-8)
-def _flow_reversibility(ctx, field, t, samples, tol):
+@check("flow_reversibility")
+def _flow_reversibility(ctx, field=None, t=0.8, samples=5, tol=1e-8):
     fld = ctx.field(field)
     pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
     out, _ = FlowWord(ctx.atlas, [(fld, t), (fld, -t)], ctx.cfg).push(pts)
@@ -194,71 +200,69 @@ def _flow_reversibility(ctx, field, t, samples, tol):
     return worst, len(pts), worst <= tol
 
 
-@check("geodesic_periodicity", chart=None, point=None, velocity=None, period=None, tol=1e-6)
-def _geodesic_periodicity(ctx, chart, point, velocity, period, tol):
-    start = Tangent(Point(chart, point), np.asarray(velocity, float))
-    curve = geodesic(ctx.conn, start, (0.0, float(period)), ctx.cfg)
-    worst = ctx.atlas.gap(curve.point(float(period)), start.base)
+@check("geodesic_periodicity")
+def _geodesic_periodicity(ctx, chart=None, point=None, velocity=None, period=None, tol=1e-6):
+    start = Tangent(Point(chart, point), velocity)
+    curve = geodesic(ctx.conn, start, (0.0, period), ctx.cfg)
+    worst = ctx.atlas.gap(curve.point(period), start.base)
     return worst, 1, worst <= tol
 
 
-@check("geodesic_convergence", chart=None, point=None, velocity=None, period=None, min_ratio=8.0)
-def _geodesic_convergence(ctx, chart, point, velocity, period, min_ratio):
-    start = Tangent(Point(chart, point), np.asarray(velocity, float))
+@check("geodesic_convergence")
+def _geodesic_convergence(ctx, chart=None, point=None, velocity=None, period=None, min_ratio=8.0):
+    start = Tangent(Point(chart, point), velocity)
     errs = []
     for step in (ctx.cfg.step, ctx.cfg.step / 2.0):
-        curve = geodesic(ctx.conn, start, (0.0, float(period)), replace(ctx.cfg, step=step))
-        errs.append(ctx.atlas.gap(curve.point(float(period)), start.base))
+        curve = geodesic(ctx.conn, start, (0.0, period), replace(ctx.cfg, step=step))
+        errs.append(ctx.atlas.gap(curve.point(period), start.base))
     ratio = errs[0] / max(errs[1], 1e-300)
-    worst = max(0.0, float(min_ratio) - ratio)
+    worst = max(0.0, min_ratio - ratio)
     return worst, 2, worst <= 0.0
 
 
-@check("sphere_holonomy", colatitudes=(0.5235987755982988, 0.7853981633974483, 1.0471975511965976),
-       tol=1e-5)
-def _sphere_holonomy(ctx, colatitudes, tol):
+@check("sphere_holonomy")
+def _sphere_holonomy(ctx, colatitudes=(0.5235987755982988, 0.7853981633974483,
+                                      1.0471975511965976), tol=1e-5):
     if ctx.scenario.manifold != "sphere":
         raise GeometryError("sphere_holonomy requires the sphere catalog entry")
     worst = 0.0
     for theta0 in colatitudes:
-        rho = np.tan(float(theta0) / 2.0)
+        rho = np.tan(theta0 / 2.0)
 
         def circ(t, rho=rho):
             return "b", rho * np.array([np.cos(t), np.sin(t)]), rho * np.array([-np.sin(t), np.cos(t)])
 
         curve = CurveSpec.from_callable(ctx.atlas, circ, 0.0, 2 * np.pi)
         P = parallel_transport(ctx.conn, curve, 0.0, 2 * np.pi, np.eye(2), ctx.cfg)
-        ang = -2 * np.pi * np.cos(float(theta0))
+        ang = -2 * np.pi * np.cos(theta0)
         expected = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         worst = max(worst, float(np.linalg.norm(P - expected)))
-    return worst, len(list(colatitudes)), worst <= tol
+    return worst, len(colatitudes), worst <= tol
 
 
-@check("horizontal_projection", chart=None, point=None, lam=None, t1=6.283185307179586,
-       tol=1e-4)
-def _horizontal_projection(ctx, chart, point, lam, t1, tol):
-    frame = Frame(chart, np.asarray(point, float), np.eye(ctx.atlas.dim))
-    worst = horizontal_projection_defect(ctx.conn, np.asarray(lam, float), frame,
-                                         (0.0, float(t1)), ctx.cfg)
+@check("horizontal_projection")
+def _horizontal_projection(ctx, chart=None, point=None, lam=None, t1=6.283185307179586, tol=1e-4):
+    frame = Frame(chart, point, np.eye(ctx.atlas.dim))
+    worst = horizontal_projection_defect(ctx.conn, lam, frame, (0.0, t1), ctx.cfg)
     return worst, 1, worst <= tol
 
 
-@check("killing_residual", fields=None, samples=100, tol=1e-8)
-def _killing_residual(ctx, fields, samples, tol):
+@check("killing_residual")
+def _killing_residual(ctx, fields=None, samples=100, tol=1e-8):
     flds = ctx.field_list(fields)
     worst = max([0.0, *(ctx.killing_worst(fld, samples) for _, fld in flds)])
     return worst, samples * len(flds), worst <= tol
 
 
-@check("killing_floor", field=None, samples=20, floor=1e-2)
-def _killing_floor(ctx, field, samples, floor):
-    worst = max(0.0, float(floor) - ctx.killing_worst(ctx.field(field), samples))
+@check("killing_floor")
+def _killing_floor(ctx, field=None, samples=20, floor=1e-2):
+    worst = max(0.0, floor - ctx.killing_worst(ctx.field(field), samples))
     return worst, samples, worst <= 0.0
 
 
-@check("killing_equivalence", fields=None, samples=10, frames=2, res_tol=1e-8, comm_tol=1e-4,
-       s=0.4, t=0.4)
-def _killing_equivalence(ctx, fields, samples, frames, res_tol, comm_tol, s, t):
+@check("killing_equivalence")
+def _killing_equivalence(ctx, fields=None, samples=10, frames=2, res_tol=1e-8, comm_tol=1e-4,
+                         s=0.4, t=0.4):
     cid = ctx.atlas.chart_order()[0]
     chart = ctx.atlas.chart(cid)
     center = 0.5 * (chart.sample_lo + chart.sample_hi)
@@ -280,8 +284,8 @@ def _killing_equivalence(ctx, fields, samples, frames, res_tol, comm_tol, s, t):
     return float(disagreements), samples * len(flds) + len(comms), disagreements == 0
 
 
-@check("bracket_structure", f1=None, f2=None, f3=None, samples=20, tol=1e-8)
-def _bracket_structure(ctx, f1, f2, f3, samples, tol):
+@check("bracket_structure")
+def _bracket_structure(ctx, f1=None, f2=None, f3=None, samples=20, tol=1e-8):
     br = bracket(ctx.field(f1), ctx.field(f2))
     target = ctx.field(f3)
     cid = ctx.atlas.chart_order()[0]
@@ -291,8 +295,8 @@ def _bracket_structure(ctx, f1, f2, f3, samples, tol):
     return worst, samples, worst <= tol
 
 
-@check("lift_homomorphism", f1=None, f2=None, samples=10, tol=1e-6)
-def _lift_homomorphism(ctx, f1, f2, samples, tol):
+@check("lift_homomorphism")
+def _lift_homomorphism(ctx, f1=None, f2=None, samples=10, tol=1e-6):
     a, b = ctx.field(f1), ctx.field(f2)
     lhs = natural_lift(bracket(a, b))
     rhs = bracket(natural_lift(a), natural_lift(b))
@@ -304,8 +308,8 @@ def _lift_homomorphism(ctx, f1, f2, samples, tol):
     return worst, samples, worst <= tol
 
 
-@check("extension_recovery", field=None, chart=None, point=None, target=None, tol=1e-5)
-def _extension_recovery(ctx, field, chart, point, target, tol):
+@check("extension_recovery")
+def _extension_recovery(ctx, field=None, chart=None, point=None, target=None, tol=1e-5):
     fld = ctx.field(field)
     x = Point(chart, point)
     y = Point(chart, target)
@@ -316,14 +320,13 @@ def _extension_recovery(ctx, field, chart, point, target, tol):
     return worst, 1, worst <= tol
 
 
-@check("extension_linearity", f1=None, f2=None, chart=None, point=None, lam=None, a=0.7, tol=1e-8)
-def _extension_linearity(ctx, f1, f2, chart, point, lam, a, tol):
+@check("extension_linearity")
+def _extension_linearity(ctx, f1=None, f2=None, chart=None, point=None, lam=None, a=0.7, tol=1e-8):
     x = Point(chart, point)
     s1 = ev_embedding(ctx.conn, ctx.field(f1), x)
     s2 = ev_embedding(ctx.conn, ctx.field(f2), x)
-    from .killing import KillingSeed
     combo = KillingSeed(x, a * s1.value + s2.value, a * s1.nabla + s2.nabla)
-    path = HorizontalPath.single(np.asarray(lam, float), 1.0)
+    path = HorizontalPath.single(lam, 1.0)
     out = extend_killing(ctx.conn, combo, path, ctx.cfg)
     o1 = extend_killing(ctx.conn, s1, path, ctx.cfg)
     o2 = extend_killing(ctx.conn, s2, path, ctx.cfg)
@@ -331,8 +334,8 @@ def _extension_linearity(ctx, f1, f2, chart, point, lam, a, tol):
     return worst, 3, worst <= tol
 
 
-@check("exp_aut_affine", field=None, samples=10, tol=1e-5, tol_kill=1e-6)
-def _exp_aut_affine(ctx, field, samples, tol, tol_kill):
+@check("exp_aut_affine")
+def _exp_aut_affine(ctx, field=None, samples=10, tol=1e-5, tol_kill=1e-6):
     fld = ctx.field(field)
     cid = ctx.atlas.chart_order()[0]
     pts = ctx.atlas.sample_points(cid, samples, ctx.rng)
@@ -343,8 +346,8 @@ def _exp_aut_affine(ctx, field, samples, tol, tol_kill):
     return worst, samples, worst <= tol
 
 
-@check("kappa_pullback", field=None, samples=5, tol=1e-5, tol_kill=1e-6)
-def _kappa_pullback(ctx, field, samples, tol, tol_kill):
+@check("kappa_pullback")
+def _kappa_pullback(ctx, field=None, samples=5, tol=1e-5, tol_kill=1e-6):
     fld = ctx.field(field)
     cid = ctx.atlas.chart_order()[0]
     pts = ctx.atlas.sample_points(cid, samples, ctx.rng)
@@ -358,8 +361,8 @@ def _kappa_pullback(ctx, field, samples, tol, tol_kill):
     return worst, samples, worst <= tol
 
 
-@check("exp_commutes", field=None, samples=3, scale=1.0, tol=1e-5, tol_kill=1e-6)
-def _exp_commutes(ctx, field, samples, scale, tol, tol_kill):
+@check("exp_commutes")
+def _exp_commutes(ctx, field=None, samples=3, scale=1.0, tol=1e-5, tol_kill=1e-6):
     fld = ctx.field(field)
     cid = ctx.atlas.chart_order()[0]
     pts = ctx.atlas.sample_points(cid, samples, ctx.rng)
@@ -369,12 +372,12 @@ def _exp_commutes(ctx, field, samples, scale, tol, tol_kill):
     return worst, samples, worst <= tol
 
 
-@check("frame_homomorphism", axis_a=0, angle_a=0.7, axis_b=2, angle_b=-1.2, samples=10, tol=1e-8)
-def _frame_homomorphism(ctx, axis_a, angle_a, axis_b, angle_b, samples, tol):
+@check("frame_homomorphism")
+def _frame_homomorphism(ctx, axis_a=0, angle_a=0.7, axis_b=2, angle_b=-1.2, samples=10, tol=1e-8):
     if ctx.scenario.manifold != "sphere":
         raise GeometryError("frame_homomorphism requires the sphere catalog entry")
-    Ra = rotation_matrix_3d(int(axis_a), float(angle_a))
-    Rb = rotation_matrix_3d(int(axis_b), float(angle_b))
+    Ra = rotation_matrix_3d(axis_a, angle_a)
+    Rb = rotation_matrix_3d(axis_b, angle_b)
     Ff = frame_lift(sphere_rotation(ctx.atlas, Ra))
     Fg = frame_lift(sphere_rotation(ctx.atlas, Rb))
     Ffg = frame_lift(sphere_rotation(ctx.atlas, Ra @ Rb))
@@ -386,10 +389,10 @@ def _frame_homomorphism(ctx, axis_a, angle_a, axis_b, angle_b, samples, tol):
     return worst, samples, worst <= tol
 
 
-@check("orbit_separation", fields=None, scale=0.1, min_gap=1e-3, chart=None, point=None,
-       tol_kill=1e-6)
-def _orbit_separation(ctx, fields, scale, min_gap, chart, point, tol_kill):
-    frame = Frame(chart, np.asarray(point, float), np.eye(ctx.atlas.dim))
+@check("orbit_separation")
+def _orbit_separation(ctx, fields=None, scale=0.1, min_gap=1e-3, chart=None, point=None,
+                      tol_kill=1e-6):
+    frame = Frame(chart, point, np.eye(ctx.atlas.dim))
     pts = ctx.atlas.sample_points(chart, 5, ctx.rng)
     frames = []
     for name, fld in ctx.field_list(fields):
@@ -398,43 +401,42 @@ def _orbit_separation(ctx, fields, scale, min_gap, chart, point, tol_kill):
                                                      tol_kill=tol_kill)), frame))
     observed = min(frame_gap(ctx.atlas, frames[i], frames[j])
                    for i in range(len(frames)) for j in range(i))
-    worst = max(0.0, float(min_gap) - observed)
+    worst = max(0.0, min_gap - observed)
     return worst, len(frames), worst <= 0.0
 
 
-@check("gram_rank_check", fields=None, chart=None, point=None, expected=None)
-def _gram_rank_check(ctx, fields, chart, point, expected):
+@check("gram_rank_check")
+def _gram_rank_check(ctx, fields=None, chart=None, point=None, expected=None):
     p = Point(chart, point)
     seeds = [ev_embedding(ctx.conn, fld, p) for _, fld in ctx.field_list(fields)]
     rank = gram_rank(seeds)
-    worst = float(abs(rank - int(expected)))
+    worst = float(abs(rank - expected))
     return worst, len(seeds), worst == 0.0
 
 
-@check("parameter_flow", chart=None, point=None, tol=1e-4, eps=1e-3)
-def _parameter_flow(ctx, chart, point, tol, eps):
+@check("parameter_flow")
+def _parameter_flow(ctx, chart=None, point=None, tol=1e-4, eps=1e-3):
     family = kappa_inverse_family(ctx.conn)
-    p = Frame(chart, np.asarray(point, float), np.eye(ctx.atlas.dim)).packed()
-    worst = parameter_flow_derivative_defect(family, p, ctx.cfg, eps=float(eps))
+    p = Frame(chart, point, np.eye(ctx.atlas.dim)).packed()
+    worst = parameter_flow_derivative_defect(family, p, ctx.cfg, eps=eps)
     return worst, family.params, worst <= tol
 
 
-@check("completeness", seeds=20, horizon=1000.0, step=0.1, vel_scale=1.0, expect="complete",
-       chart=None, point=None, velocity=None, fail_before=None, slack=1e-6)
-def _completeness(ctx, seeds, horizon, step, vel_scale, expect, chart, point, velocity,
-                  fail_before, slack):
-    cfg = replace(ctx.cfg, step=float(step))
+@check("completeness")
+def _completeness(ctx, seeds=20, horizon=1000.0, step=0.1, vel_scale=1.0, expect="complete",
+                  chart=None, point=None, velocity=None, fail_before=None, slack=1e-6):
+    cfg = replace(ctx.cfg, step=step)
     if expect == "fails":
-        seed = Tangent(Point(chart, point), np.asarray(velocity, float))
-        rep = completeness_probe(ctx.conn, [seed], float(horizon), cfg)
+        seed = Tangent(Point(chart, point), velocity)
+        rep = completeness_probe(ctx.conn, [seed], horizon, cfg)
         reached = rep.rows[0].t_forward
-        worst = max(0.0, reached - float(fail_before))
+        worst = max(0.0, reached - fail_before)
         return worst, 1, (not rep.complete_up_to_horizon) and worst == 0.0
     cid = ctx.atlas.chart_order()[0]
     tangents = [Tangent(p, vel_scale * ctx.rng.normal(size=ctx.atlas.dim))
-                for p in ctx.atlas.sample_points(cid, int(seeds), ctx.rng)]
-    rep = completeness_probe(ctx.conn, tangents, float(horizon), cfg)
-    worst = max(float(horizon) - r.reached for r in rep.rows)
+                for p in ctx.atlas.sample_points(cid, seeds, ctx.rng)]
+    rep = completeness_probe(ctx.conn, tangents, horizon, cfg)
+    worst = max(horizon - r.reached for r in rep.rows)
     return worst, len(tangents), rep.complete_up_to_horizon and worst <= slack
 
 
@@ -442,19 +444,9 @@ def _completeness(ctx, seeds, horizon, step, vel_scale, expect, chart, point, ve
 
 _TOP_KEYS = {"manifold", "connection", "fields", "checks", "integrator", "rng_seed"}
 _INTEGRATOR_KEYS = {"step", "max_hops", "rechart_margin"}
-_POSITIVE_PARAMS = {"tol", "tol_kill", "res_tol", "comm_tol", "floor", "min_gap", "slack"}
-# positive as well, but not tolerances: `tol_scale` leaves them alone
-_DURATIONS = {"t1", "period", "horizon", "step"}
-# lower bounds a check's observation must reach: loosening divides them
+# `tol_scale` multiplies tolerances and divides lower bounds (what an observation must reach)
+_TOLERANCES = {"tol", "tol_kill", "res_tol", "comm_tol", "slack"}
 _LOWER_BOUNDS = {"floor", "min_gap"}
-_COUNT_PARAMS = {"samples", "frames", "seeds"}
-_VECTOR_PARAMS = {"point", "lam", "velocity", "target"}
-_NUMBER_PARAMS = {"s", "t", "vel_scale", "scale", "a", "angle_a", "angle_b", "fail_before",
-                  "min_ratio"}
-# zero makes the check compare a computation with itself (flow times, scales,
-# directions), so it would pass on anything
-_NONZERO_PARAMS = {"s", "t", "scale", "vel_scale", "a", "velocity", "lam"}
-_FIELD_PARAMS = {"field", "f1", "f2", "f3"}
 
 
 def _finite(v) -> bool:
@@ -470,52 +462,62 @@ def _known_fields(where: str, names, known: list) -> None:
             raise UnknownCatalogName(f"{where}unknown field {f!r} (fields: {known})")
 
 
+# a kind: (test(value, atlas), what a value failing it must be); "{dim}" and
+# "{charts}" in the text stand for the atlas's
+_COUNT = (lambda v, atlas: type(v) is int and v > 0, "must be a positive integer")
+_POSITIVE = (lambda v, atlas: _finite(v) and v > 0, "must be a finite positive number")
+_NUMBER = (lambda v, atlas: _finite(v), "must be a finite number")
+# zero would make the check compare a computation with itself, and pass on anything
+_NONZERO = (lambda v, atlas: _finite(v) and v != 0, "must be a finite nonzero number")
+_POINT = (lambda v, atlas: isinstance(v, list) and len(v) == atlas.dim and all(map(_finite, v)),
+          "must be {dim} finite numbers")
+_DIRECTION = (lambda v, atlas: _POINT[0](v, atlas) and any(v),
+              "must be {dim} finite numbers, not all zero")
+_FIELD = (lambda v, atlas: True, "must name a catalog field")  # the catalog tests it, below
+_AXIS = (lambda v, atlas: type(v) is int and 0 <= v <= 2, "must be 0, 1 or 2")
+
+_KIND = {
+    "samples": _COUNT, "frames": _COUNT, "seeds": _COUNT,
+    "tol": _POSITIVE, "tol_kill": _POSITIVE, "res_tol": _POSITIVE, "comm_tol": _POSITIVE,
+    "slack": _POSITIVE, "floor": _POSITIVE, "min_gap": _POSITIVE, "eps": _POSITIVE,
+    "t1": _POSITIVE, "period": _POSITIVE, "horizon": _POSITIVE, "step": _POSITIVE,
+    "s": _NONZERO, "t": _NONZERO, "scale": _NONZERO, "vel_scale": _NONZERO, "a": _NONZERO,
+    "angle_a": _NUMBER, "angle_b": _NUMBER, "fail_before": _NUMBER,
+    "min_ratio": (lambda v, atlas: _finite(v) and v > 1, "must be a finite number above 1"),
+    "point": _POINT, "target": _POINT, "velocity": _DIRECTION, "lam": _DIRECTION,
+    "chart": (lambda v, atlas: isinstance(v, str) and v in atlas.charts, "must be in {charts}"),
+    "field": _FIELD, "f1": _FIELD, "f2": _FIELD, "f3": _FIELD,
+    "fields": (lambda v, atlas: v is None or isinstance(v, list), "must be a list of field names"),
+    "expected": (lambda v, atlas: type(v) is int and v >= 0, "must be a non-negative integer"),
+    "expect": (lambda v, atlas: v in ("complete", "fails"), 'must be "complete" or "fails"'),
+    "axis_a": _AXIS, "axis_b": _AXIS,
+    "colatitudes": (lambda v, atlas: isinstance(v, list) and v != [] and
+                    all(_finite(c) and 0 < c < math.pi for c in v),
+                    "must be a non-empty list of numbers in (0, pi)"),
+}
+
+
 def _check_params(where: str, name: str, params: dict, defaults: dict, atlas, known) -> None:
-    """ParseError unless every required parameter is given (a None default,
-    except `fields`, which falls back to the scenario's fields, and the
-    point inputs completeness reads only to expect "fails") and every other
-    is well formed; UnknownCatalogName for a field not in `known`."""
+    """ParseError unless each required parameter (None default; not `fields`, nor the
+    point inputs of a completeness that does not expect "fails") is given, each value
+    passes its kind's test and a target is not its point; UnknownCatalogName for a
+    field not in `known`."""
     optional = {"fields"}
     if name == "completeness" and params.get("expect") != "fails":
         optional |= {"chart", "point", "velocity", "fail_before"}
     missing = [k for k, v in defaults.items()
                if v is None and k not in optional and params.get(k) is None]
     if missing:
-        raise ParseError(f"{where}: missing required parameters {missing}")
+        raise ParseError(f"{where}missing required parameters {missing}")
     for k, v in params.items():
-        if k in _POSITIVE_PARAMS | _DURATIONS and not (_finite(v) and v > 0):
-            raise ParseError(f"{where}: {k} must be a finite positive number, got {v!r}")
-        if k in _COUNT_PARAMS and not (type(v) is int and v > 0):
-            raise ParseError(f"{where}: {k} must be a positive integer, got {v!r}")
-        if k == "eps" and not (_finite(v) and v > 0):
-            raise ParseError(f"{where}: eps must be finite and positive, got {v!r}")
-        if k in _NUMBER_PARAMS and not _finite(v):
-            raise ParseError(f"{where}: {k} must be a finite number, got {v!r}")
-        if k == "expected" and not (type(v) is int and v >= 0):
-            raise ParseError(f"{where}: expected must be a non-negative integer, got {v!r}")
-        if k == "min_ratio" and not v > 1:
-            raise ParseError(f"{where}: min_ratio must exceed 1, got {v!r}")
-        if k == "colatitudes" and not (isinstance(v, list) and v and
-                                       all(_finite(c) and 0 < c < math.pi for c in v)):
-            raise ParseError(f"{where}: colatitudes must be a non-empty list of numbers in "
-                             f"(0, pi), got {v!r}")
-        if k in _VECTOR_PARAMS and not (isinstance(v, list) and len(v) == atlas.dim
-                                        and all(map(_finite, v))):
-            raise ParseError(f"{where}: {k} must be {atlas.dim} finite numbers, got {v!r}")
-        if k in _NONZERO_PARAMS and not np.any(v):
-            raise ParseError(f"{where}: {k} must be nonzero, got {v!r}")
-        if k == "target" and v == params.get("point"):
-            raise ParseError(f"{where}: target must differ from point, got {v!r}")
-        if k == "chart" and not (isinstance(v, str) and v in atlas.charts):
-            raise ParseError(f"{where}: unknown chart {v!r} (charts: {sorted(atlas.charts)})")
-        if k == "expect" and v not in ("complete", "fails"):
-            raise ParseError(f"{where}: expect must be \"complete\" or \"fails\", got {v!r}")
-        if k in ("axis_a", "axis_b") and not (type(v) is int and 0 <= v <= 2):
-            raise ParseError(f"{where}: {k} must be 0, 1 or 2, got {v!r}")
-        if k in _FIELD_PARAMS:
-            _known_fields(f"{where}: ", [v], known)
-        if k == "fields" and v is not None:
-            _known_fields(f"{where}: ", v, known)
+        test, text = _KIND[k]
+        if not test(v, atlas):
+            text = text.format(dim=atlas.dim, charts=sorted(atlas.charts))
+            raise ParseError(f"{where}{k} {text}, got {v!r}")
+    named = [v for k, v in params.items() if _KIND[k] is _FIELD]
+    _known_fields(where, named + (params.get("fields") or []), known)
+    if "target" in params and params["target"] == params.get("point"):
+        raise ParseError(f"{where}target must differ from point, got {params['target']!r}")
 
 
 def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenario:
@@ -534,7 +536,7 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
     if connection not in catalog.connection_names(manifold):
         raise UnknownCatalogName(f"unknown connection {connection!r} on {manifold!r}")
     fields = data.get("fields", [])
-    known = catalog.field_names(manifold)
+    atlas, known = catalog.atlas(manifold), catalog.field_names(manifold)
     _known_fields("", fields, known)
 
     checks = data.get("checks", [])
@@ -553,8 +555,7 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
         unknown = set(params) - set(defaults)
         if unknown:
             raise ParseError(f"check #{i} ({name}): unknown parameters {sorted(unknown)}")
-        _check_params(f"check #{i} ({name})", name, params, defaults, catalog.atlas(manifold),
-                      known)
+        _check_params(f"check #{i} ({name}): ", name, params, defaults, atlas, known)
         separated = fields if params.get("fields") is None else params["fields"]
         if name == "orbit_separation" and len(separated) < 2:
             raise ParseError(f"check #{i} ({name}): needs at least two fields, got {separated}")
@@ -619,11 +620,9 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
     for idx, entry in enumerate(scenario.checks):
         name = entry["name"]
         defaults, fn = _CHECKS[name]
-        params = dict(defaults)
-        params.update({k: v for k, v in entry.items() if k != "name"})
-        if tol_scale != 1.0:
-            for k in set(params) & _POSITIVE_PARAMS:
-                params[k] = params[k] / tol_scale if k in _LOWER_BOUNDS else params[k] * tol_scale
+        params = {**defaults, **{k: v for k, v in entry.items() if k != "name"}}
+        params.update({k: params[k] * tol_scale for k in _TOLERANCES & params.keys()})
+        params.update({k: params[k] / tol_scale for k in _LOWER_BOUNDS & params.keys()})
         t0 = time.perf_counter()
         try:
             seed = np.random.SeedSequence([scenario.rng_seed, idx])

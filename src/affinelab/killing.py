@@ -24,7 +24,7 @@ from .bundles import frame_atlas, lift_jacobian, pack, unpack
 from .connection import ConnectionField
 from .errors import BasePointMismatch, SeedChartMismatch
 from .flows import ChartField, IntegratorConfig, VectorField, _flow_rows, variational_flow
-from .frame_bundle import Frame, kappa_inverse_family, standard_horizontal
+from .frame_bundle import Frame, frame_from_packed, kappa_inverse_family, rho, standard_horizontal
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +171,9 @@ def extend_killing(conn: ConnectionField, seed: KillingSeed, path: HorizontalPat
 
     The seed lifts to a bundle tangent at the start frame (x, id); each
     flow segment pushes it with the variational flow of H_lambda, each
-    group move right-multiplies the frame and the gl-block; the E-block
-    at the end is xi(endpoint) in the end chart.
+    group move right-multiplies the frame and the gl-block (`rho`: a
+    singular one raises SingularGroupElement); the E-block at the end is
+    xi(endpoint) in the end chart.
     """
     n = conn.atlas.dim
     if seed.at.chart not in conn.atlas.charts:
@@ -186,8 +187,7 @@ def extend_killing(conn: ConnectionField, seed: KillingSeed, path: HorizontalPat
             z, w = variational_flow(H, z, w, dur, cfg)
         elif move[0] == "rho":
             g2 = np.asarray(move[1], float)
-            x, g = unpack(z.coords, n, n)
-            z = Point(z.chart, pack(x, g @ g2))
+            z = rho(frame_from_packed(z, n), g2).packed()
             v, W = unpack(w, n, n)
             w = pack(v, W @ g2)
         else:

@@ -101,6 +101,8 @@ def test_left_atlas(cat, cfg):
     fld = constant_field(cat.atlas("disk"), "out", [1.0, 0.0])
     with pytest.raises(LeftAtlas):
         integrate(fld, Point("disk", [0.0, 0.0]), 2.0, cfg)
+    with pytest.raises(LeftAtlas, match="outside its chart domain"):
+        integrate(fld, Point("disk", [1.5, 0.0]), 0.1, cfg)
 
 
 def test_hop_limit(cat):

@@ -121,6 +121,38 @@ def test_transport_flat_identity(cat, cfg):
     assert np.allclose(out, v, atol=1e-12)
 
 
+def test_transport_over_a_zero_length_span_is_the_identity(cat, cfg):
+    conn = cat.connection("sphere", "round")
+    curve = geodesic(conn, Tangent(Point("a", [0.2, 0.1]), [0.5, 0.2]), (0.0, 1.0), cfg)
+    v, G = np.array([0.3, -0.8]), np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert parallel_transport(conn, curve, 0.4, 0.4, v, cfg).tolist() == v.tolist()
+    assert parallel_transport(conn, curve, 0.4, 0.4, G, cfg).tolist() == G.tolist()
+
+
+@pytest.mark.parametrize("times, charts", [((0.0, 0.0), ("cart", "cart")),
+                                           ((0.5, 0.5, 0.5), ("cart", "cart", "cart")),
+                                           ((0.0, 0.5, 1.0), ("a", "a", "b"))])
+def test_sampled_curve_rejects_samples_it_cannot_evaluate(cat, times, charts):
+    # equal times made `eval` raise IndexError (no segment to evaluate), and
+    # a chart change between distinct times made every `eval` inside that
+    # segment raise LeftAtlas: both were accepted at construction
+    atlas = cat.atlas("sphere" if "a" in charts else "plane")
+    rows = [(t, c, np.array([0.1, 0.2]), np.array([1.0, 0.0])) for t, c in zip(times, charts)]
+    with pytest.raises(ValueError):
+        CurveSpec.from_samples(atlas, rows)
+
+
+def test_sampled_curve_hands_off_at_a_duplicated_time(cat):
+    # the integrator's records mark a hop with two rows at one time
+    atlas = cat.atlas("sphere")
+    x = np.array([0.6, 0.0])
+    y = atlas.transition(Point("a", x), "b").coords
+    rows = [(0.0, "a", x, [1.0, 0.0]), (0.5, "a", x, [1.0, 0.0]), (0.5, "b", y, [1.0, 0.0]),
+            (1.0, "b", y, [1.0, 0.0])]
+    curve = CurveSpec.from_samples(atlas, rows)
+    assert curve.eval(0.25)[0] == "a" and curve.eval(0.75)[0] == "b"
+
+
 def test_sphere_holonomy_latitude_circles(cat, cfg):
     # counterclockwise loop at colatitude theta0 (chart b holds the enclosed
     # pole): transport is rotation by 2 pi cos(theta0), clockwise in chart;
@@ -212,6 +244,12 @@ def test_completeness_probe_flat_and_sphere(cat, rng):
     seeds = [Tangent(p, rng.normal(size=2)) for p in sphere.atlas.sample_points("a", 3, rng)]
     rep = completeness_probe(sphere, seeds, 50.0, cfg)
     assert rep.complete_up_to_horizon
+
+
+def test_completeness_probe_needs_a_seed(cat, cfg):
+    # over zero rows completeness held vacuously: a pass on zero samples
+    with pytest.raises(ValueError, match="at least one seed"):
+        completeness_probe(cat.connection("plane", "flat"), [], 10.0, cfg)
 
 
 def test_completeness_probe_disk_fails(cat):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinelab import harness
 from affinelab.cli import main as cli_main
 from affinelab.errors import ParseError, ScenarioError, UnknownCatalogName
 from affinelab.harness import (_CHECKS, check_names, emit, load_scenario, run_suite,
@@ -120,6 +121,8 @@ def test_error_becomes_fail_row(cat):
     assert rep.checks[0].status == "fail"
     assert rep.checks[0].error is not None
     assert rep.checks[1].status == "pass"
+    rows = rep.to_dict()["checks"]
+    assert rows[0]["error"] == rep.checks[0].error and "error" not in rows[1]
 
 
 def test_determinism_minus_walltime(cat):
@@ -226,11 +229,16 @@ _DUMP_ARGS = {
     ("geodesic", {"--velocity": "inf,0"}, "--velocity"),
     ("horizontal", {"--lam": "1,nan"}, "--lam"),
     ("horizontal", {"--frame": "nan,0,0,1"}, "--frame"),
+    ("geodesic", {"--velocity": None}, "--velocity"),
+    ("horizontal", {"--lam": None}, "--lam"),
+    ("horizontal", {"--connection": None}, "--connection"),
 ])
 def test_cli_dump_rejects_bad_flags_as_usage_errors(kind, changed, flag, tmp_path, capsys):
-    # a dump flag the run cannot use is a usage error (2) that names the
-    # flag, not a traceback with exit code 1 (a failed check)
+    # a dump flag the run cannot use, or a missing one (None) it needs, is
+    # a usage error (2) that names the flag, not a traceback with exit code
+    # 1 (a failed check)
     args = {**_DUMP_ARGS[kind], **changed, "--out": str(tmp_path / "d.csv")}
+    args = {k: v for k, v in args.items() if v is not None}
     assert cli_main(["dump", kind, *(a for kv in args.items() for a in kv)]) == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
@@ -252,6 +260,20 @@ def test_cli_dump_geodesic(tmp_path, capsys):
     assert lines[0] == "t,chart,x0,x1,v0,v1"
     ts = [float(l.split(",")[0]) for l in lines[1:]]
     assert all(b >= a for a, b in zip(ts, ts[1:]))
+
+
+def test_cli_dump_flow(tmp_path, capsys):
+    out = tmp_path / "flow.csv"
+    rc = cli_main(["dump", "flow", "--manifold", "plane", "--field", "trans_x", "--chart", "cart",
+                   "--point", "0.5,0.25", "--t1", "0.5", "--step", "0.1", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "t,chart,x0,x1"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 6 and {r[1] for r in rows} == {"cart"}
+    assert all(abs(float(x0) - 0.5 - float(t)) <= 1e-12 and float(x1) == 0.25
+               for t, _, x0, x1 in rows)
+    assert "6 rows written" in capsys.readouterr().out
 
 
 def test_cli_dump_horizontal(tmp_path):
@@ -399,6 +421,53 @@ def test_parameter_flow_eps_must_be_finite_and_positive(cat, eps):
     # eps 0 used to end in "LinAlgError: SVD did not converge"
     with pytest.raises(ParseError):
         _plane_check(cat, name="parameter_flow", chart="cart", point=[0.2, -0.1], eps=eps)
+
+
+# what `--tol-scale` loosens, declared here apart from the harness's own sets
+_SCALED_UP = {"tol", "tol_kill", "res_tol", "comm_tol", "slack"}
+_SCALED_DOWN = {"floor", "min_gap"}
+
+
+def _arrivals(cat, monkeypatch, tol_scale):
+    """The parameters each check of every shipped scenario is called with."""
+    seen = []
+    for name, (defaults, _) in dict(_CHECKS).items():
+        monkeypatch.setitem(_CHECKS, name, (defaults, lambda ctx, name=name, **params:
+                                            seen.append((name, params)) or (0.0, 1, True)))
+    for path in sorted(SCENARIOS.glob("*.json")):
+        run_suite(load_scenario(str(path), cat), cat, tol_scale=tol_scale)
+    return seen
+
+
+def test_tol_scale_scales_tolerances_and_lower_bounds_only(cat, monkeypatch):
+    # durations, eps, min_ratio, counts and every other parameter arrive as given
+    base, loose = _arrivals(cat, monkeypatch, 1.0), _arrivals(cat, monkeypatch, 4.0)
+    assert [n for n, _ in base] == [n for n, _ in loose] and set(check_names()) <= dict(base).keys()
+    seen = set()
+    for (name, a), (_, b) in zip(base, loose):
+        assert a.keys() == b.keys() == _CHECKS[name][0].keys()
+        for k, v in a.items():
+            want = v * 4 if k in _SCALED_UP else v / 4 if k in _SCALED_DOWN else v
+            assert b[k] == want, (name, k, v, b[k])
+            seen.add(k)
+    assert _SCALED_UP | _SCALED_DOWN <= seen
+
+
+def _kind_gaps():
+    """(check parameters without a kind, kinds no check parameter has)."""
+    params = {k for defaults, _ in harness._CHECKS.values() for k in defaults}
+    return sorted(params - harness._KIND.keys()), sorted(harness._KIND.keys() - params)
+
+
+def test_every_check_parameter_has_one_kind(monkeypatch):
+    assert _kind_gaps() == ([], [])
+    monkeypatch.setattr(harness, "_CHECKS", dict(_CHECKS))
+
+    @harness.check("scratch")
+    def _scratch(ctx, samples=3, unkinded=1.0):
+        return 0.0, samples, True
+
+    assert _kind_gaps() == (["unkinded"], [])
 
 
 def test_tol_scale_leaves_the_fd_step_alone(cat):

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from affinelab.atlas import Point, Tangent
 from affinelab.bundles import pack, unpack
-from affinelab.errors import BasePointMismatch
+from affinelab.errors import BasePointMismatch, SingularGroupElement
 from affinelab.flows import IntegratorConfig, integrate
 from affinelab.frame_bundle import Frame
 from affinelab.killing import (HorizontalPath, KillingSeed, bracket, ev_embedding,
@@ -215,6 +215,8 @@ def test_gram_rank(cat, rng):
     assert gram_rank(seeds) == 3
     assert gram_rank(seeds + seeds) == 3  # duplicates do not change the rank
     assert gram_rank([seeds[0]]) == 1
+    assert gram_rank([]) == 0
+    assert gram_rank([KillingSeed(p, np.zeros(2), np.zeros((2, 2)))] * 2) == 0
     with pytest.raises(BasePointMismatch):
         gram_rank([seeds[0], ev_embedding(conn, cat.field("sphere", "rot_x"), Point("a", [0.0, 0.1]))])
 
@@ -271,6 +273,18 @@ def test_extend_killing_with_rho_move(cat, cfg):
                            ("flow", np.array([-0.2, 0.5]), 0.5)))
     out = extend_killing(conn, seed, path, cfg)
     assert np.linalg.norm(out.vec - fld.value(out.base)) <= 1e-5
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_extend_killing_rejects_a_singular_rho_move(cat, cfg, first):
+    # last, a singular move came back as a value with no error; first, as
+    # "LeftAtlas: start ... outside its chart domain" from the next flow
+    conn = cat.connection("sphere", "round")
+    seed = ev_embedding(conn, cat.field("sphere", "rot_y"), Point("a", [0.1, 0.4]))
+    flow, move = ("flow", np.array([0.4, 0.1]), 0.3), ("rho", np.zeros((2, 2)))
+    path = HorizontalPath((move, flow) if first else (flow, move))
+    with pytest.raises(SingularGroupElement):
+        extend_killing(conn, seed, path, cfg)
 
 
 def test_extension_concatenation_consistency(cat, cfg):
