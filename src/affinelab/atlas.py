@@ -19,7 +19,7 @@ test family f (`box_domain` charts to `in_box`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -69,8 +69,9 @@ class Transition:
     `d` returns the (n, n) Jacobian, `d2` the (n, n, n) symmetric tensor
     T[i, j, k] = d^2 h_i / dx_j dx_k.  All three take (..., n) inputs and
     prepend the leading axes to their results.  `Chart.add_transition`
-    fills a missing `d` or `d2` once with central differences of `map`
-    guarded by the source chart's domain, so every caller finds both.
+    fills a missing `d` or `d2` with `numdiff.filled`, central differences
+    of `map` guarded by the source chart's domain, so every caller finds
+    both.
     """
 
     map: Callable[[Coords], Coords]
@@ -107,13 +108,7 @@ class Chart:
     def add_transition(self, target: str, tr: Transition) -> None:
         """Register `tr` to chart `target`, storing a copy with any missing
         derivative filled by central differences inside this chart."""
-        tr = replace(tr)
-        inside = self.contains
-        if tr.d is None:
-            tr.d = lambda x: numdiff.jacobian(tr.map, x, inside=inside)
-        if tr.d2 is None:
-            tr.d2 = lambda x: numdiff.second_derivative(tr.map, x, inside=inside)
-        self.transitions[target] = tr
+        self.transitions[target] = numdiff.filled(tr, "map", self.contains)
 
 
 class Atlas:

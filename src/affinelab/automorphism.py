@@ -14,10 +14,10 @@ the group exponential: it verifies the Killing residual on a sample set
 and returns the time-(-1) flow word.
 
 `Diffeo.push` maps a list of points (and tangent columns at them); a
-FlowWord integrates each segment as one block with a row per point, and
-its one-point methods are one-row pushes.  `affine_residual`,
-`FrameDiffeo.tangent_frame` and the defect functions take lists of
-points (frames, tangents) and return one result per row.
+FlowWord runs its word through `flows._push`, one block per segment
+with a row per point, and its one-point methods are one-row pushes.
+`affine_residual`, `FrameDiffeo.tangent_frame` and the defect functions
+take lists of points (frames, tangents) and return one result per row.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import frame_atlas
 from .connection import ConnectionField
 from .errors import ChartMissing, NotKilling
-from .flows import OK, IntegratorConfig, VectorField, _raise_for, _run_block
+from .flows import IntegratorConfig, VectorField, _push
 from .frame_bundle import (Frame, FrameTangent, frame_from_packed, frame_tangent_from_packed,
                            kappa)
 from .killing import killing_residual, natural_lift
@@ -166,31 +166,10 @@ class FlowWord(Diffeo):
         self.name = name or "*".join(f"Fl[{f.name},{t:g}]" for f, t in self.word)
 
     def push(self, points, w0=None) -> tuple[list, np.ndarray | None]:
-        """(end points, pushed columns) as `Diffeo.push`.
-
-        Each segment integrates every still-running row as one block, the
-        columns `w0` riding along as variational columns.  A failed row
-        stops; after the last segment the first failed row raises.
-        """
-        pts = list(points)
-        W = None if w0 is None else np.array(w0, float)
-        failed = {}
-        live = list(range(len(pts)))
-        for f, t in self.word:
-            if not live:
-                break
-            ends, W_live, t_ok, status = _run_block(f, [pts[r] for r in live], t, self.cfg,
-                                                    None if W is None else W[live])
-            for j, r in enumerate(live):
-                pts[r] = ends[j]
-                if status[j] != OK:
-                    failed[r] = (status[j], f, t_ok[j])
-            if W is not None:
-                W[live] = W_live
-            live = [r for r in live if r not in failed]
-        if failed:
-            _raise_for(*failed[min(failed)])
-        return pts, W
+        """(end points, pushed columns) as `Diffeo.push`, by `flows._push`:
+        one block per segment, `w0` as variational columns.  A failed row
+        stops; after the last segment the first failed row raises."""
+        return _push(self.word, points, self.cfg, w0)
 
     def apply(self, point: Point) -> Point:
         return self.push([point])[0][0]

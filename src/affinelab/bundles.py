@@ -3,12 +3,12 @@
 A bundle point is stored flat: the first n entries are base coordinates,
 the remaining n*k entries an (n, k) fiber matrix in row-major order.
 k = 1 gives the tangent bundle (velocity column), k = n the frame bundle
-(frame matrix).  Transitions act as (x, G) -> (h(x), dh(x) G); their
-Jacobians use d2h of the base transition.  Like the base chart
-callables, bundle membership tests and transitions take (..., n + n k)
-inputs, and a base test family or shared transition lifts to one.  Each
-base atlas has one tangent and one frame atlas, built on first use; a
-frame chart also requires |det G| > DET_GUARD.
+(frame matrix).  `lift` builds (x, G) -> (f(x), df(x) G) and its Jacobian
+once, for the bundle transitions and `killing.natural_lift`.  Bundle
+membership tests and transitions take (..., n + n k) inputs, and a base
+test family or shared transition lifts to one.  Each base atlas has one
+tangent and one frame atlas, built on first use; a frame chart also
+requires |det G| > DET_GUARD.
 """
 from __future__ import annotations
 
@@ -48,18 +48,21 @@ def lift_jacobian(J: np.ndarray, d2: np.ndarray, G: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bundle_transition(tr: Transition, n: int, k: int) -> Transition:
-    """Lift the base transition `tr` to (x, G) -> (h(x), dh(x) G)."""
+def lift(f, df, d2f, n: int, k: int):
+    """(value, d) of the lift (x, G) -> (f(x), df(x) G) on flat (..., n + n k)
+    rows, from f, its Jacobian df and second derivative d2f: a base
+    transition lifts to a bundle transition, a vector field to its natural
+    lift (Kobayashi-Nomizu I, VI.1)."""
 
-    def bmap(z):
+    def value(z):
         x, G = unpack(z, n, k)
-        return pack(_vec(tr.map(x)), np.asarray(tr.d(x), float) @ G)
+        return pack(f(x), np.asarray(df(x), float) @ G)
 
-    def bd(z):
+    def d(z):
         x, G = unpack(z, n, k)
-        return lift_jacobian(np.asarray(tr.d(x), float), np.asarray(tr.d2(x), float), G)
+        return lift_jacobian(np.asarray(df(x), float), np.asarray(d2f(x), float), G)
 
-    return Transition(map=bmap, d=bd)
+    return value, d
 
 
 def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atlas:
@@ -99,14 +102,10 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atla
         charts.append(bc)
 
     out = Atlas(f"{kind}({base.name})", n + n * k, charts)
-    out.base = base
-    out.base_dim = n
-    out.fiber_cols = k
-    out.kind = kind
-    lift = cache(lambda *fns: _bundle_transition(Transition(*fns), n, k))  # one per base map
+    lifted_tr = cache(lambda *fns: Transition(*lift(*fns, n, k)))  # one per base map
     for cid, c in base.charts.items():
         for tid, tr in c.transitions.items():
-            out.chart(cid).add_transition(tid, lift(tr.map, tr.d, tr.d2))
+            out.chart(cid).add_transition(tid, lifted_tr(tr.map, tr.d, tr.d2))
     return out
 
 

@@ -91,13 +91,17 @@ def _cmd_dump(args) -> int:
     n = atlas.dim
     if not np.isfinite([args.t0, args.t1]).all():
         raise ScenarioError(f"--t0 and --t1 must be finite, got {args.t0}, {args.t1}")
+    if args.t0 > 0 or (args.kind != "geodesic" and args.t0 != 0):
+        allowed = "at most 0" if args.kind == "geodesic" else "0"
+        raise ScenarioError(f"--t0: dump {args.kind} takes its initial data at t=0, so --t0 "
+                            f"must be {allowed}, got {args.t0}")
     start = Point(need("chart", args.chart, atlas.charts), _vec_arg("point", args.point, n))
     if args.kind != "flow":
         conn = catalog.connection(args.manifold, need("connection", args.connection,
                                                       catalog.connection_names(args.manifold)))
     record = []
     if args.kind == "geodesic":
-        span = (min(args.t0, 0.0), args.t1)
+        span = (args.t0, args.t1)
         if not (args.t1 >= 0.0 and args.t1 > span[0]):
             raise ScenarioError(f"--t0/--t1: span {span} must contain 0, with positive length")
         v0 = _vec_arg("velocity", need("velocity", args.velocity), n)
@@ -150,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--velocity", default=None, help="geodesic initial velocity")
     dump.add_argument("--lam", default=None, help="standard-horizontal direction")
     dump.add_argument("--frame", default=None, help="row-major frame matrix entries")
-    dump.add_argument("--t0", type=float, default=0.0)
+    dump.add_argument("--t0", type=float, default=0.0, help="geodesic span start, at most 0")
     dump.add_argument("--t1", type=float, required=True)
     dump.add_argument("--step", type=float, default=1e-3)
     dump.add_argument("--out", required=True)

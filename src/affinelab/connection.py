@@ -11,7 +11,7 @@ and the connector extracts the vertical part of a second-order tangent,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,9 +44,9 @@ class ConnChart:
     optional; when missing, `ConnectionField` derives it from `tensor` by
     a broadcasting einsum.  `d_dir` (x, u) -> (n,n,n) is the directional
     derivative of the tensor along u; `ConnectionField` fills a missing
-    one once with central differences of `tensor` (step h1) guarded by
-    the chart's domain.  All three take (..., n) arguments, broadcast
-    together, and prepend the leading axes to their results: the
+    one with `numdiff.filled`, central differences of `tensor` (step h1)
+    guarded by the chart's domain.  All three take (..., n) arguments,
+    broadcast together, and prepend the leading axes to their results: the
     geodesic spray calls `bilinear` on blocks of rows, and the frame-bundle
     fields call `tensor` on blocks and `d_dir` on every coordinate
     direction at once.
@@ -63,7 +63,11 @@ class ConnectionField:
             raise ValueError("connection needs at least one chart entry")
         self.atlas = atlas
         self.name = name
-        self._charts = {cid: _filled(cc, atlas.chart(cid).contains) for cid, cc in charts.items()}
+        self._charts = {cid: numdiff.filled(cc, "tensor", atlas.chart(cid).contains)
+                        for cid, cc in charts.items()}
+        for cc in self._charts.values():  # a missing bilinear is derived from the tensor
+            if cc.bilinear is None:
+                cc.bilinear = _bilinear_from_tensor(cc.tensor)
 
     def has_chart(self, cid: str) -> bool:
         return cid in self._charts
@@ -88,17 +92,6 @@ class ConnectionField:
     def bilinear_fn(self, cid: str) -> Callable:
         """Raw (x, v, w) -> vec callable for hot loops (ChartMissing if absent)."""
         return self._chart(cid).bilinear
-
-
-def _filled(cc: ConnChart, inside) -> ConnChart:
-    """A copy of `cc` with `bilinear` derived from `tensor` and `d_dir`
-    filled by central differences of `tensor` inside `inside`, if missing."""
-    cc = replace(cc)
-    if cc.bilinear is None:
-        cc.bilinear = _bilinear_from_tensor(cc.tensor)
-    if cc.d_dir is None:
-        cc.d_dir = lambda x, u: numdiff.directional(cc.tensor, x, u, inside=inside)
-    return cc
 
 
 def _bilinear_from_tensor(tensor):

@@ -3,32 +3,33 @@
 Fixed-step classical RK4 throughout, every step one `_rk4` call; no
 adaptivity.  One core integrates an (m, N) block of rows, entered through
 `_run_block`, each row with its own chart, signed step, hop count, status
-and reach time: the completeness probe's seeds in both directions,
-`exp_map_rows`, each segment of a flow word over a sample set.  A single
-trajectory (`_run`; without variational columns it may record its
-trajectory as (t, chart, x) rows) is a block of one, stepped as its 1-D
-view with a scalar step, which numpy runs about 2.6x faster than a
-(1, N) block (sphere `exp_map`, 1,000 steps: 28-29 ms against 74-78 ms);
-it takes the same loop as any block, its hops the one-row search
-`Atlas.hop_target`.  Each step advances the rows in groups keyed on the
-callables their right-hand side calls, not on their chart: rows of every
-chart whose field hands out the same callables step through one RK4
-call, so the callables take (..., N) inputs.  Margin tests group by test
-family, each row with its own parameters: a row that leaves the
-margin-shrunk domain of its chart is handed off to the highest-priority
-neighbouring chart that contains it, all of a block's hops in a step
-found in one `Atlas.hop_targets` call; a divergence, left-atlas or
-hop-limit stop retires that row and leaves the rest running.  The
-variational flow appends w' = d xi(x) w to the state as extra columns,
-re-charting w through the transition Jacobian at every hand-off.  A
-family field (`params` = q) takes a constant parameter row per
-trajectory, which is never stepped and never re-charted, so flows of
-different members share a block.
+and reach time.  Two runners use it: `_run` integrates one trajectory
+(for `integrate` and `variational_flow`, optionally recording (t, chart,
+x) rows), and `_push` runs a flow word, (field, duration) segments
+composed left to right, on a list of points, one block per segment (for
+`FlowWord.push`, `exp_map_rows` and the defects); a failed row stops, and
+after the last segment the first failed row raises, as a loop over the
+points would.  A block of one is stepped as its 1-D view with a scalar
+step, which numpy runs about 2.6x faster than a (1, N) block (sphere
+`exp_map`, 1,000 steps: 28-29 ms against 74-78 ms), its hops found by the
+one-row search `Atlas.hop_target`.  Each step advances the rows in groups
+keyed on the callables their right-hand side calls, not on their chart:
+rows of every chart whose field hands out the same callables step
+through one RK4 call, so the callables take (..., N) inputs.  Margin
+tests group by test family, each row with its own parameters: a row that
+leaves the margin-shrunk domain of its chart is handed off to the
+highest-priority neighbouring chart that contains it, all of a block's
+hops in a step found in one `Atlas.hop_targets` call; a divergence,
+left-atlas or hop-limit stop retires that row and leaves the rest
+running.  The variational flow appends w' = d xi(x) w to the state as
+extra columns, re-charting w through the transition Jacobian at every
+hand-off.  A family field (`params` = q) takes a constant parameter row
+per trajectory, never stepped or re-charted, so members share a block.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -54,8 +55,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
-        if not self.max_hops >= 0:
-            raise ValueError(f"max_hops must be non-negative, got {self.max_hops!r}")
+        hops = self.max_hops
+        if not (isinstance(hops, int) and not isinstance(hops, bool) and hops >= 0):
+            raise ValueError(f"max_hops must be a non-negative integer, got {hops!r}")
         if not 0.0 <= self.rechart_margin < 1.0:
             raise ValueError(f"rechart_margin must lie in [0, 1), got {self.rechart_margin!r}")
         if not self.state_guard > 0:
@@ -70,9 +72,9 @@ class ChartField:
     tensor of second partials.  Each takes (..., n) rows and broadcasts
     over the leading axes, since flows integrate blocks of rows; a
     callable written for one point must be rewritten in array form.
-    `VectorField` fills a missing `d` or `d2` once with central
-    differences of `value` guarded by the chart's domain, so every caller
-    finds both.
+    `VectorField` fills a missing `d` or `d2` with `numdiff.filled`,
+    central differences of `value` guarded by the chart's domain, so
+    every caller finds both.
 
     Charts that hand out the same callables step together: a flow steps
     the rows of every chart whose `value` (and, with variational columns,
@@ -96,7 +98,7 @@ class VectorField:
         self.atlas = atlas
         self.name = name
         self.params = params
-        self._charts = {cid: cf if params else _filled(cf, atlas.chart(cid).contains)
+        self._charts = {cid: cf if params else numdiff.filled(cf, "value", atlas.chart(cid).contains)
                         for cid, cf in charts.items()}
 
     def has_chart(self, cid: str) -> bool:
@@ -119,17 +121,6 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({self.name!r} on {self.atlas.name!r})"
-
-
-def _filled(cf: ChartField, inside) -> ChartField:
-    """A copy of `cf` with any missing derivative filled by central
-    differences of its value, every stencil point checked by `inside`."""
-    cf = replace(cf)
-    if cf.d is None:
-        cf.d = lambda x: numdiff.jacobian(cf.value, x, inside=inside)
-    if cf.d2 is None:
-        cf.d2 = lambda x: numdiff.second_derivative(cf.value, x, inside=inside)
-    return cf
 
 
 def constant_field(atlas: Atlas, name: str, vec) -> VectorField:
@@ -400,8 +391,7 @@ def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
     (one row only), `params` the (m, q) parameter rows of a family field.
     Each row stops on its own.  Returns (end points, W, t_reached,
     statuses), one per row, W holding the pushed columns in the shape of
-    `w0` (None without it).  A single row is a block of one, which
-    `_integrate` steps as its 1-D view (about 2.6x faster than (1, N)).
+    `w0` (None without it).
     """
     m, n = len(starts), field.atlas.dim
     z = np.array([p.coords for p in starts], float).reshape(m, n)
@@ -455,22 +445,48 @@ def flow_word(segments, start: Point, cfg: IntegratorConfig) -> Point:
     return p
 
 
+def _push(word, points, cfg: IntegratorConfig, w0=None, params=None):
+    """Run the flow word `word`, (field, duration) pairs composed left to
+    right, on every point: (end points, W).
+
+    Each segment integrates every still-running row as one block, the
+    (m, n, k) columns `w0` riding along as variational columns (W None
+    without them) and `params`, the (m, q) parameter rows of a word of
+    family fields, passed to every segment.  A failed row stops; after the
+    last segment the first failed row raises.
+    """
+    pts = list(points)
+    W = None if w0 is None else np.array(w0, float)
+    failed = {}
+    live = list(range(len(pts)))
+    for f, t in word:
+        if not live:
+            break
+        ends, W_live, t_ok, status = _run_block(f, [pts[r] for r in live], t, cfg,
+                                                None if W is None else W[live],
+                                                params=None if params is None else params[live])
+        for j, r in enumerate(live):
+            pts[r] = ends[j]
+            if status[j] != OK:
+                failed[r] = (status[j], f, t_ok[j])
+        if W is not None:
+            W[live] = W_live
+        live = [r for r in live if r not in failed]
+    if failed:
+        _raise_for(*failed[min(failed)])
+    return pts, W
+
+
 # -- defects ---------------------------------------------------------------
-
-def _flow_rows(field: VectorField, points, t: float, cfg: IntegratorConfig, params=None) -> list:
-    """Fl_t of every point as rows of one block; a failed row raises."""
-    ends, _, t_ok, status = _run_block(field, points, t, cfg, params=params)
-    for st, t_r in zip(status, t_ok):
-        _raise_for(st, field, t_r)
-    return ends
-
 
 def commutation_defect(xi: VectorField, eta: VectorField, starts, s: float, t: float,
                        cfg: IntegratorConfig) -> list:
     """Gap between Fl^xi_s(Fl^eta_t(x)) and Fl^eta_t(Fl^xi_s(x)), one per
-    start; each of the four segments runs every start as one block."""
-    a = _flow_rows(xi, _flow_rows(eta, starts, t, cfg), s, cfg)
-    b = _flow_rows(eta, _flow_rows(xi, starts, s, cfg), t, cfg)
+    start.  Each side is one two-segment `_push` of every start, so a
+    failed start raises as `FlowWord.push` raises: the first failed row of
+    the first side with a failure."""
+    a, _ = _push([(eta, t), (xi, s)], starts, cfg)
+    b, _ = _push([(xi, s), (eta, t)], starts, cfg)
     return [xi.atlas.gap(p, q) for p, q in zip(a, b)]
 
 
@@ -494,7 +510,8 @@ def parameter_flow_derivative_defect(family: VectorField, p: Point, cfg: Integra
     """
     q, atlas = family.params, family.atlas
     exact = _vec(family.chart_field(p.chart).value(np.tile(p.coords, (q, 1)), np.eye(q))).T
-    ends = _flow_rows(family, [p] * (2 * q), 1.0, cfg, eps * np.vstack([np.eye(q), -np.eye(q)]))
+    ends, _ = _push([(family, 1.0)], [p] * (2 * q), cfg,
+                    params=eps * np.vstack([np.eye(q), -np.eye(q)]))
     x = np.array([atlas.transition(e, p.chart).coords for e in ends])
     fd = ((x[:q] - x[q:]) / (2.0 * eps)).T
     return float(np.linalg.norm(fd - exact, 2))

@@ -28,7 +28,7 @@ from .atlas import Point, Tangent, _vec
 from .bundles import DET_GUARD, frame_atlas, pack, unpack
 from .connection import ConnectionField
 from .errors import SingularFrame, SingularGroupElement
-from .flows import ChartField, IntegratorConfig, VectorField, _raise_for, _run
+from .flows import ChartField, IntegratorConfig, VectorField, integrate
 from .geodesics import geodesic
 
 
@@ -240,9 +240,7 @@ def standard_horizontal(conn: ConnectionField, lam) -> VectorField:
 
 def horizontal_flow(conn: ConnectionField, lam, frame: Frame, t: float,
                     cfg: IntegratorConfig, record: list | None = None) -> Frame:
-    fld = standard_horizontal(conn, lam)
-    end, _, t_ok, status = _run(fld, frame.packed(), t, cfg, record=record)
-    _raise_for(status, fld, t_ok)
+    end = integrate(standard_horizontal(conn, lam), frame.packed(), t, cfg, record=record)
     return frame_from_packed(end, conn.atlas.dim)
 
 

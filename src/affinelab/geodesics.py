@@ -18,11 +18,11 @@ from functools import cache
 import numpy as np
 
 from .atlas import Atlas, Point, Tangent, _vec
-from .bundles import pack, tangent_atlas, unpack
+from .bundles import pack, tangent_atlas
 from .connection import ConnectionField
 from .errors import NoConvergence
-from .flows import (OK, ChartField, IntegratorConfig, VectorField, _flow_rows, _raise_for, _rk4,
-                    _run, _run_block)
+from .flows import OK, ChartField, IntegratorConfig, VectorField, _push, _rk4, _run_block, integrate
+from .flows import _run  # noqa: F401  not called; perfbench/test_counters.py checks its restore
 from . import numdiff
 
 
@@ -140,15 +140,6 @@ class CurveSpec:
                 for i in range(self._ts.size)]
 
 
-def _tm_rows(record, n):
-    rows = []
-    for r in record:
-        t, cid, z = r[0], r[1], r[2]
-        x, V = unpack(z, n, 1)
-        rows.append((t, cid, x, V[:, 0]))
-    return rows
-
-
 def geodesic(conn: ConnectionField, v0: Tangent, t_span, cfg: IntegratorConfig) -> CurveSpec:
     """Geodesic alpha with alpha(0) = base, alpha'(0) = v0 over t_span."""
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -158,20 +149,15 @@ def geodesic(conn: ConnectionField, v0: Tangent, t_span, cfg: IntegratorConfig) 
     n = base.dim
     fld = geodesic_field(conn)
     start = Point(v0.base.chart, pack(v0.base.coords, v0.vec.reshape(n, 1)))
-    rows = []
-    if t0 < 0:
+
+    def recorded(t):
+        """(t, chart, x, v) rows of the spray's flow from `start` to t (t = 0: the start)."""
         rec = []
-        _, _, t_ok, status = _run(fld, start, t0, cfg, record=rec)
-        _raise_for(status, fld, t_ok)
-        rows.extend(reversed(_tm_rows(rec, n)[1:]))
-    if t1 > 0:
-        rec = []
-        _, _, t_ok, status = _run(fld, start, t1, cfg, record=rec)
-        _raise_for(status, fld, t_ok)
-        rows.extend(_tm_rows(rec, n))
-    else:
-        x0, V0 = unpack(start.coords, n, 1)
-        rows.append((0.0, start.chart, x0, V0[:, 0]))
+        integrate(fld, start, t, cfg, record=rec)
+        return [(s, cid, z[:n], z[n:]) for s, cid, z in rec]
+
+    # the backward rows in increasing t, without the start that the forward rows begin with
+    rows = (recorded(t0)[:0:-1] if t0 < 0 else []) + recorded(t1)
     return CurveSpec.from_samples(base, rows)
 
 
@@ -190,7 +176,8 @@ def exp_map_rows(conn: ConnectionField, vs, cfg: IntegratorConfig, t: float = 1.
     if t == 0.0:
         return [Point(u.base.chart, u.base.coords.copy()) for u in vs]
     starts = [Point(u.base.chart, pack(u.base.coords, u.vec.reshape(n, 1))) for u in vs]
-    return [Point(e.chart, e.coords[:n]) for e in _flow_rows(geodesic_field(conn), starts, t, cfg)]
+    ends, _ = _push([(geodesic_field(conn), t)], starts, cfg)
+    return [Point(e.chart, e.coords[:n]) for e in ends]
 
 
 def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig,
@@ -322,14 +309,17 @@ def completeness_probe(conn: ConnectionField, seeds, horizon: float,
     """Integrate each seed geodesic to +-horizon, recording how far it got.
 
     Every seed in both directions is one row of a single block.  Failures
-    (LeftAtlas / HopLimit / divergence) are data, not errors.  No seeds is
-    a ValueError: completeness over zero rows would hold vacuously.
+    (LeftAtlas / HopLimit / divergence) are data, not errors.  No seeds, or
+    a horizon that is not finite and positive, is a ValueError:
+    completeness over zero rows or a zero span would hold vacuously.
     """
     n = conn.atlas.dim
     fld = geodesic_field(conn)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("completeness_probe needs at least one seed")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"completeness_probe needs a finite positive horizon, got {horizon!r}")
     starts = [Point(s.base.chart, pack(s.base.coords, s.vec.reshape(n, 1))) for s in seeds]
     m = len(starts)
     _, _, t_ok, status = _run_block(fld, starts + starts, np.repeat([horizon, -horizon], m), cfg)

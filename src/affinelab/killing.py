@@ -1,5 +1,8 @@
 """Natural lifts, the affine-Killing residual, brackets, and extension.
 
+The natural lift of xi is `bundles.lift` of its chart callables, the
+construction that also lifts the frame bundle's transitions.
+
 A vector field is an infinitesimal affine automorphism exactly when the
 chart residual
 
@@ -20,10 +23,10 @@ from functools import cache
 import numpy as np
 
 from .atlas import Point, Tangent, _vec
-from .bundles import frame_atlas, lift_jacobian, pack, unpack
+from .bundles import frame_atlas, lift, pack, unpack
 from .connection import ConnectionField
 from .errors import BasePointMismatch, SeedChartMismatch
-from .flows import ChartField, IntegratorConfig, VectorField, _flow_rows, variational_flow
+from .flows import ChartField, IntegratorConfig, VectorField, _push, variational_flow
 from .frame_bundle import Frame, frame_from_packed, kappa_inverse_family, rho, standard_horizontal
 
 
@@ -61,33 +64,22 @@ class HorizontalPath:
 
 
 def natural_lift(field: VectorField) -> VectorField:
-    """Lift xi to the frame bundle: (x, g) -> (xi(x), d xi(x) g).
+    """Lift xi to the frame bundle: (x, g) -> (xi(x), d xi(x) g), the
+    `bundles.lift` of its chart callables.
 
     The lift's `value` and `d` take (..., n + n^2) rows, like the base
     field's callables they are built from.
     """
     base = field.atlas
     n = base.dim
-    fr = frame_atlas(base)
-
-    @cache  # one lift per distinct chart field callables: charts sharing them step together
-    def lift(f, df, d2f):
-        def value(z):
-            x, g = unpack(z, n, n)
-            return pack(f(x), np.asarray(df(x), float) @ g)
-
-        def d(z):
-            x, g = unpack(z, n, n)
-            return lift_jacobian(np.asarray(df(x), float), np.asarray(d2f(x), float), g)
-
-        return ChartField(value=value, d=d)
-
+    # one lift per distinct chart field callables: charts sharing them step together
+    lifted = cache(lambda *fns: ChartField(*lift(*fns, n, n)))
     charts = {}
     for cid in base.charts:
         if field.has_chart(cid):
             cf = field.chart_field(cid)
-            charts[cid] = lift(cf.value, cf.d, cf.d2)
-    return VectorField(fr, f"lift[{field.name}]", charts)
+            charts[cid] = lifted(cf.value, cf.d, cf.d2)
+    return VectorField(frame_atlas(base), f"lift[{field.name}]", charts)
 
 
 def killing_residual(conn: ConnectionField, field: VectorField, point: Point, v, w) -> np.ndarray:
@@ -131,15 +123,15 @@ def lift_commutation_defect(conn: ConnectionField, fields, lams, frames, s: floa
     one block of `kappa_inverse_family` with its own lambda, and each
     field's lifted segments of both words run as one block."""
     H = kappa_inverse_family(conn)
-    params = [pack(lam, np.zeros((conn.atlas.dim,) * 2)) for lam in lams]
+    params = np.array([pack(lam, np.zeros((conn.atlas.dim,) * 2)) for lam in lams])
     b = [fr.packed() for fr in frames]
-    a = _flow_rows(H, b, t, cfg, params)  # word a flows H first, word b the lift
+    a, _ = _push([(H, t)], b, cfg, params=params)  # word a flows H first, word b the lift
     for fld in {id(f): f for f in fields}.values():
         rows = [r for r, f in enumerate(fields) if f is fld]
-        ends = _flow_rows(natural_lift(fld), [a[r] for r in rows] + [b[r] for r in rows], s, cfg)
+        ends, _ = _push([(natural_lift(fld), s)], [a[r] for r in rows] + [b[r] for r in rows], cfg)
         for r, end_a, end_b in zip(rows, ends, ends[len(rows):]):
             a[r], b[r] = end_a, end_b
-    b = _flow_rows(H, b, t, cfg, params)
+    b, _ = _push([(H, t)], b, cfg, params=params)
     return [H.atlas.gap(p, q) for p, q in zip(a, b)]
 
 

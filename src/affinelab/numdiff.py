@@ -9,13 +9,15 @@ Each derivative accepts one point x of shape (n,) or rows of shape
 (..., n), which are differenced one at a time (each with its own step)
 and stacked, so a missing analytic derivative filled in from these
 broadcasts like the analytic ones.  This serves the library's one
-derivative policy: `Chart.add_transition`, `VectorField` and
-`ConnectionField` fill every missing derivative once, at construction,
-with these differences guarded by the owning chart's domain.
+derivative policy: `filled` is the one place a missing derivative is
+made, for a transition (`d`, `d2` from `map`), a field's chart callables
+(`d`, `d2` from `value`) and a connection chart (`d_dir` from `tensor`),
+each guarded by the owning chart's domain.
 """
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -116,3 +118,22 @@ def directional(f: Callable, x: np.ndarray, u: np.ndarray, *, inside=None):
     h = step1(x) / nu
     _guard(inside, (x + h * u, x - h * u))
     return (np.asarray(f(x + h * u), float) - np.asarray(f(x - h * u), float)) / (2.0 * h)
+
+
+def filled(obj, source: str, inside):
+    """A copy of the dataclass `obj` in which each derivative slot it has
+    among `d`, `d2` and `d_dir` that is None holds central differences of
+    its callable `source`, every stencil point checked by `inside`.
+
+    A filled slot looks up `source` and the difference function at each
+    call, not here, so a wrapper installed on either later (a tracer
+    counting calls) sees every call.
+    """
+    obj = replace(obj)
+    if getattr(obj, "d", False) is None:
+        obj.d = lambda x: jacobian(getattr(obj, source), x, inside=inside)
+    if getattr(obj, "d2", False) is None:
+        obj.d2 = lambda x: second_derivative(getattr(obj, source), x, inside=inside)
+    if getattr(obj, "d_dir", False) is None:
+        obj.d_dir = lambda x, u: directional(getattr(obj, source), x, u, inside=inside)
+    return obj

@@ -116,7 +116,8 @@ def test_hop_limit(cat):
 @pytest.mark.parametrize("bad", [{"step": float("nan")}, {"step": float("inf")}, {"step": 0.0},
                                  {"step": -1e-3}, {"max_hops": -1}, {"rechart_margin": 5.0},
                                  {"rechart_margin": 1.0}, {"rechart_margin": -0.1},
-                                 {"state_guard": 0.0}, {"state_guard": float("nan")}])
+                                 {"state_guard": 0.0}, {"state_guard": float("nan")},
+                                 {"max_hops": 2.5}, {"max_hops": True}])
 def test_integrator_config_rejects_nonsense(bad):
     with pytest.raises(ValueError):
         IntegratorConfig(**bad)
@@ -179,6 +180,23 @@ def test_commutation_defect_rotation_translation(cat, cfg):
     [d] = commutation_defect(rot, tx, [Point("cart", [0.2, -0.1])], s, t, cfg)
     assert d >= 0.05
     assert abs(d - 2 * t * np.sin(s / 2)) <= 1e-8
+
+
+def test_commutation_defect_raises_the_first_failed_start(cat):
+    # on the unit disk, start 0 leaves in the second segment of word
+    # Fl^xi_s o Fl^eta_t and start 1 in its first: the error raised is start
+    # 0's, as when the starts run one at a time, not the first segment's
+    disk = cat.atlas("disk")
+    xi, eta = constant_field(disk, "xi", [1.0, 0.0]), constant_field(disk, "eta", [0.0, 1.0])
+    starts = [Point("disk", [0.5, -0.6]), Point("disk", [-0.5, 0.6])]
+    cfg = IntegratorConfig(step=0.01)
+    with pytest.raises(LeftAtlas) as alone:
+        commutation_defect(xi, eta, starts[:1], 0.6, 0.5, cfg)
+    with pytest.raises(LeftAtlas) as both:
+        commutation_defect(xi, eta, starts, 0.6, 0.5, cfg)
+    assert "'xi'" in str(alone.value) and str(both.value) == str(alone.value)
+    with pytest.raises(LeftAtlas, match="'eta'"):
+        commutation_defect(xi, eta, starts[1:], 0.6, 0.5, cfg)
 
 
 def test_lie_derivative_defect(cat, cfg):

@@ -252,6 +252,15 @@ def test_completeness_probe_needs_a_seed(cat, cfg):
         completeness_probe(cat.connection("plane", "flat"), [], 10.0, cfg)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -5.0, float("nan"), float("inf")])
+def test_completeness_probe_needs_a_finite_positive_horizon(cat, cfg, horizon):
+    # horizon 0 and -5 reported completeness (reached -5), nan raised "cannot
+    # convert float NaN to integer"
+    seed = Tangent(Point("cart", [0.1, 0.2]), [1.0, 0.0])
+    with pytest.raises(ValueError, match="finite positive horizon"):
+        completeness_probe(cat.connection("plane", "flat"), [seed], horizon, cfg)
+
+
 def test_completeness_probe_disk_fails(cat):
     cfg = IntegratorConfig(step=0.01)
     conn = cat.connection("disk", "flat")

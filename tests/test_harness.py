@@ -60,7 +60,7 @@ def test_all_shipped_scenarios_load(cat):
 
 
 @pytest.mark.parametrize("integrator", [{"step": float("nan")}, {"max_hops": -1},
-                                        {"rechart_margin": 5}])
+                                        {"rechart_margin": 5}, {"max_hops": 2.5}])
 def test_nonsense_integrator_config_fails_at_parse_time(cat, integrator):
     with pytest.raises(ParseError):
         scenario_from_dict({"manifold": "sphere", "connection": "round",
@@ -208,6 +208,8 @@ def test_cli_rejects_invalid_step_as_usage_error(step, tmp_path, capsys):
 
 
 _DUMP_ARGS = {
+    "flow": {"--manifold": "plane", "--field": "trans_x", "--chart": "cart",
+             "--point": "0.5,0.25", "--t1": "0.01", "--step": "0.001"},
     "geodesic": {"--manifold": "sphere", "--connection": "round", "--chart": "a",
                  "--point": "0.1,0.2", "--velocity": "0,1", "--t1": "0.1", "--step": "0.01"},
     "horizontal": {"--manifold": "sphere", "--connection": "round", "--chart": "a",
@@ -232,6 +234,10 @@ _DUMP_ARGS = {
     ("geodesic", {"--velocity": None}, "--velocity"),
     ("horizontal", {"--lam": None}, "--lam"),
     ("horizontal", {"--connection": None}, "--connection"),
+    # --t0 was dropped by flow and horizontal, and a positive one became 0
+    ("flow", {"--t0": "5"}, "--t0"),
+    ("horizontal", {"--t0": "-0.5"}, "--t0"),
+    ("geodesic", {"--t0": "0.05"}, "--t0"),
 ])
 def test_cli_dump_rejects_bad_flags_as_usage_errors(kind, changed, flag, tmp_path, capsys):
     # a dump flag the run cannot use, or a missing one (None) it needs, is
