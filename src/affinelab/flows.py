@@ -1,6 +1,6 @@
 """Chart-hopping ODE machinery for vector fields expressed per chart.
 
-Fixed-step classical RK4 throughout, every step one `_rk4` call; no
+Fixed-step classical RK4 throughout, every flow step one `_rk4` call; no
 adaptivity.  One core integrates an (m, N) block of rows, entered through
 `_run_block`, each row with its own chart, signed step, hop count, status
 and reach time.  Two runners use it: `_run` integrates one trajectory

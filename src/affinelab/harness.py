@@ -229,8 +229,9 @@ def _sphere_holonomy(ctx, colatitudes=(0.5235987755982988, 0.7853981633974483,
     for theta0 in colatitudes:
         rho = np.tan(theta0 / 2.0)
 
-        def circ(t, rho=rho):
-            return "b", rho * np.array([np.cos(t), np.sin(t)]), rho * np.array([-np.sin(t), np.cos(t)])
+        def circ(t, rho=rho):  # called 2N + 1 times: scalar math, one array per vector
+            c, s = math.cos(t), math.sin(t)
+            return "b", np.array((rho * c, rho * s)), np.array((-rho * s, rho * c))
 
         curve = CurveSpec.from_callable(ctx.atlas, circ, 0.0, 2 * np.pi)
         P = parallel_transport(ctx.conn, curve, 0.0, 2 * np.pi, np.eye(2), ctx.cfg)

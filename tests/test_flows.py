@@ -19,7 +19,8 @@ def test_constant_field_exact(cat, cfg):
 
 
 def test_rk4_calls_its_right_hand_side_once_per_stage_in_order():
-    # parallel transport pairs each call with a curve point by this order
+    # the transport oracle in test_transport_propagators.py pairs each call
+    # with a curve point by this order
     def f(z):
         return np.array([z[1] ** 2, -z[0]])
 
