@@ -20,10 +20,13 @@ import numpy as np
 from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas
 from .connection import ConnectionField
-from .errors import NoConvergence
-from .flows import OK, ChartField, IntegratorConfig, VectorField, _push, _run_block, integrate
+from .errors import NoConvergence, NotInOverlap
+from .flows import (OK, ChartField, IntegratorConfig, VectorField, _push, _raise_for, _run_block,
+                    integrate)
 from .flows import _run  # noqa: F401  not called; perfbench/test_counters.py checks its restore
 from . import numdiff
+
+_F8 = np.dtype(float)
 
 
 def geodesic_field(conn: ConnectionField) -> VectorField:
@@ -103,7 +106,11 @@ class CurveSpec:
         ValueError for t outside its samples by more than round-off."""
         if self._fn is not None:
             cid, x, v = self._fn(float(t))
-            return cid, _vec(x), _vec(v)
+            # a transport makes 2N + 1 calls: skip _vec where it would return x and v as they are
+            if not (type(x) is type(v) is np.ndarray and x.dtype is v.dtype is _F8
+                    and x.ndim and v.ndim):
+                x, v = _vec(x), _vec(v)
+            return cid, x, v
         slack = 1e-12 * max(1.0, abs(self.t0), abs(self.t1))
         if not self.t0 - slack <= t <= self.t1 + slack:
             raise ValueError(f"t={t!r} lies outside the sampled span [{self.t0!r}, {self.t1!r}]")
@@ -185,11 +192,20 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
     """Newton shooting for v with exp_x(v) = y (y in a normal neighbourhood).
 
     The residual is measured in whichever chart holds both endpoints; the
-    initial guess is the chart difference y - x.  FD Jacobian refreshed
-    every iteration, no damping; failure raises NoConvergence.
+    initial guess is the chart difference y - x.  Each iteration shoots
+    the centre v and the central-difference stencil v +- h e_j of
+    `numdiff.stencil` as the 2n + 1 rows of one block, refreshing the
+    Jacobian every iteration, with no damping.  The centre's failure
+    raises first; a converged centre returns whatever its stencil rows
+    did; otherwise the first failing stencil row raises, as one shot at a
+    time would.  Failure raises NoConvergence (or the flow's LeftAtlas or
+    HopLimit); a `tol` that is not finite and positive, or a `max_iter`
+    that is not an int >= 1, is a ValueError.
     """
-    from .errors import NotInOverlap
-
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not (isinstance(max_iter, int) and not isinstance(max_iter, bool) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     atlas = conn.atlas
     try:
         y_in_x = atlas.transition(y, x.chart)
@@ -205,19 +221,27 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
         dv = y.coords - x_in_y.coords
         v = atlas.d_transition(Point(y.chart, x_in_y.coords), x.chart) @ dv
 
-    def shoot(vv):
-        p = exp_map(conn, Tangent(x, vv), cfg)
+    fld = geodesic_field(conn)
+    n = atlas.dim
+
+    def landed(end, t_ok, status):
+        """A shot's end point in the target chart, or its error."""
+        _raise_for(status, fld, t_ok)
         try:
-            return atlas.transition(p, target_chart).coords
+            return atlas.transition(Point(end.chart, end.coords[:n]), target_chart).coords
         except NotInOverlap:
             raise NoConvergence("shooting left the target chart; y likely "
                                 "outside the normal neighbourhood") from None
 
     for _ in range(max_iter):
-        r = shoot(v) - target
+        h, stencil = numdiff.stencil(v)
+        starts = [Point(x.chart, pack(x.coords, u.reshape(n, 1))) for u in [v, *stencil]]
+        ends, _, t_ok, status = _run_block(fld, starts, 1.0, cfg)
+        shots = (landed(*row) for row in zip(ends, t_ok, status))  # lazy: errors in row order
+        r = next(shots) - target
         if np.linalg.norm(r) <= tol:
             return Tangent(x, v)
-        J = numdiff.jacobian(shoot, v)
+        J = numdiff.central(list(shots), h)
         try:
             delta = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
