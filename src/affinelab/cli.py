@@ -50,7 +50,8 @@ def _cmd_run(args) -> int:
         raise ScenarioError(f"--tol-scale: {e}") from None
     for c in report.checks:
         worst = "n/a" if c.worst is None else f"{c.worst:.3e}"
-        line = f"[{c.status.upper():4s}] {c.name:24s} worst={worst:>10s} samples={c.samples:4d} ({c.ms:.0f} ms)"
+        at = "" if c.worst_at is None else f" at={c.worst_at}"
+        line = f"[{c.status.upper():4s}] {c.name:24s} worst={worst:>10s} samples={c.samples:4d}{at} ({c.ms:.0f} ms)"
         if c.error:
             line += f"  {c.error}"
         print(line)

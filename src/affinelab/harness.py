@@ -2,10 +2,10 @@
 
 A scenario file (strict JSON) names a catalog manifold/connection, a set
 of vector fields, and a list of checks with parameters.  Every check
-reports a worst-case residual and a pass/fail status with the convention
-status = pass iff worst <= tol; floor-style checks (separation, rank,
-completeness) record their margin shortfall as `worst` with tol 0 so the
-same convention holds.
+returns its per-sample residuals and the bound they are held to, and
+`run_suite` judges every row by one rule: a row passes only if its check
+sampled something, every residual is finite and `worst`, the largest
+residual (at least 0.0), is within the bound; `worst_at` is its index.
 
 Checks are registered with `check`; each parameter name has one kind in
 `_KIND`, which a scenario's values must pass when it is parsed.
@@ -21,7 +21,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,8 @@ class CheckResult:
     worst: float | None
     samples: int
     ms: float
-    error: str | None = None
+    error: str | None = None  # left out of `to_dict` rows when None
+    worst_at: int | None = None
 
 
 @dataclass
@@ -69,23 +71,28 @@ class Report:
         return all(c.status == "pass" for c in self.checks)
 
     def to_dict(self) -> dict:
-        rows = []
-        for c in self.checks:
-            row = {"name": c.name, "status": c.status, "worst": c.worst,
-                   "samples": c.samples, "ms": c.ms}
-            if c.error is not None:
-                row["error"] = c.error
-            rows.append(row)
+        rows = [{k: v for k, v in asdict(c).items() if k != "error" or v is not None}
+                for c in self.checks]
         return {"checks": rows, "meta": self.meta}
 
 
 # -- check registry ----------------------------------------------------------
 
+class Residuals(NamedTuple):
+    """What a check returns; a plain `(values, bound)` tuple reads the same."""
+    values: list                # one residual per sample, in the order sampled
+    bound: float                # the largest residual that passes
+    samples: int | None = None  # the count to report, when it is not len(values)
+    unmet: str | None = None    # a condition of the check's own that does not hold
+
+
 _CHECKS: dict[str, tuple[dict, callable]] = {}
 
 
 def check(name: str):
-    """Register `fn(ctx, ...)` as check `name`, its signature's defaults (None: required)."""
+    """Register `fn(ctx, ...)` as check `name`, its signature's defaults (None: required).
+    `fn` returns `Residuals` and no verdict: `_row` passes its row only if it sampled
+    something, every residual is finite and the largest is within the bound."""
     def wrap(fn):
         params = list(inspect.signature(fn).parameters.values())[1:]
         _CHECKS[name] = ({p.name: p.default for p in params}, fn)
@@ -96,6 +103,20 @@ def check(name: str):
 
 def check_names():
     return sorted(_CHECKS)
+
+
+def _row(name: str, out, ms: float) -> CheckResult:
+    """The row for a check's `Residuals`: the one rule, and the check's own condition."""
+    values, bound, samples, unmet = Residuals(*out)
+    r = np.asarray(values, dtype=float).ravel()
+    samples = r.size if samples is None else int(samples)
+    bad = np.flatnonzero(~np.isfinite(r))
+    at = None if not (samples and r.size) else int(bad[0]) if bad.size else int(np.argmax(r))
+    worst = 0.0 if at is None else float(r[at]) if bad.size else max(0.0, float(r[at]))
+    error = ("sampled nothing (no fields or samples to check)" if at is None else
+             f"residual {at} (in sampling order) is {worst}, not finite" if bad.size else unmet)
+    passed = error is None and worst <= bound
+    return CheckResult(name, "pass" if passed else "fail", worst, samples, round(ms, 3), error, at)
 
 
 class _Ctx:
@@ -118,13 +139,16 @@ class _Ctx:
     def sample_vw(self):
         return self.rng.normal(size=(2, self.atlas.dim))
 
-    def killing_worst(self, fld, samples) -> float:
-        """Largest |killing_residual| over `samples` first-chart points, a random (v, w) each."""
-        worst = 0.0
-        for p in self.atlas.sample_points(self.atlas.chart_order()[0], samples, self.rng):
-            v, w = self.sample_vw()
-            worst = max(worst, float(np.linalg.norm(killing_residual(self.conn, fld, p, v, w))))
-        return worst
+    def overlaps(self, samples):
+        """(point, its chart, other chart) for `samples` points of each ordered overlap."""
+        for cid, tid in self.atlas.overlap_pairs():
+            for p in self.atlas.overlap_samples(cid, tid, samples, self.rng):
+                yield p, cid, tid
+
+    def killing_norms(self, fld, samples) -> list:
+        """|killing_residual| at `samples` first-chart points, a random (v, w) each."""
+        return [float(np.linalg.norm(killing_residual(self.conn, fld, p, *self.sample_vw())))
+                for p in self.atlas.sample_points(self.atlas.chart_order()[0], samples, self.rng)]
 
     def frame(self, chart, x) -> Frame:
         """A frame at x whose matrix is I plus uniform(-0.2, 0.2) entries."""
@@ -134,51 +158,33 @@ class _Ctx:
 
 @check("transition_roundtrip")
 def _transition_roundtrip(ctx, samples=100, tol=1e-10):
-    worst, count = 0.0, 0
-    for cid, tid in ctx.atlas.overlap_pairs():
-        for p in ctx.atlas.overlap_samples(cid, tid, samples, ctx.rng):
-            back = ctx.atlas.transition(ctx.atlas.transition(p, tid), cid)
-            worst = max(worst, float(np.linalg.norm(back.coords - p.coords)))
-            count += 1
-    return worst, count, worst <= tol
+    tr = ctx.atlas.transition
+    return [float(np.linalg.norm(tr(tr(p, tid), cid).coords - p.coords))
+            for p, cid, tid in ctx.overlaps(samples)], tol
 
 
 @check("d2_symmetry")
 def _d2_symmetry(ctx, samples=50, tol=1e-8):
-    worst, count = 0.0, 0
-    for cid, tid in ctx.atlas.overlap_pairs():
-        for p in ctx.atlas.overlap_samples(cid, tid, samples, ctx.rng):
-            T = ctx.atlas.d2_transition(p, tid)
-            worst = max(worst, float(np.max(np.abs(T - np.swapaxes(T, 1, 2)))))
-            count += 1
-    return worst, count, worst <= tol
+    Ts = (ctx.atlas.d2_transition(p, tid) for p, _, tid in ctx.overlaps(samples))
+    return [float(np.max(np.abs(T - np.swapaxes(T, 1, 2)))) for T in Ts], tol
 
 
 @check("bilinearity")
 def _bilinearity(ctx, samples=50, tol=1e-10):
-    worst, count = 0.0, 0
-    for cid in ctx.atlas.charts:
-        if not ctx.conn.has_chart(cid):
-            continue
+    B, res = ctx.conn.eval_B, []
+    for cid in filter(ctx.conn.has_chart, ctx.atlas.charts):
         for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
             v, w = ctx.sample_vw()
             u = ctx.rng.normal(size=ctx.atlas.dim)
             a = ctx.rng.normal()
-            r = ctx.conn.eval_B(p, a * v + w, u) - a * ctx.conn.eval_B(p, v, u) - ctx.conn.eval_B(p, w, u)
-            worst = max(worst, float(np.linalg.norm(r)))
-            count += 1
-    return worst, count, worst <= tol
+            res.append(float(np.linalg.norm(B(p, a * v + w, u) - a * B(p, v, u) - B(p, w, u))))
+    return res, tol
 
 
 @check("change_of_variable")
 def _change_of_variable(ctx, samples=100, tol=1e-6):
-    worst, count = 0.0, 0
-    for cid, tid in ctx.atlas.overlap_pairs():
-        for p in ctx.atlas.overlap_samples(cid, tid, samples, ctx.rng):
-            v, w = ctx.sample_vw()
-            worst = max(worst, change_of_variable_residual(ctx.conn, p, v, w, tid))
-            count += 1
-    return worst, count, worst <= tol
+    return [change_of_variable_residual(ctx.conn, p, *ctx.sample_vw(), tid)
+            for p, _, tid in ctx.overlaps(samples)], tol
 
 
 @check("flow_group_law")
@@ -187,8 +193,7 @@ def _flow_group_law(ctx, field=None, s=0.37, t=0.19, samples=5, tol=1e-8):
     pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
     a, _ = FlowWord(ctx.atlas, [(fld, s), (fld, t)], ctx.cfg).push(pts)
     b, _ = FlowWord(ctx.atlas, [(fld, s + t)], ctx.cfg).push(pts)
-    worst = max([0.0, *(ctx.atlas.gap(p, q) for p, q in zip(a, b))])
-    return worst, len(pts), worst <= tol
+    return [ctx.atlas.gap(p, q) for p, q in zip(a, b)], tol
 
 
 @check("flow_reversibility")
@@ -196,16 +201,14 @@ def _flow_reversibility(ctx, field=None, t=0.8, samples=5, tol=1e-8):
     fld = ctx.field(field)
     pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
     out, _ = FlowWord(ctx.atlas, [(fld, t), (fld, -t)], ctx.cfg).push(pts)
-    worst = max([0.0, *(ctx.atlas.gap(p, q) for p, q in zip(out, pts))])
-    return worst, len(pts), worst <= tol
+    return [ctx.atlas.gap(p, q) for p, q in zip(out, pts)], tol
 
 
 @check("geodesic_periodicity")
 def _geodesic_periodicity(ctx, chart=None, point=None, velocity=None, period=None, tol=1e-6):
     start = Tangent(Point(chart, point), velocity)
     curve = geodesic(ctx.conn, start, (0.0, period), ctx.cfg)
-    worst = ctx.atlas.gap(curve.point(period), start.base)
-    return worst, 1, worst <= tol
+    return [ctx.atlas.gap(curve.point(period), start.base)], tol
 
 
 @check("geodesic_convergence")
@@ -215,9 +218,9 @@ def _geodesic_convergence(ctx, chart=None, point=None, velocity=None, period=Non
     for step in (ctx.cfg.step, ctx.cfg.step / 2.0):
         curve = geodesic(ctx.conn, start, (0.0, period), replace(ctx.cfg, step=step))
         errs.append(ctx.atlas.gap(curve.point(period), start.base))
-    ratio = errs[0] / max(errs[1], 1e-300)
-    worst = max(0.0, min_ratio - ratio)
-    return worst, 2, worst <= 0.0
+    # the residual is how far halving the step falls short of shrinking the error min_ratio-fold
+    ratio = errs[0] / np.maximum(errs[1], 1e-300)
+    return Residuals([min_ratio - ratio], 0.0, samples=2)
 
 
 @check("sphere_holonomy")
@@ -225,7 +228,7 @@ def _sphere_holonomy(ctx, colatitudes=(0.5235987755982988, 0.7853981633974483,
                                       1.0471975511965976), tol=1e-5):
     if ctx.scenario.manifold != "sphere":
         raise GeometryError("sphere_holonomy requires the sphere catalog entry")
-    worst = 0.0
+    res = []
     for theta0 in colatitudes:
         rho = np.tan(theta0 / 2.0)
 
@@ -237,28 +240,26 @@ def _sphere_holonomy(ctx, colatitudes=(0.5235987755982988, 0.7853981633974483,
         P = parallel_transport(ctx.conn, curve, 0.0, 2 * np.pi, np.eye(2), ctx.cfg)
         ang = -2 * np.pi * np.cos(theta0)
         expected = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        worst = max(worst, float(np.linalg.norm(P - expected)))
-    return worst, len(colatitudes), worst <= tol
+        res.append(float(np.linalg.norm(P - expected)))
+    return res, tol
 
 
 @check("horizontal_projection")
 def _horizontal_projection(ctx, chart=None, point=None, lam=None, t1=6.283185307179586, tol=1e-4):
     frame = Frame(chart, point, np.eye(ctx.atlas.dim))
-    worst = horizontal_projection_defect(ctx.conn, lam, frame, (0.0, t1), ctx.cfg)
-    return worst, 1, worst <= tol
+    return [horizontal_projection_defect(ctx.conn, lam, frame, (0.0, t1), ctx.cfg)], tol
 
 
 @check("killing_residual")
 def _killing_residual(ctx, fields=None, samples=100, tol=1e-8):
-    flds = ctx.field_list(fields)
-    worst = max([0.0, *(ctx.killing_worst(fld, samples) for _, fld in flds)])
-    return worst, samples * len(flds), worst <= tol
+    return [r for _, fld in ctx.field_list(fields) for r in ctx.killing_norms(fld, samples)], tol
 
 
 @check("killing_floor")
 def _killing_floor(ctx, field=None, samples=20, floor=1e-2):
-    worst = max(0.0, floor - ctx.killing_worst(ctx.field(field), samples))
-    return worst, samples, worst <= 0.0
+    # the residual is how far the field's largest Killing residual falls short of `floor`
+    reached = np.max(ctx.killing_norms(ctx.field(field), samples))
+    return Residuals([floor - reached], 0.0, samples=samples)
 
 
 @check("killing_equivalence")
@@ -268,32 +269,28 @@ def _killing_equivalence(ctx, fields=None, samples=10, frames=2, res_tol=1e-8, c
     chart = ctx.atlas.chart(cid)
     center = 0.5 * (chart.sample_lo + chart.sample_hi)
     flds = [fld for _, fld in ctx.field_list(fields)]
-    res, rows = [], []  # rows: (field index, lambda, frame)
-    for i, fld in enumerate(flds):
-        res.append(ctx.killing_worst(fld, samples))
+    res, rows = [], []  # rows: (field, lambda, frame), `frames` of them per field
+    for fld in flds:
+        res.append(np.max(ctx.killing_norms(fld, samples)))
         for p in ctx.atlas.sample_points(cid, frames, ctx.rng):
             # inner half of the sample box: short composite flows must stay
             # inside bounded charts
             fr = ctx.frame(cid, center + 0.5 * (p.coords - center))
-            rows.append((i, ctx.rng.normal(size=ctx.atlas.dim), fr))
-    comms = lift_commutation_defect(ctx.conn, [flds[i] for i, _, _ in rows],
-                                    [lam for _, lam, _ in rows], [fr for _, _, fr in rows],
-                                    s, t, ctx.cfg)
-    comm = [max([0.0, *(c for (j, _, _), c in zip(rows, comms) if j == i)])
-            for i in range(len(flds))]
-    disagreements = sum((r <= res_tol) != (c <= comm_tol) for r, c in zip(res, comm))
-    return float(disagreements), samples * len(flds) + len(comms), disagreements == 0
+            rows.append((fld, ctx.rng.normal(size=ctx.atlas.dim), fr))
+    comms = lift_commutation_defect(ctx.conn, *zip(*rows), s, t, ctx.cfg) if rows else []
+    comm = np.max(np.reshape(comms, (len(flds), frames)), axis=1)
+    # one residual: the number of fields the two classifications disagree on
+    split = float(np.sum((np.array(res) <= res_tol) != (comm <= comm_tol)))
+    finite = np.isfinite(res).all() and np.isfinite(comm).all()
+    return Residuals([split if finite else math.nan], 0.0, samples=samples * len(flds) + len(comms))
 
 
 @check("bracket_structure")
 def _bracket_structure(ctx, f1=None, f2=None, f3=None, samples=20, tol=1e-8):
     br = bracket(ctx.field(f1), ctx.field(f2))
     target = ctx.field(f3)
-    cid = ctx.atlas.chart_order()[0]
-    worst = 0.0
-    for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-        worst = max(worst, float(np.linalg.norm(br.value(p) - target.value(p))))
-    return worst, samples, worst <= tol
+    pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
+    return [float(np.linalg.norm(br.value(p) - target.value(p))) for p in pts], tol
 
 
 @check("lift_homomorphism")
@@ -302,11 +299,8 @@ def _lift_homomorphism(ctx, f1=None, f2=None, samples=10, tol=1e-6):
     lhs = natural_lift(bracket(a, b))
     rhs = bracket(natural_lift(a), natural_lift(b))
     cid = ctx.atlas.chart_order()[0]
-    worst = 0.0
-    for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
-        z = ctx.frame(cid, p.coords).packed()
-        worst = max(worst, float(np.linalg.norm(lhs.value(z) - rhs.value(z))))
-    return worst, samples, worst <= tol
+    zs = (ctx.frame(cid, p.coords).packed() for p in ctx.atlas.sample_points(cid, samples, ctx.rng))
+    return [float(np.linalg.norm(lhs.value(z) - rhs.value(z))) for z in zs], tol
 
 
 @check("extension_recovery")
@@ -317,8 +311,7 @@ def _extension_recovery(ctx, field=None, chart=None, point=None, target=None, to
     seed = ev_embedding(ctx.conn, fld, x)
     path = path_to(ctx.conn, x, y, ctx.cfg)
     out = extend_killing(ctx.conn, seed, path, ctx.cfg)
-    worst = float(np.linalg.norm(out.vec - fld.value(out.base)))
-    return worst, 1, worst <= tol
+    return [float(np.linalg.norm(out.vec - fld.value(out.base)))], tol
 
 
 @check("extension_linearity")
@@ -328,11 +321,8 @@ def _extension_linearity(ctx, f1=None, f2=None, chart=None, point=None, lam=None
     s2 = ev_embedding(ctx.conn, ctx.field(f2), x)
     combo = KillingSeed(x, a * s1.value + s2.value, a * s1.nabla + s2.nabla)
     path = HorizontalPath.single(lam, 1.0)
-    out = extend_killing(ctx.conn, combo, path, ctx.cfg)
-    o1 = extend_killing(ctx.conn, s1, path, ctx.cfg)
-    o2 = extend_killing(ctx.conn, s2, path, ctx.cfg)
-    worst = float(np.linalg.norm(out.vec - (a * o1.vec + o2.vec)))
-    return worst, 3, worst <= tol
+    out, o1, o2 = (extend_killing(ctx.conn, seed, path, ctx.cfg) for seed in (combo, s1, s2))
+    return Residuals([float(np.linalg.norm(out.vec - (a * o1.vec + o2.vec)))], tol, samples=3)
 
 
 @check("exp_aut_affine")
@@ -343,8 +333,7 @@ def _exp_aut_affine(ctx, field=None, samples=10, tol=1e-5, tol_kill=1e-6):
     f = exp_aut(ctx.conn, fld, pts, ctx.cfg, tol_kill=tol_kill)
     vw = np.array([ctx.sample_vw() for _ in pts]).reshape(len(pts), 2, ctx.atlas.dim)
     res = affine_residual(f, ctx.conn, ctx.conn, pts, vw[:, 0], vw[:, 1])
-    worst = max([0.0, *(float(np.linalg.norm(r)) for r in res)])
-    return worst, samples, worst <= tol
+    return [float(np.linalg.norm(r)) for r in res], tol
 
 
 @check("kappa_pullback")
@@ -358,8 +347,7 @@ def _kappa_pullback(ctx, field=None, samples=5, tol=1e-5, tol_kill=1e-6):
     for p in pts:
         frames.append(ctx.frame(cid, p.coords))
         fts.append(FrameTangent(ctx.rng.normal(size=n), ctx.rng.normal(size=(n, n))))
-    worst = max([0.0, *kappa_pullback_defect(ctx.conn, fd, frames, fts)])
-    return worst, samples, worst <= tol
+    return kappa_pullback_defect(ctx.conn, fd, frames, fts), tol
 
 
 @check("exp_commutes")
@@ -369,8 +357,7 @@ def _exp_commutes(ctx, field=None, samples=3, scale=1.0, tol=1e-5, tol_kill=1e-6
     pts = ctx.atlas.sample_points(cid, samples, ctx.rng)
     f = exp_aut(ctx.conn, fld, pts, ctx.cfg, tol_kill=tol_kill)
     vs = [Tangent(p, scale * ctx.rng.normal(size=ctx.atlas.dim)) for p in pts]
-    worst = max([0.0, *exp_commutes_defect(ctx.conn, f, vs, ctx.cfg)])
-    return worst, samples, worst <= tol
+    return exp_commutes_defect(ctx.conn, f, vs, ctx.cfg), tol
 
 
 @check("frame_homomorphism")
@@ -379,15 +366,10 @@ def _frame_homomorphism(ctx, axis_a=0, angle_a=0.7, axis_b=2, angle_b=-1.2, samp
         raise GeometryError("frame_homomorphism requires the sphere catalog entry")
     Ra = rotation_matrix_3d(axis_a, angle_a)
     Rb = rotation_matrix_3d(axis_b, angle_b)
-    Ff = frame_lift(sphere_rotation(ctx.atlas, Ra))
-    Fg = frame_lift(sphere_rotation(ctx.atlas, Rb))
-    Ffg = frame_lift(sphere_rotation(ctx.atlas, Ra @ Rb))
-    worst = 0.0
-    for p in ctx.atlas.sample_points("a", samples, ctx.rng):
-        fr = ctx.frame("a", p.coords)
-        worst = max(worst, frame_gap(ctx.atlas, Ffg.apply_frame(fr),
-                                     Ff.apply_frame(Fg.apply_frame(fr))))
-    return worst, samples, worst <= tol
+    Ff, Fg, Ffg = (frame_lift(sphere_rotation(ctx.atlas, R)) for R in (Ra, Rb, Ra @ Rb))
+    frs = (ctx.frame("a", p.coords) for p in ctx.atlas.sample_points("a", samples, ctx.rng))
+    return [frame_gap(ctx.atlas, Ffg.apply_frame(fr), Ff.apply_frame(Fg.apply_frame(fr)))
+            for fr in frs], tol
 
 
 @check("orbit_separation")
@@ -400,27 +382,24 @@ def _orbit_separation(ctx, fields=None, scale=0.1, min_gap=1e-3, chart=None, poi
         scaled = combine(f"{scale}*{name}", [fld], [scale])
         frames.append(orbit_point(frame_lift(exp_aut(ctx.conn, scaled, pts, ctx.cfg,
                                                      tol_kill=tol_kill)), frame))
-    observed = min(frame_gap(ctx.atlas, frames[i], frames[j])
-                   for i in range(len(frames)) for j in range(i))
-    worst = max(0.0, min_gap - observed)
-    return worst, len(frames), worst <= 0.0
+    # one residual per pair of orbit points: how far their gap falls short of min_gap
+    return Residuals([min_gap - frame_gap(ctx.atlas, frames[i], frames[j])
+                      for i in range(len(frames)) for j in range(i)], 0.0, samples=len(frames))
 
 
 @check("gram_rank_check")
 def _gram_rank_check(ctx, fields=None, chart=None, point=None, expected=None):
     p = Point(chart, point)
     seeds = [ev_embedding(ctx.conn, fld, p) for _, fld in ctx.field_list(fields)]
-    rank = gram_rank(seeds)
-    worst = float(abs(rank - expected))
-    return worst, len(seeds), worst == 0.0
+    return Residuals([float(abs(gram_rank(seeds) - expected))], 0.0, samples=len(seeds))
 
 
 @check("parameter_flow")
 def _parameter_flow(ctx, chart=None, point=None, tol=1e-4, eps=1e-3):
     family = kappa_inverse_family(ctx.conn)
     p = Frame(chart, point, np.eye(ctx.atlas.dim)).packed()
-    worst = parameter_flow_derivative_defect(family, p, ctx.cfg, eps=eps)
-    return worst, family.params, worst <= tol
+    defect = parameter_flow_derivative_defect(family, p, ctx.cfg, eps=eps)
+    return Residuals([defect], tol, samples=family.params)
 
 
 @check("completeness")
@@ -428,17 +407,15 @@ def _completeness(ctx, seeds=20, horizon=1000.0, step=0.1, vel_scale=1.0, expect
                   chart=None, point=None, velocity=None, fail_before=None, slack=1e-6):
     cfg = replace(ctx.cfg, step=step)
     if expect == "fails":
-        seed = Tangent(Point(chart, point), velocity)
-        rep = completeness_probe(ctx.conn, [seed], horizon, cfg)
-        reached = rep.rows[0].t_forward
-        worst = max(0.0, reached - fail_before)
-        return worst, 1, (not rep.complete_up_to_horizon) and worst == 0.0
+        rep = completeness_probe(ctx.conn, [Tangent(Point(chart, point), velocity)], horizon, cfg)
+        unmet = "the probe reached the horizon" if rep.complete_up_to_horizon else None
+        return Residuals([rep.rows[0].t_forward - fail_before], 0.0, unmet=unmet)
     cid = ctx.atlas.chart_order()[0]
     tangents = [Tangent(p, vel_scale * ctx.rng.normal(size=ctx.atlas.dim))
                 for p in ctx.atlas.sample_points(cid, seeds, ctx.rng)]
     rep = completeness_probe(ctx.conn, tangents, horizon, cfg)
-    worst = max(horizon - r.reached for r in rep.rows)
-    return worst, len(tangents), rep.complete_up_to_horizon and worst <= slack
+    unmet = None if rep.complete_up_to_horizon else "a probe stopped before the horizon"
+    return Residuals([horizon - r.reached for r in rep.rows], slack, unmet=unmet)
 
 
 # -- scenario loading ----------------------------------------------------------
@@ -628,16 +605,10 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
         try:
             seed = np.random.SeedSequence([scenario.rng_seed, idx])
             ctx = _Ctx(scenario, catalog, np.random.Generator(np.random.PCG64(seed)))
-            worst, samples, passed = fn(ctx, **params)
-            ms = 1000.0 * (time.perf_counter() - t0)
-            error = None if samples else "sampled nothing (no fields or samples to check)"
-            results.append(CheckResult(name=name, status="pass" if passed and samples else "fail",
-                                       worst=float(worst), samples=int(samples), ms=round(ms, 3),
-                                       error=error))
+            results.append(_row(name, fn(ctx, **params), 1000.0 * (time.perf_counter() - t0)))
         except Exception as e:  # noqa: BLE001 -- isolation: errors become fail rows
-            ms = 1000.0 * (time.perf_counter() - t0)
-            results.append(CheckResult(name=name, status="fail", worst=None, samples=0,
-                                       ms=round(ms, 3), error=f"{type(e).__name__}: {e}"))
+            ms = round(1000.0 * (time.perf_counter() - t0), 3)
+            results.append(CheckResult(name, "fail", None, 0, ms, f"{type(e).__name__}: {e}"))
     meta = {
         "manifold": scenario.manifold,
         "connection": scenario.connection,
@@ -666,19 +637,13 @@ def emit(obj, path: str, format: str = "json") -> None:
         elif format == "csv":
             header, rows = obj
             with open(path, "w") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_csv_cell(c) for c in row) + "\n")
+                for row in [header, *rows]:  # strings (the header, chart names) as they are
+                    fh.write(",".join(c if isinstance(c, str) else repr(float(c)) for c in row))
+                    fh.write("\n")
         else:
             raise ValueError(f"unknown format {format!r}")
     except OSError as e:
         raise IoError(f"cannot write {path!r}: {e}") from None
-
-
-def _csv_cell(c) -> str:
-    if isinstance(c, str):
-        return c
-    return repr(float(c))
 
 
 def trajectory_rows(record, n: int, payload: str = "coords"):

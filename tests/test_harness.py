@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinelab import harness
+from affinelab.atlas import Atlas
 from affinelab.cli import main as cli_main
 from affinelab.errors import ParseError, ScenarioError, UnknownCatalogName
 from affinelab.harness import (_CHECKS, check_names, emit, load_scenario, run_suite,
@@ -67,12 +68,29 @@ def test_nonsense_integrator_config_fails_at_parse_time(cat, integrator):
                             "integrator": integrator}, cat)
 
 
+def _residual_counts(monkeypatch) -> list:
+    """The number of residuals each check returns, in run order, from here on."""
+    counts = []
+    for name, (defaults, fn) in dict(_CHECKS).items():
+        def counted(ctx, fn=fn, **params):
+            out = fn(ctx, **params)
+            counts.append(len(out[0]))
+            return out
+        monkeypatch.setitem(_CHECKS, name, (defaults, counted))
+    return counts
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
-def test_shipped_scenario_passes_end_to_end(cat, path):
+def test_shipped_scenario_passes_end_to_end(cat, path, monkeypatch):
+    counts = _residual_counts(monkeypatch)
     rep = run_suite(load_scenario(str(path), cat), cat)
     for row in rep.checks:
         assert row.status == "pass", (row.name, row.error)
         assert row.worst is not None and math.isfinite(row.worst), row.name
+    # every row names its worst residual by its index among those its check returned
+    assert len(counts) == len(rep.checks)
+    for row, n in zip(rep.checks, counts):
+        assert type(row.worst_at) is int and 0 <= row.worst_at < n, (row.name, row.worst_at, n)
 
 
 def _small_scenario(cat, **overrides):
@@ -439,7 +457,7 @@ def _arrivals(cat, monkeypatch, tol_scale):
     seen = []
     for name, (defaults, _) in dict(_CHECKS).items():
         monkeypatch.setitem(_CHECKS, name, (defaults, lambda ctx, name=name, **params:
-                                            seen.append((name, params)) or (0.0, 1, True)))
+                                            seen.append((name, params)) or ([0.0], 0.0)))
     for path in sorted(SCENARIOS.glob("*.json")):
         run_suite(load_scenario(str(path), cat), cat, tol_scale=tol_scale)
     return seen
@@ -471,7 +489,7 @@ def test_every_check_parameter_has_one_kind(monkeypatch):
 
     @harness.check("scratch")
     def _scratch(ctx, samples=3, unkinded=1.0):
-        return 0.0, samples, True
+        return [0.0] * samples, 0.0
 
     assert _kind_gaps() == (["unkinded"], [])
 
@@ -698,3 +716,82 @@ def test_completeness_fails_mode(cat):
     assert (ok.status, ok.samples, ok.worst) == ("pass", 1, 0.0)
     bad, = run_suite(plane, cat).checks
     assert (bad.status, bad.samples, bad.worst) == ("fail", 1, 90.0)
+
+
+def _feed(monkeypatch, residuals):
+    """Have `change_of_variable` see `residuals(i)` as its i-th residual."""
+    calls = []
+
+    def residual(*args):
+        calls.append(args)
+        return residuals(len(calls) - 1)
+
+    monkeypatch.setattr(harness, "change_of_variable_residual", residual)
+
+
+@pytest.mark.parametrize("nan_at", [0, 7, "every"])
+def test_a_nan_residual_fails_its_row(cat, monkeypatch, nan_at):
+    # max(worst, nan) keeps worst: a NaN at one sample, or at every sample
+    # (worst 0.0), used to pass the row
+    _feed(monkeypatch, lambda i: math.nan if nan_at in ("every", i) else 1e-9)
+    row, = run_suite(_plane_check(cat, name="change_of_variable", samples=5), cat).checks
+    first = 0 if nan_at == "every" else nan_at
+    assert (row.status, row.samples) == ("fail", 10)
+    assert math.isnan(row.worst) and f"residual {first} " in row.error and row.worst_at == first
+
+
+def test_a_nan_gap_fails_geodesic_convergence(cat, monkeypatch):
+    # max(errs[1], 1e-300) and max(0.0, min_ratio - nan) used to pass this row
+    check = json.loads((SCENARIOS / "paper_claims.json").read_text())["checks"][0]
+    assert check["name"] == "geodesic_convergence"
+    scenario = scenario_from_dict({"manifold": "sphere", "connection": "round",
+                                   "integrator": {"step": 0.01}, "checks": [check]}, cat)
+    assert run_suite(scenario, cat).checks[0].status == "pass"
+    monkeypatch.setattr(Atlas, "gap", lambda self, p, q: math.nan)
+    row, = run_suite(scenario, cat).checks
+    assert row.status == "fail" and "residual 0 " in row.error and row.worst_at == 0
+
+
+def test_worst_at_is_the_index_of_the_largest_residual(cat, monkeypatch):
+    # the first of two equal largest residuals, in the order the check sampled them
+    seq = [1e-9, 4e-7, 2e-8, 4e-7, 0.0, 3e-7]
+    _feed(monkeypatch, seq.__getitem__)
+    rep = run_suite(_plane_check(cat, name="change_of_variable", samples=3), cat)
+    row, = rep.checks
+    assert (row.status, row.worst, row.worst_at, row.samples) == ("pass", 4e-7, 1, 6)
+    assert rep.to_dict()["checks"][0]["worst_at"] == 1
+
+
+def test_rows_that_judged_nothing_have_no_worst_at(cat):
+    # sampled nothing (no fields), or raised (wrong manifold)
+    s = scenario_from_dict({"manifold": "plane", "connection": "flat",
+                            "checks": [{"name": "killing_residual"},
+                                       {"name": "killing_equivalence"},
+                                       {"name": "sphere_holonomy"}]}, cat)
+    rep = run_suite(s, cat)
+    assert [(c.status, c.worst_at) for c in rep.checks] == [("fail", None)] * 3
+    assert [row["worst_at"] for row in rep.to_dict()["checks"]] == [None] * 3
+
+
+def test_completeness_fails_on_its_own_condition(cat):
+    # a probe that stops before the horizon, or one expected to stop that does not
+    disk = scenario_from_dict({"manifold": "disk", "connection": "flat",
+                               "checks": [{"name": "completeness", "seeds": 3,
+                                           "horizon": 50.0}]}, cat)
+    row, = run_suite(disk, cat).checks
+    assert (row.status, row.error) == ("fail", "a probe stopped before the horizon")
+    plane = _plane_check(cat, name="completeness", expect="fails", chart="cart",
+                         point=[0.2, 0.1], velocity=[0.7, -0.4], horizon=100.0, fail_before=200.0)
+    row, = run_suite(plane, cat).checks
+    assert (row.status, row.worst, row.error) == ("fail", 0.0, "the probe reached the horizon")
+
+
+def test_cli_run_prints_worst_at(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "manifold": "plane", "connection": "flat",
+        "checks": [{"name": "transition_roundtrip", "samples": 5}, {"name": "killing_residual"}],
+    }))
+    assert cli_main(["run", str(scenario)]) == 1
+    judged, empty = capsys.readouterr().out.splitlines()
+    assert " samples=  10 at=" in judged and " at=" not in empty
