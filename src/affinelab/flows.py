@@ -21,10 +21,13 @@ leaves the margin-shrunk domain of its chart is handed off to the
 highest-priority neighbouring chart that contains it, all of a block's
 hops in a step found in one `Atlas.hop_targets` call; a divergence,
 left-atlas or hop-limit stop retires that row and leaves the rest
-running.  The variational flow appends w' = d xi(x) w to the state as
-extra columns, re-charting w through the transition Jacobian at every
-hand-off.  A family field (`params` = q) takes a constant parameter row
-per trajectory, never stepped or re-charted, so members share a block.
+running.  The variational flow carries w' = d xi(x) w beside the state:
+the base step records its RK4 stage states, and W moves by the product
+of the steps' propagator matrices (`_propagator`, which parallel
+transport shares), one `d` call per chunk of `_CHUNK` steps, W re-charted
+through the transition Jacobian at every hand-off.  A family field
+(`params` = q) takes a constant parameter row per trajectory, never
+stepped or re-charted, so members share a block.
 """
 from __future__ import annotations
 
@@ -163,20 +166,27 @@ def combine(name: str, fields, coeffs) -> VectorField:
 
 # -- core stepping ---------------------------------------------------------
 
-def _rhs(field: VectorField, cid: str, n: int, k: int, p=None) -> Callable:
-    """Right-hand side on chart `cid` for states [x, w], w holding k
-    columns; a family's callables are bound to its parameter rows `p`."""
-    cf = field.chart_field(cid)
-    f, dj = cf.value, cf.d
-    if p is not None:
-        f, dj = (lambda x: cf.value(x, p)), (lambda x: cf.d(x, p))
-    if not k:
-        return lambda z: np.asarray(f(z), float)
+# steps per propagator product: a 6,284-step sphere transport peaks at
+# 0.7 MB of traced allocations in chunks, 7.1 MB in one; a flush of m
+# variational rows holds m x 4 x _CHUNK Jacobians
+_CHUNK = 256
 
-    def rhs(z):
-        x = z[..., :n]
-        W = z[..., n:].reshape(z.shape[:-1] + (n, k))
-        return np.concatenate([_vec(f(x)), (dj(x) @ W).reshape(z.shape[:-1] + (n * k,))], axis=-1)
+
+def _rhs(field: VectorField, cid: str, p=None) -> Callable:
+    """Right-hand side x -> xi(x) on chart `cid`; a family's callable is
+    bound to its parameter rows `p`."""
+    f = field.chart_field(cid).value
+    if p is None:
+        return lambda x: np.asarray(f(x), float)
+    return lambda x: np.asarray(f(x, p), float)
+
+
+def _recording(f: Callable, rec: list) -> Callable:
+    """`f`, appending a copy of each state it is called at to `rec`: the
+    first stage of a step is the view z[sel] that the step overwrites."""
+    def rhs(x):
+        rec.append(x.copy())
+        return f(x)
 
     return rhs
 
@@ -190,29 +200,60 @@ def _rk4(rhs: Callable, z: np.ndarray, h) -> np.ndarray:
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _propagator(M: np.ndarray, h) -> np.ndarray:
+    """D with I + D the product, later steps on the left, of the RK4 steps
+    of a linear ODE w' = A(t) w: `M` (..., steps, 4, n, n) holds A at each
+    step's four stages in `_rk4`'s call order, and the step sizes `h`
+    broadcast against (..., steps, n, n).  Step by step this is `_rk4` of
+    w' = A w, K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2),
+    K4 = A4 (I + h K3), D = h/6 (K1 + 2 K2 + 2 K3 + K4)."""
+    A1, A2, A3, A4 = (M[..., j, :, :] for j in range(4))
+    K2 = A2 + 0.5 * h * (A2 @ A1)
+    K3 = A3 + 0.5 * h * (A3 @ K2)
+    K4 = A4 + h * (A4 @ K3)
+    D = (h / 6.0) * (A1 + 2.0 * K2 + 2.0 * K3 + K4)
+    while D.shape[-3] > 1:  # pairwise: (I + A)(I + B) = I + (A + B + AB)
+        s = D.shape[-3]
+        A, B = D[..., 1::2, :, :], D[..., 0:-1:2, :, :]
+        D = np.concatenate([A + B + A @ B, D[..., s - s % 2:, :, :]], axis=-3)
+    return D[..., 0, :, :]
+
+
 def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: IntegratorConfig,
-               w_shape: tuple | None = None, record: list | None = None, params=None):
+               W: np.ndarray | None = None, record: list | None = None, params=None):
     """The RK4 core.
 
-    `z` is a block of rows (m, n + n k) with `t` an (m,) array of signed
-    durations; n is the field's state dimension and the last n k columns
-    hold the variational block of shape `w_shape`.  `z` is updated in
-    place.  A block of one row is stepped as its 1-D view `z[0]` with a
-    scalar step, so the right-hand side and the margin test see a 1-D
-    state (about 2.6x faster than a (1, N) block); a one-row group of a
-    larger block stays 2-D.  Rows step in groups that share a right-hand
-    side: the chart `value`, plus `d` when variational columns are
-    carried, the same objects; the margin test, the hop search and the
-    re-chart of the variational block use each row's own chart.  A
-    family's parameter rows `params`, shaped like `z`, are never stepped
-    or re-charted; each group passes its share to the chart callables.
+    `z` is a block of base states (m, n) with `t` an (m,) array of signed
+    durations, n the field's state dimension; `W`, None or (m, n, k),
+    holds each row's variational columns.  Both are updated in place.  A
+    block of one row is stepped as its 1-D view `z[0]` with a scalar step,
+    so the right-hand side and the margin test see a 1-D state (about 2.6x
+    faster than a (1, N) block); a one-row group of a larger block stays
+    2-D.  Rows step in groups that share a right-hand side: the chart
+    `value`, plus `d` when variational columns are carried, the same
+    objects; the margin test, the hop search and the re-chart of W use
+    each row's own chart.  A family's parameter rows `params`, shaped like
+    `z`, are never stepped or re-charted; each group passes its share to
+    the chart callables.
+
+    Only the base state is stepped.  With variational columns each group's
+    right-hand side records the states of its four RK4 stages, which move
+    to a per-row buffer `B` of the current chunk of `_CHUNK` steps before
+    the groups are rebuilt or rows flush.  A flush of rows calls each
+    chart's `d` once on every stage the rows recorded since their last
+    flush and sets W <- W + D W, I + D the product of the steps'
+    propagators (`_propagator`): the RK4 of w' = d xi(x) w, its products
+    regrouped.  Every row flushes at the end of each chunk and at the end,
+    and a row flushes alone before it hops (W is then re-charted by the
+    transition Jacobian), so its W never depends on the other rows of the
+    block.
     Returns (chart ids, z, t_reached, statuses) with one entry per row.
-    `record` (one row, no variational block) is appended with rows (t,
-    chart_id, x_copy), a hop adding its pre-hop state at the same time.
+    `record` (one row) is appended with rows (t, chart_id, x_copy), a hop
+    adding its pre-hop state at the same time.
     """
     atlas = field.atlas
     n = atlas.dim
-    k = 0 if w_shape is None else int(np.prod(w_shape)) // n
+    k = W is not None
     cids = list(cids)
     m = len(cids)
     ts = [float(ti) for ti in t]
@@ -243,21 +284,21 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
 
     rhs = {}
 
-    def rhs_on(cid, sel=...):
+    def rhs_on(cid, sel):
         if params is not None:
-            return _rhs(field, cid, n, k, params[sel])
+            return _rhs(field, cid, params[sel])
         key = keyed(cid)[0]
         if key not in rhs:
-            rhs[key] = _rhs(field, cid, n, k)
+            rhs[key] = _rhs(field, cid)
         return rhs[key]
 
     for r, (cid, row) in enumerate(zip(cids, z)):
-        if not atlas.chart(cid).contains(row[:n]):
-            raise LeftAtlas(f"start {Point(cid, row[:n])!r} outside its chart domain")
+        if not atlas.chart(cid).contains(row):
+            raise LeftAtlas(f"start {Point(cid, row)!r} outside its chart domain")
         place(r, cid)
 
     def snapshot(tcur, r):
-        return tcur, cids[r], z[r, :n].copy()
+        return tcur, cids[r], z[r].copy()
 
     if record is not None:
         record.append(snapshot(0.0, 0))
@@ -271,20 +312,25 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
         finish.setdefault(steps[r], set()).add(r)
     margin = cfg.rechart_margin
     guard2 = cfg.state_guard ** 2
-    plan = None
+    plan, stale = [], True
+    if k:
+        B = np.empty((m, 4 * _CHUNK, n))  # each row's stages in this chunk
+        since = [0] * m   # per row, the first stage in B not yet flushed
+        filled = [0] * m  # per row, the stages in B
 
     def stop(r, why, at):
-        nonlocal plan
+        nonlocal stale
         status[r] = why
         reached[r] = at
         live.discard(r)
-        plan = None
+        stale = True
 
     def groups():
-        """(row selector, step, rhs, margin tests) per right-hand side that
-        live rows share, each test (test, indices into the group's rows,
-        family parameters or None, their rows); the selector is `whole`'s
-        when the group holds every row."""
+        """(row selector, step, rhs, margin tests, rows, recorded stages) per
+        right-hand side that live rows share, each test (test, indices into
+        the group's rows, family parameters or None, their rows); the
+        selector is `whole`'s when the group holds every row.  Without W
+        the stages are None."""
         by_key = {}
         for r in sorted(live):
             by_key.setdefault(keyed(cids[r])[0], []).append(r)
@@ -296,26 +342,62 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 tests.setdefault(keyed(cids[r])[1], []).append(j)
             tests = [(fn, np.array(js), tparams.get(fn), sel if len(js) == m else np.array(rs)[js])
                      for fn, js in tests.items()]
-            out.append((sel, h_sel, rhs_on(cids[rs[0]], sel), tests))
+            rhs_fn, rec = rhs_on(cids[rs[0]], sel), None
+            if k:
+                rec = []
+                rhs_fn = _recording(rhs_fn, rec)
+            out.append((sel, h_sel, rhs_fn, tests, rs, rec))
         return out
 
+    def spill():
+        """Move the stages each group of the plan recorded to its rows in `B`."""
+        for *_, rs, rec in plan:
+            if rec:
+                f = filled[rs[0]]
+                X = np.stack(rec)  # (stages, ..., n)
+                B[rs, f:f + len(rec)] = X if X.ndim == 2 else X.swapaxes(0, 1)
+                for r in rs:
+                    filled[r] = f + len(rec)
+                rec.clear()
+
+    def flush(rows):
+        """Move W of `rows` by the steps they recorded since their last flush,
+        one `d` call per chart and span."""
+        spans = {}
+        for r in rows:
+            if filled[r] > since[r]:
+                key = (field.chart_field(cids[r]).d, since[r], filled[r])
+                spans.setdefault(key, []).append(r)
+        for (d, a, b), rs in spans.items():
+            X = B[rs, a:b]
+            if params is None:
+                M = d(X)
+            else:
+                P = params[rs][:, None]
+                M = d(X, np.broadcast_to(P, X.shape[:-1] + P.shape[-1:]))
+            M = np.asarray(M, float).reshape(len(rs), -1, 4, n, n)
+            W[rs] += _propagator(M, h[rs][..., None, None]) @ W[rs]
+            for r in rs:
+                since[r] = b
+
     for i in range(max(steps, default=0)):
-        if plan is None:
-            plan = groups()
-        for sel, h_sel, rhs_fn, tests in plan:
+        if stale:
+            spill()
+            plan, stale = groups(), False
+        for group in plan:
+            sel, h_sel, rhs_fn, tests = group[:4]
             zs = _rk4(rhs_fn, z[sel], h_sel)
             z[sel] = zs
-            xs = zs[..., :n]
             # a non-finite state fails the guard comparison too
-            sound = (xs * xs).sum(axis=-1) <= guard2
+            sound = (zs * zs).sum(axis=-1) <= guard2
             if len(tests) == 1:
                 contains, _, P, at = tests[0]
-                inside = contains(xs, margin) if P is None else contains(P[at], xs, margin)
+                inside = contains(zs, margin) if P is None else contains(P[at], zs, margin)
             else:
-                inside = np.empty(len(xs), bool)
+                inside = np.empty(len(zs), bool)
                 for contains, sub, P, at in tests:
-                    inside[sub] = (contains(xs[sub], margin) if P is None
-                                   else contains(P[at], xs[sub], margin))
+                    inside[sub] = (contains(zs[sub], margin) if P is None
+                                   else contains(P[at], zs[sub], margin))
             ok = sound & inside
             if ok.all() if ok.ndim else ok:
                 continue
@@ -326,12 +408,16 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             for r in idx[~sound]:
                 stop(r, DIVERGED, i)
             out = idx[sound & ~np.reshape(inside, -1)]
-            X = z[out, :n]
+            X = z[out]
             if m == 1 and out.size:  # perfbench counts hops only in hop_target (ROADMAP 1)
                 hop = atlas.hop_target(cids[0], X[0], margin)
                 targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
             else:
                 targets, Y = atlas.hop_targets([cids[r] for r in out], X, margin)
+            leaving = [r for r, tid in zip(out, targets) if tid is not None]
+            if k and leaving:  # W of the hopping rows reaches their pre-hop states
+                spill()
+                flush(leaving)
             for j, r in enumerate(out):
                 cid, tid = cids[r], targets[j]
                 if tid is None:
@@ -345,25 +431,30 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 if record is not None:
                     record.append(snapshot((i + 1) * hs[r], r))
                 if k:
-                    W = z[r, n:].reshape(n, k)
-                    J = atlas.chart(cid).transitions[tid].d(X[j])
-                    z[r, n:] = (np.asarray(J, float) @ W).ravel()
-                z[r, :n] = Y[j]
+                    W[r] = np.asarray(atlas.chart(cid).transitions[tid].d(X[j]), float) @ W[r]
+                z[r] = Y[j]
                 cids[r] = tid
                 if keyed(tid)[:2] != keyed(cid)[:2]:
-                    plan = None
+                    stale = True
                 place(r, tid)
                 hops[r] += 1
                 if hops[r] > cfg.max_hops:
                     stop(r, HOP_LIMIT, i + 1)
         if record is not None and live:
             record.append(snapshot((i + 1) * hs[0], 0))
+        if k and (i + 1) % _CHUNK == 0:
+            spill()
+            flush(range(m))
+            since, filled = [0] * m, [0] * m
         done = finish.get(i + 1)
         if done:
             live -= done
-            plan = None
+            stale = True
         if not live:
             break
+    if k:
+        spill()
+        flush(range(m))
 
     t_ok = [reached[r] * hs[r] if reached[r] else 0.0 for r in range(m)]
     return cids, z, t_ok, status
@@ -387,24 +478,22 @@ def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
     """Integrate trajectories from `starts` (Points) as rows of one block.
 
     `t` is one signed duration or one per row, `w0` None or (m, ...)
-    variational columns per row (n rows each), `record` as in `_run`
-    (one row only), `params` the (m, q) parameter rows of a family field.
-    Each row stops on its own.  Returns (end points, W, t_reached,
-    statuses), one per row, W holding the pushed columns in the shape of
-    `w0` (None without it).
+    variational columns per row (n rows each), carried beside the base
+    states as an (m, n, k) block, `record` as in `_run` (one row only),
+    `params` the (m, q) parameter rows of a family field.  Each row stops
+    on its own.  Returns (end points, W, t_reached, statuses), one per
+    row, W holding the pushed columns in the shape of `w0` (None without
+    it).
     """
     m, n = len(starts), field.atlas.dim
     z = np.array([p.coords for p in starts], float).reshape(m, n)
-    w_shape = None
-    if w0 is not None:
-        w_shape = w0.shape[1:]
-        z = np.concatenate([z, w0.reshape(m, -1)], axis=1)
+    W = None if w0 is None else np.array(w0, float).reshape(m, n, -1)
     t = np.broadcast_to(np.asarray(t, float), (m,))
     params = None if params is None else np.asarray(params, float).reshape(m, field.params)
-    cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, t, cfg, w_shape,
+    cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, t, cfg, W,
                                        record, params)
-    W = None if w0 is None else z[:, n:].reshape((m,) + w_shape)
-    return [Point(c, x) for c, x in zip(cids, z[:, :n])], W, t_ok, status
+    return ([Point(c, x) for c, x in zip(cids, z)], None if W is None else W.reshape(np.shape(w0)),
+            t_ok, status)
 
 
 def _raise_for(status: str, field: VectorField, t_ok: float):

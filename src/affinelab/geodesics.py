@@ -7,7 +7,8 @@ transport solves the linear chart ODE
 
     gamma'(t) = B_{alpha(t)}(gamma(t), alpha'(t))
 
-as a product of the RK4 steps' propagator matrices along the curve's grid.
+as a product of the RK4 steps' propagator matrices along the curve's grid,
+built by `flows._propagator`, the builder that variational flows share.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas
 from .connection import ConnectionField
 from .errors import NoConvergence, NotInOverlap
-from .flows import (OK, ChartField, IntegratorConfig, VectorField, _push, _raise_for, _run_block,
-                    integrate)
+from .flows import (_CHUNK, OK, ChartField, IntegratorConfig, VectorField, _propagator, _push,
+                    _raise_for, _run_block, integrate)
 from .flows import _run  # noqa: F401  not called; perfbench/test_counters.py checks its restore
 from . import numdiff
 
@@ -259,27 +260,14 @@ def _in_chart(atlas: Atlas, c: str, x, v, cid: str):
     return u.base.coords, u.vec
 
 
-# steps per propagator product: a 6,284-step sphere loop peaks at 0.7 MB
-# of traced allocations in chunks, 7.1 MB in one
-_CHUNK = 256
-
-
-def _propagator(tensor, pts, h) -> np.ndarray:
-    """D with I + D the product, later steps on the left, of the RK4 steps
-    of G' = M(t) G, M = T(x) v, with sizes h (k,); `pts` lists the curve's
-    x and v at each step's start, midpoint and end, in that order."""
+def _chunk_propagator(tensor, pts, h) -> np.ndarray:
+    """`flows._propagator` of the chunk of RK4 steps of G' = M(t) G,
+    M = T(x) v, with sizes h (k,); `pts` lists the curve's x and v at each
+    step's start, midpoint and end, in that order, and the midpoint's M
+    serves both middle stages."""
     P = np.concatenate(pts).reshape(h.size, 3, 2, -1)
     M = np.einsum("...ijk,...k->...ij", tensor(P[:, :, 0]), P[:, :, 1])
-    h = h[:, None, None]
-    Ma, Mm, Mb = M[:, 0], M[:, 1], M[:, 2]
-    K2 = Mm + 0.5 * h * (Mm @ Ma)
-    K3 = Mm + 0.5 * h * (Mm @ K2)
-    K4 = Mb + h * (Mb @ K3)
-    D = (h / 6.0) * (Ma + 2.0 * K2 + 2.0 * K3 + K4)
-    while len(D) > 1:  # pairwise: (I + A)(I + B) = I + (A + B + AB)
-        A, B = D[1::2], D[0:-1:2]
-        D = np.concatenate([A + B + A @ B, D[len(D) - len(D) % 2:]])
-    return D[0]
+    return _propagator(M[:, [0, 1, 1, 2]], h[:, None, None])
 
 
 def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: float,
@@ -288,8 +276,10 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
     along the curve from parameter t0 to t1, evaluating the curve once per
     grid point (a step's end is the next step's start) and per midpoint.
     Each grid interval is one RK4 step of the linear chart ODE in the chart
-    of its start, taken as a propagator matrix; a chart segment's
-    propagators multiply in chunks of `_CHUNK` steps, one `tensor` call each."""
+    of its start, taken as a propagator matrix by `flows._propagator` with
+    the midpoint's matrix for both middle stages; a chart segment's
+    propagators multiply in chunks of `flows._CHUNK` steps, one `tensor`
+    call each."""
     atlas = conn.atlas
     n = atlas.dim
     v = np.asarray(v, float)
@@ -310,7 +300,7 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
     cid, pts, i0 = c, [], 0
     for i, (a, b) in enumerate(zip(ts[:-1], ts[1:])):
         if c != cid or i - i0 == _CHUNK:
-            G = G + _propagator(conn._chart(cid).tensor, pts, hs[i0:i]) @ G
+            G = G + _chunk_propagator(conn._chart(cid).tensor, pts, hs[i0:i]) @ G
             if c != cid:  # re-chart the transported block at the segment start
                 G = atlas.d_transition(Point(cid, pts[-2]), c) @ G
                 cid = c
@@ -318,7 +308,7 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
         pts += (x, vel, *_in_chart(atlas, *curve.eval(0.5 * (a + b)), cid))
         c, x, vel = curve.eval(b)
         pts += _in_chart(atlas, c, x, vel, cid)
-    G = G + _propagator(conn._chart(cid).tensor, pts, hs[i0:]) @ G
+    G = G + _chunk_propagator(conn._chart(cid).tensor, pts, hs[i0:]) @ G
 
     # express the result in the curve's own end-point chart
     if c != cid:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
@@ -61,6 +62,10 @@ class CheckResult:
     worst_at: int | None = None
 
 
+# version of a report's JSON form; 2: a non-finite `worst` is null
+REPORT_SCHEMA = 2
+
+
 @dataclass
 class Report:
     checks: list
@@ -71,8 +76,14 @@ class Report:
         return all(c.status == "pass" for c in self.checks)
 
     def to_dict(self) -> dict:
-        rows = [{k: v for k, v in asdict(c).items() if k != "error" or v is not None}
-                for c in self.checks]
+        """The JSON form: a non-finite `worst` becomes None (null); the
+        row's error names the value."""
+        rows = []
+        for c in self.checks:
+            row = {k: v for k, v in asdict(c).items() if k != "error" or v is not None}
+            if row["worst"] is not None and not math.isfinite(row["worst"]):
+                row["worst"] = None
+            rows.append(row)
         return {"checks": rows, "meta": self.meta}
 
 
@@ -610,6 +621,7 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
             ms = round(1000.0 * (time.perf_counter() - t0), 3)
             results.append(CheckResult(name, "fail", None, 0, ms, f"{type(e).__name__}: {e}"))
     meta = {
+        "schema": REPORT_SCHEMA,
         "manifold": scenario.manifold,
         "connection": scenario.connection,
         "fields": list(scenario.fields),
@@ -620,6 +632,9 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
         "catalog_version": Catalog.VERSION,
         "source": scenario.source,
         "tol_scale": tol_scale,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
     }
     return Report(checks=results, meta=meta)
 
@@ -632,7 +647,7 @@ def emit(obj, path: str, format: str = "json") -> None:
         if format == "json":
             data = obj.to_dict() if isinstance(obj, Report) else obj
             with open(path, "w") as fh:
-                json.dump(data, fh, indent=2)
+                json.dump(data, fh, indent=2, allow_nan=False)
                 fh.write("\n")
         elif format == "csv":
             header, rows = obj

@@ -20,7 +20,9 @@ def test_constant_field_exact(cat, cfg):
 
 def test_rk4_calls_its_right_hand_side_once_per_stage_in_order():
     # the transport oracle in test_transport_propagators.py pairs each call
-    # with a curve point by this order
+    # with a curve point by this order, and a variational flow records the
+    # stage states in this order, which `flows._propagator` reads as the
+    # stages 1-4 of each step's matrices
     def f(z):
         return np.array([z[1] ** 2, -z[0]])
 

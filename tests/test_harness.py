@@ -172,6 +172,31 @@ def test_emit_report_and_empty(cat, tmp_path):
     assert json.loads(out2.read_text())["checks"] == []
 
 
+def test_emit_writes_a_non_finite_worst_as_null(cat, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "change_of_variable_residual", lambda *a: float("nan"))
+    s = scenario_from_dict({"manifold": "sphere", "connection": "round",
+                            "checks": [{"name": "change_of_variable", "samples": 3}]}, cat)
+    rep = run_suite(s, cat)
+    assert math.isnan(rep.checks[0].worst)
+    out = tmp_path / "rep.json"
+    emit(rep, str(out))
+
+    def reject(literal):
+        raise ValueError(f"{literal} is not strict JSON")
+
+    row = json.loads(out.read_text(), parse_constant=reject)["checks"][0]
+    assert (row["status"], row["worst"], row["worst_at"]) == ("fail", None, 0)
+    assert "nan" in row["error"]
+
+
+def test_report_meta_keys(cat):
+    meta = run_suite(_small_scenario(cat), cat).to_dict()["meta"]
+    assert list(meta) == ["schema", "manifold", "connection", "fields", "rng_seed", "integrator",
+                          "catalog_version", "source", "tol_scale", "python", "numpy", "platform"]
+    assert meta["schema"] == harness.REPORT_SCHEMA == 2
+    assert all(isinstance(meta[k], str) and meta[k] for k in ("python", "numpy", "platform"))
+
+
 def test_emit_trajectory_csv(cat, tmp_path, cfg):
     from affinelab.atlas import Point
     from affinelab.flows import integrate
