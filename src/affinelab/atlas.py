@@ -14,8 +14,13 @@ integrator calls every step read them from the transpose, `x.T[i]`, which
 gives numpy scalars for one point (cheaper than 0-d arrays), and undo the
 transpose when assembling the result, `np.array([...]).T`.  Charts that
 share a formula share its callable, so blocks of rows are tested and
-hopped in one call each; a test `functools.partial(f, p)` belongs to the
-test family f (`box_domain` charts to `in_box`).
+hopped in one call each.  A membership test or transition map
+`functools.partial(f, p)` belongs to the family f with parameters p
+(`box_domain` charts to the test family `in_box`, the torus shifts to
+one map family), and a family is called once on a block of rows, each
+with its own parameters: f(P, X) evaluates row i of X with P[i].  Any
+other callable is its own family.  `Atlas.hop_targets` maps and tests
+every candidate neighbour of every leaving row in one call per family.
 """
 from __future__ import annotations
 
@@ -71,7 +76,9 @@ class Transition:
     prepend the leading axes to their results.  `Chart.add_transition`
     fills a missing `d` or `d2` with `numdiff.filled`, central differences
     of `map` guarded by the source chart's domain, so every caller finds
-    both.
+    both.  A `map` that is `partial(f, p)` is a member of the map family
+    f: the hop search maps the rows of all members in one call f(P, X),
+    row i with the parameters P[i], so f must broadcast over P as well.
     """
 
     map: Callable[[Coords], Coords]
@@ -182,27 +189,48 @@ class Atlas:
     def hop_targets(self, cids, X: np.ndarray, margin: float):
         """`hop_target` for every row of X (r, n) at once, row i in chart cids[i].
 
-        Neighbours are tried in `chart_order` on the rows still without a
-        target, rows whose transitions share a map in one call; a row whose
-        map raises skips that neighbour.  Returns (targets, Y): targets[i] is
-        a chart id or None, Y[i] the row's coordinates in that chart (row i of
-        X where None).
+        One pass over every (row, neighbour) candidate, neighbours in
+        `chart_order`: the candidates are mapped with one call per map
+        family, checked finite once and tested with one call per test
+        family of their targets, and each row takes its first candidate
+        that passes.  A candidate whose map raises on its row fails.
+        Returns (targets, Y): targets[i] is a chart id or None, Y[i] the
+        row's coordinates in that chart (row i of X where None).
         """
+        rows, tids, maps, tests = [], [], {}, {}
+        for i, cid in enumerate(cids):
+            trs = self.charts[cid].transitions
+            for tid in self._order:
+                tr = trs.get(tid)
+                if tr is not None:
+                    _join(maps, tr.map, len(rows))
+                    _join(tests, self.charts[tid].contains_fn, len(rows))
+                    rows.append(i)
+                    tids.append(tid)
         targets = np.full(len(X), None, dtype=object)
         Y = np.array(X, float)
-        for tid in self._order:
-            by_map = {}
-            for i, cid in enumerate(cids):
-                tr = self.chart(cid).transitions.get(tid)
-                if tr is not None and targets[i] is None:
-                    by_map.setdefault(tr.map, []).append(i)
-            for fmap, rs in by_map.items():
-                y = _map_rows(fmap, X[rs])
-                ok = np.isfinite(y).all(axis=-1)
-                ok[ok] = self.charts[tid].contains_fn(y[ok], margin)
-                rs = np.array(rs)[ok]
-                targets[rs] = tid
-                Y[rs] = y[ok]
+        if not rows:
+            return targets, Y
+        Xc = Y[rows]  # each candidate's row
+        Yc = np.empty_like(Xc)
+        for f, (js, ps) in maps.items():
+            at = _at(js, len(rows))
+            Yc[at] = _map_rows(f, Xc[at], _stacked(ps))
+        ok = np.isfinite(Yc).all(axis=-1)
+        finite = ok.all()
+        for f, (js, ps) in tests.items():
+            P = _stacked(ps)
+            if not finite:  # test the finite candidates only
+                keep = ok[js]
+                js = np.array(js)[keep]
+                P = None if P is None else P[keep]
+            at = _at(js, len(rows))
+            ok[at] = f(Yc[at], margin) if P is None else f(P, Yc[at], margin)
+        for j in np.flatnonzero(ok).tolist():  # candidates run row by row, in chart order
+            i = rows[j]
+            if targets[i] is None:
+                targets[i] = tids[j]
+                Y[i] = Yc[j]
         return targets, Y
 
     def gap(self, p: Point, q: Point) -> float:
@@ -262,13 +290,43 @@ class Atlas:
         return [(cid, tid) for cid, c in self.charts.items() for tid in c.transitions]
 
 
-def _map_rows(fmap, X: np.ndarray) -> np.ndarray:
-    """fmap over the rows of X; where that raises, row by row, NaN where a row raises."""
+def _family(fn):
+    """(f, p): a family member `functools.partial(f, p)` as its family f with
+    parameters p, any other callable as its own family (fn, None)."""
+    if isinstance(fn, partial) and len(fn.args) == 1 and not fn.keywords:
+        return fn.func, fn.args[0]
+    return fn, None
+
+
+def _join(groups: dict, fn, j: int) -> None:
+    """Add candidate j, with its parameters, to the group of fn's family."""
+    f, p = _family(fn)
+    js, ps = groups.setdefault(f, ([], []))
+    js.append(j)
+    ps.append(p)
+
+
+def _at(js, count: int):
+    """Index of candidates `js` among `count`: a plain slice when js is all of them."""
+    return slice(None) if len(js) == count else js
+
+
+def _stacked(ps):
+    """A family's per-candidate parameters as one array, None for a plain callable."""
+    return None if ps[0] is None else np.array(ps)
+
+
+def _map_rows(f, X: np.ndarray, P=None) -> np.ndarray:
+    """The map f over the rows of X, row i with the family parameters P[i]
+    (P None for a plain map); where that raises, row by row, NaN where a
+    row raises."""
     try:
-        return np.asarray(fmap(X), float)
+        return np.asarray(f(X) if P is None else f(P, X), float)
     except (FloatingPointError, ZeroDivisionError, ValueError):
-        return (np.full(X.shape, np.nan) if len(X) == 1
-                else np.concatenate([_map_rows(fmap, x[None]) for x in X]))
+        if len(X) == 1:
+            return np.full(X.shape, np.nan)
+        return np.concatenate([_map_rows(f, X[i:i + 1], None if P is None else P[i:i + 1])
+                               for i in range(len(X))])
 
 
 # -- common domain shapes -------------------------------------------------

@@ -5,8 +5,12 @@ the remaining n*k entries an (n, k) fiber matrix in row-major order.
 k = 1 gives the tangent bundle (velocity column), k = n the frame bundle
 (frame matrix).  `lift` builds (x, G) -> (f(x), df(x) G) and its Jacobian
 once, for the bundle transitions and `killing.natural_lift`.  Bundle
-membership tests and transitions take (..., n + n k) inputs, and a base
-test family or shared transition lifts to one.  Each base atlas has one
+membership tests and transitions take (..., n + n k) inputs.  A base
+test family (`partial(f, p)` tests) lifts to one lifted test family, a
+map family (`partial(f, p)` maps sharing `d` and `d2`, the torus shifts)
+to one lifted map family, and each other distinct base test or
+transition lifts once, so charts that share one hop through one call in
+`Atlas.hop_targets` on the bundle as on the base.  Each base atlas has one
 tangent and one frame atlas, built on first use; a frame chart also
 requires |det G| > DET_GUARD.
 """
@@ -16,7 +20,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .atlas import Atlas, Chart, Transition, _vec
+from .atlas import Atlas, Chart, Transition, _family, _vec
 
 DET_GUARD = 1e-12
 
@@ -81,8 +85,9 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atla
 
     @cache  # one test per distinct base test, so charts that share it test rows together
     def lifted(base_contains):
-        if isinstance(base_contains, partial):  # a family member lifts into the lifted family
-            return partial(lifted_family(base_contains.func), *base_contains.args)
+        f, p = _family(base_contains)
+        if p is not None:  # a family member lifts into the lifted family
+            return partial(lifted_family(f), p)
         return lambda z, margin=0.0: guarded(base_contains(z[..., :n], margin), z)
 
     @cache
@@ -101,8 +106,22 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atla
         )
         charts.append(bc)
 
+    @cache  # one per base map; a family member lifts into the lifted family
+    def lifted_tr(fmap, d, d2):
+        value, dz = lift(fmap, d, d2, n, k)
+        f, p = _family(fmap)
+        return Transition(value if p is None else partial(lifted_maps(f, d), p), dz)
+
+    @cache
+    def lifted_maps(f, df):
+        """The lift of the map family f(p, x), whose members share df."""
+        def value(p, z):
+            x, G = unpack(z, n, k)
+            return pack(f(p, x), np.asarray(df(x), float) @ G)
+
+        return value
+
     out = Atlas(f"{kind}({base.name})", n + n * k, charts)
-    lifted_tr = cache(lambda *fns: Transition(*lift(*fns, n, k)))  # one per base map
     for cid, c in base.charts.items():
         for tid, tr in c.transitions.items():
             out.chart(cid).add_transition(tid, lifted_tr(tr.map, tr.d, tr.d2))

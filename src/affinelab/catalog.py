@@ -18,6 +18,8 @@ the in-chart bracket convention [f, g] = dg(f) - df(g).
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .atlas import Atlas, Chart, Transition, all_space, box_domain, disk_domain
@@ -148,8 +150,18 @@ def r3_atlas() -> Atlas:
     return Atlas("r3", 3, [Chart("cart", 3, all_space, [-2.0] * 3, [2.0] * 3)])
 
 
+def _box_shift(c, x):
+    """The torus's shift of x onto the box centred at c."""
+    return x - np.round(x - c)
+
+
 def torus_atlas() -> Atlas:
-    """Square torus R^2/Z^2; four box charts centered on the half-integer grid."""
+    """Square torus R^2/Z^2; four box charts centered on the half-integer grid.
+
+    The shift onto each box is a member `partial(_box_shift, c)` of one
+    transition family, shared by the box's three sources, with one `d`
+    and `d2` for all twelve transitions.
+    """
     half_width = 0.35
     centers = {"t00": (0.0, 0.0), "t10": (0.5, 0.0), "t01": (0.0, 0.5), "t11": (0.5, 0.5)}
     charts = {}
@@ -159,12 +171,8 @@ def torus_atlas() -> Atlas:
                             c - 0.8 * half_width, c + 0.8 * half_width, priority=i)
     eye = np.eye(2)
     d, d2 = (lambda x: np.zeros(x.shape + (2,)) + eye), (lambda x: np.zeros(x.shape + (2, 2)))
-    for tid, ct in centers.items():  # one shift onto each box, shared by its three sources
-        ct = np.array(ct)
-
-        def shift(x, ct=ct):
-            return x - np.round(x - ct)
-
+    for tid, ct in centers.items():
+        shift = partial(_box_shift, np.array(ct))
         for cid in centers:
             if cid != tid:
                 charts[cid].add_transition(tid, Transition(shift, d, d2))
@@ -175,8 +183,9 @@ def sphere_atlas() -> Atlas:
     disk = disk_domain(2.0)
     a = Chart("a", 2, disk, [-1.2, -1.2], [1.2, 1.2], priority=0)
     b = Chart("b", 2, disk, [-1.2, -1.2], [1.2, 1.2], priority=1)
-    a.add_transition("b", _inversion())
-    b.add_transition("a", _inversion())
+    inversion = _inversion()  # one formula both ways: rows of a and b hop in one call
+    a.add_transition("b", inversion)
+    b.add_transition("a", inversion)
     return Atlas("sphere", 2, [a, b])
 
 

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import numdiff
-from .atlas import Atlas, Point, _vec
+from .atlas import Atlas, Point, _family, _vec
 from .errors import ChartMissing, HopLimit, LeftAtlas
 
 OK = "ok"
@@ -80,11 +79,11 @@ class ChartField:
     every caller finds both.
 
     Charts that hand out the same callables step together: a flow steps
-    the rows of every chart whose `value` (and, with variational columns,
-    `d`) are the same objects as one group, so a builder that writes one
-    formula for several charts should hand out one callable.  A
-    finite-difference fill is guarded by its own chart's domain and so
-    never merges with another chart's.
+    the rows of every chart whose `value` is the same object as one group,
+    so a builder that writes one formula for several charts should hand
+    out one callable.  Variational columns take each row's own chart `d`,
+    so a finite-difference fill, guarded by its own chart's domain, only
+    ever sees its own chart's rows.
     """
 
     value: Callable
@@ -229,12 +228,11 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     block of one row is stepped as its 1-D view `z[0]` with a scalar step,
     so the right-hand side and the margin test see a 1-D state (about 2.6x
     faster than a (1, N) block); a one-row group of a larger block stays
-    2-D.  Rows step in groups that share a right-hand side: the chart
-    `value`, plus `d` when variational columns are carried, the same
-    objects; the margin test, the hop search and the re-chart of W use
-    each row's own chart.  A family's parameter rows `params`, shaped like
-    `z`, are never stepped or re-charted; each group passes its share to
-    the chart callables.
+    2-D.  Rows step in groups that share a right-hand side, the same chart
+    `value` object; the margin test, the hop search, the flush of W and
+    its re-chart use each row's own chart.  A family's parameter rows
+    `params`, shaped like `z`, are never stepped or re-charted; each group
+    passes its share to the chart callables.
 
     Only the base state is stepped.  With variational columns each group's
     right-hand side records the states of its four RK4 stages, which move
@@ -267,12 +265,10 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
 
     def keyed(cid):
         """(right-hand side key, margin test, None) of chart `cid`, the test
-        of a family member `partial(f, p)` given as f, p."""
+        of a family member `partial(f, p)` given as f, p.  The key is the
+        chart's `value` alone: a flush calls each row's own chart `d`."""
         if cid not in keys:
-            cf = field.chart_field(cid)
-            test = atlas.chart(cid).contains_fn
-            fam = (test.func, test.args[0]) if isinstance(test, partial) else (test, None)
-            keys[cid] = ((cf.value, cf.d) if k else cf.value), *fam
+            keys[cid] = field.chart_field(cid).value, *_family(atlas.chart(cid).contains_fn)
         return keys[cid]
 
     tparams = {}  # test family -> (m, ...) parameters, row r's at [r]; never stepped
@@ -280,7 +276,9 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     def place(r, cid):
         _, fam, p = keyed(cid)
         if p is not None:
-            tparams.setdefault(fam, np.empty((m,) + np.shape(p)))[r] = p
+            if fam not in tparams:
+                tparams[fam] = np.empty((m,) + np.shape(p))
+            tparams[fam][r] = p
 
     rhs = {}
 
@@ -407,9 +405,9 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             sound = np.reshape(sound, -1)
             for r in idx[~sound]:
                 stop(r, DIVERGED, i)
-            out = idx[sound & ~np.reshape(inside, -1)]
+            out = idx[sound & ~np.reshape(inside, -1)].tolist()
             X = z[out]
-            if m == 1 and out.size:  # perfbench counts hops only in hop_target (ROADMAP 1)
+            if m == 1 and out:  # perfbench counts hops only in hop_target (ROADMAP 1)
                 hop = atlas.hop_target(cids[0], X[0], margin)
                 targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
             else:

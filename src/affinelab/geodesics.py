@@ -318,11 +318,17 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
 
 @dataclass
 class ProbeRow:
+    """One seed's probe in both time directions: the time reached, the
+    status and the end state (position and velocity, at the horizon or
+    where the geodesic stopped) of each."""
+
     seed: Tangent
     t_forward: float
     t_backward: float
     status_forward: str
     status_backward: str
+    end_forward: Tangent
+    end_backward: Tangent
 
     @property
     def reached(self) -> float:
@@ -354,8 +360,9 @@ def completeness_probe(conn: ConnectionField, seeds, horizon: float,
         raise ValueError(f"completeness_probe needs a finite positive horizon, got {horizon!r}")
     starts = [Point(s.base.chart, pack(s.base.coords, s.vec.reshape(n, 1))) for s in seeds]
     m = len(starts)
-    _, _, t_ok, status = _run_block(fld, starts + starts, np.repeat([horizon, -horizon], m), cfg)
-    rows = [ProbeRow(seed, t_ok[i], t_ok[m + i], status[i], status[m + i])
+    ends, _, t_ok, status = _run_block(fld, starts + starts, np.repeat([horizon, -horizon], m), cfg)
+    ends = [Tangent(Point(e.chart, e.coords[:n]), e.coords[n:]) for e in ends]
+    rows = [ProbeRow(seed, t_ok[i], t_ok[m + i], status[i], status[m + i], ends[i], ends[m + i])
             for i, seed in enumerate(seeds)]
     complete = all(r.status_forward == OK and r.status_backward == OK for r in rows)
     return ProbeReport(horizon=horizon, rows=rows, complete_up_to_horizon=complete)

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition, all_space
-from affinelab.bundles import frame_atlas, tangent_atlas
-from affinelab.catalog import default_catalog
+from affinelab import atlas as atlas_module
+from affinelab import catalog as catalog_module
+from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition, all_space, box_domain
+from affinelab.bundles import frame_atlas, pack, tangent_atlas
+from affinelab.catalog import default_catalog, torus_atlas
 from affinelab.errors import NotInOverlap
 from affinelab.harness import _CHECKS
 
@@ -309,3 +312,88 @@ def test_a_row_whose_map_raises_skips_that_neighbour():
     np.testing.assert_array_equal(Y, X + [[1.0], [-1.0], [-2.0], [1.0], [-1.0]])
     for cid, x, tid, y in zip(cids, X, targets, Y):
         assert _hop_reference(atlas, cid, x, 0.1) == (tid, pytest.approx(y))
+
+
+def _torus_rows():
+    """Tangent-bundle rows of all four torus boxes, each past its margin."""
+    cids = ["t00", "t10", "t01", "t11", "t00", "t11"]
+    X = np.array([pack(np.array(x), np.array(v).reshape(2, 1)) for x, v in [
+        ([0.33, 0.1], [1.0, 0.2]), ([0.83, -0.2], [0.5, -0.4]), ([-0.1, 0.84], [0.3, 0.9]),
+        ([0.17, 0.5], [-1.0, 0.1]), ([-0.2, -0.33], [0.2, -1.0]), ([0.84, 0.84], [0.7, 0.7])]])
+    return cids, X
+
+
+def test_torus_tangent_search_maps_and_tests_every_candidate_in_one_call(monkeypatch):
+    # the four shifts are one map family and the four boxes one test family,
+    # each lifted to one family on the tangent atlas, so rows of all four
+    # boxes, three candidate boxes each, take one shift and one box test
+    calls = {"shift": 0, "box": 0}
+    box_shift, in_box = catalog_module._box_shift, atlas_module.in_box
+
+    def counted_shift(*args):
+        calls["shift"] += 1
+        return box_shift(*args)
+
+    def counted_box(*args):
+        calls["box"] += 1
+        return in_box(*args)
+
+    monkeypatch.setattr(catalog_module, "_box_shift", counted_shift)
+    monkeypatch.setattr(atlas_module, "in_box", counted_box)
+    atlas = tangent_atlas(torus_atlas())
+    cids, X = _torus_rows()
+    targets, Y = atlas.hop_targets(cids, X, 0.1)
+    assert calls == {"shift": 1, "box": 1}
+    assert None not in targets and any(t != c for t, c in zip(targets, cids))
+    for cid, x, tid, y in zip(cids, X, targets, Y):
+        want_tid, want_y = _hop_reference(atlas, cid, x, 0.1)
+        assert tid == want_tid and y.tobytes() == want_y.tobytes()
+
+
+def test_a_row_whose_family_map_raises_skips_only_its_own_candidates():
+    # one map family onto b and c, with per-target shifts; called on a block
+    # it raises for the whole block, yet only the rows that raise lose their
+    # candidates, and every other row is mapped with its own target's shift
+    def shifted(p, x):
+        if (x[..., 0] < 0).any():
+            raise ValueError("negative first coordinate")
+        return x + p
+
+    a = Chart("a", 2, all_space, [-1.0, -1.0], [1.0, 1.0], priority=0)
+    b = Chart("b", 2, box_domain([0.0, -1.0], [2.0, 1.0]), [0.5, -0.5], [1.5, 0.5], priority=1)
+    c = Chart("c", 2, all_space, [-1.0, -1.0], [1.0, 1.0], priority=2)
+    a.add_transition("b", Transition(partial(shifted, np.array([1.0, 0.0]))))
+    a.add_transition("c", Transition(partial(shifted, np.array([-1.0, 0.0]))))
+    b.add_transition("c", Transition(partial(shifted, np.array([-2.0, 0.0]))))
+    atlas = Atlas("toy", 2, [a, b, c])
+    cids = ["a", "a", "b", "a", "a"]
+    X = np.array([[0.5, 0.0], [-0.5, 0.0], [0.3, 0.1], [1.5, 0.3], [-0.1, -0.2]])
+    targets, Y = atlas.hop_targets(cids, X, 0.0)
+    assert list(targets) == ["b", None, "c", "c", None]
+    np.testing.assert_array_equal(Y, [[1.5, 0.0], [-0.5, 0.0], [-1.7, 0.1], [0.5, 0.3],
+                                      [-0.1, -0.2]])
+    for cid, x, tid, y in zip(cids, X, targets, Y):
+        want_tid, want_y = _hop_reference(atlas, cid, x, 0.0)
+        assert tid == want_tid and y.tobytes() == want_y.tobytes()
+
+
+def test_a_map_replaced_after_a_search_is_used_by_the_next(monkeypatch):
+    # a wrapper put on every transition's map after a first search, as a
+    # tracer puts its spans, is called by the next search, which finds the
+    # same targets and coordinates byte for byte
+    atlas = tangent_atlas(torus_atlas())
+    cids, X = _torus_rows()
+    targets, Y = atlas.hop_targets(cids, X, 0.1)
+    calls = []
+    for chart in atlas.charts.values():
+        for tr in chart.transitions.values():
+            def traced(x, fmap=tr.map):
+                calls.append(len(x))
+                return fmap(x)
+
+            monkeypatch.setattr(tr, "map", traced)
+    targets2, Y2 = atlas.hop_targets(cids, X, 0.1)
+    # each wrapper is a family of its own: one call per source box and
+    # target, on that source's rows, every candidate mapped once
+    assert len(calls) == 3 * len(set(cids)) and sum(calls) == 3 * len(cids)
+    assert list(targets2) == list(targets) and Y2.tobytes() == Y.tobytes()

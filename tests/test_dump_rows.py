@@ -1,6 +1,12 @@
-"""`tools/dump_rows.py --against`: only the rows that differ from a parent dump."""
+"""`tools/dump_rows.py`: `--against` prints only the rows that differ from a
+parent dump, `--probes` the rows of seeded completeness-probe blocks."""
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from affinelab.catalog import default_catalog
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "dump_rows.py"
 
@@ -51,3 +57,37 @@ def test_identical_dumps_print_nothing(tmp_path, capsys):
     parent.write_text(PARENT)
     assert _tool().main([str(parent), "--against", str(parent)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_probes_print_one_line_per_probe_row(capsys):
+    # every seed of every block forward and backward: the complete manifolds
+    # reach the horizon, the disk's geodesics stop when they leave it, and
+    # each end state reads back from its hex to the probe's own bytes
+    tool = _tool()
+    assert tool.main(["--probes"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(tool.PROBES) * tool.PROBE_SEEDS * 2
+    horizon = float.hex(tool.PROBE_HORIZON)
+    for manifold, _, _, _, _ in tool.PROBES:
+        mine = [line.split(" ") for line in lines if line.startswith(manifold + " ")]
+        assert len(mine) == 2 * tool.PROBE_SEEDS
+        for _, seed, sign, status, t, chart, state in mine:
+            assert int(seed) < tool.PROBE_SEEDS and sign in "+-"
+            assert chart in default_catalog().atlas(manifold).charts
+            x0, x1, v0, v1 = (float.fromhex(u) for u in state.split(","))
+            if manifold == "disk":
+                # stopped by the first step that left the unit disk (step 1e-2)
+                assert status == "left_atlas"
+                assert 1.0 <= np.hypot(x0, x1) <= 1.0 + 1e-2 * np.hypot(v0, v1)
+            else:
+                assert status == "ok" and t == (horizon if sign == "+" else "-" + horizon)
+    # the rows come from `completeness_probe`, in its order
+    first = [line for line in tool.probe_rows()][:2]
+    assert first == lines[:2]
+
+
+def test_probes_take_no_against(tmp_path):
+    parent = tmp_path / "parent.txt"
+    parent.write_text(PARENT)
+    with pytest.raises(SystemExit):
+        _tool().main(["--probes", "--against", str(parent)])

@@ -1,10 +1,11 @@
 """Rows step in groups keyed on the callables their right-hand side calls.
 
-Charts whose field hands out the same `value` (and, with variational
-columns, the same `d`) step their rows through one RK4 call; charts
-whose margin test is one family (the torus boxes) test their rows in one
-call with per-row parameters, and the rows leaving at one step hop in
-one call, while the re-chart of the variational columns stays per row.
+Charts whose field hands out the same `value` step their rows through
+one RK4 call, with or without variational columns (a flush calls each
+row's own chart `d`); charts whose margin test is one family (the torus
+boxes) test their rows in one call with per-row parameters, and the rows
+leaving at one step hop in one call, while the re-chart of the
+variational columns stays per row.
 A mixed-chart block must therefore give every row exactly
 what that row gives when it runs alone, bit for bit: the grouped step
 applies the same elementwise arithmetic to each row.
@@ -118,9 +119,10 @@ def test_torus_rows_over_all_four_charts_equal_single_rows(cat, rng, rk4_calls):
 
 def test_torus_block_tests_its_margin_once_per_step_and_hops_once(monkeypatch, rng, rk4_calls):
     # the four boxes share one margin test (`in_box` with per-row centre and
-    # half-width) and one shift onto each box, so a block over all four boxes
-    # tests its margin once per step, whatever the boxes its rows hop
-    # between, and looks for every hop of a step in one call
+    # half-width) and one shift family, so a block over all four boxes tests
+    # its margin once per step, whatever the boxes its rows hop between, and
+    # looks for every hop of a step in one call that tests every candidate
+    # box of every leaving row at once
     calls = {"steps": 0, "hops": 0, "trials": 0}
     hopping = []
     in_box, hop_targets = atlas_module.in_box, Atlas.hop_targets
@@ -150,9 +152,9 @@ def test_torus_block_tests_its_margin_once_per_step_and_hops_once(monkeypatch, r
     assert steps == 40 and rk4_calls[0] == (8, 4)
     # one start check per row, then one test of the whole block per step
     assert calls["steps"] == len(starts) + steps
-    # at most one hop search per step, each trying every box at most once
+    # at most one hop search per step, each testing all its candidates in one call
     assert 0 < calls["hops"] <= steps
-    assert calls["trials"] <= len(TORUS_CENTERS) * calls["hops"]
+    assert calls["trials"] == calls["hops"]
 
 
 def test_variational_block_equals_single_rows(cat, rng):
@@ -192,18 +194,33 @@ def test_charts_with_different_callables_step_as_separate_groups(cat, rk4_calls)
 
 def test_finite_difference_fills_never_merge(cat, rk4_calls):
     # one `value` on every torus box, with `d` left to central differences:
-    # each chart's fill is guarded by its own domain, so variational rows
-    # step per chart, while plain rows share the one `value`
+    # rows share the one `value` and step together, with variational columns
+    # too, while each chart's fill, guarded by its own domain, is evaluated
+    # by a flush on its own chart's rows alone
     torus = cat.atlas("torus")
     cf = ChartField(value=lambda x: np.stack([1.0 + 0.0 * x[..., 0], 0.3 * x[..., 0]], -1))
     fld = VectorField(torus, "fd", {cid: cf for cid in torus.charts})
+    seen = {}
+    for cid in torus.charts:
+        def d(x, fill=fld.chart_field(cid).d, cid=cid):
+            seen.setdefault(cid, []).append(np.array(x))
+            return fill(x)
+
+        fld.chart_field(cid).d = d
     starts = [Point("t00", [0.0, 0.1]), Point("t10", [0.5, -0.1])]
     cfg = IntegratorConfig(step=0.01)
     _run_block(fld, starts, 0.1, cfg)
-    assert len(rk4_calls) == 10
+    assert len(rk4_calls) == 10 and set(rk4_calls) == {(2, 2)}
     del rk4_calls[:]
-    _run_block(fld, starts, 0.1, cfg, w0=np.array([np.eye(2)] * 2))
-    assert len(rk4_calls) == 20 and set(rk4_calls) == {(1, 2)}  # the base state alone
+    w0 = np.array([np.eye(2)] * 2)
+    _run_block(fld, starts, 0.1, cfg, w0=w0)
+    assert len(rk4_calls) == 10 and set(rk4_calls) == {(2, 2)}  # the base states alone
+    assert set(seen) == {"t00", "t10"}
+    for cid, calls in seen.items():
+        for X in calls:
+            # one row's 4 x 10 stage states, all inside that row's own chart
+            assert X.shape == (1, 40, 2) and torus.chart(cid).contains_fn(X, 0.0).all()
+    _block_equals_rows(fld, starts, np.full(2, 0.1), cfg, w0=w0)
 
 
 def test_one_row_runs_step_a_1d_state(cat, rk4_calls):

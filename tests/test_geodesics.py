@@ -272,7 +272,9 @@ def test_completeness_probe_disk_fails(cat):
 
 
 def _probe_fields(row):
-    return row.t_forward, row.t_backward, row.status_forward, row.status_backward
+    ends = [(e.base.chart, e.base.coords.tobytes(), e.vec.tobytes())
+            for e in (row.end_forward, row.end_backward)]
+    return row.t_forward, row.t_backward, row.status_forward, row.status_backward, ends
 
 
 def _assert_rows_isolated(conn, seeds, horizon, cfg):

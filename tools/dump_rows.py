@@ -19,12 +19,30 @@ file given in place of the scenarios directory:
 
     PYTHONPATH=src python tools/dump_rows.py --against parent_rows.txt
     python tools/dump_rows.py rows.txt --against parent_rows.txt
+
+With `--probes`, print instead one line per row of seeded horizon-100
+`completeness_probe` blocks on the plane, sphere, torus and disk (each
+seed forward and backward), built from the public API:
+
+    manifold seed direction status float.hex(t_reached) end_chart end_state
+
+`end_state` is the end position and velocity, each entry `float.hex`,
+comma-joined; compare two trees' outputs with `cmp`:
+
+    PYTHONPATH=src python tools/dump_rows.py --probes > probes.txt
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from pathlib import Path
+
+# (manifold, connection, start chart, start box half-width, step) per probe block
+PROBES = (("plane", "flat", "cart", 1.0, 0.5),
+          ("sphere", "round", "a", 1.2, 0.1),
+          ("torus", "flat", "t00", 0.28, 0.05),
+          ("disk", "flat", "disk", 0.5, 0.01))
+PROBE_SEED, PROBE_SEEDS, PROBE_HORIZON = 1, 8, 100.0
 
 
 def rows(scenario_dir: Path):
@@ -39,6 +57,28 @@ def rows(scenario_dir: Path):
             for c in run_suite(scenario, catalog).checks:
                 worst = "None" if c.worst is None else float.hex(c.worst)
                 yield f"{path.name} {seed} {c.name} {c.status} {c.samples} {c.error!r} {worst}"
+
+
+def probe_rows():
+    """One line per row of each `PROBES` block: PROBE_SEEDS geodesics from
+    starts drawn with PROBE_SEED in the block's chart, to +- PROBE_HORIZON."""
+    import numpy as np
+
+    import affinelab as al
+
+    catalog = al.default_catalog()
+    rng = np.random.default_rng(PROBE_SEED)
+    for manifold, connection, chart, half, step in PROBES:
+        xs = rng.uniform(-half, half, size=(PROBE_SEEDS, 2))
+        vs = rng.normal(size=(PROBE_SEEDS, 2))
+        report = al.completeness_probe(catalog.connection(manifold, connection),
+                                       [al.Tangent(al.Point(chart, x), v) for x, v in zip(xs, vs)],
+                                       PROBE_HORIZON, al.IntegratorConfig(step=step))
+        for i, row in enumerate(report.rows):
+            for sign, status, t, end in (("+", row.status_forward, row.t_forward, row.end_forward),
+                                         ("-", row.status_backward, row.t_backward, row.end_backward)):
+                state = ",".join(float.hex(float(u)) for u in (*end.base.coords, *end.vec))
+                yield f"{manifold} {i} {sign} {status} {float.hex(float(t))} {end.base.chart} {state}"
 
 
 def _keyed(lines) -> dict:
@@ -87,7 +127,15 @@ def main(argv=None) -> int:
                         help="scenarios directory, or with --against a dump file")
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="a parent dump: print only the rows that differ from it")
+    parser.add_argument("--probes", action="store_true",
+                        help="print the rows of the seeded completeness-probe blocks instead")
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if args.probes:
+        if args.against is not None:
+            parser.error("--probes prints a dump to compare with cmp; it takes no --against")
+        for line in probe_rows():
+            print(line, flush=True)
+        return 0
     if args.against is None:
         for line in rows(args.source):
             print(line, flush=True)
