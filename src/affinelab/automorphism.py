@@ -4,14 +4,15 @@ A Diffeo is either a ClosedFormDiffeo (a `ChartMap` per chart with
 analytic first and second derivatives; a point in any other chart raises
 ChartMissing) or a FlowWord (ordered flow segments of named fields,
 composed left-to-right; the inverse reverses the word and negates
-durations, and its second derivatives come from `_fd_jets`).  A map f
-is affine when
+durations).  A map f is affine when
 
     d2 f(v, w) + df(B1_x(v, w)) = B2_{f(x)}(df v, df w);
 
-`affine_residual` returns the left minus right side.  `exp_aut` realizes
-the group exponential: it verifies the Killing residual on a sample set
-and returns the time-(-1) flow word.
+`affine_residual` returns the left minus right side, with (df, f(x),
+d2 f) from `Diffeo.jets`, which reads them off the frame lift: a flow
+word flows its natural lift, with no finite differences.  `exp_aut`
+realizes the group exponential: it verifies the Killing residual on a
+sample set and returns the time-(-1) flow word.
 
 `Diffeo.push` maps a list of points (and tangent columns at them); a
 FlowWord runs its word through `flows._push`, one block per segment
@@ -21,12 +22,12 @@ take lists of points (frames, tangents) and return one result per row.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import numdiff
 from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import frame_atlas
 from .connection import ConnectionField
@@ -65,11 +66,17 @@ class Diffeo:
         return Tangent(out, J @ t.vec)
 
     def jets(self, points, vs, ws) -> list:
-        """(df(x), f(x), d2 f(x)(v, w)) per row; d2 by `_fd_jets`."""
-        return _fd_jets(self, points, vs, ws)
+        """(df(x), f(x), d2 f(x)(v, w)) per row, read off the frame lift:
+        T Fr(f) sends (v, 0) at the frame (x, I) to (df v, d2 f(v, .)) at
+        (f(x), df(x)) (Kobayashi-Nomizu I, VI.1), in the chart of f(x)."""
+        n = self.atlas.dim
+        frames = [Frame(p.chart, p.coords, np.eye(n)) for p in points]
+        fts = [FrameTangent(v, np.zeros((n, n))) for v in vs]
+        images, pushed = FrameDiffeo(self).tangent_frame(frames, fts)
+        return [(F.g, F.point(), T.w @ _vec(w)) for F, T, w in zip(images, pushed, ws, strict=True)]
 
     def d2_dir(self, point: Point, v, w) -> np.ndarray:
-        """d2 f(x)(v, w) in the chart of apply(point); nested central FD."""
+        """d2 f(x)(v, w) in the chart of apply(point); a one-row `jets`."""
         return self.jets([point], [_vec(v)], [_vec(w)])[0][2]
 
     def d2_tensor(self, point: Point) -> np.ndarray:
@@ -78,35 +85,6 @@ class Diffeo:
 
     def inverse(self) -> "Diffeo":
         raise NotImplementedError
-
-
-def _fd_jets(f: Diffeo, points, vs, ws) -> list:
-    """(df(x), f(x), d2 f(x)(v, w)) per row, d2 by nested central FD of df.
-
-    The centre and both stencil points of every row, x and x +- h w, are
-    pushed together, sample by sample, so a FlowWord integrates all 3m
-    of them as one block.
-    """
-    n = f.atlas.dim
-    hs, rows = [], []
-    for p, w in zip(points, ws):
-        h = numdiff.step2(p.coords) / max(1.0, float(np.linalg.norm(w)))
-        hs.append(h)
-        rows += [p, Point(p.chart, p.coords + h * w), Point(p.chart, p.coords - h * w)]
-    outs, Js = f.push(rows, np.broadcast_to(np.eye(n), (len(rows), n, n)))
-
-    def jv(i, out, v):
-        J, o = Js[i], outs[i]
-        if o.chart != out.chart:
-            J = f.atlas.d_transition(o, out.chart) @ J
-        return J @ v
-
-    result = []
-    for s, (v, h) in enumerate(zip(vs, hs)):
-        out = outs[3 * s]
-        d2 = (jv(3 * s + 1, out, v) - jv(3 * s + 2, out, v)) / (2.0 * h)
-        result.append((Js[3 * s], out, d2))
-    return result
 
 
 @dataclass(eq=False)
@@ -143,9 +121,6 @@ class ClosedFormDiffeo(Diffeo):
 
     def d2_dir(self, point: Point, v, w) -> np.ndarray:
         return np.einsum("ijk,j,k->i", self.d2_tensor(point), _vec(v), _vec(w))
-
-    def jets(self, points, vs, ws) -> list:
-        return [(*self.jac(p), self.d2_dir(p, v, w)) for p, v, w in zip(points, vs, ws)]
 
     def d2_tensor(self, point: Point) -> np.ndarray:
         return np.asarray(self._chart_map(point).d2(point.coords), float)
@@ -205,14 +180,15 @@ class FrameDiffeo:
         bundle charts; a flow word pushes every row through its lifted
         word as one block."""
         n = self.atlas.dim
+        rows = list(zip(frames, fts, strict=True))
         if isinstance(self.base, FlowWord):
             lifted = FlowWord(frame_atlas(self.atlas),
                               [(natural_lift(f), dur) for f, dur in self.base.word], self.base.cfg)
-            ends, W = lifted.push([fr.packed() for fr in frames],
-                                  np.array([t.packed() for t in fts])[..., None])
+            cols = np.array([t.packed() for _, t in rows]).reshape(len(rows), n + n * n, 1)
+            ends, W = lifted.push([fr.packed() for fr, _ in rows], cols)
             return ([frame_from_packed(z, n) for z in ends],
                     [frame_tangent_from_packed(w[:, 0], n) for w in W])
-        out = [self._closed_tangent_frame(fr, t) for fr, t in zip(frames, fts)]
+        out = [self._closed_tangent_frame(fr, t) for fr, t in rows]
         return [F for F, _ in out], [T for _, T in out]
 
     def _closed_tangent_frame(self, frame: Frame, ft: FrameTangent):
@@ -247,24 +223,26 @@ def affine_residual(f: Diffeo, conn1: ConnectionField, conn2: ConnectionField,
     """
     vs, ws = np.asarray(vs, float), np.asarray(ws, float)
     return np.array([d2 + J @ conn1.eval_B(p, a, b) - conn2.eval_B(out, J @ a, J @ b)
-                     for p, a, b, (J, out, d2) in zip(points, vs, ws, f.jets(points, vs, ws))])
+                     for p, a, b, (J, out, d2)
+                     in zip(points, vs, ws, f.jets(points, vs, ws), strict=True)])
 
 
 def exp_aut(conn: ConnectionField, field: VectorField, samples, cfg: IntegratorConfig,
             tol_kill: float = 1e-6) -> FlowWord:
     """exp(xi) as the time-(-1) flow word; refuses non-Killing fields.
 
-    `samples` is the list of points where the Killing residual is probed
-    (all coordinate direction pairs).
+    `samples` (non-empty) are the points where the Killing residual is
+    probed in all coordinate direction pairs; a largest residual above
+    `tol_kill` (finite, > 0) or not finite raises NotKilling.
     """
-    n = conn.atlas.dim
-    basis = np.eye(n)
-    worst = 0.0
-    for p in samples:
-        for v in basis:
-            for w in basis:
-                worst = max(worst, float(np.linalg.norm(killing_residual(conn, field, p, v, w))))
-    if worst > tol_kill:
+    if not samples:
+        raise ValueError("exp_aut needs at least one sample point")
+    if not (math.isfinite(tol_kill) and tol_kill > 0):
+        raise ValueError(f"tol_kill must be finite and positive, got {tol_kill!r}")
+    basis = np.eye(conn.atlas.dim)
+    worst = float(np.max([np.linalg.norm(killing_residual(conn, field, p, v, w))
+                          for p in samples for v in basis for w in basis]))
+    if not worst <= tol_kill:
         raise NotKilling(f"field {field.name!r}: killing residual {worst:.3e} > {tol_kill:g}")
     return FlowWord(conn.atlas, [(field, -1.0)], cfg, name=f"exp({field.name})")
 
@@ -273,7 +251,7 @@ def kappa_pullback_parts(conn: ConnectionField, fd: FrameDiffeo, frames, fts) ->
     """(theta, omega) parts of |kappa_{F(p)}(TF ft) - kappa_p(ft)| per row."""
     images, pushed = fd.tangent_frame(frames, fts)
     parts = []
-    for fr, t, F, TFt in zip(frames, fts, images, pushed):
+    for fr, t, F, TFt in zip(frames, fts, images, pushed, strict=True):
         before = kappa(conn, fr, t)
         after = kappa(conn, F, TFt)
         parts.append((float(np.linalg.norm(after.theta - before.theta)),

@@ -8,7 +8,7 @@ from affinelab.automorphism import (FlowWord, affine_residual, exp_aut, exp_comm
                                     kappa_pullback_parts, orbit_point)
 from affinelab.catalog import plane_affine_map, rotation_matrix_3d, sphere_rotation
 from affinelab.errors import ChartMissing, NotKilling
-from affinelab.flows import combine
+from affinelab.flows import IntegratorConfig, combine
 from affinelab.frame_bundle import Frame, FrameTangent
 from affinelab.geodesics import geodesic, parallel_transport
 
@@ -159,6 +159,62 @@ def test_exp_aut_refuses_non_killing(cat, cfg, rng):
     samples = [Point("cart", rng.uniform(-2, 2, size=2)) for _ in range(5)]
     with pytest.raises(NotKilling):
         exp_aut(conn, cat.field("plane", "nonaffine_sq"), samples, cfg)
+
+
+def test_exp_aut_needs_samples(cat, cfg):
+    conn = cat.connection("plane", "flat")
+    with pytest.raises(ValueError, match="sample"):
+        exp_aut(conn, cat.field("plane", "nonaffine_sq"), [], cfg)
+
+
+@pytest.mark.parametrize("tol_kill", [float("nan"), float("inf"), 0.0, -1.0])
+def test_exp_aut_rejects_a_tolerance_that_is_not_finite_and_positive(cat, cfg, rng, tol_kill):
+    conn = cat.connection("plane", "flat")
+    samples = [Point("cart", rng.uniform(-2, 2, size=2)) for _ in range(5)]
+    with pytest.raises(ValueError, match="tol_kill"):
+        exp_aut(conn, cat.field("plane", "nonaffine_sq"), samples, cfg, tol_kill=tol_kill)
+
+
+def test_exp_aut_refuses_a_nan_killing_residual(cat, cfg, rng):
+    conn = cat.connection("plane", "flat")
+    samples = [Point("cart", rng.uniform(-2, 2, size=2)) for _ in range(5)]
+    nanf = combine("nanf", [cat.field("plane", "trans_x")], [float("nan")])
+    with pytest.raises(NotKilling, match="nan"):
+        exp_aut(conn, nanf, samples, cfg)
+
+
+def test_row_lists_of_different_lengths_are_refused(cat, cfg, rng):
+    conn = cat.connection("sphere", "round")
+    points = sphere_samples(cat, rng, 3)
+    frames = [Frame(p.chart, p.coords, np.eye(2)) for p in points]
+    ft = FrameTangent(rng.normal(size=2), rng.normal(size=(2, 2)))
+    closed = sphere_rotation(conn.atlas, rotation_matrix_3d(0, 0.7))
+    word = FlowWord(conn.atlas, [(cat.field("sphere", "rot_x"), -1.0)], cfg)
+    for f in (closed, word):
+        with pytest.raises(ValueError):
+            affine_residual(f, conn, conn, points, [[1.0, 0.0]], [[0.0, 1.0]])
+        with pytest.raises(ValueError):
+            kappa_pullback_defect(conn, frame_lift(f), frames, [ft])
+
+
+def test_flow_word_second_derivative_matches_the_closed_form_rotation(cat, rng):
+    # exp(rot_x) is the rotation by 1 about the x axis; its d2 f from the
+    # frame lift is as exact as the flow, where both maps land in one chart
+    conn = cat.connection("sphere", "round")
+    cfg = IntegratorConfig(step=1e-3)
+    samples = sphere_samples(cat, rng, 20)
+    f = exp_aut(conn, cat.field("sphere", "rot_x"), samples, cfg)
+    g = sphere_rotation(conn.atlas, rotation_matrix_3d(0, 1.0))
+    vs, ws = rng.normal(size=(2, len(samples), 2))
+    compared = 0
+    for p, v, w, (J, out, d2) in zip(samples, vs, ws, f.jets(samples, vs, ws)):
+        J_ref, out_ref = g.jac(p)
+        if out.chart != out_ref.chart:
+            continue
+        ref = np.einsum("ijk,j,k->i", g.d2_tensor(p), v, w)
+        assert np.linalg.norm(d2 - ref) <= 1e-11 * np.linalg.norm(ref)
+        compared += 1
+    assert compared >= len(samples) // 2
 
 
 def test_exp_aut_sphere_rotation_matches_closed_form(cat, cfg, rng):

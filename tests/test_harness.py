@@ -820,3 +820,16 @@ def test_cli_run_prints_worst_at(tmp_path, capsys):
     assert cli_main(["run", str(scenario)]) == 1
     judged, empty = capsys.readouterr().out.splitlines()
     assert " samples=  10 at=" in judged and " at=" not in empty
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_exp_aut_affine_sees_the_second_derivative_of_a_nonlinear_flow(cat, seed):
+    # the flow of rot_x is not linear in its chart, so the row reads the
+    # flow word's d2 f: it sits at RK4 error, far below the 1e-5 tolerance
+    integrator = json.loads((SCENARIOS / "sphere_so3.json").read_text())["integrator"]
+    scenario = scenario_from_dict({"manifold": "sphere", "connection": "round",
+                                   "fields": ["rot_x"], "rng_seed": seed, "integrator": integrator,
+                                   "checks": [{"name": "exp_aut_affine", "field": "rot_x"}]}, cat)
+    (row,) = run_suite(scenario, cat).checks
+    assert row.status == "pass" and row.samples == 10
+    assert row.worst <= 1e-11
