@@ -224,7 +224,8 @@ def affine_residual(f: Diffeo, conn1: ConnectionField, conn2: ConnectionField,
     vs, ws = np.asarray(vs, float), np.asarray(ws, float)
     return np.array([d2 + J @ conn1.eval_B(p, a, b) - conn2.eval_B(out, J @ a, J @ b)
                      for p, a, b, (J, out, d2)
-                     in zip(points, vs, ws, f.jets(points, vs, ws), strict=True)])
+                     in zip(points, vs, ws, f.jets(points, vs, ws), strict=True)]
+                    ).reshape(-1, conn1.atlas.dim)  # zero rows: (0, n)
 
 
 def exp_aut(conn: ConnectionField, field: VectorField, samples, cfg: IntegratorConfig,

@@ -25,19 +25,20 @@ from .errors import NoConvergence, NotInOverlap
 from .flows import (_CHUNK, OK, ChartField, IntegratorConfig, VectorField, _propagator, _push,
                     _raise_for, _run_block, integrate)
 from .flows import _run  # noqa: F401  not called; perfbench/test_counters.py checks its restore
-from . import numdiff
 
 _F8 = np.dtype(float)
 
 
 def geodesic_field(conn: ConnectionField) -> VectorField:
-    """The geodesic spray as a vector field on the tangent-bundle atlas."""
+    """The geodesic spray as a vector field on the tangent-bundle atlas,
+    with its closed-form Jacobian as `d` (`d2` is the finite-difference fill)."""
     cached = getattr(conn, "_geodesic_field", None)
     if cached is not None:
         return cached
     base = conn.atlas
     n = base.dim
     tm = tangent_atlas(base)
+    eye = np.eye(n)
 
     @cache  # one spray per distinct bilinear: charts that share it step together
     def spray(bil):
@@ -48,8 +49,24 @@ def geodesic_field(conn: ConnectionField) -> VectorField:
 
         return value
 
-    charts = {cid: ChartField(value=spray(conn.bilinear_fn(cid)))
-              for cid in base.charts if conn.has_chart(cid)}
+    @cache  # one Jacobian per (tensor, d_dir): charts that share them flush together
+    def spray_d(tensor, d_dir):
+        def d(z):
+            """[[0, I], [d_x B(v, v), B(., v) + B(v, .)]] at z = (x, v)."""
+            x, v = z[..., :n], z[..., n:]
+            T = tensor(x)
+            dT = d_dir(x[..., None, :], eye)  # dT[..., j, :, :, :] along e_j
+            out = np.zeros(z.shape[:-1] + (2 * n, 2 * n))
+            out[..., :n, n:] = eye
+            out[..., n:, :n] = np.einsum("...jiab,...a,...b->...ij", dT, v, v)
+            out[..., n:, n:] = np.einsum("...ijk,...k->...ij", T + np.swapaxes(T, -1, -2), v)
+            return out
+
+        return d
+
+    ccs = {cid: conn._chart(cid) for cid in base.charts if conn.has_chart(cid)}
+    charts = {cid: ChartField(value=spray(cc.bilinear), d=spray_d(cc.tensor, cc.d_dir))
+              for cid, cc in ccs.items()}
     field = VectorField(tm, f"geodesic[{conn.name}]", charts)
     conn._geodesic_field = field
     return field
@@ -194,14 +211,14 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
 
     The residual is measured in whichever chart holds both endpoints; the
     initial guess is the chart difference y - x.  Each iteration shoots
-    the centre v and the central-difference stencil v +- h e_j of
-    `numdiff.stencil` as the 2n + 1 rows of one block, refreshing the
-    Jacobian every iteration, with no damping.  The centre's failure
-    raises first; a converged centre returns whatever its stencil rows
-    did; otherwise the first failing stencil row raises, as one shot at a
-    time would.  Failure raises NoConvergence (or the flow's LeftAtlas or
-    HopLimit); a `tol` that is not finite and positive, or a `max_iter`
-    that is not an int >= 1, is a ValueError.
+    v once, as a one-row block carrying the variational columns [0; I]
+    of the spray's closed-form Jacobian: their top n rows are d exp_x(v)
+    in the shot's end chart, mapped into the target chart by the
+    transition Jacobian (Hairer-Norsett-Wanner, Solving ODEs I, I.14).
+    The Jacobian is refreshed every iteration, with no damping.  Failure
+    raises NoConvergence (or the flow's LeftAtlas or HopLimit); a `tol`
+    that is not finite and positive, or a `max_iter` that is not an
+    int >= 1, is a ValueError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -234,15 +251,16 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
             raise NoConvergence("shooting left the target chart; y likely "
                                 "outside the normal neighbourhood") from None
 
+    w0 = np.vstack([np.zeros((n, n)), np.eye(n)])[None]  # d exp_x(v) = top rows of W
     for _ in range(max_iter):
-        h, stencil = numdiff.stencil(v)
-        starts = [Point(x.chart, pack(x.coords, u.reshape(n, 1))) for u in [v, *stencil]]
-        ends, _, t_ok, status = _run_block(fld, starts, 1.0, cfg)
-        shots = (landed(*row) for row in zip(ends, t_ok, status))  # lazy: errors in row order
-        r = next(shots) - target
+        start = Point(x.chart, pack(x.coords, v.reshape(n, 1)))
+        (end,), (W,), (t_ok,), (status,) = _run_block(fld, [start], 1.0, cfg, w0)
+        r = landed(end, t_ok, status) - target
         if np.linalg.norm(r) <= tol:
             return Tangent(x, v)
-        J = numdiff.central(list(shots), h)
+        J = W[:n]
+        if end.chart != target_chart:
+            J = atlas.d_transition(Point(end.chart, end.coords[:n]), target_chart) @ J
         try:
             delta = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:

@@ -191,7 +191,7 @@ def extend_killing(conn: ConnectionField, seed: KillingSeed, path: HorizontalPat
 
 def path_to(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig) -> HorizontalPath:
     """Single-segment horizontal path from x to y via exp_inverse, whose
-    Newton iterations each shoot one block of 2n + 1 geodesics.
+    Newton iterations each shoot one geodesic with its variational columns.
 
     Fails (NoConvergence) outside normal neighbourhoods; with start frame
     (x, id), lambda equals the chart components of exp_x^{-1}(y).

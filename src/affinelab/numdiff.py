@@ -5,10 +5,6 @@ h2 = eps^(1/4) * max(1, |x|).  Callers that care about chart domains pass
 an `inside` predicate; a stencil point failing it raises
 StencilLeavesDomain.
 
-`jacobian` takes its points from `stencil` and its quotient from
-`central`, which a caller that evaluates f on all the points at once
-(Newton shooting, one block of flows) uses in the same way.
-
 Each derivative accepts one point x of shape (n,) or rows of shape
 (..., n), which are differenced one at a time (each with its own step)
 and stacked, so a missing analytic derivative filled in from these
@@ -72,30 +68,16 @@ def _rowwise(one):
     return lifted
 
 
-def stencil(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(h, P): the step h = step1(x) and the (2n, n) central-difference
-    points of `jacobian` at x, rows x + h e_0, x - h e_0, x + h e_1, ..."""
-    h = step1(x)
-    E = h * np.eye(x.size)
-    return h, np.stack([x + E, x - E], axis=1).reshape(-1, x.size)
-
-
-def central(F, h: float) -> np.ndarray:
-    """Jacobian columns (F[2j] - F[2j + 1]) / (2h), stacked on the last
-    axis, from the values F of f at `stencil`'s points, in its order."""
-    F = np.asarray(F, float)
-    return np.moveaxis((F[0::2] - F[1::2]) / (2.0 * h), 0, -1)
-
-
 @_rowwise
 def jacobian(f: Callable, x: np.ndarray, *, inside=None) -> np.ndarray:
-    """Jacobian of f at x by central differences, columns stacked."""
-    h, P = stencil(x)
-    F = []
-    for plus, minus in zip(P[0::2], P[1::2]):
-        _guard(inside, (plus, minus))
-        F += [f(plus), f(minus)]
-    return central(F, h)
+    """Jacobian of f at x by central differences, columns stacked; f is
+    evaluated at x + h e_0, x - h e_0, x + h e_1, ... in that order."""
+    h = step1(x)
+    cols = []
+    for e in h * np.eye(x.size):
+        _guard(inside, (x + e, x - e))
+        cols.append((np.asarray(f(x + e), float) - np.asarray(f(x - e), float)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 @_rowwise

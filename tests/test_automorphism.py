@@ -197,6 +197,17 @@ def test_row_lists_of_different_lengths_are_refused(cat, cfg, rng):
             kappa_pullback_defect(conn, frame_lift(f), frames, [ft])
 
 
+@pytest.mark.parametrize("rows", [[], np.zeros((0, 2))], ids=["list", "array"])
+def test_affine_residual_of_zero_rows_is_zero_by_n(cat, cfg, rows):
+    conn = cat.connection("sphere", "round")
+    closed = sphere_rotation(conn.atlas, rotation_matrix_3d(0, 0.7))
+    word = FlowWord(conn.atlas, [(cat.field("sphere", "rot_x"), -1.0)], cfg)
+    for f in (closed, word):
+        res = affine_residual(f, conn, conn, [], rows, rows)
+        assert res.shape == (0, 2)
+        assert res[:, 1].shape == (0,)
+
+
 def test_flow_word_second_derivative_matches_the_closed_form_rotation(cat, rng):
     # exp(rot_x) is the rotation by 1 about the x axis; its d2 f from the
     # frame lift is as exact as the flow, where both maps land in one chart

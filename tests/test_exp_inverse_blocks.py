@@ -1,10 +1,13 @@
-"""`exp_inverse` shoots each Newton iteration's 2n + 1 geodesics as one block.
+"""`exp_inverse` takes each Newton iteration's d exp from one shot's
+variational columns.
 
-The reference below is the one-shot-at-a-time Newton loop: one `exp_map`
-per shot and `numdiff.jacobian` of the shooting map.  The block shooting
-must give the same tangent bit for bit, and the same exception type and
-message, because block rows step exactly as one-row runs and the
-Jacobian columns keep the same difference quotient.
+Each iteration shoots v once, as a one-row block carrying the columns
+[0; I] through the spray's closed-form Jacobian.  The reference below is
+the same Newton loop written with the public `variational_flow`, one
+call per shot: `exp_inverse` must give the same tangent bit for bit, and
+the same exception type and message.  The finite-difference Newton loop
+that shoots 2n + 1 geodesics per iteration (`fd_reference`) must reach
+the same tangent within `tol`, in as many iterations.
 """
 import math
 
@@ -14,13 +17,15 @@ import pytest
 import oracles
 from affinelab import geodesics, numdiff
 from affinelab.atlas import Point, Tangent
+from affinelab.bundles import pack
 from affinelab.errors import HopLimit, LeftAtlas, NoConvergence, NotInOverlap
-from affinelab.flows import HOP_LIMIT, LEFT_ATLAS, IntegratorConfig
-from affinelab.geodesics import exp_inverse, exp_map
+from affinelab.flows import DIVERGED, HOP_LIMIT, LEFT_ATLAS, IntegratorConfig, variational_flow
+from affinelab.geodesics import exp_inverse, exp_map, geodesic_field
 
 
-def reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
-    """(tangent, iterations) of Newton shooting with one `exp_map` per shot."""
+def _newton(conn, x, y, tol, max_iter, shoot):
+    """(tangent, iterations) of undamped Newton on `shoot`, v -> (end point
+    in the target chart, its Jacobian in v), started as `exp_inverse` starts."""
     atlas = conn.atlas
     try:
         y_in_x = atlas.transition(y, x.chart)
@@ -36,8 +41,7 @@ def reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
         dv = y.coords - x_in_y.coords
         v = atlas.d_transition(Point(y.chart, x_in_y.coords), x.chart) @ dv
 
-    def shoot(vv):
-        p = exp_map(conn, Tangent(x, vv), cfg)
+    def into_target(p):
         try:
             return atlas.transition(p, target_chart).coords
         except NotInOverlap:
@@ -45,17 +49,50 @@ def reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
                                 "outside the normal neighbourhood") from None
 
     for it in range(max_iter):
-        r = shoot(v) - target
+        end, J = shoot(v, into_target, target_chart)
+        r = end - target
         if np.linalg.norm(r) <= tol:
             return Tangent(x, v), it + 1
-        J = numdiff.jacobian(shoot, v)
         try:
-            delta = np.linalg.solve(J, r)
+            delta = np.linalg.solve(J(), r)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular shooting Jacobian") from None
         v = v - delta
     raise NoConvergence(f"exp_inverse: no convergence after {max_iter} iterations "
                         "(target likely outside the normal neighbourhood)")
+
+
+def reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
+    """(tangent, iterations) of Newton shooting with one `variational_flow`
+    of the spray from (x, v) with columns [0; I] per shot."""
+    atlas, n = conn.atlas, conn.atlas.dim
+    w0 = np.vstack([np.zeros((n, n)), np.eye(n)])
+
+    def shoot(v, into_target, target_chart):
+        end, W = variational_flow(geodesic_field(conn), Point(x.chart, pack(x.coords, v)), w0,
+                                  1.0, cfg)
+        p = Point(end.chart, end.coords[:n])
+
+        def jac():
+            if p.chart == target_chart:
+                return W[:n]
+            return atlas.d_transition(p, target_chart) @ W[:n]
+
+        return into_target(p), jac
+
+    return _newton(conn, x, y, tol, max_iter, shoot)
+
+
+def fd_reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
+    """(tangent, iterations) of Newton shooting with one `exp_map` per shot
+    and `numdiff.jacobian` of the shooting map."""
+    def shoot(v, into_target, target_chart):
+        def f(u):
+            return into_target(exp_map(conn, Tangent(x, u), cfg))
+
+        return f(v), lambda: numdiff.jacobian(f, v)
+
+    return _newton(conn, x, y, tol, max_iter, shoot)
 
 
 CFG = IntegratorConfig(step=1e-2)
@@ -77,6 +114,8 @@ CASES = {
     **{f"sphere_{d}": (("sphere", "round"), *sphere_target(d, seed))
        for d, seed in ((0.5, 0), (1.0, 1), (1.5, 2))},
     "sphere_y_chart": (("sphere", "round"), Point("a", [1.7, 0.0]), Point("b", [0.45, 0.05])),
+    # every shot hops to chart b: d exp is mapped back into the target chart a
+    "sphere_hop": (("sphere", "round"), Point("a", [1.5, 0.0]), Point("a", [1.8, 0.3])),
     "halfplane": (("halfplane", "hyperbolic"), Point("hp", [0.2, 1.0]), Point("hp", [-0.5, 0.6])),
     "flat_plane": (("plane", "flat"), Point("cart", [0.1, 0.1]), Point("cart", [1.4, -0.3])),
 }
@@ -91,6 +130,17 @@ def test_block_shooting_is_bit_identical_to_one_shot_at_a_time(cat, name):
     assert got.base is x and want.base is x
     assert (got.vec == want.vec).all()
     assert conn.atlas.gap(exp_map(conn, got, CFG), y) <= 1e-10
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_tangents_agree_with_finite_difference_newton(cat, name):
+    manifold, x, y = CASES[name]
+    conn = cat.connection(*manifold)
+    want, fd_iterations = fd_reference(conn, x, y, CFG)
+    _, iterations = reference(conn, x, y, CFG)
+    got = exp_inverse(conn, x, y, CFG)
+    assert iterations == fd_iterations
+    assert np.linalg.norm(got.vec - want.vec) <= 1e-10
 
 
 ERROR_CASES = {
@@ -120,82 +170,79 @@ def test_block_shooting_raises_as_one_shot_at_a_time(cat, name):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("name", ["sphere_1.0", "sphere_y_chart", "halfplane"])
-def test_each_iteration_is_one_block_of_2n_plus_1_rows(cat, name):
+@pytest.mark.parametrize("name", ["sphere_1.0", "sphere_hop", "halfplane"])
+def test_each_iteration_is_one_one_row_block(cat, name):
     manifold, x, y = CASES[name]
     conn = cat.connection(*manifold)
+    n = conn.atlas.dim
     _, iterations = reference(conn, x, y, CFG)
     assert iterations > 1
 
     calls = []
     run_block = geodesics._run_block
 
-    def counting(field, starts, t, cfg, *args, **kw):
-        calls.append(len(starts))
-        return run_block(field, starts, t, cfg, *args, **kw)
+    def counting(field, starts, t, cfg, w0=None, *args, **kw):
+        calls.append((len(starts), t, np.array(w0)))
+        return run_block(field, starts, t, cfg, w0, *args, **kw)
 
-    def no_jacobian(*args, **kw):
-        raise AssertionError("exp_inverse called numdiff.jacobian")
+    def no_numdiff(*args, **kw):
+        raise AssertionError("exp_inverse took a finite difference")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geodesics, "_run_block", counting)
-        mp.setattr(numdiff, "jacobian", no_jacobian)
+        for fn in ("jacobian", "second_derivative", "directional"):
+            mp.setattr(numdiff, fn, no_numdiff)
         exp_inverse(conn, x, y, CFG)
-    assert calls == [2 * conn.atlas.dim + 1] * iterations
+    assert len(calls) == iterations
+    w0 = np.vstack([np.zeros((n, n)), np.eye(n)])[None]
+    for rows, t, w in calls:
+        assert (rows, t) == (1, 1.0)
+        assert w.shape == w0.shape and (w == w0).all()
 
 
-def failing_rows(failures, on_call=None):
-    """A `_run_block` whose rows listed in `failures` (row -> status) stop
-    at the start, on every call or only on call number `on_call` (0-based)."""
+def failing_shot(status, on_call):
+    """A `_run_block` whose row 0 stops at the start with `status` on call
+    number `on_call` (0-based), and a list of the calls made."""
     run_block = geodesics._run_block
-    count = [0]
+    calls = []
 
     def run(field, starts, t, cfg, *args, **kw):
-        ends, W, t_ok, status = run_block(field, starts, t, cfg, *args, **kw)
-        if on_call is None or count[0] == on_call:
-            for r, why in failures.items():
-                t_ok[r], status[r] = 0.0, why
-        count[0] += 1
-        return ends, W, t_ok, status
+        ends, W, t_ok, status_ = run_block(field, starts, t, cfg, *args, **kw)
+        if len(calls) == on_call:
+            t_ok[0], status_[0] = 0.0, status
+        calls.append(len(starts))
+        return ends, W, t_ok, status_
 
-    return run
+    return run, calls
 
 
-def test_failed_stencil_rows_are_ignored_once_the_centre_converges(cat, monkeypatch):
-    manifold, x, y = CASES["sphere_1.0"]
+@pytest.mark.parametrize("when, status, error", [
+    ("first", LEFT_ATLAS, LeftAtlas), ("middle", HOP_LIMIT, HopLimit), ("last", DIVERGED, LeftAtlas)],
+    ids=["first", "middle", "last"])
+def test_failed_shot_raises_its_flows_error(cat, monkeypatch, when, status, error):
+    manifold, x, y = CASES["sphere_1.5"]
     conn = cat.connection(*manifold)
-    want, iterations = reference(conn, x, y, CFG)
-    # every stencil row of the last iteration fails; its centre has converged
-    monkeypatch.setattr(geodesics, "_run_block",
-                        failing_rows({r: LEFT_ATLAS for r in range(1, 5)}, on_call=iterations - 1))
-    got = exp_inverse(conn, x, y, CFG)
-    assert (got.vec == want.vec).all()
-
-
-def test_first_failed_stencil_row_in_stencil_order_raises(cat, monkeypatch):
-    manifold, x, y = CASES["sphere_1.0"]
-    conn = cat.connection(*manifold)
-    # rows: centre, v + h e0, v - h e0, v + h e1, v - h e1
-    monkeypatch.setattr(geodesics, "_run_block", failing_rows({4: LEFT_ATLAS, 2: HOP_LIMIT}))
-    with pytest.raises(HopLimit, match="exceeded max_hops"):
+    _, iterations = reference(conn, x, y, CFG)
+    assert iterations > 2
+    # the last iteration's shot has converged: its failure raises all the same
+    on_call = {"first": 0, "middle": iterations // 2, "last": iterations - 1}[when]
+    run, calls = failing_shot(status, on_call)
+    monkeypatch.setattr(geodesics, "_run_block", run)
+    with pytest.raises(error) as got:
         exp_inverse(conn, x, y, CFG)
-
-
-def test_failed_centre_raises_before_its_stencil_rows(cat, monkeypatch):
-    manifold, x, y = CASES["sphere_1.0"]
-    conn = cat.connection(*manifold)
-    monkeypatch.setattr(geodesics, "_run_block", failing_rows({1: HOP_LIMIT, 0: LEFT_ATLAS}))
-    with pytest.raises(LeftAtlas, match="left the atlas"):
-        exp_inverse(conn, x, y, CFG)
+    what = "exceeded max_hops" if status == HOP_LIMIT else "left the atlas"
+    assert str(got.value) == f"flow of 'geodesic[round]' {what} near t=0"
+    assert calls == [1] * (on_call + 1)
 
 
 def test_stencil_rows_are_jacobians_points_in_its_order():
     x = np.array([0.3, -1.7, 2.0])
-    h, P = numdiff.stencil(x)
-    assert h == numdiff.step1(x)
+    h = numdiff.step1(x)
     seen = []
-    numdiff.jacobian(lambda p: seen.append(p.copy()) or p, x)
-    assert (np.array(seen) == P).all()
+    J = numdiff.jacobian(lambda p: seen.append(p.copy()) or p, x)
+    want = [x + s * h * e for e in np.eye(3) for s in (1.0, -1.0)]
+    assert (np.array(seen) == np.array(want)).all()
+    assert np.abs(J - np.eye(3)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
