@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .atlas import Atlas, Point, Tangent, _vec
-from .bundles import frame_atlas
+from .bundles import frame_atlas, lift_jacobian
 from .connection import ConnectionField
 from .errors import ChartMissing, NotKilling
 from .flows import IntegratorConfig, VectorField, _push
@@ -192,12 +192,11 @@ class FrameDiffeo:
         return [F for F, _ in out], [T for _, T in out]
 
     def _closed_tangent_frame(self, frame: Frame, ft: FrameTangent):
-        # TF(dx, dg) = (df dx, d2f(dx, .) g + df dg)
+        # TF(dx, dg) = (df dx, d2f(dx, .) g + df dg), the Jacobian of `bundles.lift`
         p = frame.point()
         J, out = self.base.jac(p)
-        M = np.einsum("ijk,j,km->im", self.base.d2_tensor(p), ft.v, frame.g)
-        return (Frame(out.chart, out.coords, J @ frame.g),
-                FrameTangent(J @ ft.v, M + J @ ft.w))
+        TF = lift_jacobian(J, self.base.d2_tensor(p), frame.g) @ ft.packed()
+        return Frame(out.chart, out.coords, J @ frame.g), frame_tangent_from_packed(TF, frame.dim)
 
 
 def frame_lift(f: Diffeo) -> FrameDiffeo:

@@ -55,6 +55,8 @@ def _cmd_run(args) -> int:
         if c.error:
             line += f"  {c.error}"
         print(line)
+    if not report.checks:
+        print("no checks ran", file=sys.stderr)
     if args.out:
         emit(report, args.out, format="json")
         print(f"report written to {args.out}")
@@ -128,8 +130,8 @@ def _cmd_dump(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="affinelab",
                                 description="chart-based affine-manifold engine harness",
-                                epilog="exit codes: 0 ok, 1 a check failed, 2 usage error, "
-                                       "3 geometry error (e.g. a flow left the atlas)")
+                                epilog="exit codes: 0 ok, 1 a check failed or none ran, "
+                                       "2 usage error, 3 geometry error (e.g. a flow left the atlas)")
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario file and report pass/fail per check")

@@ -14,8 +14,12 @@ standard horizontal field H_lambda is kappa^{-1}(lambda, 0):
 
 Since kappa is a {1}-structure, the constant fields kappa^{-1}(lam, A)
 form one map P x (E + gl(E)) -> TP, linear in (lam, A):
-`kappa_inverse_family` is that map as one field with per-row parameters,
-and `kappa_inverse_field` its member at one (lam, A).
+`kappa_inverse_family` is that map as one field with per-row parameters
+p = pack(lam, A), its chart callables built once per connection.  Every
+kappa^{-1} entry point evaluates them: `kappa_inverse_field` (and
+`standard_horizontal`) binds one row with `functools.partial`, one member
+per distinct family callable, and `kappa_inverse` and `kappa_matrix` call
+the family `value` at one frame.
 """
 from __future__ import annotations
 
@@ -107,15 +111,8 @@ def soldering(frame: Frame, ft: FrameTangent) -> np.ndarray:
 
 
 def _b_columns(T: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix with columns B_x(g e_m, v), T the tensor at x; broadcasts."""
-    return np.einsum("...ijk,...jm,...k->...im", T, g, v)
-
-
-def _kappa_inv(T: np.ndarray, g: np.ndarray, lam: np.ndarray, A: np.ndarray):
-    """(v, w) = kappa^{-1}(lam, A) at the frame g over a point with tensor T:
-    v = g lam, w = g A + B_x(g . , v).  Broadcasts over leading axes."""
-    v = g @ lam if lam.ndim == 1 else (g @ lam[..., None])[..., 0]
-    return v, g @ A + _b_columns(T, g, v)
+    """Columns B_x(g e_m, v), T the tensor at x: (T v) g, v contracted first; broadcasts."""
+    return (T @ v[..., None, :, None])[..., 0] @ g
 
 
 def connection_form(conn: ConnectionField, frame: Frame, ft: FrameTangent) -> np.ndarray:
@@ -132,7 +129,9 @@ def kappa(conn: ConnectionField, frame: Frame, ft: FrameTangent) -> KappaValue:
 def kappa_inverse(conn: ConnectionField, frame: Frame, kv: KappaValue) -> FrameTangent:
     """Closed-form inverse: v = g lambda, w = g A + B_x(g . , g lambda)."""
     _check_invertible(frame.g, SingularFrame, "frame")
-    return FrameTangent(*_kappa_inv(conn.tensor(frame.point()), frame.g, kv.theta, kv.omega))
+    kinv = kappa_inverse_family(conn).chart_field(frame.chart).value
+    return frame_tangent_from_packed(kinv(frame.packed().coords, pack(kv.theta, kv.omega)),
+                                     frame.dim)
 
 
 def kappa_matrix(conn: ConnectionField, frame: Frame) -> np.ndarray:
@@ -146,96 +145,80 @@ def kappa_matrix(conn: ConnectionField, frame: Frame) -> np.ndarray:
 
 # -- fields on the frame-bundle atlas ---------------------------------------
 
-def _lam_A_terms(lam: np.ndarray, A: np.ndarray):
-    """The (lam, A) blocks of the kappa^{-1} Jacobian: [i, (a, b)] =
-    delta_ia lam_b and [i, m, a, b] = delta_ia A_bm, over leading axes."""
-    n = lam.shape[-1]
-    eye = np.eye(n)
-    return ((eye[:, :, None] * lam[..., None, None, :]).reshape(lam.shape[:-1] + (n, n * n)),
-            eye[:, None, :, None] * np.swapaxes(A, -1, -2)[..., None, :, None, :])
-
-
-def _kappa_inverse_charts(conn: ConnectionField) -> dict:
-    """Per chart, value(lam, A, z) and d(lam, *`_lam_A_terms`(lam, A), z) of
-    kappa^{-1}(lam, A) at frame rows z, lam and A broadcasting with them
-    (the parameters first, so `partial` binds one member).  Charts whose
-    connection shares `tensor` and `d_dir` share one pair.
-    `d` is the closed-form Jacobian in z: with v = g lam at p = (x, g),
+def kappa_inverse_family(conn: ConnectionField) -> VectorField:
+    """Every field kappa^{-1}(lam, A) as one family on the frame bundle,
+    built once per connection: its chart callables take frame rows z and
+    parameter rows p = pack(lam, A), broadcasting together, so flows of
+    different (lam, A) share a block.  Charts whose connection shares
+    `tensor` and `d_dir` share one pair.  `d` is the closed-form Jacobian
+    in z: with v = g lam at z = (x, g),
 
         d/dx_j  (v, w) = (0, dB(e_j)(g . , v))
         d/dg_ab (v, w) = (E_ab lam, E_ab A + B(E_ab . , v) + B(g . , E_ab lam)),
 
     the base columns from one `d_dir` call over the n coordinate directions.
     """
+    cached = getattr(conn, "_kappa_inverse_family", None)
+    if cached is not None:
+        return cached
     n = conn.atlas.dim
     eye = np.eye(n)
     N = n + n * n
 
-    @cache
-    def pair(tensor, d_dir):
-        def value(lam, A, z):
+    @cache  # one pair per (tensor, d_dir): charts that share them step together
+    def family(tensor, d_dir):
+        def value(z, p):
             x, g = unpack(z, n, n)
-            return pack(*_kappa_inv(tensor(x), g, lam, A))
+            lam, A = p[..., :n], p[..., n:].reshape(p.shape[:-1] + (n, n))
+            v = (g @ lam[..., None])[..., 0]
+            return pack(v, g @ A + _b_columns(tensor(x), g, v))
 
-        def d(lam, dv, dgA, z):
+        def d(z, p):
             x, g = unpack(z, n, n)
-            lead = x.shape[:-1]
+            lam, A = p[..., :n], p[..., n:].reshape(p.shape[:-1] + (n, n))
+            lead = np.broadcast_shapes(x.shape[:-1], lam.shape[:-1])
             T = tensor(x)
-            v = g @ lam if lam.ndim == 1 else (g @ lam[..., None])[..., 0]
+            v = (g @ lam[..., None])[..., 0]
             dT = d_dir(x[..., None, :], eye)  # dT[..., j, :, :, :] along e_j
             base_cols = _b_columns(dT, g[..., None, :, :], v[..., None, :])  # (..., j, i, m)
-            fibre = (dgA + np.einsum("...iak,...k,mb->...imab", T, v, eye)
+            fibre = (eye[:, None, :, None] * np.swapaxes(A, -1, -2)[..., None, :, None, :]
+                     + np.einsum("...iak,...k,mb->...imab", T, v, eye)
                      + np.einsum("...ija,...jm,...b->...imab", T, g, lam))
             out = np.zeros(lead + (N, N))
-            out[..., :n, n:] = dv
+            out[..., :n, n:] = (eye[:, :, None] * lam[..., None, None, :]).reshape(
+                lam.shape[:-1] + (n, n * n))
             out[..., n:, :n] = np.moveaxis(base_cols, -3, -1).reshape(lead + (n * n, n))
             out[..., n:, n:] = fibre.reshape(lead + (n * n, n * n))
             return out
 
-        return value, d
+        return ChartField(value=value, d=d)
 
-    return {cid: pair(conn._chart(cid).tensor, conn._chart(cid).d_dir)
-            for cid in conn.atlas.charts if conn.has_chart(cid)}
-
-
-def kappa_inverse_family(conn: ConnectionField) -> VectorField:
-    """Every field kappa^{-1}(lam, A) as one family on the frame bundle: its
-    chart callables take frame rows z and parameter rows p = pack(lam, A),
-    so flows of different (lam, A) share a block."""
-    n = conn.atlas.dim
-
-    @cache
-    def family(f, df):
-        return ChartField(value=lambda z, p: f(*unpack(p, n, n), z),
-                          d=lambda z, p: df(p[..., :n], *_lam_A_terms(*unpack(p, n, n)), z))
-
-    charts = {cid: family(*fd) for cid, fd in _kappa_inverse_charts(conn).items()}
-    return VectorField(frame_atlas(conn.atlas), "kappa_inv", charts, params=n + n * n)
+    charts = {cid: family(conn._chart(cid).tensor, conn._chart(cid).d_dir)
+              for cid in conn.atlas.charts if conn.has_chart(cid)}
+    field = VectorField(frame_atlas(conn.atlas), "kappa_inv", charts, params=N)
+    conn._kappa_inverse_family = field
+    return field
 
 
 def kappa_inverse_field(conn: ConnectionField, lam, A=None, name: str | None = None) -> VectorField:
-    """The field eta_(lam, A)(p) = kappa_p^{-1}(lam, A) on the frame bundle,
-    the member (lam, A) of `kappa_inverse_family` with its parameter terms
-    computed once; A = 0 gives the standard horizontal field H_lambda.
-    `value` and `d` take (..., n + n^2) rows."""
+    """The field eta_(lam, A)(p) = kappa_p^{-1}(lam, A) on the frame bundle:
+    `kappa_inverse_family` with the row p = pack(lam, A) bound, one member
+    per distinct family callable; A = 0 gives the standard horizontal field
+    H_lambda.  `value` and `d` take (..., n + n^2) rows."""
     n = conn.atlas.dim
     lam = _vec(lam)
-    A = np.zeros((n, n)) if A is None else np.asarray(A, float)
-    dv, dgA = _lam_A_terms(lam, A)
-
-    @cache
-    def member(f, df):
-        return ChartField(value=partial(f, lam, A), d=partial(df, lam, dv, dgA))
-
-    charts = {cid: member(*fd) for cid, fd in _kappa_inverse_charts(conn).items()}
+    p = pack(lam, np.zeros((n, n)) if A is None else A)
+    family = kappa_inverse_family(conn)
+    member = cache(lambda cf: ChartField(value=partial(cf.value, p=p), d=partial(cf.d, p=p)))
+    charts = {cid: member(cf) for cid, cf in family._charts.items()}
     label = name or f"kappa_inv[{np.array2string(lam, precision=3)}]"
-    return VectorField(frame_atlas(conn.atlas), label, charts)
+    return VectorField(family.atlas, label, charts)
 
 
 def standard_horizontal(conn: ConnectionField, lam) -> VectorField:
     """H_lambda(x, g) = (g lambda, e -> B_x(g e, g lambda))."""
     lam = _vec(lam)
-    return kappa_inverse_field(conn, lam, None, name=f"H[{np.array2string(lam, precision=3)}]")
+    return kappa_inverse_field(conn, lam, name=f"H[{np.array2string(lam, precision=3)}]")
 
 
 def horizontal_flow(conn: ConnectionField, lam, frame: Frame, t: float,

@@ -73,7 +73,7 @@ class Report:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
+        return bool(self.checks) and all(c.status == "pass" for c in self.checks)
 
     def to_dict(self) -> dict:
         """The JSON form: a non-finite `worst` becomes None (null); the

@@ -120,15 +120,19 @@ def lift_commutation_defect(conn: ConnectionField, fields, lams, frames, s: floa
                             cfg: IntegratorConfig) -> list:
     """Flow-commutation defect between the natural lift of fields[i] and
     H_lams[i] at frames[i], one per row.  Each H segment runs every row as
-    one block of `kappa_inverse_family` with its own lambda, and each
-    field's lifted segments of both words run as one block."""
+    one block of `kappa_inverse_family` with its own lambda.  The lift's flow
+    sends (x, G) to (Fl(x), dFl(x) G), so each field's lift segments of both
+    words run as one block of its base flow, the frames G as its W."""
+    n = conn.atlas.dim
     H = kappa_inverse_family(conn)
-    params = np.array([pack(lam, np.zeros((conn.atlas.dim,) * 2)) for lam in lams])
+    params = np.array([pack(lam, np.zeros((n, n))) for lam in lams])
     b = [fr.packed() for fr in frames]
     a, _ = _push([(H, t)], b, cfg, params=params)  # word a flows H first, word b the lift
     for fld in {id(f): f for f in fields}.values():
         rows = [r for r, f in enumerate(fields) if f is fld]
-        ends, _ = _push([(natural_lift(fld), s)], [a[r] for r in rows] + [b[r] for r in rows], cfg)
+        frs = [frame_from_packed(z, n) for z in [a[r] for r in rows] + [b[r] for r in rows]]
+        ends, W = _push([(fld, s)], [f.point() for f in frs], cfg, w0=[f.g for f in frs])
+        ends = [Frame(e.chart, e.coords, w).packed() for e, w in zip(ends, W)]
         for r, end_a, end_b in zip(rows, ends, ends[len(rows):]):
             a[r], b[r] = end_a, end_b
     b, _ = _push([(H, t)], b, cfg, params=params)
@@ -136,24 +140,15 @@ def lift_commutation_defect(conn: ConnectionField, fields, lams, frames, s: floa
 
 
 def ev_embedding(conn: ConnectionField, field: VectorField, at: Point) -> KillingSeed:
-    """Seed (xi(x), v -> nabla_v xi); column m is d xi(e_m) - B(xi(x), e_m)."""
+    """Seed (xi(x), v -> nabla_v xi); nabla = d xi - B(xi(x), .), from the tensor at x."""
     val = field.value(at)
-    J = field.jac(at)
-    n = val.size
-    nabla = np.empty((n, n))
-    for m, e in enumerate(np.eye(n)):
-        nabla[:, m] = J @ e - conn.eval_B(at, val, e)
-    return KillingSeed(at, val, nabla)
+    return KillingSeed(at, val, field.jac(at) - val @ conn.tensor(at))
 
 
 def seed_lift(conn: ConnectionField, seed: KillingSeed) -> np.ndarray:
     """Packed bundle tangent of the lift at the frame (x, id):
     (xi(x), d xi) with d xi = nabla + B_x(xi(x), .)."""
-    n = seed.value.size
-    W = seed.nabla.copy()
-    for m, e in enumerate(np.eye(n)):
-        W[:, m] += conn.eval_B(seed.at, seed.value, e)
-    return pack(seed.value, W)
+    return pack(seed.value, seed.nabla + seed.value @ conn.tensor(seed.at))
 
 
 def extend_killing(conn: ConnectionField, seed: KillingSeed, path: HorizontalPath,

@@ -186,6 +186,17 @@ def test_kappa_inverse_roundtrip_and_field_agree(case, seed):
         np.testing.assert_array_equal(fld.value(f.packed()), ft.packed())
 
 
+def test_kappa_inverse_family_is_built_once_per_connection(cat):
+    conn = cat.connection("sphere", "round")
+    assert kappa_inverse_family(conn) is kappa_inverse_family(conn)
+
+
+def test_sphere_kappa_inverse_members_share_one_callable_across_charts(cat):
+    # one member per distinct family callable: rows of charts a and b step as one group
+    fld = kappa_inverse_field(cat.connection("sphere", "round"), [0.3, -0.2])
+    assert fld.chart_field("a").value is fld.chart_field("b").value
+
+
 def test_horizontal_flow_projects_to_great_circle(cat, cfg):
     conn = cat.connection("sphere", "round")
     frame = Frame("a", [1.0, 0.0], np.eye(2))

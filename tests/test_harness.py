@@ -10,7 +10,7 @@ from affinelab import harness
 from affinelab.atlas import Atlas
 from affinelab.cli import main as cli_main
 from affinelab.errors import ParseError, ScenarioError, UnknownCatalogName
-from affinelab.harness import (_CHECKS, check_names, emit, load_scenario, run_suite,
+from affinelab.harness import (_CHECKS, Report, check_names, emit, load_scenario, run_suite,
                                scenario_from_dict, trajectory_rows)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -363,7 +363,9 @@ def test_cli_run_seed_writes_the_rows_of_run_suite_at_that_seed(cat, tmp_path, c
     # the path `affinelab run --seed` takes, and perfbench's scenario_suite times
     path = SCENARIOS / f"{name}.json"
     out = tmp_path / "r.json"
-    assert cli_main(["run", str(path), "--seed", "1", "--out", str(out)]) == 0
+    # a file without checks still writes its (empty) report, but exits 1
+    assert cli_main(["run", str(path), "--seed", "1", "--out", str(out)]) == (
+        1 if name == "minimal_sphere" else 0)
     got = json.loads(out.read_text())
     scenario = load_scenario(str(path), cat)
     assert scenario.rng_seed == 0 and got["meta"]["rng_seed"] == 1
@@ -374,6 +376,15 @@ def test_cli_run_seed_writes_the_rows_of_run_suite_at_that_seed(cat, tmp_path, c
     assert rows == [(c.name, c.status, float.hex(c.worst)) for c in want.checks]
     if rows:  # the seed reached the checks: some row reads otherwise at the file's seed
         assert rows != [(c.name, c.status, float.hex(c.worst)) for c in own.checks]
+
+
+def test_a_scenario_without_checks_does_not_pass(cat, capsys):
+    # all() of no rows is True: a report with no checks must not read as passed
+    assert not Report([], {}).all_passed
+    assert cli_main(["run", str(SCENARIOS / "minimal_sphere.json"), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "no checks ran" in captured.err
+    assert "[PASS]" not in captured.out
 
 
 def test_negative_seed_is_rejected(cat, capsys):

@@ -5,7 +5,7 @@ import oracles
 from affinelab.atlas import Point, Tangent
 from affinelab.bundles import pack, unpack
 from affinelab.errors import BasePointMismatch, SingularGroupElement
-from affinelab.flows import IntegratorConfig, integrate
+from affinelab.flows import IntegratorConfig, _push, integrate
 from affinelab.frame_bundle import Frame
 from affinelab.killing import (HorizontalPath, KillingSeed, bracket, ev_embedding,
                                extend_killing, gram_rank, killing_residual,
@@ -177,6 +177,33 @@ def test_lift_commutation_sphere_rotation(cat):
     [d] = lift_commutation_defect(conn, [cat.field("sphere", "rot_x")], [[0.3, 0.5]], [frame],
                                   0.5, 0.5, cfg)
     assert d <= 1e-5
+
+
+@pytest.mark.parametrize("manifold, field, start, lo, hi, s, end", [
+    ("sphere", "rot_x", "a", -1.2, 1.2, 2.0, None),
+    ("sphere", "rot_y", "a", -1.2, 1.2, -2.0, None),
+    ("torus", "t_trans_x", "t00", -0.05, 0.05, 0.5, "t10"),
+    ("torus", "t_trans_y", "t11", 0.45, 0.55, 0.5, "t10"),
+])
+def test_lift_segment_is_the_base_flow_carrying_the_frame(cat, cfg, manifold, field, start,
+                                                          lo, hi, s, end):
+    # the natural lift's flow sends (x, G) to (Fl(x), dFl(x) G): the base flow
+    # with W = G, as `lift_commutation_defect` runs its lift segments
+    rng = np.random.default_rng(7)
+    fld = cat.field(manifold, field)
+    frames = [Frame(start, rng.uniform(lo, hi, 2), np.eye(2) + 0.3 * rng.normal(size=(2, 2)))
+              for _ in range(6)]
+    lifted, _ = _push([(natural_lift(fld), s)], [fr.packed() for fr in frames], cfg)
+    ends, W = _push([(fld, s)], [fr.point() for fr in frames], cfg,
+                    w0=np.array([fr.g for fr in frames]))
+    assert [p.chart for p in ends] == [p.chart for p in lifted]
+    if end is None:  # the sphere rows: some hop from chart a to b
+        assert {p.chart for p in ends} == {"a", "b"}
+    else:  # every torus row changes boxes
+        assert [p.chart for p in ends] == [end] * len(frames)
+    for p, e, w in zip(lifted, ends, W):
+        gap = np.linalg.norm(pack(e.coords, w) - p.coords)
+        assert gap <= 1e-13 * np.linalg.norm(p.coords)
 
 
 def test_lie_derivative_matches_bracket(cat, cfg, rng):
