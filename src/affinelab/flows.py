@@ -22,15 +22,18 @@ highest-priority neighbouring chart that contains it, all of a block's
 hops in a step found in one `Atlas.hop_targets` call; a divergence,
 left-atlas or hop-limit stop retires that row and leaves the rest
 running.  The variational flow carries w' = d xi(x) w beside the state:
-the base step records its RK4 stage states, and W moves by the product
-of the steps' propagator matrices (`_propagator`, which parallel
-transport shares), one `d` call per chunk of `_CHUNK` steps, W re-charted
+the base step writes each RK4 stage state once, into a per-row buffer of
+the current chunk of `_CHUNK` steps, and W moves by the product of the
+steps' propagator matrices (`_propagator`, which parallel transport
+shares), one `d` call per chart and span.  A row flushes before it hops,
+when it stops, when it finishes and at each chunk end; W is re-charted
 through the transition Jacobian at every hand-off.  A family field
 (`params` = q) takes a constant parameter row per trajectory, never
 stepped or re-charted, so members share a block.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -55,11 +58,13 @@ class IntegratorConfig:
     state_guard: float = 1e8
 
     def __post_init__(self):
+        for name in ("step", "max_hops", "rechart_margin", "state_guard"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
-        hops = self.max_hops
-        if not (isinstance(hops, int) and not isinstance(hops, bool) and hops >= 0):
-            raise ValueError(f"max_hops must be a non-negative integer, got {hops!r}")
+        if not (isinstance(self.max_hops, int) and self.max_hops >= 0):
+            raise ValueError(f"max_hops must be a non-negative integer, got {self.max_hops!r}")
         if not 0.0 <= self.rechart_margin < 1.0:
             raise ValueError(f"rechart_margin must lie in [0, 1), got {self.rechart_margin!r}")
         if not self.state_guard > 0:
@@ -180,11 +185,15 @@ def _rhs(field: VectorField, cid: str, p=None) -> Callable:
     return lambda x: np.asarray(f(x, p), float)
 
 
-def _recording(f: Callable, rec: list) -> Callable:
-    """`f`, appending a copy of each state it is called at to `rec`: the
-    first stage of a step is the view z[sel] that the step overwrites."""
+def _recording(f: Callable, B: np.ndarray, sel, first: int) -> Callable:
+    """`f`, first writing each state it is called at to `B[sel, s]`, s
+    counting on from `first` and wrapping at B's chunk length: `_rk4`
+    calls it four times a step, so a group built at step i with `first`
+    = 4 (i % _CHUNK) puts stage j of each later step s at 4 (s % _CHUNK) + j."""
+    slots, size = itertools.count(first), B.shape[1]
+
     def rhs(x):
-        rec.append(x.copy())
+        B[sel, next(slots) % size] = x
         return f(x)
 
     return rhs
@@ -223,28 +232,28 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     """The RK4 core.
 
     `z` is a block of base states (m, n) with `t` an (m,) array of signed
-    durations, n the field's state dimension; `W`, None or (m, n, k),
-    holds each row's variational columns.  Both are updated in place.  A
-    block of one row is stepped as its 1-D view `z[0]` with a scalar step,
-    so the right-hand side and the margin test see a 1-D state (about 2.6x
-    faster than a (1, N) block); a one-row group of a larger block stays
-    2-D.  Rows step in groups that share a right-hand side, the same chart
-    `value` object; the margin test, the hop search, the flush of W and
-    its re-chart use each row's own chart.  A family's parameter rows
-    `params`, shaped like `z`, are never stepped or re-charted; each group
-    passes its share to the chart callables.
+    finite durations, n the field's state dimension; `W`, None or (m, n,
+    k), holds each row's variational columns.  Both are updated in place.
+    A block of one row is stepped as its 1-D view `z[0]` with a scalar
+    step, so the right-hand side and the margin test see a 1-D state
+    (about 2.6x faster than a (1, N) block); a one-row group of a larger
+    block stays 2-D.  Rows step in groups that share a right-hand side,
+    the same chart `value` object; the margin test, the hop search, the
+    flush of W and its re-chart use each row's own chart.  A family's
+    parameter rows `params`, shaped like `z`, are never stepped or
+    re-charted; each group passes its share to the chart callables.
 
     Only the base state is stepped.  With variational columns each group's
-    right-hand side records the states of its four RK4 stages, which move
-    to a per-row buffer `B` of the current chunk of `_CHUNK` steps before
-    the groups are rebuilt or rows flush.  A flush of rows calls each
-    chart's `d` once on every stage the rows recorded since their last
-    flush and sets W <- W + D W, I + D the product of the steps'
-    propagators (`_propagator`): the RK4 of w' = d xi(x) w, its products
-    regrouped.  Every row flushes at the end of each chunk and at the end,
-    and a row flushes alone before it hops (W is then re-charted by the
-    transition Jacobian), so its W never depends on the other rows of the
-    block.
+    right-hand side writes its four RK4 stage states straight into the
+    chunk buffer `B` (m, 4 _CHUNK, n), stage j of the step c of the
+    current chunk at `B[r, 4 c + j]`.  A flush of rows calls each chart's
+    `d` once per span start on the stages the rows took since their last
+    flush, through the current step, and sets W <- W + D W, I + D the
+    product of the steps' propagators (`_propagator`): the RK4 of
+    w' = d xi(x) w, its products regrouped.  A row flushes before it hops
+    (W is then re-charted by the transition Jacobian), when it stops, when
+    it finishes and at each chunk end, so its spans, and so its W, never
+    depend on the other rows of the block.
     Returns (chart ids, z, t_reached, statuses) with one entry per row.
     `record` (one row) is appended with rows (t, chart_id, x_copy), a hop
     adding its pre-hop state at the same time.
@@ -255,11 +264,15 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     cids = list(cids)
     m = len(cids)
     ts = [float(ti) for ti in t]
+    for r, ti in enumerate(ts):
+        if not math.isfinite(ti):
+            raise ValueError(f"row {r}: duration must be finite, got {ti!r}")
     steps = [max(1, int(math.ceil(abs(ti) / cfg.step - 1e-12))) if ti != 0.0 else 0 for ti in ts]
     hs = [ti / s if s else 0.0 for ti, s in zip(ts, steps)]
     h = np.array(hs)[:, None]
-    # the whole block: one row as its 1-D view and scalar step, else every row
-    whole = (0, hs[0]) if m == 1 else (..., h)
+    # the whole block: one row as its 1-D view and scalar step, else every
+    # row; basic indices, so a stage written to B's rows stays a cheap write
+    whole = (0, hs[0]) if m == 1 else (slice(None), h)
 
     keys = {}
 
@@ -313,8 +326,21 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     plan, stale = [], True
     if k:
         B = np.empty((m, 4 * _CHUNK, n))  # each row's stages in this chunk
-        since = [0] * m   # per row, the first stage in B not yet flushed
-        filled = [0] * m  # per row, the stages in B
+        since = [0] * m  # per row, the first step not yet flushed
+
+    def flush(rows):
+        """Move W of `rows` by their steps from their last flush through
+        step i, one `d` call per chart and span start."""
+        spans = {}
+        for r in rows:
+            if since[r] <= i:
+                spans.setdefault((field.chart_field(cids[r]).d, since[r]), []).append(r)
+                since[r] = i + 1
+        for (d, a), rs in spans.items():
+            X = B[rs, 4 * (a % _CHUNK):4 * (i % _CHUNK + 1)]
+            M = d(X) if params is None else d(X, params[rs][:, None])
+            M = np.asarray(M, float).reshape(len(rs), -1, 4, n, n)
+            W[rs] += _propagator(M, h[rs][..., None, None]) @ W[rs]
 
     def stop(r, why, at):
         nonlocal stale
@@ -322,13 +348,15 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
         reached[r] = at
         live.discard(r)
         stale = True
+        if k:
+            flush([r])
 
     def groups():
-        """(row selector, step, rhs, margin tests, rows, recorded stages) per
-        right-hand side that live rows share, each test (test, indices into
-        the group's rows, family parameters or None, their rows); the
-        selector is `whole`'s when the group holds every row.  Without W
-        the stages are None."""
+        """(row selector, step, rhs, margin tests) per right-hand side that
+        live rows share, each test (test, indices into the group's rows,
+        family parameters or None, their rows); the selector is `whole`'s
+        when the group holds every row.  With W the rhs writes its stages
+        to the group's rows of `B`, from step i on."""
         by_key = {}
         for r in sorted(live):
             by_key.setdefault(keyed(cids[r])[0], []).append(r)
@@ -340,50 +368,16 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 tests.setdefault(keyed(cids[r])[1], []).append(j)
             tests = [(fn, np.array(js), tparams.get(fn), sel if len(js) == m else np.array(rs)[js])
                      for fn, js in tests.items()]
-            rhs_fn, rec = rhs_on(cids[rs[0]], sel), None
+            rhs_fn = rhs_on(cids[rs[0]], sel)
             if k:
-                rec = []
-                rhs_fn = _recording(rhs_fn, rec)
-            out.append((sel, h_sel, rhs_fn, tests, rs, rec))
+                rhs_fn = _recording(rhs_fn, B, sel, 4 * (i % _CHUNK))
+            out.append((sel, h_sel, rhs_fn, tests))
         return out
-
-    def spill():
-        """Move the stages each group of the plan recorded to its rows in `B`."""
-        for *_, rs, rec in plan:
-            if rec:
-                f = filled[rs[0]]
-                X = np.stack(rec)  # (stages, ..., n)
-                B[rs, f:f + len(rec)] = X if X.ndim == 2 else X.swapaxes(0, 1)
-                for r in rs:
-                    filled[r] = f + len(rec)
-                rec.clear()
-
-    def flush(rows):
-        """Move W of `rows` by the steps they recorded since their last flush,
-        one `d` call per chart and span."""
-        spans = {}
-        for r in rows:
-            if filled[r] > since[r]:
-                key = (field.chart_field(cids[r]).d, since[r], filled[r])
-                spans.setdefault(key, []).append(r)
-        for (d, a, b), rs in spans.items():
-            X = B[rs, a:b]
-            if params is None:
-                M = d(X)
-            else:
-                P = params[rs][:, None]
-                M = d(X, np.broadcast_to(P, X.shape[:-1] + P.shape[-1:]))
-            M = np.asarray(M, float).reshape(len(rs), -1, 4, n, n)
-            W[rs] += _propagator(M, h[rs][..., None, None]) @ W[rs]
-            for r in rs:
-                since[r] = b
 
     for i in range(max(steps, default=0)):
         if stale:
-            spill()
             plan, stale = groups(), False
-        for group in plan:
-            sel, h_sel, rhs_fn, tests = group[:4]
+        for sel, h_sel, rhs_fn, tests in plan:
             zs = _rk4(rhs_fn, z[sel], h_sel)
             z[sel] = zs
             # a non-finite state fails the guard comparison too
@@ -412,10 +406,8 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
             else:
                 targets, Y = atlas.hop_targets([cids[r] for r in out], X, margin)
-            leaving = [r for r, tid in zip(out, targets) if tid is not None]
-            if k and leaving:  # W of the hopping rows reaches their pre-hop states
-                spill()
-                flush(leaving)
+            if k:  # W of the hopping rows reaches their pre-hop states
+                flush([r for r, tid in zip(out, targets) if tid is not None])
             for j, r in enumerate(out):
                 cid, tid = cids[r], targets[j]
                 if tid is None:
@@ -440,19 +432,14 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                     stop(r, HOP_LIMIT, i + 1)
         if record is not None and live:
             record.append(snapshot((i + 1) * hs[0], 0))
-        if k and (i + 1) % _CHUNK == 0:
-            spill()
-            flush(range(m))
-            since, filled = [0] * m, [0] * m
-        done = finish.get(i + 1)
+        done = finish.get(i + 1, set()) & live  # a row that stopped has flushed
+        if k:
+            flush(live if (i + 1) % _CHUNK == 0 else done)
         if done:
             live -= done
             stale = True
         if not live:
             break
-    if k:
-        spill()
-        flush(range(m))
 
     t_ok = [reached[r] * hs[r] if reached[r] else 0.0 for r in range(m)]
     return cids, z, t_ok, status

@@ -3,13 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from affinelab.atlas import Point
+from affinelab.atlas import Point, Tangent
+from affinelab.automorphism import FlowWord
 from affinelab.bundles import pack, unpack
 from affinelab.errors import LeftAtlas
 from affinelab.flows import (ChartField, IntegratorConfig, VectorField, _rk4, commutation_defect,
                              constant_field, flow_word, integrate, lie_derivative_defect,
-                             parameter_flow_derivative_defect, variational_flow)
-from affinelab.geodesics import geodesic_field
+                             parameter_flow_derivative_defect, _run_block, variational_flow)
+from affinelab.geodesics import exp_map, geodesic_field
 
 
 def test_constant_field_exact(cat, cfg):
@@ -120,10 +121,26 @@ def test_hop_limit(cat):
                                  {"step": -1e-3}, {"max_hops": -1}, {"rechart_margin": 5.0},
                                  {"rechart_margin": 1.0}, {"rechart_margin": -0.1},
                                  {"state_guard": 0.0}, {"state_guard": float("nan")},
-                                 {"max_hops": 2.5}, {"max_hops": True}])
+                                 {"max_hops": 2.5}, {"max_hops": True}, {"step": True},
+                                 {"rechart_margin": False}, {"state_guard": True}])
 def test_integrator_config_rejects_nonsense(bad):
     with pytest.raises(ValueError):
         IntegratorConfig(**bad)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_duration_is_a_value_error_naming_its_row(cat, t):
+    cfg = IntegratorConfig(step=1e-2)
+    fld = cat.field("sphere", "rot_x")
+    p = Point("a", [0.3, -0.2])
+    with pytest.raises(ValueError, match=f"row 0: duration must be finite, got {t!r}"):
+        integrate(fld, p, t, cfg)
+    with pytest.raises(ValueError, match=f"row 0: duration must be finite, got {t!r}"):
+        exp_map(cat.connection("sphere", "round"), Tangent(p, [0.1, 0.2]), cfg, t=t)
+    with pytest.raises(ValueError, match=f"row 0: duration must be finite, got {t!r}"):
+        FlowWord(fld.atlas, [(fld, 0.5), (fld, t)], cfg).apply(p)
+    with pytest.raises(ValueError, match=f"row 1: duration must be finite, got {t!r}"):
+        _run_block(fld, [p, p], [1.0, t], cfg)
 
 
 def test_variational_constant(cat, cfg):

@@ -21,6 +21,7 @@ from affinelab.errors import LeftAtlas
 from affinelab.flows import (DIVERGED, HOP_LIMIT, LEFT_ATLAS, OK, ChartField, IntegratorConfig,
                              VectorField, _rk4, _run_block)
 from affinelab.frame_bundle import Frame, kappa_inverse_family, standard_horizontal
+from test_flow_groups import _block_equals_rows
 
 
 def _reference_rhs(field, cid, n, k, p=None):
@@ -250,3 +251,25 @@ def test_d_is_called_once_per_chunk_and_flush_and_value_four_times_per_step(cat,
     assert calls["value"] == 4 * steps
     assert math.ceil(steps / flows._CHUNK) <= calls["d"] <= (math.ceil(steps / flows._CHUNK)
                                                              + calls["hops"])
+
+
+@pytest.mark.parametrize("max_hops", [1, 0])
+def test_rows_that_stop_before_their_finish_flush_once(cat, max_hops):
+    # rows 1 and 2 diverge at steps 48 and 56, long before their scheduled
+    # finishes at 130 and 270, while row 0 runs on across the chunk end to
+    # step 300; with no hops allowed, rows stop at the hop limit too
+    H = standard_horizontal(cat.connection("sphere", "round"), [0.9, 0.2])
+    rng = np.random.default_rng(5)
+    placed = [("a", [1.3, 0.1]), ("b", [1.1, 0.3]), ("a", [0.4, 0.2]), ("a", [1.5, -0.2])]
+    ts = [3.0, 1.3, 2.7, 0.4]
+    if max_hops == 0:
+        placed, ts = placed + [("b", [0.1, 0.1])], ts + [2.9]
+    starts, ts = _frames(rng, placed), np.array(ts)
+    w0 = rng.normal(size=(len(starts), 6, 3))
+    cfg = IntegratorConfig(step=1e-2, max_hops=max_hops, state_guard=3.2)
+    assert 3.0 / cfg.step > flows._CHUNK
+    _, status = assert_matches_reference(H, starts, ts, cfg, w0)
+    _block_equals_rows(H, starts, ts, cfg, w0)
+    want = [OK, DIVERGED, DIVERGED, OK] if max_hops else [HOP_LIMIT, DIVERGED, DIVERGED,
+                                                          HOP_LIMIT, DIVERGED]
+    assert status == want
