@@ -2,13 +2,14 @@
 
 Geodesics integrate the first-order system (x, v)' = (v, B_x(v, v)) on
 the tangent-bundle atlas, so chart hand-off comes for free.  Curves are
-piecewise-cubic Hermite interpolants of dense samples; parallel
-transport solves the linear chart ODE
+piecewise-cubic Hermite interpolants of dense samples, evaluated at
+arrays of parameters; parallel transport solves the linear chart ODE
 
     gamma'(t) = B_{alpha(t)}(gamma(t), alpha'(t))
 
-as a product of the RK4 steps' propagator matrices along the curve's grid,
-built by `flows._propagator`, the builder that variational flows share.
+as a product of RK4 step propagators (`flows._propagator`, shared with
+variational flows) over the curve's grid, its points and midpoints
+evaluated as two arrays.
 """
 from __future__ import annotations
 
@@ -26,7 +27,10 @@ from .flows import (_CHUNK, OK, ChartField, IntegratorConfig, VectorField, _prop
                     _raise_for, _run_block, integrate)
 from .flows import _run  # noqa: F401  not called; perfbench/test_counters.py checks its restore
 
-_F8 = np.dtype(float)
+# the cubic Hermite basis h00, h10, h01, h11 and its s-derivatives d00, d10,
+# d01, d11 (columns) as coefficients of s^3, s^2, s and 1 (rows)
+_HERMITE = np.array([[2, 1, -2, 1, 0, 0, 0, 0], [-3, -2, 3, -1, 6, 3, -6, 3],
+                     [0, 1, 0, 0, -6, -4, 6, -2], [1, 0, 0, 0, 0, 1, 0, 0]], float)
 
 
 def geodesic_field(conn: ConnectionField) -> VectorField:
@@ -73,13 +77,12 @@ def geodesic_field(conn: ConnectionField) -> VectorField:
 
 
 class CurveSpec:
-    """A curve with velocities, evaluable at arbitrary parameter values.
-
-    Built either from dense integrator samples (rows (t, chart, x, v),
-    duplicated t marking a chart hand-off) or from an analytic callable
-    t -> (chart_id, x, v).  Samples must span a positive length and
-    change chart only at a duplicated t (ValueError otherwise).
-    """
+    """A curve with velocities, evaluable at an array of parameter values
+    (`eval_rows`) or at one (`eval`).  Built either from dense integrator
+    samples (rows (t, chart, x, v), duplicated t marking a chart hand-off)
+    or from an analytic callable t -> (chart_id, x, v).  Samples must span
+    a positive length and change chart only at a duplicated t (ValueError
+    otherwise)."""
 
     def __init__(self, atlas: Atlas, t0: float, t1: float):
         self.atlas = atlas
@@ -96,14 +99,14 @@ class CurveSpec:
                              "spanning a positive length")
         curve = cls(atlas, ts[0], ts[-1])
         curve._ts = ts
-        curve._charts = [r[1] for r in rows]
+        curve._charts = np.array([r[1] for r in rows], dtype=object)
         curve._xs = np.stack([_vec(r[2]) for r in rows])
         curve._vs = np.stack([_vec(r[3]) for r in rows])
         # segment i spans [ts[i], ts[i+1]]; zero-length hop segments are skipped
-        curve._segs = [i for i in range(ts.size - 1) if ts[i + 1] > ts[i]]
-        if any(curve._charts[i] != curve._charts[i + 1] for i in curve._segs):
+        curve._segs = np.flatnonzero(ts[1:] > ts[:-1])
+        if np.any(curve._charts[curve._segs] != curve._charts[curve._segs + 1]):
             raise ValueError("a chart hand-off between samples needs a duplicated t")
-        curve._seg_starts = np.array([ts[i] for i in curve._segs])
+        curve._seg_starts = ts[curve._segs]
         return curve
 
     @classmethod
@@ -119,39 +122,46 @@ class CurveSpec:
         n = max(1, int(math.ceil(abs(self.t1 - self.t0) / cfg.step - 1e-12)))
         return np.linspace(self.t0, self.t1, n + 1)
 
-    def eval(self, t: float):
-        """(chart_id, x, v) at parameter t.  A sampled curve raises
-        ValueError for t outside its samples by more than round-off."""
-        if self._fn is not None:
-            cid, x, v = self._fn(float(t))
-            # a transport makes 2N + 1 calls: skip _vec where it would return x and v as they are
-            if not (type(x) is type(v) is np.ndarray and x.dtype is v.dtype is _F8
-                    and x.ndim and v.ndim):
-                x, v = _vec(x), _vec(v)
-            return cid, x, v
+    def _check_span(self, ts, name: str = "t") -> None:
+        """ValueError naming the first of `ts` not within [t0, t1] up to round-off."""
+        ts = np.asarray(ts, float)
         slack = 1e-12 * max(1.0, abs(self.t0), abs(self.t1))
-        if not self.t0 - slack <= t <= self.t1 + slack:
-            raise ValueError(f"t={t!r} lies outside the sampled span [{self.t0!r}, {self.t1!r}]")
-        t = float(min(max(t, self.t0), self.t1))
-        k = int(np.searchsorted(self._seg_starts, t, side="right") - 1)
-        k = min(max(k, 0), len(self._segs) - 1)
-        i = self._segs[k]
-        ta, tb = self._ts[i], self._ts[i + 1]
+        out = ~((self.t0 - slack <= ts) & (ts <= self.t1 + slack))
+        if out.any():
+            kind = "declared" if self._fn is not None else "sampled"
+            raise ValueError(f"{name}={float(ts[out][0])!r} lies outside the {kind} span "
+                             f"[{self.t0!r}, {self.t1!r}]")
+
+    def eval_rows(self, ts):
+        """(charts, X, V) at the m parameters `ts` (1-D): an object array of
+        chart ids and (m, n) arrays of positions and velocities.  A callable is
+        called once per parameter; a sampled curve evaluates its cubic
+        Hermite pieces on all of `ts` at once and raises ValueError for a
+        parameter outside its samples by more than round-off."""
+        ts = np.asarray(ts, float)
+        if self._fn is not None:
+            cs, X, V = zip(*map(self._fn, ts.tolist()))
+            X, V = (np.asarray(a, float).reshape(ts.size, -1) for a in (X, V))
+            return np.array(cs, dtype=object), X, V
+        self._check_span(ts)
+        t = np.minimum(np.maximum(ts, self.t0), self.t1)
+        i = self._segs[np.searchsorted(self._seg_starts, t, side="right") - 1]
+        ta, tb = self._ts[i, None], self._ts[i + 1, None]
         h = tb - ta
-        s = (t - ta) / h
+        s = (t[:, None] - ta) / h
+        # products, not s**3 and s**2: numpy's array powers may differ in the last bit
+        c = s * s * s * _HERMITE[0] + s * s * _HERMITE[1] + s * _HERMITE[2] + _HERMITE[3]
+        h00, h10, h01, h11, d00, d10, d01, d11 = c.T[..., None]
         xa, xb = self._xs[i], self._xs[i + 1]
         va, vb = self._vs[i], self._vs[i + 1]
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
         x = h00 * xa + h10 * h * va + h01 * xb + h11 * h * vb
-        d00 = 6 * s**2 - 6 * s
-        d10 = 3 * s**2 - 4 * s + 1
-        d01 = -6 * s**2 + 6 * s
-        d11 = 3 * s**2 - 2 * s
         v = (d00 * xa + d01 * xb) / h + d10 * va + d11 * vb
         return self._charts[i], x, v
+
+    def eval(self, t: float):
+        """(chart_id, x, v) at parameter t: the one row of `eval_rows([t])`."""
+        cs, X, V = self.eval_rows([t])
+        return cs[0], X[0], V[0]
 
     def point(self, t: float) -> Point:
         c, x, _ = self.eval(t)
@@ -270,37 +280,33 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
                         "(target likely outside the normal neighbourhood)")
 
 
-def _in_chart(atlas: Atlas, c: str, x, v, cid: str):
-    """Curve position/velocity (x, v) in chart `c`, re-charted into `cid`."""
-    if c == cid:
-        return x, v
-    u = atlas.rechart_tangent(Tangent(Point(c, x), v), cid)
-    return u.base.coords, u.vec
-
-
-def _chunk_propagator(tensor, pts, h) -> np.ndarray:
+def _chunk_propagator(tensor, P, h) -> np.ndarray:
     """`flows._propagator` of the chunk of RK4 steps of G' = M(t) G,
-    M = T(x) v, with sizes h (k,); `pts` lists the curve's x and v at each
-    step's start, midpoint and end, in that order, and the midpoint's M
-    serves both middle stages."""
-    P = np.concatenate(pts).reshape(h.size, 3, 2, -1)
+    M = T(x) v, with sizes h (k,); P (k, 3, 2, n) holds the curve's x and
+    v at each step's start, midpoint and end, and the midpoint's M serves
+    both middle stages."""
     M = np.einsum("...ijk,...k->...ij", tensor(P[:, :, 0]), P[:, :, 1])
     return _propagator(M[:, [0, 1, 1, 2]], h[:, None, None])
 
 
 def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: float,
                        v, cfg: IntegratorConfig) -> np.ndarray:
-    """P^{t1}_{t0}(alpha)(v): transport v (vector or (n, k) matrix of columns)
-    along the curve from parameter t0 to t1, evaluating the curve once per
-    grid point (a step's end is the next step's start) and per midpoint.
+    """P^{t1}_{t0}(alpha)(v): transport v (vector (n,) or (n, k) matrix of
+    columns) along the curve from parameter t0 to t1, both finite and in
+    the curve's span (ValueError otherwise).  The curve is evaluated as
+    two arrays, its grid points and its midpoints (`CurveSpec.eval_rows`).
     Each grid interval is one RK4 step of the linear chart ODE in the chart
     of its start, taken as a propagator matrix by `flows._propagator` with
-    the midpoint's matrix for both middle stages; a chart segment's
-    propagators multiply in chunks of `flows._CHUNK` steps, one `tensor`
-    call each."""
+    the midpoint's matrix for both middle stages; a midpoint or end in
+    another chart is re-charted into it.  A chart segment's propagators
+    multiply in chunks of `flows._CHUNK` steps, one `tensor` call each."""
     atlas = conn.atlas
     n = atlas.dim
     v = np.asarray(v, float)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError(f"v must have shape ({n},) or ({n}, k), got {v.shape}")
+    curve._check_span(t0, "t0")
+    curve._check_span(t1, "t1")
     vec_in = v.ndim == 1
     G = v.reshape(n, -1).copy()
     if t0 == t1:
@@ -312,25 +318,27 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, t0: float, t1: f
         grid = grid[::-1]
     ts = np.concatenate([[t0], grid, [t1]])
     hs = np.diff(ts)
-    ts = ts.tolist()  # Python floats index and average faster than numpy scalars
+    cs, X, V = curve.eval_rows(ts)
+    cm, Xm, Vm = curve.eval_rows(0.5 * (ts[:-1] + ts[1:]))
+    start = cs[:-1]  # P[i]: step i's start, midpoint and end, in the chart of its start
+    P = np.stack([X[:-1], V[:-1], Xm, Vm, X[1:], V[1:]], axis=1).reshape(hs.size, 3, 2, n)
+    for k, (c, Y, W) in ((1, (cm, Xm, Vm)), (2, (cs[1:], X[1:], V[1:]))):
+        for i in np.flatnonzero(c != start):
+            u = atlas.rechart_tangent(Tangent(Point(c[i], Y[i]), W[i]), start[i])
+            P[i, k] = u.base.coords, u.vec
 
-    c, x, vel = curve.eval(ts[0])
-    cid, pts, i0 = c, [], 0
-    for i, (a, b) in enumerate(zip(ts[:-1], ts[1:])):
-        if c != cid or i - i0 == _CHUNK:
-            G = G + _chunk_propagator(conn._chart(cid).tensor, pts, hs[i0:i]) @ G
-            if c != cid:  # re-chart the transported block at the segment start
-                G = atlas.d_transition(Point(cid, pts[-2]), c) @ G
-                cid = c
-            pts, i0 = [], i
-        pts += (x, vel, *_in_chart(atlas, *curve.eval(0.5 * (a + b)), cid))
-        c, x, vel = curve.eval(b)
-        pts += _in_chart(atlas, c, x, vel, cid)
-    G = G + _chunk_propagator(conn._chart(cid).tensor, pts, hs[i0:]) @ G
+    cuts = [0, *(np.flatnonzero(start[1:] != start[:-1]) + 1).tolist(), hs.size]
+    for a, b in zip(cuts[:-1], cuts[1:]):  # chart segments: runs of steps starting in one chart
+        if a:  # re-chart the transported block at the segment start
+            G = atlas.d_transition(Point(start[a - 1], P[a - 1, 2, 0]), start[a]) @ G
+        tensor = conn._chart(start[a]).tensor
+        for i in range(a, b, _CHUNK):
+            j = min(i + _CHUNK, b)
+            G = G + _chunk_propagator(tensor, P[i:j], hs[i:j]) @ G
 
     # express the result in the curve's own end-point chart
-    if c != cid:
-        G = atlas.d_transition(Point(cid, pts[-2]), c) @ G
+    if cs[-1] != start[-1]:
+        G = atlas.d_transition(Point(start[-1], P[-1, 2, 0]), cs[-1]) @ G
     return G[:, 0] if vec_in else G
 
 

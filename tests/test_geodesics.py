@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -208,6 +211,74 @@ def test_sampled_curve_accepts_its_end_missed_by_round_off(cat):
     assert curve.point(1.0).coords.tobytes() == curve.point(curve.t1).coords.tobytes()
     with pytest.raises(ValueError, match="outside the sampled span"):
         curve.eval(1.0 + 1e-9)
+
+
+def latitude_circle(rho):
+    def circ(t):
+        c, s = math.cos(t), math.sin(t)
+        return "b", rho * np.array([c, s]), rho * np.array([-s, c])
+
+    return circ
+
+
+@pytest.mark.parametrize("t0, t1, bad", [(0.0, 5.0, "t1=5.0"), (0.0, math.nan, "t1=nan"),
+                                         (0.0, math.inf, "t1=inf"), (-0.5, 1.0, "t0=-0.5"),
+                                         (1.5, 1.5, "t0=1.5")])
+def test_callable_curve_rejects_parameters_outside_its_declared_span(cat, t0, t1, bad):
+    # a circle declared on [0, 1]: past its end the transport ran on, its last
+    # step of size t1 - 1; a NaN end came back as [nan nan], an infinite one
+    # raised the curve function's own math domain error
+    conn = cat.connection("sphere", "round")
+    curve = CurveSpec.from_callable(conn.atlas, latitude_circle(np.tan(np.pi / 8)), 0.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(bad) + " lies outside the declared span"):
+        parallel_transport(conn, curve, t0, t1, np.eye(2), IntegratorConfig(step=1e-2))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 1), ()])
+def test_transport_rejects_a_block_with_the_wrong_shape(cat, cfg, shape):
+    # a 3-vector on the sphere raised numpy's "cannot reshape array of size 3"
+    conn = cat.connection("sphere", "round")
+    curve = geodesic(conn, Tangent(Point("a", [0.2, 0.1]), [0.5, 0.2]), (0.0, 1.0), cfg)
+    with pytest.raises(ValueError, match=re.escape("(2,) or (2, k)")):
+        parallel_transport(conn, curve, 0.0, 1.0, np.ones(shape), cfg)
+
+
+def assert_eval_is_its_row_of_eval_rows(curve, ts):
+    cs, X, V = curve.eval_rows(ts)
+    assert len(cs) == X.shape[0] == V.shape[0] == len(ts)
+    for j, t in enumerate(ts):
+        c, x, v = curve.eval(t)
+        assert (c, x.tobytes(), v.tobytes()) == (cs[j], X[j].tobytes(), V[j].tobytes()), t
+
+
+@pytest.mark.parametrize("case", ["hop_time", "end_missed_by_round_off", "backward"])
+def test_eval_is_one_row_of_eval_rows(cat, case):
+    conn = cat.connection("sphere", "round")
+    if case == "end_missed_by_round_off":
+        curve = geodesic(conn, Tangent(Point("a", [0.2, 0.1]), [0.5, 0.2]), (0.0, 1.0),
+                         IntegratorConfig(step=1 / 49))
+        assert curve.t1 < 1.0
+        ts = [1.0, curve.t1, 0.5, 0.123, 0.0]
+    else:
+        curve = geodesic(conn, Tangent(Point("a", [1.0, 0.2]), [1.0, 0.5]), (0.0, 3.0),
+                         IntegratorConfig(step=1e-2))
+        rows = curve.rows()
+        hop = next(r[0] for r, q in zip(rows, rows[1:]) if r[0] == q[0])
+        assert curve.eval(hop)[0] == "b" and curve.eval(hop - 0.004)[0] == "a"
+        ts = ([hop - 0.004, hop, 0.0, hop + 0.004, 3.0] if case == "hop_time"
+              else np.linspace(2.957, 0.013, 41).tolist() + [hop])
+    assert_eval_is_its_row_of_eval_rows(curve, ts)
+
+
+def test_eval_rows_of_a_callable_converts_lists_and_ints(cat):
+    def line(t):
+        return "cart", [t, 1], [1, 0]
+
+    curve = CurveSpec.from_callable(cat.atlas("plane"), line, 0.0, 1.0)
+    cs, X, V = curve.eval_rows([0.0, 0.5, 1.0])
+    assert cs.tolist() == ["cart"] * 3 and X.dtype == V.dtype == np.dtype(float)
+    assert X.tolist() == [[0.0, 1.0], [0.5, 1.0], [1.0, 1.0]] and V.tolist() == [[1.0, 0.0]] * 3
+    assert_eval_is_its_row_of_eval_rows(curve, [0.0, 0.5, 1.0])
 
 
 def test_transport_along_geodesic_autoparallel(cat, cfg):

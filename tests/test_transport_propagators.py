@@ -63,7 +63,25 @@ def latitude_loop(rho):
     return circ
 
 
+def midpoint_in_chart_a(rho, steps, k):
+    """The latitude loop in chart b, reported in chart a near the midpoint
+    of step k of the uniform grid of `steps` steps on [0, 2 pi] only."""
+    atlas = default_catalog().atlas("sphere")
+    h = 2 * np.pi / steps
+    circ = latitude_loop(rho)
+
+    def curve(t):
+        c, x, v = circ(t)
+        if abs(t - (k + 0.5) * h) < h / 4:
+            p = Point(c, x)
+            return "a", atlas.transition(p, "a").coords, atlas.d_transition(p, "a") @ v
+        return c, x, v
+
+    return curve
+
+
 @pytest.mark.parametrize("case", ["latitude_loop", "sphere_hop", "sphere_hop_backward",
+                                  "sphere_hop_subspan", "midpoint_in_another_chart",
                                   "halfplane", "colatitude"])
 def test_transport_matches_the_step_by_step_rk4_loop(cat, case):
     # in the conformal charts (stereographic, half-plane) every M(t) is a
@@ -75,11 +93,25 @@ def test_transport_matches_the_step_by_step_rk4_loop(cat, case):
         curve = CurveSpec.from_callable(conn.atlas, latitude_loop(np.tan(np.pi / 8)),
                                         0.0, 2 * np.pi)
         t0, t1 = 0.0, 2 * np.pi
+    elif case == "midpoint_in_another_chart":
+        # colatitude pi/3 lies in both charts; step 300's start and end are
+        # in chart b and its midpoint in chart a
+        conn = cat.connection("sphere", "round")
+        steps = math.ceil(2 * np.pi / cfg.step - 1e-12)
+        curve = CurveSpec.from_callable(
+            conn.atlas, midpoint_in_chart_a(np.tan(np.pi / 6), steps, 300), 0.0, 2 * np.pi)
+        grid = curve.grid(cfg)
+        assert curve.eval(0.5 * (grid[300] + grid[301]))[0] == "a"
+        assert {curve.eval(t)[0] for t in grid} == {"b"}
+        t0, t1 = 0.0, 2 * np.pi
     elif case.startswith("sphere_hop"):
         conn = cat.connection("sphere", "round")
         curve = geodesic(conn, Tangent(Point("a", [1.0, 0.2]), [1.0, 0.5]), (0.0, 3.0), cfg)
         assert curve.eval(0.0)[0] == "a" and curve.eval(3.0)[0] == "b"
         t0, t1 = (3.0, 0.0) if case.endswith("backward") else (0.0, 3.0)
+        if case.endswith("subspan"):  # both ends between samples, the hop at 0.52 inside
+            t0, t1 = 0.373, 2.961
+            assert t0 not in curve.grid(cfg) and t1 not in curve.grid(cfg)
     elif case == "halfplane":
         conn = cat.connection("halfplane", "hyperbolic")
         curve = geodesic(conn, Tangent(Point("hp", [0.0, 1.0]), [1.0, 0.5]), (0.0, 3.0), cfg)
@@ -139,3 +171,25 @@ def test_transport_calls_tensor_once_per_chunk_and_segment_and_never_bilinear(mo
     end = Point("b", [rho, 0.0])
     expected = atlas.d_transition(end, "a") @ oracles.rotmat(-2 * np.pi * np.cos(theta0))
     assert np.linalg.norm(P - expected) <= 1e-5
+
+
+def test_sampled_transport_evaluates_its_curve_as_two_arrays(monkeypatch):
+    # one eval_rows call for the grid points, one for the midpoints, no
+    # scalar eval; one tensor call per chunk of each chart segment
+    conn = default_catalog().connection("sphere", "round")
+    cfg = IntegratorConfig(step=1e-2)
+    curve = geodesic(conn, Tangent(Point("a", [1.0, 0.2]), [1.0, 0.5]), (0.0, 6.0), cfg)
+    calls = {"eval_rows": 0, "eval": 0, "tensor": 0}
+    for attr in ("eval_rows", "eval"):
+        monkeypatch.setattr(curve, attr, counting(getattr(curve, attr), calls, attr))
+    for cid in ("a", "b"):
+        cc = conn._chart(cid)
+        monkeypatch.setattr(cc, "tensor", counting(cc.tensor, calls, "tensor"))
+    parallel_transport(conn, curve, 0.0, 6.0, np.eye(2), cfg)
+    times = [r[0] for r in curve.rows()]
+    hops = [t for t, s in zip(times, times[1:]) if t == s]
+    bounds = [0.0, *hops, 6.0]
+    steps = [round((b - a) / cfg.step) for a, b in zip(bounds, bounds[1:])]
+    assert len(hops) >= 2 and max(steps) > geodesics._CHUNK
+    chunks = sum(math.ceil(k / geodesics._CHUNK) for k in steps)
+    assert calls == {"eval_rows": 2, "eval": 0, "tensor": chunks}
