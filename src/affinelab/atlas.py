@@ -75,10 +75,12 @@ class Transition:
     T[i, j, k] = d^2 h_i / dx_j dx_k.  All three take (..., n) inputs and
     prepend the leading axes to their results.  `Chart.add_transition`
     fills a missing `d` or `d2` with `numdiff.filled`, central differences
-    of `map` guarded by the source chart's domain, so every caller finds
-    both.  A `map` that is `partial(f, p)` is a member of the map family
-    f: the hop search maps the rows of all members in one call f(P, X),
-    row i with the parameters P[i], so f must broadcast over P as well.
+    of `map` guarded by the source chart's `contains_fn`, so every caller
+    finds both; a fill calls `map` once on the (..., s, n) stencil points
+    of all its rows.  A `map` that is `partial(f, p)` is a member of the
+    map family f: the hop search maps the rows of all members in one call
+    f(P, X), row i with the parameters P[i], so f must broadcast over P
+    as well.
     """
 
     map: Callable[[Coords], Coords]
@@ -115,7 +117,7 @@ class Chart:
     def add_transition(self, target: str, tr: Transition) -> None:
         """Register `tr` to chart `target`, storing a copy with any missing
         derivative filled by central differences inside this chart."""
-        self.transitions[target] = numdiff.filled(tr, "map", self.contains)
+        self.transitions[target] = numdiff.filled(tr, "map", self.contains_fn)
 
 
 class Atlas:

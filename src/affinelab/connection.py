@@ -45,11 +45,12 @@ class ConnChart:
     a broadcasting einsum.  `d_dir` (x, u) -> (n,n,n) is the directional
     derivative of the tensor along u; `ConnectionField` fills a missing
     one with `numdiff.filled`, central differences of `tensor` (step h1)
-    guarded by the chart's domain.  All three take (..., n) arguments,
-    broadcast together, and prepend the leading axes to their results: the
-    geodesic spray calls `bilinear` on blocks of rows, and the frame-bundle
-    fields call `tensor` on blocks and `d_dir` on every coordinate
-    direction at once.
+    guarded by the chart's `contains_fn`, one `tensor` call on the
+    (..., 2, n) stencil points of all its rows.  All three take (..., n)
+    arguments, broadcast together, and prepend the leading axes to their
+    results: the geodesic spray calls `bilinear` on blocks of rows, and the
+    frame-bundle fields call `tensor` on blocks and `d_dir` on every
+    coordinate direction at once.
     """
 
     tensor: Callable
@@ -63,7 +64,7 @@ class ConnectionField:
             raise ValueError("connection needs at least one chart entry")
         self.atlas = atlas
         self.name = name
-        self._charts = {cid: numdiff.filled(cc, "tensor", atlas.chart(cid).contains)
+        self._charts = {cid: numdiff.filled(cc, "tensor", atlas.chart(cid).contains_fn)
                         for cid, cc in charts.items()}
         for cc in self._charts.values():  # a missing bilinear is derived from the tensor
             if cc.bilinear is None:

@@ -80,8 +80,9 @@ class ChartField:
     over the leading axes, since flows integrate blocks of rows; a
     callable written for one point must be rewritten in array form.
     `VectorField` fills a missing `d` or `d2` with `numdiff.filled`,
-    central differences of `value` guarded by the chart's domain, so
-    every caller finds both.
+    central differences of `value` guarded by the chart's `contains_fn`,
+    so every caller finds both; a fill calls `value` once on the
+    (..., s, n) stencil points of all its rows.
 
     Charts that hand out the same callables step together: a flow steps
     the rows of every chart whose `value` is the same object as one group,
@@ -105,7 +106,8 @@ class VectorField:
         self.atlas = atlas
         self.name = name
         self.params = params
-        self._charts = {cid: cf if params else numdiff.filled(cf, "value", atlas.chart(cid).contains)
+        self._charts = {cid: cf if params else
+                        numdiff.filled(cf, "value", atlas.chart(cid).contains_fn)
                         for cid, cf in charts.items()}
 
     def has_chart(self, cid: str) -> bool:

@@ -260,10 +260,12 @@ def horizontal_projection_parts(conn: ConnectionField, lam, frame: Frame, t_span
     # projected curve vs the geodesic with matching initial data
     v0 = frame.g @ lam
     curve = geodesic(conn, Tangent(frame.point(), v0), (0.0, t1), cfg)
+    picked = rec[:: max(1, len(rec) // 200)]
+    charts, X, _ = curve.eval_rows([r[0] for r in picked])
     worst_geo = 0.0
-    for t, c, z in [(r[0], r[1], r[2]) for r in rec[:: max(1, len(rec) // 200)]]:
+    for (_, c, z), cg, xg in zip(picked, charts, X):
         x, _ = unpack(z, n, n)
-        worst_geo = max(worst_geo, conn.atlas.gap(Point(c, x), curve.point(t)))
+        worst_geo = max(worst_geo, conn.atlas.gap(Point(c, x), Point(cg, xg)))
     return worst_prime, worst_geo
 
 

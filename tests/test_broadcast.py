@@ -10,8 +10,11 @@ each such callable, the block result must equal the 1-D evaluations
 stacked row by row.  Matrix products may
 run through different kernels for one row and for a block, so values
 agree to a few units of rounding, set from the float64 epsilon.
-Derivatives filled in by finite differences difference each row alone,
-so their block results equal the stacked 1-D results exactly.
+Each derivative filled in by finite differences evaluates its stencil as
+a block: one call on the (..., s, n) stencil points of all its rows, a
+single point as a block of one.  The callables differenced here give the
+same bits on a (1, s, n) block as on an (m, s, n) block, so the fills'
+block results equal the stacked 1-D results exactly.
 """
 import numpy as np
 import pytest

@@ -92,14 +92,14 @@ def test_derivation_property(cat, rng):
     eta = cat.field("sphere", "rot_y")
     from affinelab.flows import ChartField, VectorField
 
-    def f(x):
-        return x[0] ** 2 - 2.0 * x[1]
+    def f(x):  # a ChartField broadcasts over (..., n) rows
+        return x[..., 0] ** 2 - 2.0 * x[..., 1]
 
     def df(x):
         return np.array([2.0 * x[0], -2.0])
 
     feta = VectorField(conn.atlas, "f*eta",
-                       {"a": ChartField(value=lambda x: f(x) * eta.chart_field("a").value(x))})
+                       {"a": ChartField(value=lambda x: f(x)[..., None] * eta.chart_field("a").value(x))})
     for p in conn.atlas.sample_points("a", 20, rng):
         v = rng.normal(size=2)
         lhs = covariant_derivative(conn, feta, Tangent(p, v)).vec
