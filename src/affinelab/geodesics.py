@@ -22,7 +22,7 @@ import numpy as np
 from .atlas import Atlas, Point, Tangent, _vec
 from .bundles import pack, tangent_atlas
 from .connection import ConnectionField
-from .errors import NoConvergence, NotInOverlap
+from .errors import LeftAtlas, NoConvergence, NotInOverlap
 from .flows import (_CHUNK, OK, ChartField, IntegratorConfig, VectorField, _propagator, _push,
                     _raise_for, _run_block, integrate)
 from .flows import _run  # noqa: F401  not called; perfbench/test_counters.py checks its restore
@@ -219,35 +219,41 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
                 tol: float = 1e-10, max_iter: int = 50) -> Tangent:
     """Newton shooting for v with exp_x(v) = y (y in a normal neighbourhood).
 
-    The residual is measured in whichever chart holds both endpoints; the
-    initial guess is the chart difference y - x.  Each iteration shoots
-    v once, as a one-row block carrying the variational columns [0; I]
-    of the spray's closed-form Jacobian: their top n rows are d exp_x(v)
-    in the shot's end chart, mapped into the target chart by the
-    transition Jacobian (Hairer-Norsett-Wanner, Solving ODEs I, I.14).
-    The Jacobian is refreshed every iteration, with no damping.  Failure
-    raises NoConvergence (or the flow's LeftAtlas or HopLimit); a `tol`
-    that is not finite and positive, or a `max_iter` that is not an
-    int >= 1, is a ValueError.
+    The residual is measured in whichever chart holds both endpoints:
+    x's chart when it contains y, else y's.  Newton starts from the
+    third-order inverse of exp in that chart (`_normal_start`), pushed to
+    x's chart by the transition Jacobian.  Each iteration shoots v once,
+    as a one-row block carrying the variational columns [0; I] of the
+    spray's closed-form Jacobian: their top n rows are d exp_x(v) in the
+    shot's end chart, mapped into the target chart by the transition
+    Jacobian (Hairer-Norsett-Wanner, Solving ODEs I, I.14).  The Jacobian
+    is refreshed every iteration, with no damping.  An x or y with
+    coordinates that are not finite or lie outside its own chart raises
+    LeftAtlas before any shot; failure raises NoConvergence (or the
+    flow's LeftAtlas or HopLimit); a `tol` that is not finite and
+    positive, or a `max_iter` that is not an int >= 1, is a ValueError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not (isinstance(max_iter, int) and not isinstance(max_iter, bool) and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     atlas = conn.atlas
+    for name, p in (("x", x), ("y", y)):
+        if not (np.isfinite(p.coords).all() and atlas.chart(p.chart).contains(p.coords)):
+            raise LeftAtlas(f"exp_inverse: {name} = {p!r} lies outside its chart {p.chart!r}")
     try:
-        y_in_x = atlas.transition(y, x.chart)
-        target_chart, target = x.chart, y_in_x.coords
-        v = y_in_x.coords - x.coords
+        target_chart, at, target = x.chart, x.coords, atlas.transition(y, x.chart).coords
     except NotInOverlap:
         try:
-            x_in_y = atlas.transition(x, y.chart)
+            at = atlas.transition(x, y.chart).coords
         except NotInOverlap:
             raise NoConvergence("x and y share no chart; target outside "
                                 "the representable neighbourhood") from None
         target_chart, target = y.chart, y.coords
-        dv = y.coords - x_in_y.coords
-        v = atlas.d_transition(Point(y.chart, x_in_y.coords), x.chart) @ dv
+    home = Point(target_chart, at)
+    v = _normal_start(conn, home, target - at)
+    if target_chart != x.chart:
+        v = atlas.d_transition(home, x.chart) @ v
 
     fld = geodesic_field(conn)
     n = atlas.dim
@@ -278,6 +284,18 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
         v = v - delta
     raise NoConvergence(f"exp_inverse: no convergence after {max_iter} iterations "
                         "(target likely outside the normal neighbourhood)")
+
+
+def _normal_start(conn: ConnectionField, x: Point, d: np.ndarray) -> np.ndarray:
+    """v with exp_x(v) = x + d + O(|d|^4) in x's chart: the series
+    exp_x(v) = x + v + S(v, v)/2 + (dT_v(v, v) + 2 S(v, S(v, v)))/6 + O(|v|^4)
+    of x'' = B(x', x') inverted term by term, S the symmetric part of the
+    tensor at x and dT_v its derivative along v (Kobayashi-Nomizu I, III.8).
+    The antisymmetric part of B moves no geodesic, and S drops it."""
+    T = conn.tensor(x)
+    S = 0.5 * (T + np.swapaxes(T, -1, -2))
+    s = S @ d @ d
+    return d - 0.5 * s + (S @ s @ d - conn.d_tensor_dir(x, d) @ d @ d) / 6.0
 
 
 def _chunk_propagator(tensor, P, h) -> np.ndarray:

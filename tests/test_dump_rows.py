@@ -1,5 +1,6 @@
 """`tools/dump_rows.py`: `--against` prints only the rows that differ from a
-parent dump, `--probes` the rows of seeded completeness-probe blocks."""
+parent dump, `--probes` the rows of seeded completeness-probe blocks,
+`--reach` the table of `exp_inverse` on the sphere."""
 import importlib.util
 from pathlib import Path
 
@@ -91,3 +92,37 @@ def test_probes_take_no_against(tmp_path):
     parent.write_text(PARENT)
     with pytest.raises(SystemExit):
         _tool().main(["--probes", "--against", str(parent)])
+
+
+def test_reach_takes_no_against(tmp_path):
+    parent = tmp_path / "parent.txt"
+    parent.write_text(PARENT)
+    with pytest.raises(SystemExit):
+        _tool().main(["--reach", "--against", str(parent)])
+
+
+def test_probes_and_reach_are_one_table_each():
+    with pytest.raises(SystemExit):
+        _tool().main(["--probes", "--reach"])
+
+
+def test_reach_prints_one_line_per_distance_and_direction(capsys):
+    # every direction converges up to distance 1.5; a converged tangent points
+    # along its chart direction with the distance as its metric length, up to
+    # the RK4 error of the exp it solves (below 1e-8 at step 1e-2)
+    tool = _tool()
+    assert tool.main(["--reach"]) == 0
+    lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert [(float(d), int(k)) for d, k, _, _ in lines] == [
+        (d, k) for d in tool.REACH_DISTANCES for k in range(tool.REACH_DIRECTIONS)]
+    p = np.array(tool.REACH_START)
+    for distance, k, status, tangent in lines:
+        if float(distance) <= 1.5:
+            assert status == "ok"
+        if status != "ok":
+            assert status in ("NoConvergence", "LeftAtlas", "HopLimit") and tangent == "-"
+            continue
+        v = np.array([float.fromhex(c) for c in tangent.split(",")])
+        angle = 2 * np.pi * int(k) / tool.REACH_DIRECTIONS
+        assert abs(v @ [-np.sin(angle), np.cos(angle)]) <= 1e-7
+        assert abs(2.0 * np.linalg.norm(v) / (1.0 + p @ p) - float(distance)) <= 1e-7

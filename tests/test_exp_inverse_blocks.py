@@ -10,6 +10,7 @@ that shoots 2n + 1 geodesics per iteration (`fd_reference`) must reach
 the same tangent within `tol`, in as many iterations.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,21 +26,30 @@ from affinelab.geodesics import exp_inverse, exp_map, geodesic_field
 
 def _newton(conn, x, y, tol, max_iter, shoot):
     """(tangent, iterations) of undamped Newton on `shoot`, v -> (end point
-    in the target chart, its Jacobian in v), started as `exp_inverse` starts."""
+    in the target chart, its Jacobian in v), started as `exp_inverse` starts:
+    from the third-order inverse of exp in the chart that holds both points,
+    written with the public `tensor` and `d_tensor_dir`."""
     atlas = conn.atlas
+    for name, p in (("x", x), ("y", y)):
+        if not (np.isfinite(p.coords).all() and atlas.chart(p.chart).contains(p.coords)):
+            raise LeftAtlas(f"exp_inverse: {name} = {p!r} lies outside its chart {p.chart!r}")
     try:
-        y_in_x = atlas.transition(y, x.chart)
-        target_chart, target = x.chart, y_in_x.coords
-        v = y_in_x.coords - x.coords
+        target_chart, at, target = x.chart, x.coords, atlas.transition(y, x.chart).coords
     except NotInOverlap:
         try:
-            x_in_y = atlas.transition(x, y.chart)
+            at = atlas.transition(x, y.chart).coords
         except NotInOverlap:
             raise NoConvergence("x and y share no chart; target outside "
                                 "the representable neighbourhood") from None
         target_chart, target = y.chart, y.coords
-        dv = y.coords - x_in_y.coords
-        v = atlas.d_transition(Point(y.chart, x_in_y.coords), x.chart) @ dv
+    # v = d - S(d, d)/2 + (S(d, S(d, d)) - dT_d(d, d))/6, S the symmetric part of the tensor
+    d, home = target - at, Point(target_chart, at)
+    T = conn.tensor(home)
+    S = 0.5 * (T + np.swapaxes(T, -1, -2))
+    s = S @ d @ d
+    v = d - 0.5 * s + (S @ s @ d - conn.d_tensor_dir(home, d) @ d @ d) / 6.0
+    if target_chart != x.chart:
+        v = atlas.d_transition(home, x.chart) @ v
 
     def into_target(p):
         try:
@@ -148,8 +158,8 @@ ERROR_CASES = {
     "left_target_chart": (("sphere", "round"), *sphere_target(2.0, 3), {}),
     "max_iter_exhausted": (("sphere", "round"), Point("a", [0.3, 0.2]), Point("a", [0.7, -0.1]),
                            {"max_iter": 2}),
-    # a target under the real axis: the first shot leaves the half-plane
-    "left_atlas": (("halfplane", "hyperbolic"), Point("hp", [0.0, 1.0]), Point("hp", [0.4, -0.3]),
+    # a far target inside the half-plane: a Newton iterate's shot leaves it
+    "left_atlas": (("halfplane", "hyperbolic"), Point("hp", [0.0, 1.0]), Point("hp", [4.0, 0.3]),
                    {}),
 }
 
@@ -258,3 +268,102 @@ def test_invalid_max_iter_is_a_value_error(cat, max_iter):
     with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
         exp_inverse(conn, Point("cart", [0.0, 0.0]), Point("cart", [1.0, 0.0]), CFG,
                     max_iter=max_iter)
+
+
+def first_shots(monkeypatch):
+    """Wrap `geodesics._run_block`: the returned list gets the start velocity
+    of each shot's row 0."""
+    run_block = geodesics._run_block
+    shots = []
+
+    def run(field, starts, *args, **kw):
+        n = len(starts[0].coords) // 2
+        shots.append(starts[0].coords[n:].copy())
+        return run_block(field, starts, *args, **kw)
+
+    monkeypatch.setattr(geodesics, "_run_block", run)
+    return shots
+
+
+# the shots each case took when Newton started from the chart difference y - x
+CHART_DIFFERENCE_SHOTS = {"sphere_0.5": 4, "sphere_1.0": 4, "sphere_1.5": 5, "sphere_y_chart": 4,
+                          "sphere_hop": 4, "halfplane": 5, "flat_plane": 1}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_the_start_takes_no_more_shots_than_the_chart_difference(cat, monkeypatch, name):
+    manifold, x, y = CASES[name]
+    shots = first_shots(monkeypatch)
+    exp_inverse(cat.connection(*manifold), x, y, CFG)
+    assert len(shots) <= CHART_DIFFERENCE_SHOTS[name]
+
+
+@pytest.mark.parametrize("manifold, x, scale", [
+    (("sphere", "round"), Point("a", [0.1, 0.0]), 0.505),  # chart length of a unit tangent
+    (("halfplane", "hyperbolic"), Point("hp", [0.2, 1.0]), 1.0)], ids=["sphere", "halfplane"])
+def test_the_start_is_third_order(cat, monkeypatch, manifold, x, scale):
+    # the first shot's error is O(d^4) in the target distance d: it falls about
+    # 16-fold when d halves, where a second-order start's falls about 8-fold
+    conn = cat.connection(*manifold)
+    shots = first_shots(monkeypatch)
+    for angle in (0.3, 1.9, 2.7, 4.5):
+        u = scale * np.array([math.cos(angle), math.sin(angle)])
+        errors = []
+        for distance in (0.5, 0.25, 0.125):
+            y = exp_map(conn, Tangent(x, distance * u), CFG)
+            shots.clear()
+            v = exp_inverse(conn, x, y, CFG)
+            errors.append(np.linalg.norm(shots[0] - v.vec))
+        assert errors[0] >= 6.0 * errors[1]
+        assert errors[1] >= 11.0 * errors[2]
+
+
+def test_the_flat_start_is_the_chart_difference(cat, monkeypatch):
+    _, x, y = CASES["flat_plane"]
+    shots = first_shots(monkeypatch)
+    exp_inverse(cat.connection("plane", "flat"), x, y, CFG)
+    assert len(shots) == 1 and (shots[0] == y.coords - x.coords).all()
+
+
+def torsion_sphere(cat):
+    """The round sphere's tensor plus the antisymmetric part
+    (1 + x_0) w_i (delta_j0 delta_k1 - delta_j1 delta_k0), which moves no
+    geodesic; `bilinear` is left to `ConnectionField` to derive."""
+    from affinelab.connection import ConnChart, ConnectionField
+    round_ = cat.connection("sphere", "round")
+    A = np.einsum("i,jk->ijk", [0.7, -0.3], [[0.0, 1.0], [-1.0, 0.0]])
+    charts = {}
+    for cid in ("a", "b"):
+        cc = round_._chart(cid)
+        charts[cid] = ConnChart(
+            tensor=lambda x, cc=cc: cc.tensor(x) + (1.0 + x[..., 0, None, None, None]) * A,
+            d_dir=lambda x, u, cc=cc: cc.d_dir(x, u) + u[..., 0, None, None, None] * A)
+    return ConnectionField(round_.atlas, "round_torsion", charts)
+
+
+@pytest.mark.parametrize("name", ["sphere_0.5", "sphere_1.0", "sphere_y_chart", "sphere_hop"])
+def test_torsion_does_not_change_the_start(cat, monkeypatch, name):
+    manifold, x, y = CASES[name]
+    shots = first_shots(monkeypatch)
+    want = exp_inverse(cat.connection(*manifold), x, y, CFG)
+    want_first = shots[0]
+    shots.clear()
+    got = exp_inverse(torsion_sphere(cat), x, y, CFG)
+    assert np.abs(shots[0] - want_first).max() <= 1e-14
+    assert np.linalg.norm(got.vec - want.vec) <= 1e-10
+
+
+@pytest.mark.parametrize("x, y, name", [
+    (Point("a", [0.1, 0.0]), Point("a", [4.45, 0.0]), "y"),
+    (Point("a", [0.1, 0.0]), Point("a", [math.nan, 0.0]), "y"),
+    (Point("a", [0.1, 0.0]), Point("a", [math.inf, 0.0]), "y"),
+    (Point("a", [3.0, 0.0]), Point("a", [0.1, 0.0]), "x")],
+    ids=["y_outside", "y_nan", "y_infinite", "x_outside"])
+def test_an_endpoint_outside_its_chart_raises_before_any_shot(cat, monkeypatch, x, y, name):
+    shots = first_shots(monkeypatch)
+    with warnings.catch_warnings(), pytest.raises(LeftAtlas) as got:
+        warnings.simplefilter("error")  # no RuntimeWarning from a shot through inf
+        exp_inverse(cat.connection("sphere", "round"), x, y, CFG)
+    p = x if name == "x" else y
+    assert str(got.value) == f"exp_inverse: {name} = {p!r} lies outside its chart 'a'"
+    assert shots == []

@@ -30,6 +30,19 @@ seed forward and backward), built from the public API:
 comma-joined; compare two trees' outputs with `cmp`:
 
     PYTHONPATH=src python tools/dump_rows.py --probes > probes.txt
+
+With `--reach`, print instead one line per (distance, direction) of
+`exp_inverse` on the round sphere: from the chart-`a` point `REACH_START`
+to the closed-form great-circle point at each geodesic distance of
+`REACH_DISTANCES`, in each of `REACH_DIRECTIONS` chart directions
+2 pi k / REACH_DIRECTIONS, at step `REACH_STEP`:
+
+    distance k status tangent
+
+`status` is `ok` or the error's class; `tangent` is the tangent's entries,
+each `float.hex`, comma-joined (`-` where it failed):
+
+    PYTHONPATH=src python tools/dump_rows.py --reach > reach.txt
 """
 from __future__ import annotations
 
@@ -43,6 +56,8 @@ PROBES = (("plane", "flat", "cart", 1.0, 0.5),
           ("torus", "flat", "t00", 0.28, 0.05),
           ("disk", "flat", "disk", 0.5, 0.01))
 PROBE_SEED, PROBE_SEEDS, PROBE_HORIZON = 1, 8, 100.0
+REACH_START, REACH_DIRECTIONS, REACH_STEP = (0.1, 0.0), 8, 1e-2
+REACH_DISTANCES = (0.5, 1.0, 1.5, 2.0, 2.5)
 
 
 def rows(scenario_dir: Path):
@@ -79,6 +94,44 @@ def probe_rows():
                                          ("-", row.status_backward, row.t_backward, row.end_backward)):
                 state = ",".join(float.hex(float(u)) for u in (*end.base.coords, *end.vec))
                 yield f"{manifold} {i} {sign} {status} {float.hex(float(t))} {end.base.chart} {state}"
+
+
+def reach_rows():
+    """One line per (distance, direction) of `exp_inverse` on the round
+    sphere from the chart-`a` point `REACH_START`.  The target lies on the
+    great circle leaving the start along the chart direction, at the given
+    geodesic distance, and is given in chart `a` when that chart holds it,
+    else in chart `b`."""
+    import math
+
+    import numpy as np
+
+    import affinelab as al
+    from affinelab.errors import GeometryError
+
+    conn = al.default_catalog().connection("sphere", "round")
+    cfg = al.IntegratorConfig(step=REACH_STEP)
+    p = np.array(REACH_START)
+    r2 = p @ p
+    # chart a projects from the north pole, chart b from the south pole
+    X = np.array([2 * p[0], 2 * p[1], r2 - 1.0]) / (1.0 + r2)
+    for distance in REACH_DISTANCES:
+        for k in range(REACH_DIRECTIONS):
+            angle = 2 * math.pi * k / REACH_DIRECTIONS
+            u = np.array([math.cos(angle), math.sin(angle)])
+            # the stereographic map's derivative along u, made unit: the metric is conformal
+            U = np.array([*(2 * u * (1.0 + r2) - 4 * p * (p @ u)), 4 * (p @ u)])
+            U /= np.linalg.norm(U)
+            Y = math.cos(distance) * X + math.sin(distance) * U
+            y = al.Point("a", Y[:2] / (1.0 - Y[2]))
+            if not conn.atlas.chart("a").contains(y.coords):
+                y = al.Point("b", Y[:2] / (1.0 + Y[2]))
+            try:
+                v = al.exp_inverse(conn, al.Point("a", p), y, cfg).vec
+            except GeometryError as e:
+                yield f"{distance} {k} {type(e).__name__} -"
+                continue
+            yield f"{distance} {k} ok {','.join(float.hex(float(c)) for c in v)}"
 
 
 def _keyed(lines) -> dict:
@@ -127,13 +180,17 @@ def main(argv=None) -> int:
                         help="scenarios directory, or with --against a dump file")
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="a parent dump: print only the rows that differ from it")
-    parser.add_argument("--probes", action="store_true",
-                        help="print the rows of the seeded completeness-probe blocks instead")
+    table = parser.add_mutually_exclusive_group()
+    table.add_argument("--probes", action="store_true",
+                       help="print the rows of the seeded completeness-probe blocks instead")
+    table.add_argument("--reach", action="store_true",
+                       help="print the exp_inverse reach table on the sphere instead")
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
-    if args.probes:
+    if args.probes or args.reach:
         if args.against is not None:
-            parser.error("--probes prints a dump to compare with cmp; it takes no --against")
-        for line in probe_rows():
+            flag = "--probes" if args.probes else "--reach"
+            parser.error(f"{flag} prints a dump to compare with cmp; it takes no --against")
+        for line in (probe_rows() if args.probes else reach_rows()):
             print(line, flush=True)
         return 0
     if args.against is None:
