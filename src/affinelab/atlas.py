@@ -19,8 +19,9 @@ hopped in one call each.  A membership test or transition map
 (`box_domain` charts to the test family `in_box`, the torus shifts to
 one map family), and a family is called once on a block of rows, each
 with its own parameters: f(P, X) evaluates row i of X with P[i].  Any
-other callable is its own family.  `Atlas.hop_targets` maps and tests
-every candidate neighbour of every leaving row in one call per family.
+other callable is its own family.  `Atlas.hop_targets` takes every
+candidate neighbour of every leaving row from a hop table of the atlas
+and maps and tests them in one call per family.
 """
 from __future__ import annotations
 
@@ -67,8 +68,18 @@ class Tangent:
         return f"Tangent({self.base!r}, {np.array2string(self.vec, precision=6)})"
 
 
+class _Watched:
+    """Counts the attributes set on charts and transitions, so that a hop
+    table built before an edit (a wrapper put on a map, say) is rebuilt."""
+    edits = 0
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        _Watched.edits += 1
+
+
 @dataclass(eq=False)
-class Transition:
+class Transition(_Watched):
     """Map between two chart coordinate systems with optional derivatives.
 
     `d` returns the (n, n) Jacobian, `d2` the (n, n, n) symmetric tensor
@@ -89,7 +100,7 @@ class Transition:
 
 
 @dataclass(eq=False)
-class Chart:
+class Chart(_Watched):
     """A coordinate patch V of the model space.
 
     `contains_fn(x, margin)` implements the membership test on (..., n)
@@ -118,6 +129,7 @@ class Chart:
         """Register `tr` to chart `target`, storing a copy with any missing
         derivative filled by central differences inside this chart."""
         self.transitions[target] = numdiff.filled(tr, "map", self.contains_fn)
+        _Watched.edits += 1
 
 
 class Atlas:
@@ -128,6 +140,7 @@ class Atlas:
         self.dim = int(dim)
         self.charts: dict[str, Chart] = {c.id: c for c in charts}
         self._order = sorted(self.charts, key=lambda cid: (self.charts[cid].priority, cid))
+        self._hops = None
 
     def chart(self, cid: str) -> Chart:
         try:
@@ -142,14 +155,15 @@ class Atlas:
     # -- transitions -----------------------------------------------------
 
     def transition(self, point: Point, target: str) -> Point:
-        """Express `point` in `target` coordinates (NotInOverlap if impossible)."""
+        """Express `point` in `target` coordinates (NotInOverlap if impossible,
+        also when `point` lies outside its own chart)."""
         src = self.chart(point.chart)
-        if point.chart == target:
-            return Point(target, point.coords.copy())
-        if target not in src.transitions:
+        if point.chart != target and target not in src.transitions:
             raise NotInOverlap(f"no transition {point.chart!r} -> {target!r}")
         if not src.contains(point.coords):
             raise NotInOverlap(f"{point!r} outside source chart domain")
+        if point.chart == target:
+            return Point(target, point.coords.copy())
         y = _vec(src.transitions[target].map(point.coords))
         if not self.chart(target).contains(y):
             raise NotInOverlap(f"image {y} outside target chart {target!r}")
@@ -157,19 +171,17 @@ class Atlas:
 
     def d_transition(self, point: Point, target: str) -> np.ndarray:
         """Jacobian dh of the transition at `point`."""
-        src = self.chart(point.chart)
+        self.transition(point, target)  # overlap check
         if point.chart == target:
             return np.eye(self.dim)
-        self.transition(point, target)  # overlap check
-        return np.asarray(src.transitions[target].d(point.coords), float)
+        return np.asarray(self.chart(point.chart).transitions[target].d(point.coords), float)
 
     def d2_transition(self, point: Point, target: str) -> np.ndarray:
         """Symmetric second derivative tensor of the transition at `point`."""
-        src = self.chart(point.chart)
+        self.transition(point, target)
         if point.chart == target:
             return np.zeros((self.dim,) * 3)
-        self.transition(point, target)
-        return np.asarray(src.transitions[target].d2(point.coords), float)
+        return np.asarray(self.chart(point.chart).transitions[target].d2(point.coords), float)
 
     def rechart_tangent(self, t: Tangent, target: str) -> Tangent:
         """Push a tangent vector through the transition Jacobian."""
@@ -191,52 +203,52 @@ class Atlas:
     def hop_targets(self, cids, X: np.ndarray, margin: float):
         """`hop_target` for every row of X (r, n) at once, row i in chart cids[i].
 
-        One pass over every (row, neighbour) candidate, neighbours in
-        `chart_order`: the candidates are mapped with one call per map
-        family, checked finite once and tested with one call per test
-        family of their targets, and each row takes its first candidate
-        that passes.  A candidate whose map raises on its row fails.
-        Returns (targets, Y): targets[i] is a chart id or None, Y[i] the
-        row's coordinates in that chart (row i of X where None).
+        Each row's candidates, its chart's row of the hop table, are mapped
+        with one call per map family (on the rows themselves where each has
+        one candidate), checked finite once and tested with one call per test
+        family; each row takes its first candidate that passes, and one whose
+        map raises on its row fails.  Returns (targets, Y): targets[i] a chart
+        id or None, Y[i] the row in that chart (X[i] where None).
         """
-        rows, tids, maps, tests = [], [], {}, {}
-        for i, cid in enumerate(cids):
-            trs = self.charts[cid].transitions
-            for tid in self._order:
-                tr = trs.get(tid)
-                if tr is not None:
-                    _join(maps, tr.map, len(rows))
-                    _join(tests, self.charts[tid].contains_fn, len(rows))
-                    rows.append(i)
-                    tids.append(tid)
-        targets = np.full(len(X), None, dtype=object)
-        Y = np.array(X, float)
-        if not rows:
-            return targets, Y
-        Xc = Y[rows]  # each candidate's row
-        Yc = np.empty_like(Xc)
-        for f, (js, ps) in maps.items():
-            at = _at(js, len(rows))
-            Yc[at] = _map_rows(f, Xc[at], _stacked(ps))
-        ok = np.isfinite(Yc).all(axis=-1)
-        finite = ok.all()
-        for f, (js, ps) in tests.items():
-            P = _stacked(ps)
-            if not finite:  # test the finite candidates only
-                keep = ok[js]
-                js = np.array(js)[keep]
-                P = None if P is None else P[keep]
-            at = _at(js, len(rows))
-            ok[at] = f(Yc[at], margin) if P is None else f(P, Yc[at], margin)
-        for j in np.flatnonzero(ok).tolist():  # candidates run row by row, in chart order
-            i = rows[j]
-            if targets[i] is None:
-                targets[i] = tids[j]
-                Y[i] = Yc[j]
-        return targets, Y
+        _, index, table, tids, maps, tests = self._hop_table()
+        C = table.take([index[cid] for cid in cids], axis=0)  # (r, K) candidate entries
+        X = np.asarray(X, float)
+        r, K = C.shape
+        if not r * K:  # no rows, or no chart with a neighbour
+            return np.full(r, None, dtype=object), X.copy()
+        js = C.ravel()
+        Yc = _call(maps, js, X if K == 1 else X.repeat(K, axis=0), _map_rows)
+        at = slice(None) if np.isfinite(Yc).all() else np.isfinite(Yc).all(axis=-1)
+        ok = np.zeros(len(js), bool)  # only finite candidates are tested
+        ok[at] = _call(tests, js[at], Yc[at],
+                       lambda f, Z, P: f(Z, margin) if P is None else f(P, Z, margin))
+        if K > 1:  # each row's first passing candidate
+            j = np.arange(0, r * K, K) + ok.reshape(r, K).argmax(axis=1)
+            js, ok, Yc = js[j], ok[j], Yc[j]
+        if ok.all():
+            return tids[js], Yc
+        return np.where(ok, tids[js], None), np.where(ok[:, None], Yc, X)
+
+    def _hop_table(self):
+        """(edits, index, table, tids, maps, tests), built on the first search
+        and after any edit (`_Watched`): row index[cid] of `table` lists chart
+        cid's neighbours in `chart_order` as entries, padded with `_NOWHERE`s;
+        entry e goes to chart tids[e] with the map and test `_families` give."""
+        if self._hops is None or self._hops[0] != _Watched.edits:
+            rows = [[(tid, trs[tid].map) for tid in self._order if tid in trs]
+                    for trs in (self.charts[cid].transitions for cid in self._order)]
+            K = max(map(len, rows), default=0)
+            flat = [e for row in rows for e in row + [(None, _NOWHERE)] * (K - len(row))]
+            tids = [tid for tid, _ in flat]
+            tests = [all_space if t is None else self.charts[t].contains_fn for t in tids]
+            self._hops = (_Watched.edits, {cid: s for s, cid in enumerate(self._order)},
+                          np.arange(len(flat)).reshape(len(rows), K), np.array(tids, dtype=object),
+                          _families([fn for _, fn in flat]), _families(tests))
+        return self._hops
 
     def gap(self, p: Point, q: Point) -> float:
-        """Distance between two points measured in a shared chart."""
+        """Distance between two points, each in its own chart, measured in a shared chart."""
+        p, q = self.transition(p, p.chart), self.transition(q, q.chart)
         if p.chart == q.chart:
             return float(np.linalg.norm(p.coords - q.coords))
         for a, b in ((p, q), (q, p)):
@@ -292,6 +304,9 @@ class Atlas:
         return [(cid, tid) for cid, c in self.charts.items() for tid in c.transitions]
 
 
+_NOWHERE = partial(np.full_like, fill_value=np.nan)  # the hop table's padding map: no row lands
+
+
 def _family(fn):
     """(f, p): a family member `functools.partial(f, p)` as its family f with
     parameters p, any other callable as its own family (fn, None)."""
@@ -300,22 +315,33 @@ def _family(fn):
     return fn, None
 
 
-def _join(groups: dict, fn, j: int) -> None:
-    """Add candidate j, with its parameters, to the group of fn's family."""
-    f, p = _family(fn)
-    js, ps = groups.setdefault(f, ([], []))
-    js.append(j)
-    ps.append(p)
+def _families(fns):
+    """(family index per callable, [(f, P)]): P None for a plain callable
+    f, else an array holding callable e's parameters at P[e]."""
+    pairs = [_family(fn) for fn in fns]
+    fs = list(dict.fromkeys(f for f, _ in pairs))
+    first = {f: p for f, p in reversed(pairs)}  # stands in for the other families' entries
+    members = [(f, None if first[f] is None else
+                np.array([p if g == f else first[f] for g, p in pairs])) for f in fs]
+    return np.array([fs.index(f) for f, _ in pairs]), members
 
 
-def _at(js, count: int):
-    """Index of candidates `js` among `count`: a plain slice when js is all of them."""
-    return slice(None) if len(js) == count else js
-
-
-def _stacked(ps):
-    """A family's per-candidate parameters as one array, None for a plain callable."""
-    return None if ps[0] is None else np.array(ps)
+def _call(families, js, X, fn):
+    """fn(f, X[at], P[js[at]]) for each family f of the entries js, `at` its
+    candidates; the results, one per row of X, as one array."""
+    fam, members = families
+    if len(members) == 1 or not len(js):
+        f, P = members[0]
+        return fn(f, X, None if P is None else P[js])
+    out, fj = None, fam[js]
+    for i in set(fj.tolist()):
+        at = fj == i
+        f, P = members[i]
+        y = fn(f, X[at], None if P is None else P[js[at]])
+        if out is None:
+            out = np.empty((len(js),) + np.shape(y)[1:], np.asarray(y).dtype)
+        out[at] = y
+    return out
 
 
 def _map_rows(f, X: np.ndarray, P=None) -> np.ndarray:

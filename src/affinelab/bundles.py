@@ -1,18 +1,18 @@
 """Derived atlases whose fiber transforms by the base transition Jacobian.
 
-A bundle point is stored flat: the first n entries are base coordinates,
-the remaining n*k entries an (n, k) fiber matrix in row-major order.
-k = 1 gives the tangent bundle (velocity column), k = n the frame bundle
-(frame matrix).  `lift` builds (x, G) -> (f(x), df(x) G) and its Jacobian
-once, for the bundle transitions and `killing.natural_lift`.  Bundle
-membership tests and transitions take (..., n + n k) inputs.  A base
-test family (`partial(f, p)` tests) lifts to one lifted test family, a
-map family (`partial(f, p)` maps sharing `d` and `d2`, the torus shifts)
-to one lifted map family, and each other distinct base test or
-transition lifts once, so charts that share one hop through one call in
-`Atlas.hop_targets` on the bundle as on the base.  Each base atlas has one
-tangent and one frame atlas, built on first use; a frame chart also
-requires |det G| > DET_GUARD.
+A bundle point is stored flat: the first n entries are base coordinates, the
+remaining n*k entries an (n, k) fiber matrix in row-major order.  k = 1
+gives the tangent bundle (velocity column), k = n the frame bundle (frame
+matrix).  `lift` builds (x, G) -> (f(x), df(x) G), written into one array,
+and its Jacobian once, for the bundle transitions and
+`killing.natural_lift`.  Bundle tests and transitions take (..., n + n k)
+inputs.  A base test family (`partial(f, p)` tests) lifts to one lifted test
+family, a map family (`partial(f, p)` maps sharing `d` and `d2`, the torus
+shifts) to one lifted map family, and each other distinct base test or
+transition lifts once, so a bundle atlas's hop table (`Atlas.hop_targets`)
+has the base's families and charts that share one hop in one call.  Each
+base atlas has one tangent and one frame atlas, built on first use; a frame
+chart also requires |det G| > DET_GUARD.
 """
 from __future__ import annotations
 
@@ -56,11 +56,17 @@ def lift(f, df, d2f, n: int, k: int):
     """(value, d) of the lift (x, G) -> (f(x), df(x) G) on flat (..., n + n k)
     rows, from f, its Jacobian df and second derivative d2f: a base
     transition lifts to a bundle transition, a vector field to its natural
-    lift (Kobayashi-Nomizu I, VI.1)."""
+    lift (Kobayashi-Nomizu I, VI.1).  `value` writes both parts into one
+    new array; given (p, z), it lifts the map family f(p, x)."""
 
-    def value(z):
-        x, G = unpack(z, n, k)
-        return pack(f(x), np.asarray(df(x), float) @ G)
+    def value(*args):
+        *p, z = args
+        lead = z.shape[:-1]
+        out = np.empty(z.shape)
+        out[..., :n] = f(*p, z[..., :n])
+        out[..., n:] = (np.asarray(df(z[..., :n]), float) @ z[..., n:].reshape(lead + (n, k))
+                        ).reshape(lead + (n * k,))
+        return out
 
     def d(z):
         x, G = unpack(z, n, k)
@@ -115,11 +121,7 @@ def bundle_atlas(base: Atlas, k: int, kind: str, det_guard: float = 0.0) -> Atla
     @cache
     def lifted_maps(f, df):
         """The lift of the map family f(p, x), whose members share df."""
-        def value(p, z):
-            x, G = unpack(z, n, k)
-            return pack(f(p, x), np.asarray(df(x), float) @ G)
-
-        return value
+        return lift(f, df, None, n, k)[0]
 
     out = Atlas(f"{kind}({base.name})", n + n * k, charts)
     for cid, c in base.charts.items():

@@ -275,6 +275,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     # the whole block: one row as its 1-D view and scalar step, else every
     # row; basic indices, so a stage written to B's rows stays a cheap write
     whole = (0, hs[0]) if m == 1 else (slice(None), h)
+    every = np.arange(m)
 
     keys = {}
 
@@ -397,21 +398,21 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 continue
             # rare path: stop diverged rows, hop (or stop) rows outside the
             # margin; the plan holds while every row keeps its group and test
-            idx = sel if isinstance(sel, np.ndarray) else np.arange(m)
-            sound = np.reshape(sound, -1)
-            for r in idx[~sound]:
+            idx = sel if isinstance(sel, np.ndarray) else every
+            sound = sound.reshape(-1)
+            for r in idx[~sound].tolist():
                 stop(r, DIVERGED, i)
-            out = idx[sound & ~np.reshape(inside, -1)].tolist()
-            X = z[out]
+            leaving = idx[sound & ~ok]
+            out, X = leaving.tolist(), z[leaving]
             if m == 1 and out:  # perfbench counts hops only in hop_target (ROADMAP 1)
                 hop = atlas.hop_target(cids[0], X[0], margin)
-                targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
+                targets, Y = ([None], X) if hop is None else ([hop[0]], hop[1][None])
             else:
                 targets, Y = atlas.hop_targets([cids[r] for r in out], X, margin)
             if k:  # W of the hopping rows reaches their pre-hop states
                 flush([r for r, tid in zip(out, targets) if tid is not None])
-            for j, r in enumerate(out):
-                cid, tid = cids[r], targets[j]
+            for j, (r, tid) in enumerate(zip(out, targets)):
+                cid = cids[r]
                 if tid is None:
                     # a row with no better chart keeps integrating here while
                     # it is still inside the chart itself
@@ -424,14 +425,15 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                     record.append(snapshot((i + 1) * hs[r], r))
                 if k:
                     W[r] = np.asarray(atlas.chart(cid).transitions[tid].d(X[j]), float) @ W[r]
-                z[r] = Y[j]
                 cids[r] = tid
-                if keyed(tid)[:2] != keyed(cid)[:2]:
-                    stale = True
-                place(r, tid)
+                was, now = keyed(cid), keyed(tid)
+                stale |= now[0] is not was[0] or now[1] is not was[1]
+                if now[2] is not None:
+                    place(r, tid)
                 hops[r] += 1
                 if hops[r] > cfg.max_hops:
                     stop(r, HOP_LIMIT, i + 1)
+            z[leaving] = Y  # a row without a target gets its own state back
         if record is not None and live:
             record.append(snapshot((i + 1) * hs[0], 0))
         done = finish.get(i + 1, set()) & live  # a row that stopped has flushed

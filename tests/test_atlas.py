@@ -13,6 +13,8 @@ from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition, all_space,
 from affinelab.bundles import frame_atlas, pack, tangent_atlas
 from affinelab.catalog import default_catalog, torus_atlas
 from affinelab.errors import NotInOverlap
+from affinelab.flows import IntegratorConfig
+from affinelab.geodesics import completeness_probe
 from affinelab.harness import _CHECKS
 
 
@@ -167,6 +169,22 @@ def test_not_in_overlap(cat):
     with pytest.raises(NotInOverlap):
         # center of t00 is not inside t11
         atlas2.transition(Point("t00", [0.0, 0.0]), "t11")
+
+
+OUTSIDE_A = Point("a", [4.45, 0.0])  # chart a of the sphere is the disk of radius 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda atlas: atlas.transition(OUTSIDE_A, "a"),
+    lambda atlas: atlas.d_transition(OUTSIDE_A, "a"),
+    lambda atlas: atlas.d2_transition(OUTSIDE_A, "a"),
+    lambda atlas: atlas.rechart_tangent(Tangent(OUTSIDE_A, [1.0, 0.0]), "a"),
+    lambda atlas: atlas.gap(OUTSIDE_A, Point("a", [0.1, 0.0])),
+], ids=["transition", "d_transition", "d2_transition", "rechart_tangent", "gap"])
+def test_a_point_outside_its_own_chart_is_not_in_the_overlap(cat, call):
+    # the target being the point's own chart does not excuse the domain check
+    with pytest.raises(NotInOverlap):
+        call(cat.atlas("sphere"))
 
 
 def test_chart_order_priority(cat):
@@ -397,3 +415,62 @@ def test_a_map_replaced_after_a_search_is_used_by_the_next(monkeypatch):
     # target, on that source's rows, every candidate mapped once
     assert len(calls) == 3 * len(set(cids)) and sum(calls) == 3 * len(cids)
     assert list(targets2) == list(targets) and Y2.tobytes() == Y.tobytes()
+
+
+def test_a_transition_added_after_a_search_is_found_by_the_next():
+    a, b, c = (Chart(cid, 2, box_domain([-1.0, -1.0], [1.0, 1.0]), [-0.5, -0.5], [0.5, 0.5],
+                     priority=i) for i, cid in enumerate("abc"))
+    a.add_transition("b", Transition(lambda x: x + [1.5, 0.0]))
+    atlas = Atlas("toy", 2, [a, b, c])
+    X = np.array([[0.9375, 0.0], [-0.9375, 0.0]])
+    targets, _ = atlas.hop_targets(["a", "a"], X, 0.1)
+    assert list(targets) == [None, "b"]
+    a.add_transition("c", Transition(lambda x: x - [0.5, 0.0]))
+    targets, Y = atlas.hop_targets(["a", "a"], X, 0.1)
+    assert list(targets) == ["c", "b"]
+    np.testing.assert_array_equal(Y, [[0.4375, 0.0], [0.5625, 0.0]])
+
+
+def test_a_test_replaced_after_a_search_is_used_by_the_next(monkeypatch):
+    # a wrapper put on every chart's membership test after a first search is
+    # called by the next search, which finds the same targets byte for byte
+    atlas = tangent_atlas(torus_atlas())
+    cids, X = _torus_rows()
+    targets, Y = atlas.hop_targets(cids, X, 0.1)
+    calls = []
+    for chart in atlas.charts.values():
+        def traced(x, margin=0.0, test=chart.contains_fn):
+            calls.append(len(x))
+            return test(x, margin)
+
+        monkeypatch.setattr(chart, "contains_fn", traced)
+    targets2, Y2 = atlas.hop_targets(cids, X, 0.1)
+    # each wrapper is a test family of its own: one call per target box, on
+    # every candidate of every row that goes there
+    assert len(calls) == len(atlas.charts) and sum(calls) == 3 * len(cids)
+    assert list(targets2) == list(targets) and Y2.tobytes() == Y.tobytes()
+    monkeypatch.setattr(atlas.chart("t10"), "contains_fn", lambda x, margin=0.0: x[..., 0] > 9.0)
+    assert "t10" not in list(atlas.hop_targets(cids, X, 0.1)[0])
+
+
+def test_a_long_torus_probe_keeps_one_hop_table_entry_per_chart():
+    # the seed-1 torus block of `tools/dump_rows.py --probes` (16 rows, 2,000
+    # steps, some 1,700 searches over many row patterns) builds the table of
+    # its tangent atlas once, one row per chart
+    catalog = default_catalog()
+    rng = np.random.default_rng(1)
+    for half in (1.0, 1.2):  # the plane and sphere blocks draw first
+        rng.uniform(-half, half, size=(8, 2))
+        rng.normal(size=(8, 2))
+    xs, vs = rng.uniform(-0.28, 0.28, size=(8, 2)), rng.normal(size=(8, 2))
+    seeds = [Tangent(Point("t00", x), v) for x, v in zip(xs, vs)]
+    conn, cfg = catalog.connection("torus", "flat"), IntegratorConfig(step=0.05)
+    completeness_probe(conn, seeds, 1.0, cfg)
+    atlas = tangent_atlas(catalog.atlas("torus"))
+    table = atlas._hops
+    report = completeness_probe(conn, seeds, 100.0, cfg)
+    assert report.complete_up_to_horizon
+    assert atlas._hops is table
+    _, index, entries, *_ = table
+    assert len(index) == entries.shape[0] == len(atlas.charts)
+    assert entries.shape[1] == len(atlas.charts) - 1

@@ -15,10 +15,11 @@ import pytest
 
 from affinelab import atlas as atlas_module
 from affinelab import flows
-from affinelab.atlas import Atlas, Point, Tangent
+from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition, box_domain
 from affinelab.bundles import pack
 from affinelab.catalog import Catalog, flat_connection, torus_atlas
-from affinelab.flows import OK, ChartField, IntegratorConfig, VectorField, _run_block
+from affinelab.flows import (DIVERGED, HOP_LIMIT, LEFT_ATLAS, OK, ChartField, IntegratorConfig,
+                             VectorField, _run_block, constant_field)
 from affinelab.frame_bundle import Frame, kappa_inverse_family, standard_horizontal
 from affinelab.geodesics import exp_map, geodesic_field
 
@@ -243,3 +244,28 @@ def test_one_row_runs_step_a_1d_state(cat, rk4_calls):
     params = pack(np.array([0.3, -0.2]), 0.1 * np.eye(2))[None]
     _run_block(fam, [Frame("a", [0.4, 0.2], np.eye(2)).packed()], 1.0, cfg, params=params)
     assert len(rk4_calls) == 20 and set(rk4_calls) == {(6,)}
+
+
+def test_rows_that_diverge_hop_leave_and_pass_max_hops_at_one_step_equal_single_rows():
+    # strips of the plane, every one a box of the in_box family, carry one
+    # constant field, so all four rows step as one group; at the second step
+    # one row passes the state guard, one makes its first hop, one leaves
+    # its strip with no chart to take it and one makes its second hop
+    def strip(cid, lo, hi):
+        return Chart(cid, 2, box_domain([lo, -100.0], [hi, 100.0]), [lo, -1.0], [hi, 1.0])
+
+    charts = {c.id: c for c in (strip("far", 40.0, 60.0), strip("b1", 1.0, 2.0),
+                                strip("b2", 1.8, 3.0), strip("c1", 3.0, 4.0),
+                                strip("d1", -0.2, 0.2), strip("d2", 0.15, 0.28),
+                                strip("d3", 0.25, 0.5))}
+    same = Transition(lambda x: x + 0.0)
+    for cid, tid in (("b1", "b2"), ("c1", "b1"), ("d1", "d2"), ("d2", "d3")):
+        charts[cid].add_transition(tid, same)
+    fld = constant_field(Atlas("strips", 2, charts.values()), "east", [1.0, 0.0])
+    starts = [Point("far", [49.85, 0.0]), Point("b1", [1.78, 0.0]), Point("c1", [3.82, 0.0]),
+              Point("d1", [0.1, 0.0])]
+    cfg = IntegratorConfig(step=0.1, max_hops=1, state_guard=50.0)
+    ends, t_ok, status = _block_equals_rows(fld, starts, np.full(4, 0.3), cfg)
+    assert status == [DIVERGED, OK, LEFT_ATLAS, HOP_LIMIT]
+    assert [e.chart for e in ends] == ["far", "b2", "c1", "d3"]
+    assert t_ok == pytest.approx([0.1, 0.3, 0.1, 0.2])
