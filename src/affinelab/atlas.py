@@ -4,7 +4,8 @@ A chart is a named coordinate patch with a membership test (supporting a
 fractional interior safety margin used for integration hand-off) and
 transition maps to overlapping charts.  Points and tangent vectors are
 always expressed relative to a chart; re-charting pushes coordinates
-through the transition map and vectors through its Jacobian.
+through the transition map and vectors through its Jacobian, all read
+from one `Atlas.jet`: the image, dh and d2h from one `map` call.
 
 Chart callables (membership tests, transition maps and their
 derivatives) accept coordinates of shape (..., n) and broadcast over the
@@ -154,39 +155,42 @@ class Atlas:
 
     # -- transitions -----------------------------------------------------
 
-    def transition(self, point: Point, target: str) -> Point:
-        """Express `point` in `target` coordinates (NotInOverlap if impossible,
-        also when `point` lies outside its own chart)."""
+    def jet(self, point: Point, target: str, order: int = 2):
+        """(h(x) as a Point, dh(x), d2h(x)) of the transition h to `target`,
+        the derivatives above `order` None, or (a copy, I, 0) in the point's
+        own chart: one domain test of the point in its own chart, one `map`
+        call and one test of the image, NotInOverlap when any fails."""
         src = self.chart(point.chart)
         if point.chart != target and target not in src.transitions:
             raise NotInOverlap(f"no transition {point.chart!r} -> {target!r}")
         if not src.contains(point.coords):
             raise NotInOverlap(f"{point!r} outside source chart domain")
         if point.chart == target:
-            return Point(target, point.coords.copy())
-        y = _vec(src.transitions[target].map(point.coords))
+            return (Point(target, point.coords.copy()), np.eye(self.dim) if order else None,
+                    np.zeros((self.dim,) * 3) if order > 1 else None)
+        tr = src.transitions[target]
+        y = _vec(tr.map(point.coords))
         if not self.chart(target).contains(y):
             raise NotInOverlap(f"image {y} outside target chart {target!r}")
-        return Point(target, y)
+        return (Point(target, y), np.asarray(tr.d(point.coords), float) if order else None,
+                np.asarray(tr.d2(point.coords), float) if order > 1 else None)
+
+    def transition(self, point: Point, target: str) -> Point:
+        """Express `point` in `target` coordinates (NotInOverlap if impossible,
+        also when `point` lies outside its own chart)."""
+        return self.jet(point, target, 0)[0]
 
     def d_transition(self, point: Point, target: str) -> np.ndarray:
         """Jacobian dh of the transition at `point`."""
-        self.transition(point, target)  # overlap check
-        if point.chart == target:
-            return np.eye(self.dim)
-        return np.asarray(self.chart(point.chart).transitions[target].d(point.coords), float)
+        return self.jet(point, target, 1)[1]
 
     def d2_transition(self, point: Point, target: str) -> np.ndarray:
         """Symmetric second derivative tensor of the transition at `point`."""
-        self.transition(point, target)
-        if point.chart == target:
-            return np.zeros((self.dim,) * 3)
-        return np.asarray(self.chart(point.chart).transitions[target].d2(point.coords), float)
+        return self.jet(point, target)[2]
 
     def rechart_tangent(self, t: Tangent, target: str) -> Tangent:
         """Push a tangent vector through the transition Jacobian."""
-        p = self.transition(t.base, target)
-        J = self.d_transition(t.base, target)
+        p, J, _ = self.jet(t.base, target, 1)
         return Tangent(p, J @ t.vec)
 
     # -- chart selection and comparison ----------------------------------

@@ -1,18 +1,19 @@
 """Represented diffeomorphisms and the flow-generated automorphism group.
 
-A Diffeo is either a ClosedFormDiffeo (a `ChartMap` per chart with
-analytic first and second derivatives; a point in any other chart raises
+A Diffeo is either a ClosedFormDiffeo (a `ChartMap` per chart, whose
+`jet` gives f, df and d2 f; a point in any other chart raises
 ChartMissing) or a FlowWord (ordered flow segments of named fields,
 composed left-to-right; the inverse reverses the word and negates
 durations).  A map f is affine when
 
     d2 f(v, w) + df(B1_x(v, w)) = B2_{f(x)}(df v, df w);
 
-`affine_residual` returns the left minus right side, with (df, f(x),
-d2 f) from `Diffeo.jets`, which reads them off the frame lift: a flow
-word flows its natural lift, with no finite differences.  `exp_aut`
-realizes the group exponential: it verifies the Killing residual on a
-sample set and returns the time-(-1) flow word.
+`affine_residual` returns the left minus right side.  Every derivative
+of a map comes from its one second-order call, `Diffeo.second`: a closed
+form reads its chart jets, a flow word flows its natural lift, with no
+finite differences.  `exp_aut` realizes the group exponential: it
+verifies the Killing residual on a sample set and returns the time-(-1)
+flow word.
 
 `Diffeo.push` maps a list of points (and tangent columns at them); a
 FlowWord runs its word through `flows._push`, one block per segment
@@ -29,12 +30,11 @@ from typing import Callable
 import numpy as np
 
 from .atlas import Atlas, Point, Tangent, _vec
-from .bundles import frame_atlas, lift_jacobian
+from .bundles import frame_atlas, pack
 from .connection import ConnectionField
 from .errors import ChartMissing, NotKilling
 from .flows import IntegratorConfig, VectorField, _push
-from .frame_bundle import (Frame, FrameTangent, frame_from_packed, frame_tangent_from_packed,
-                           kappa)
+from .frame_bundle import Frame, FrameTangent, kappa
 from .killing import killing_residual, natural_lift
 
 
@@ -48,6 +48,12 @@ class Diffeo:
 
     def jac(self, point: Point) -> tuple[np.ndarray, Point]:
         """(df(x), f(x)); the matrix maps point-chart to output-chart coords."""
+        raise NotImplementedError
+
+    def second(self, points, vs) -> list:
+        """(f(x), df(x), d2 f(x)(v, .)) per row in the chart of f(x), the last
+        as the (n, n) matrix w -> d2 f(x)(v, w); rows of `points` and `vs`
+        that differ in number are refused (ValueError) before any work."""
         raise NotImplementedError
 
     def push(self, points, w0=None) -> tuple[list, np.ndarray | None]:
@@ -66,22 +72,14 @@ class Diffeo:
         return Tangent(out, J @ t.vec)
 
     def jets(self, points, vs, ws) -> list:
-        """(df(x), f(x), d2 f(x)(v, w)) per row, read off the frame lift:
-        T Fr(f) sends (v, 0) at the frame (x, I) to (df v, d2 f(v, .)) at
-        (f(x), df(x)) (Kobayashi-Nomizu I, VI.1), in the chart of f(x)."""
-        n = self.atlas.dim
-        frames = [Frame(p.chart, p.coords, np.eye(n)) for p in points]
-        fts = [FrameTangent(v, np.zeros((n, n))) for v in vs]
-        images, pushed = FrameDiffeo(self).tangent_frame(frames, fts)
-        return [(F.g, F.point(), T.w @ _vec(w)) for F, T, w in zip(images, pushed, ws, strict=True)]
+        """(df(x), f(x), d2 f(x)(v, w)) per row, from one `second` call."""
+        if not len(points) == len(vs) == len(ws):
+            raise ValueError(f"{len(points)} points, {len(vs)} vs and {len(ws)} ws")
+        return [(J, out, S @ _vec(w)) for (out, J, S), w in zip(self.second(points, vs), ws)]
 
     def d2_dir(self, point: Point, v, w) -> np.ndarray:
         """d2 f(x)(v, w) in the chart of apply(point); a one-row `jets`."""
         return self.jets([point], [_vec(v)], [_vec(w)])[0][2]
-
-    def d2_tensor(self, point: Point) -> np.ndarray:
-        """d2 f(x) as an (n, n, n) tensor, for maps that have it in closed form."""
-        raise NotImplementedError
 
     def inverse(self) -> "Diffeo":
         raise NotImplementedError
@@ -89,12 +87,10 @@ class Diffeo:
 
 @dataclass(eq=False)
 class ChartMap:
-    """Per-chart closed form: map x -> (target_chart, y), its Jacobian `d`
-    and its second derivative tensor `d2`, all at one point x."""
+    """Per-chart closed form: `jet(x)` gives (target_chart, f(x), df(x),
+    d2 f(x)) at one point x from one evaluation of the formula."""
 
-    map: Callable
-    d: Callable
-    d2: Callable
+    jet: Callable
 
 
 class ClosedFormDiffeo(Diffeo):
@@ -104,26 +100,31 @@ class ClosedFormDiffeo(Diffeo):
         self._charts = dict(charts)
         self._inverse = inverse
 
-    def _chart_map(self, point: Point) -> ChartMap:
+    def _jet(self, point: Point) -> tuple[Point, np.ndarray, np.ndarray]:
+        """(f(x), df(x), d2 f(x)) from the point's chart map."""
         try:
-            return self._charts[point.chart]
+            cm = self._charts[point.chart]
         except KeyError:
             raise ChartMissing(f"diffeo {self.name!r} undefined on chart {point.chart!r}") from None
+        tid, y, J, T = cm.jet(point.coords)
+        return Point(tid, _vec(y)), np.asarray(J, float), np.asarray(T, float)
 
     def apply(self, point: Point) -> Point:
-        tid, y = self._chart_map(point).map(point.coords)
-        return Point(tid, _vec(y))
+        return self._jet(point)[0]
 
     def jac(self, point: Point) -> tuple[np.ndarray, Point]:
-        cm = self._chart_map(point)
-        tid, y = cm.map(point.coords)
-        return np.asarray(cm.d(point.coords), float), Point(tid, _vec(y))
+        out, J, _ = self._jet(point)
+        return J, out
 
-    def d2_dir(self, point: Point, v, w) -> np.ndarray:
-        return np.einsum("ijk,j,k->i", self.d2_tensor(point), _vec(v), _vec(w))
+    def second(self, points, vs) -> list:
+        return [(out, J, np.einsum("ijk,j->ik", T, _vec(v)))
+                for (out, J, T), v in zip(map(self._jet, points), vs, strict=True)]
+
+    d2_dir = Diffeo.d2_dir  # spanned under this class's name by perfbench/tracing.py
 
     def d2_tensor(self, point: Point) -> np.ndarray:
-        return np.asarray(self._chart_map(point).d2(point.coords), float)
+        """d2 f(x) as an (n, n, n) tensor."""
+        return self._jet(point)[2]
 
     def inverse(self) -> "Diffeo":
         if self._inverse is None:
@@ -157,6 +158,21 @@ class FlowWord(Diffeo):
         ends, W = self.push([t.base], t.vec[None, :, None])
         return Tangent(ends[0], W[0, :, 0])
 
+    def second(self, points, vs) -> list:
+        """Read off the natural lift of the word, flowed from the frames
+        (x, I) with the columns (v, 0) as one block: T Fr(f) sends them to
+        (df v, d2 f(v, .)) at (f(x), df(x)) (Kobayashi-Nomizu I, VI.1)."""
+        if len(points) != len(vs):
+            raise ValueError(f"{len(points)} points and {len(vs)} vs")
+        n = self.atlas.dim
+        cols = np.zeros((len(points), n + n * n, 1))
+        cols[:, :n, 0] = np.reshape(vs, (-1, n))
+        lifted = FlowWord(frame_atlas(self.atlas), [(natural_lift(f), t) for f, t in self.word],
+                          self.cfg)
+        ends, W = lifted.push([Point(p.chart, pack(p.coords, np.eye(n))) for p in points], cols)
+        return [(Point(e.chart, e.coords[:n]), e.coords[n:].reshape(n, n), w[n:, 0].reshape(n, n))
+                for e, w in zip(ends, W)]
+
     def inverse(self) -> "FlowWord":
         return FlowWord(self.atlas, [(f, -t) for f, t in reversed(self.word)], self.cfg,
                         name=f"({self.name})^-1")
@@ -177,26 +193,12 @@ class FrameDiffeo:
 
     def tangent_frame(self, frames, fts) -> tuple[list, list]:
         """(Fr(f)(p) per frame, T Fr(f)(ft) per tangent) in the output
-        bundle charts; a flow word pushes every row through its lifted
-        word as one block."""
-        n = self.atlas.dim
-        rows = list(zip(frames, fts, strict=True))
-        if isinstance(self.base, FlowWord):
-            lifted = FlowWord(frame_atlas(self.atlas),
-                              [(natural_lift(f), dur) for f, dur in self.base.word], self.base.cfg)
-            cols = np.array([t.packed() for _, t in rows]).reshape(len(rows), n + n * n, 1)
-            ends, W = lifted.push([fr.packed() for fr, _ in rows], cols)
-            return ([frame_from_packed(z, n) for z in ends],
-                    [frame_tangent_from_packed(w[:, 0], n) for w in W])
-        out = [self._closed_tangent_frame(fr, t) for fr, t in rows]
-        return [F for F, _ in out], [T for _, T in out]
-
-    def _closed_tangent_frame(self, frame: Frame, ft: FrameTangent):
-        # TF(dx, dg) = (df dx, d2f(dx, .) g + df dg), the Jacobian of `bundles.lift`
-        p = frame.point()
-        J, out = self.base.jac(p)
-        TF = lift_jacobian(J, self.base.d2_tensor(p), frame.g) @ ft.packed()
-        return Frame(out.chart, out.coords, J @ frame.g), frame_tangent_from_packed(TF, frame.dim)
+        bundle charts, from one `second` call at the base points:
+        T Fr(f)(v, w) = (df v, d2 f(v, .) g + df w) at (x, g)."""
+        jets = self.base.second([fr.point() for fr in frames], [t.v for t in fts])
+        return ([Frame(out.chart, out.coords, J @ fr.g) for fr, (out, J, _) in zip(frames, jets)],
+                [FrameTangent(J @ t.v, S @ fr.g + J @ t.w)
+                 for fr, t, (_, J, S) in zip(frames, fts, jets)])
 
 
 def frame_lift(f: Diffeo) -> FrameDiffeo:

@@ -26,6 +26,8 @@ from .atlas import Atlas, Chart, Transition, all_space, box_domain, disk_domain
 from .connection import ConnChart, ConnectionField, from_christoffel
 from .flows import ChartField, VectorField
 
+_EYE2 = np.eye(2)
+
 
 def _sq(p):
     """|p|^2 of (..., 2) coordinates."""
@@ -42,14 +44,13 @@ def _inversion():
 
     def dh(p):
         s = _sq(p)[..., None, None]
-        return (np.eye(2) - 2.0 * (p[..., :, None] * p[..., None, :]) / s) / s
+        return (_EYE2 - 2.0 * (p[..., :, None] * p[..., None, :]) / s) / s
 
     def d2h(p):
         s = _sq(p)[..., None, None, None]
-        eye = np.eye(2)
         pi, pj, pk = p[..., :, None, None], p[..., None, :, None], p[..., None, None, :]
-        return (-2.0 * (eye[:, :, None] * pk + eye[:, None, :] * pj + eye[None, :, :] * pi) / s**2
-                + 8.0 * pi * pj * pk / s**3)
+        return (-2.0 * (_EYE2[:, :, None] * pk + _EYE2[:, None, :] * pj + _EYE2[None, :, :] * pi)
+                / s**2 + 8.0 * pi * pj * pk / s**3)
 
     return Transition(map=h, d=dh, d2=d2h)
 
@@ -250,7 +251,6 @@ def plane_flat_connection(atlas: Atlas) -> ConnectionField:
     return ConnectionField(atlas, "flat", charts)
 
 
-_EYE2 = np.eye(2)
 # x @ _ROUND_FORM, reshaped to (..., 2, 2, 2), is the round-sphere tensor over
 # its conformal factor: x_j delta_ik + x_k delta_ij - delta_jk x_i
 _ROUND_FORM = (np.einsum("lj,ik->lijk", _EYE2, _EYE2) + np.einsum("lk,ij->lijk", _EYE2, _EYE2)
@@ -453,7 +453,7 @@ def _mobius_map(m, home: str, other: str):
     leaves the unit circle (on the circle: into "a")."""
     from .automorphism import ChartMap
 
-    def jets(p):
+    def jet(p):
         a, b, c, d = m
         z = complex(p[0], p[1])
         num, den = a * z + b, c * z + d
@@ -471,7 +471,7 @@ def _mobius_map(m, home: str, other: str):
         T = np.stack([H.real, H.imag]) * sign[:, None, None]
         return tid, np.array([f.real, f.imag]) * sign, J, T
 
-    return ChartMap(map=lambda p: jets(p)[:2], d=lambda p: jets(p)[2], d2=lambda p: jets(p)[3])
+    return ChartMap(jet)
 
 
 def rotation_matrix_3d(axis: int, angle: float) -> np.ndarray:
@@ -493,9 +493,7 @@ def plane_affine_map(atlas: Atlas, Q, c) -> "ClosedFormDiffeo":
     n = Q.shape[0]
 
     def chart_map(M, b):
-        return ChartMap(map=lambda x: ("cart", M @ x + b),
-                        d=lambda x: M,
-                        d2=lambda x: np.zeros((n, n, n)))
+        return ChartMap(lambda x: ("cart", M @ x + b, M, np.zeros((n, n, n))))
 
     fwd = ClosedFormDiffeo(atlas, "affine", {"cart": chart_map(Q, c)})
     bwd = ClosedFormDiffeo(atlas, "affine^-1", {"cart": chart_map(Qi, -Qi @ c)}, inverse=fwd)

@@ -123,12 +123,9 @@ def change_of_variable_residual(conn: ConnectionField, point: Point, v, w, targe
     Zero (up to FD noise) iff the two chart representations describe the
     same connection on the overlap.
     """
-    atlas = conn.atlas
     v = _vec(v)
     w = _vec(w)
-    q = atlas.transition(point, target)
-    J = atlas.d_transition(point, target)
-    T2 = atlas.d2_transition(point, target)
+    q, J, T2 = conn.atlas.jet(point, target)
     lhs = conn.eval_B(q, J @ v, J @ w)
     rhs = np.einsum("ijk,j,k->i", T2, v, w) + J @ conn.eval_B(point, v, w)
     return float(np.linalg.norm(lhs - rhs))

@@ -34,6 +34,7 @@ from .connection import ConnectionField
 from .errors import SingularFrame, SingularGroupElement
 from .flows import ChartField, IntegratorConfig, VectorField, integrate
 from .geodesics import geodesic
+from .numdiff import _norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,18 +245,14 @@ def horizontal_projection_parts(conn: ConnectionField, lam, frame: Frame, t_span
     rec = []
     horizontal_flow(conn, lam, frame, t1, cfg, record=rec)
 
-    worst_prime = 0.0
-    for i in range(1, len(rec) - 1):
-        tm, cm, zm = rec[i - 1][0], rec[i - 1][1], rec[i - 1][2]
-        t, c, z = rec[i][0], rec[i][1], rec[i][2]
-        tp, cp, zp = rec[i + 1][0], rec[i + 1][1], rec[i + 1][2]
-        if cm != c or cp != c or tp == tm or tp == t or t == tm:
-            continue  # skip hop-adjacent rows
-        x_m, _ = unpack(zm, n, n)
-        x_p, _ = unpack(zp, n, n)
-        x, g = unpack(z, n, n)
-        fd = (x_p - x_m) / (tp - tm)
-        worst_prime = max(worst_prime, float(np.linalg.norm(fd - g @ lam)))
+    t = np.array([r[0] for r in rec])
+    c = np.array([r[1] for r in rec])
+    x, g = unpack(np.array([r[2] for r in rec]), n, n)
+    # rows whose neighbours share their chart, at three distinct times: none next to a hop
+    kept = ((c[:-2] == c[1:-1]) & (c[2:] == c[1:-1]) & (t[:-2] != t[1:-1])
+            & (t[2:] != t[1:-1]) & (t[2:] != t[:-2]))
+    fd = (x[2:] - x[:-2]) / (t[2:] - t[:-2])[:, None]
+    worst_prime = float(np.max(_norm((fd - g[1:-1] @ lam)[kept]), initial=0.0))
 
     # projected curve vs the geodesic with matching initial data
     v0 = frame.g @ lam

@@ -259,24 +259,25 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
     n = atlas.dim
 
     def landed(end, t_ok, status):
-        """A shot's end point in the target chart, or its error."""
+        """A shot's end point in the target chart and the transition's
+        Jacobian there, from one `Atlas.jet`, or its error."""
         _raise_for(status, fld, t_ok)
         try:
-            return atlas.transition(Point(end.chart, end.coords[:n]), target_chart).coords
+            q, dh, _ = atlas.jet(Point(end.chart, end.coords[:n]), target_chart, 1)
         except NotInOverlap:
             raise NoConvergence("shooting left the target chart; y likely "
                                 "outside the normal neighbourhood") from None
+        return q.coords, dh
 
     w0 = np.vstack([np.zeros((n, n)), np.eye(n)])[None]  # d exp_x(v) = top rows of W
     for _ in range(max_iter):
         start = Point(x.chart, pack(x.coords, v.reshape(n, 1)))
         (end,), (W,), (t_ok,), (status,) = _run_block(fld, [start], 1.0, cfg, w0)
-        r = landed(end, t_ok, status) - target
+        y_end, dh = landed(end, t_ok, status)
+        r = y_end - target
         if np.linalg.norm(r) <= tol:
             return Tangent(x, v)
-        J = W[:n]
-        if end.chart != target_chart:
-            J = atlas.d_transition(Point(end.chart, end.coords[:n]), target_chart) @ J
+        J = W[:n] if end.chart == target_chart else dh @ W[:n]
         try:
             delta = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:

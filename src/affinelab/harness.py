@@ -32,7 +32,7 @@ from .automorphism import (FlowWord, affine_residual, exp_aut, exp_commutes_defe
                            frame_lift, kappa_pullback_defect, orbit_point)
 from .catalog import Catalog, default_catalog, rotation_matrix_3d, sphere_rotation
 from .connection import change_of_variable_residual
-from .errors import GeometryError, IoError, ParseError, UnknownCatalogName
+from .errors import IoError, ParseError, UnknownCatalogName
 from .flows import IntegratorConfig, combine, parameter_flow_derivative_defect
 from .frame_bundle import Frame, FrameTangent, horizontal_projection_defect, kappa_inverse_family
 from .geodesics import CurveSpec, completeness_probe, geodesic, parallel_transport
@@ -98,15 +98,18 @@ class Residuals(NamedTuple):
 
 
 _CHECKS: dict[str, tuple[dict, callable]] = {}
+_MANIFOLD: dict[str, str | None] = {}  # check -> the one catalog manifold it runs on, if any
 
 
-def check(name: str):
+def check(name: str, manifold: str | None = None):
     """Register `fn(ctx, ...)` as check `name`, its signature's defaults (None: required).
     `fn` returns `Residuals` and no verdict: `_row` passes its row only if it sampled
-    something, every residual is finite and the largest is within the bound."""
+    something, every residual is finite and the largest is within the bound.  A check
+    that runs on one catalog `manifold` only is refused on any other when parsed."""
     def wrap(fn):
         params = list(inspect.signature(fn).parameters.values())[1:]
         _CHECKS[name] = ({p.name: p.default for p in params}, fn)
+        _MANIFOLD[name] = manifold
         return fn
 
     return wrap
@@ -234,11 +237,9 @@ def _geodesic_convergence(ctx, chart=None, point=None, velocity=None, period=Non
     return Residuals([min_ratio - ratio], 0.0, samples=2)
 
 
-@check("sphere_holonomy")
+@check("sphere_holonomy", manifold="sphere")
 def _sphere_holonomy(ctx, colatitudes=(0.5235987755982988, 0.7853981633974483,
                                       1.0471975511965976), tol=1e-5):
-    if ctx.scenario.manifold != "sphere":
-        raise GeometryError("sphere_holonomy requires the sphere catalog entry")
     res = []
     for theta0 in colatitudes:
         rho = np.tan(theta0 / 2.0)
@@ -371,10 +372,8 @@ def _exp_commutes(ctx, field=None, samples=3, scale=1.0, tol=1e-5, tol_kill=1e-6
     return exp_commutes_defect(ctx.conn, f, vs, ctx.cfg), tol
 
 
-@check("frame_homomorphism")
+@check("frame_homomorphism", manifold="sphere")
 def _frame_homomorphism(ctx, axis_a=0, angle_a=0.7, axis_b=2, angle_b=-1.2, samples=10, tol=1e-8):
-    if ctx.scenario.manifold != "sphere":
-        raise GeometryError("frame_homomorphism requires the sphere catalog entry")
     Ra = rotation_matrix_3d(axis_a, angle_a)
     Rb = rotation_matrix_3d(axis_b, angle_b)
     Ff, Fg, Ffg = (frame_lift(sphere_rotation(ctx.atlas, R)) for R in (Ra, Rb, Ra @ Rb))
@@ -539,6 +538,8 @@ def _parse_scenario(data: dict, source: str | None, catalog: Catalog) -> Scenari
         if name not in _CHECKS:
             raise ParseError(f"check #{i}: unknown check {name!r} "
                              f"(known: {', '.join(check_names())})")
+        if _MANIFOLD.get(name) not in (None, manifold):
+            raise ParseError(f"check #{i} ({name}): runs on {_MANIFOLD[name]!r} only")
         defaults, _ = _CHECKS[name]
         params = {k: v for k, v in entry.items() if k != "name"}
         unknown = set(params) - set(defaults)

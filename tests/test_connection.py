@@ -198,16 +198,38 @@ def test_change_of_variable_all_catalog_overlaps(cat, rng):
                 assert worst <= 1e-6, (mname, cname, cid, tid, worst)
 
 
-def test_dB_fd_matches_analytic(cat, rng):
-    cc = cat.connection("sphere", "round")._chart("a")
+# every chart of every catalog connection
+CONNECTION_CHARTS = [(m, c, cid) for m in default_catalog().manifold_names()
+                     for c in default_catalog().connection_names(m)
+                     for cid in default_catalog().atlas(m).charts
+                     if default_catalog().connection(m, c).has_chart(cid)]
+
+
+@pytest.mark.parametrize("manifold, name, cid", CONNECTION_CHARTS,
+                         ids=["/".join(c) for c in CONNECTION_CHARTS])
+def test_dB_fd_matches_analytic(cat, rng, manifold, name, cid):
+    atlas = cat.atlas(manifold)
+    cc = cat.connection(manifold, name)._chart(cid)
     analytic = cc.d_dir
-    # the same connection without d_dir, so it is filled by finite differences
-    conn = ConnectionField(cat.atlas("sphere"), "round_fd",
-                           {"a": ConnChart(tensor=cc.tensor, bilinear=cc.bilinear)})
-    for p in cat.atlas("sphere").sample_points("a", 10, rng):
-        u = rng.normal(size=2)
+    # the same chart without d_dir, so it is filled by finite differences
+    conn = ConnectionField(atlas, f"{name}_fd",
+                           {cid: ConnChart(tensor=cc.tensor, bilinear=cc.bilinear)})
+    for p in atlas.sample_points(cid, 10, rng):
+        u = rng.normal(size=atlas.dim)
         fd = conn.d_tensor_dir(p, u)
         assert np.allclose(fd, analytic(p.coords, u), atol=1e-6)
+
+
+@pytest.mark.parametrize("manifold, name, cid", CONNECTION_CHARTS,
+                         ids=["/".join(c) for c in CONNECTION_CHARTS])
+def test_bilinear_is_the_tensor_contracted(cat, rng, manifold, name, cid):
+    # B(x, v, w) = T(x)[i, j, k] v_j w_k on a block of rows, with v and w apart
+    cc = cat.connection(manifold, name)._chart(cid)
+    xs = np.array([p.coords for p in cat.atlas(manifold).sample_points(cid, 20, rng)])
+    v, w = rng.normal(size=(2,) + xs.shape)
+    B = cc.bilinear(xs, v, w)
+    ref = np.einsum("...ijk,...j,...k->...i", cc.tensor(xs), v, w)
+    assert np.all(np.linalg.norm(B - ref, axis=-1) <= 1e-14 * np.linalg.norm(ref, axis=-1))
 
 
 # every connection of every catalog atlas with more than one chart

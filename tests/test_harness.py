@@ -131,7 +131,7 @@ def test_error_becomes_fail_row(cat):
     s = scenario_from_dict({
         "manifold": "plane", "connection": "flat",
         "checks": [
-            {"name": "sphere_holonomy"},  # wrong manifold: raises inside
+            {"name": "exp_aut_affine", "field": "nonaffine_sq"},  # raises NotKilling inside
             {"name": "transition_roundtrip", "samples": 5},
         ],
     }, cat)
@@ -581,6 +581,19 @@ def test_non_strict_json_literals_are_rejected(cat, tmp_path, param, literal):
     assert cli_main(["run", str(scenario)]) == 2
 
 
+@pytest.mark.parametrize("name", ["sphere_holonomy", "frame_homomorphism"])
+def test_a_sphere_only_check_is_refused_on_another_manifold_when_parsed(cat, tmp_path, name):
+    # such a scenario used to parse, then fail its row with a GeometryError and exit 1
+    with pytest.raises(ParseError, match="sphere"):
+        _plane_check(cat, name=name)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"manifold": "plane", "connection": "flat",
+                                    "checks": [{"name": name}]}))
+    assert cli_main(["run", str(scenario)]) == 2
+    assert scenario_from_dict({"manifold": "sphere", "connection": "round",
+                               "checks": [{"name": name}]}, cat).checks == [{"name": name}]
+
+
 @pytest.mark.parametrize("data", [
     {"checks": [{"name": "killing_residual", "tol": True}]},
     {"checks": [{"name": "killing_residual", "tol": float("inf")}]},
@@ -817,11 +830,11 @@ def test_worst_at_is_the_index_of_the_largest_residual(cat, monkeypatch):
 
 
 def test_rows_that_judged_nothing_have_no_worst_at(cat):
-    # sampled nothing (no fields), or raised (wrong manifold)
+    # sampled nothing (no fields), or raised (a field that is not Killing)
     s = scenario_from_dict({"manifold": "plane", "connection": "flat",
                             "checks": [{"name": "killing_residual"},
                                        {"name": "killing_equivalence"},
-                                       {"name": "sphere_holonomy"}]}, cat)
+                                       {"name": "exp_aut_affine", "field": "nonaffine_sq"}]}, cat)
     rep = run_suite(s, cat)
     assert [(c.status, c.worst_at) for c in rep.checks] == [("fail", None)] * 3
     assert [row["worst_at"] for row in rep.to_dict()["checks"]] == [None] * 3
