@@ -50,8 +50,8 @@ class Point:
     chart: str
     coords: Coords
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _vec(self.coords))
+    def __post_init__(self):  # a copy: the caller's array may change later
+        object.__setattr__(self, "coords", np.array(self.coords, float, ndmin=1))
 
     def __repr__(self):
         return f"Point({self.chart!r}, {np.array2string(self.coords, precision=6)})"
@@ -166,7 +166,7 @@ class Atlas:
         if not src.contains(point.coords):
             raise NotInOverlap(f"{point!r} outside source chart domain")
         if point.chart == target:
-            return (Point(target, point.coords.copy()), np.eye(self.dim) if order else None,
+            return (Point(target, point.coords), np.eye(self.dim) if order else None,
                     np.zeros((self.dim,) * 3) if order > 1 else None)
         tr = src.transitions[target]
         y = _vec(tr.map(point.coords))
@@ -222,14 +222,14 @@ class Atlas:
             return np.full(r, None, dtype=object), X.copy()
         js = C.ravel()
         Yc = _call(maps, js, X if K == 1 else X.repeat(K, axis=0), _map_rows)
-        at = slice(None) if np.isfinite(Yc).all() else np.isfinite(Yc).all(axis=-1)
-        ok = np.zeros(len(js), bool)  # only finite candidates are tested
-        ok[at] = _call(tests, js[at], Yc[at],
-                       lambda f, Z, P: f(Z, margin) if P is None else f(P, Z, margin))
+        # every candidate is tested; a non-finite one (a padding entry's NaN
+        # among them) fails, whatever its test says
+        ok = np.isfinite(Yc).all(axis=-1) & _call(
+            tests, js, Yc, lambda f, Z, P: f(Z, margin) if P is None else f(P, Z, margin))
         if K > 1:  # each row's first passing candidate
             j = np.arange(0, r * K, K) + ok.reshape(r, K).argmax(axis=1)
             js, ok, Yc = js[j], ok[j], Yc[j]
-        if ok.all():
+        if np.count_nonzero(ok) == len(ok):
             return tids[js], Yc
         return np.where(ok, tids[js], None), np.where(ok[:, None], Yc, X)
 

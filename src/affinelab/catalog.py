@@ -493,7 +493,7 @@ def plane_affine_map(atlas: Atlas, Q, c) -> "ClosedFormDiffeo":
     n = Q.shape[0]
 
     def chart_map(M, b):
-        return ChartMap(lambda x: ("cart", M @ x + b, M, np.zeros((n, n, n))))
+        return ChartMap(lambda x: ("cart", M @ x + b, M.copy(), np.zeros((n, n, n))))
 
     fwd = ClosedFormDiffeo(atlas, "affine", {"cart": chart_map(Q, c)})
     bwd = ClosedFormDiffeo(atlas, "affine^-1", {"cart": chart_map(Qi, -Qi @ c)}, inverse=fwd)

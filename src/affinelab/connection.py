@@ -108,7 +108,7 @@ def covariant_derivative(conn: ConnectionField, eta, at: Tangent) -> Tangent:
     val = eta.value(p)
     J = eta.jac(p)
     out = J @ at.vec - conn.eval_B(p, val, at.vec)
-    return Tangent(Point(p.chart, p.coords.copy()), out)
+    return Tangent(Point(p.chart, p.coords), out)
 
 
 def connector_apply(conn: ConnectionField, sot: SecondOrderTangent) -> Tangent:

@@ -15,8 +15,10 @@ step, which numpy runs about 2.6x faster than a (1, N) block (sphere
 one-row search `Atlas.hop_target`.  Each step advances the rows in groups
 keyed on the callables their right-hand side calls, not on their chart:
 rows of every chart whose field hands out the same callables step
-through one RK4 call, so the callables take (..., N) inputs.  Margin
-tests group by test family, each row with its own parameters: a row that
+through one RK4 call, so the callables take (..., N) inputs; the plan
+of groups holds each group's h, h/2 and h/6 as (rows, N) arrays, so
+every RK4 product multiplies arrays of one shape.  Margin tests group
+by test family, each row with its own parameters: a row that
 leaves the margin-shrunk domain of its chart is handed off to the
 highest-priority neighbouring chart that contains it, all of a block's
 hops in a step found in one `Atlas.hop_targets` call; a divergence,
@@ -201,13 +203,14 @@ def _recording(f: Callable, B: np.ndarray, sel, first: int) -> Callable:
     return rhs
 
 
-def _rk4(rhs: Callable, z: np.ndarray, h) -> np.ndarray:
-    """One RK4 step, calling rhs at z, z + h/2 k1, z + h/2 k2, z + h k3 in that order."""
+def _rk4(rhs: Callable, z: np.ndarray, h, h2, h6) -> np.ndarray:
+    """One RK4 step of size h, h2 = h/2 and h6 = h/6 given (scalars or arrays
+    shaped like z), calling rhs at z, z + h2 k1, z + h2 k2, z + h k3 in that order."""
     k1 = rhs(z)
-    k2 = rhs(z + 0.5 * h * k1)
-    k3 = rhs(z + 0.5 * h * k2)
+    k2 = rhs(z + h2 * k1)
+    k3 = rhs(z + h2 * k2)
     k4 = rhs(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _propagator(M: np.ndarray, h) -> np.ndarray:
@@ -240,10 +243,15 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     step, so the right-hand side and the margin test see a 1-D state
     (about 2.6x faster than a (1, N) block); a one-row group of a larger
     block stays 2-D.  Rows step in groups that share a right-hand side,
-    the same chart `value` object; the margin test, the hop search, the
-    flush of W and its re-chart use each row's own chart.  A family's
-    parameter rows `params`, shaped like `z`, are never stepped or
-    re-charted; each group passes its share to the chart callables.
+    the same chart `value` object; each group's h, h/2 and h/6 are
+    repeated across its (rows, n) states when the plan is built, the same
+    products bit for bit as broadcasting each row's step.  One
+    `np.count_nonzero` tests that a group's rows stayed sound and inside,
+    and diverged rows are sought only when some row is unsound.  The
+    margin test, the hop search, the flush of W and its re-chart use each
+    row's own chart.  A family's parameter rows `params`, shaped like `z`,
+    are never stepped or re-charted; each group passes its share to the
+    chart callables.
 
     Only the base state is stepped.  With variational columns each group's
     right-hand side writes its four RK4 stage states straight into the
@@ -272,9 +280,10 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     steps = [max(1, int(math.ceil(abs(ti) / cfg.step - 1e-12))) if ti != 0.0 else 0 for ti in ts]
     hs = [ti / s if s else 0.0 for ti, s in zip(ts, steps)]
     h = np.array(hs)[:, None]
-    # the whole block: one row as its 1-D view and scalar step, else every
+    # the whole block: one row as its 1-D view and scalar steps, else every
     # row; basic indices, so a stage written to B's rows stays a cheap write
-    whole = (0, hs[0]) if m == 1 else (slice(None), h)
+    whole = ((0, (hs[0], 0.5 * hs[0], hs[0] / 6.0)) if m == 1 else
+             (slice(None), [a.repeat(n, axis=1) for a in (h, 0.5 * h, h / 6.0)]))
     every = np.arange(m)
 
     keys = {}
@@ -355,17 +364,18 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             flush([r])
 
     def groups():
-        """(row selector, step, rhs, margin tests) per right-hand side that
-        live rows share, each test (test, indices into the group's rows,
-        family parameters or None, their rows); the selector is `whole`'s
-        when the group holds every row.  With W the rhs writes its stages
-        to the group's rows of `B`, from step i on."""
+        """(row selector, steps, rhs, margin tests) per right-hand side that
+        live rows share, the steps h, h/2 and h/6 shaped like the group's
+        states, each test (test, indices into the group's rows, family
+        parameters or None, their rows); the selector and steps are
+        `whole`'s when the group holds every row.  With W the rhs writes its
+        stages to the group's rows of `B`, from step i on."""
         by_key = {}
         for r in sorted(live):
             by_key.setdefault(keyed(cids[r])[0], []).append(r)
         out = []
         for rs in by_key.values():
-            sel, h_sel = whole if len(rs) == m else (np.array(rs), h[rs])
+            sel, h_sel = whole if len(rs) == m else (np.array(rs), [a[rs] for a in whole[1]])
             tests = {}
             for j, r in enumerate(rs):
                 tests.setdefault(keyed(cids[r])[1], []).append(j)
@@ -381,7 +391,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
         if stale:
             plan, stale = groups(), False
         for sel, h_sel, rhs_fn, tests in plan:
-            zs = _rk4(rhs_fn, z[sel], h_sel)
+            zs = _rk4(rhs_fn, z[sel], *h_sel)
             z[sel] = zs
             # a non-finite state fails the guard comparison too
             sound = (zs * zs).sum(axis=-1) <= guard2
@@ -394,7 +404,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                     inside[sub] = (contains(zs[sub], margin) if P is None
                                    else contains(P[at], zs[sub], margin))
             ok = sound & inside
-            if ok.all() if ok.ndim else ok:
+            if np.count_nonzero(ok) == ok.size if ok.ndim else ok:
                 continue
             # rare path: stop diverged rows, hop (or stop) rows outside the
             # margin; the plan holds while every row keeps its group and test

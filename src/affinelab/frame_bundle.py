@@ -43,9 +43,9 @@ class Frame:
     x: np.ndarray
     g: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _vec(self.x))
-        object.__setattr__(self, "g", np.asarray(self.g, float))
+    def __post_init__(self):  # copies: the caller's arrays may change later
+        object.__setattr__(self, "x", np.array(self.x, float, ndmin=1))
+        object.__setattr__(self, "g", np.array(self.g, float))
 
     @property
     def dim(self) -> int:
@@ -53,7 +53,7 @@ class Frame:
 
     def point(self) -> Point:
         """Base point q(p)."""
-        return Point(self.chart, self.x.copy())
+        return Point(self.chart, self.x)
 
     def packed(self) -> Point:
         """Flattened representation on the frame-bundle atlas."""

@@ -209,7 +209,7 @@ def exp_map_rows(conn: ConnectionField, vs, cfg: IntegratorConfig, t: float = 1.
     """
     n = conn.atlas.dim
     if t == 0.0:
-        return [Point(u.base.chart, u.base.coords.copy()) for u in vs]
+        return [Point(u.base.chart, u.base.coords) for u in vs]
     starts = [Point(u.base.chart, pack(u.base.coords, u.vec.reshape(n, 1))) for u in vs]
     ends, _ = _push([(geodesic_field(conn), t)], starts, cfg)
     return [Point(e.chart, e.coords[:n]) for e in ends]

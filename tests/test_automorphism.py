@@ -40,6 +40,17 @@ def test_flat_affine_map_residual_zero(cat, rng):
             method(polar)
 
 
+def test_affine_map_jacobian_is_the_callers_own_copy(cat):
+    # scaling the Jacobian a caller gets back leaves the map itself unchanged
+    f = plane_affine_map(cat.atlas("plane"), [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
+    p = Point("cart", [1.0, 1.0])
+    assert f.apply(p).coords.tolist() == [1.5, 1.0]
+    J, _ = f.jac(p)
+    J *= 2
+    assert f.apply(p).coords.tolist() == [1.5, 1.0]
+    assert f.jac(p)[0].tolist() == [[1.0, 0.5], [0.0, 1.0]]
+
+
 def test_sphere_rotation_residual(cat, rng):
     conn = cat.connection("sphere", "round")
     R = rotation_matrix_3d(0, 0.8) @ rotation_matrix_3d(2, -0.4)

@@ -57,9 +57,9 @@ def rk4_calls(monkeypatch):
     calls = []
     rk4 = flows._rk4
 
-    def counted(rhs, z, h):
+    def counted(rhs, z, h, h2, h6):
         calls.append(np.shape(z))
-        return rk4(rhs, z, h)
+        return rk4(rhs, z, h, h2, h6)
 
     monkeypatch.setattr(flows, "_rk4", counted)
     return calls
@@ -93,15 +93,19 @@ def test_sphere_block_calls_the_shared_spray_once_per_stage(fresh):
 def test_sphere_rows_hopping_at_different_steps_equal_single_rows(cat):
     # geodesics leaving chart a outward from different radii hop to b at
     # different steps, rows starting in b hop to a or stay, and the short
-    # row stops early
+    # row stops early; the backward row (step -0.05) and the off-grid one
+    # (2.93 in 59 steps of 0.04966...) each hop once, carrying their own
+    # signed steps through every plan rebuilt as rows hop and finish
     fld = geodesic_field(cat.connection("sphere", "round"))
     starts = [_tm("a", [1.2, 0.1], [1.0, 0.2]), _tm("a", [1.4, -0.2], [0.8, 0.0]),
               _tm("b", [0.3, -0.5], [0.7, 0.7]), _tm("a", [0.2, 0.3], [-1.5, 0.4]),
-              _tm("b", [1.5, 0.2], [0.9, -0.3]), _tm("a", [0.9, -0.9], [0.5, 0.5])]
-    ts = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 0.4])
+              _tm("b", [1.5, 0.2], [0.9, -0.3]), _tm("a", [0.9, -0.9], [0.5, 0.5]),
+              _tm("a", [1.3, 0.4], [-0.9, -0.4]), _tm("b", [1.0, 1.0], [0.5, 0.5])]
+    ts = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 0.4, -2.5, 2.93])
     ends, _, status = _block_equals_rows(fld, starts, ts, IntegratorConfig(step=0.05))
     assert status == [OK] * len(starts)
     assert {e.chart for e in ends} == {"a", "b"}
+    assert ends[6].chart == "b" and ends[7].chart == "a"
 
 
 def test_torus_rows_over_all_four_charts_equal_single_rows(cat, rng, rk4_calls):

@@ -29,7 +29,7 @@ def test_rk4_calls_its_right_hand_side_once_per_stage_in_order():
 
     calls = []
     z, h = np.array([0.3, -0.2]), 0.1
-    _rk4(lambda w: calls.append(w.copy()) or f(w), z, h)
+    _rk4(lambda w: calls.append(w.copy()) or f(w), z, h, 0.5 * h, h / 6.0)
     k1, k2, k3 = f(z), f(calls[1]), f(calls[2])
     want = [z, z + 0.5 * h * k1, z + 0.5 * h * k2, z + h * k3]
     assert len(calls) == 4 and all(np.array_equal(c, w) for c, w in zip(calls, want))

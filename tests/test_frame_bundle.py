@@ -23,6 +23,16 @@ def random_frame(atlas, cid, rng, spread=0.3):
     return Frame(cid, x, g)
 
 
+def test_a_frame_keeps_its_own_base_point_and_matrix():
+    # a Frame copies the caller's arrays, so later writes to them leave the
+    # frame unchanged
+    x, g = np.array([0.1, 0.2]), np.eye(2)
+    f = Frame("a", x, g)
+    x[0], g[0, 1] = 9.0, 9.0
+    assert f.x.tolist() == [0.1, 0.2]
+    assert f.g.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_rho_identity_associativity(cat, rng):
     f = random_frame(cat.atlas("sphere"), "a", rng)
     assert np.allclose(rho(f, np.eye(2)).g, f.g)

@@ -50,7 +50,7 @@ def reference_transport(conn, curve, t0, t1, G, cfg):
             xs, vs = next(stages)
             return np.column_stack([bil(xs, w, vs) for w in W.T])
 
-        G = _rk4(rhs, G, b - a)
+        G = _rk4(rhs, G, b - a, 0.5 * (b - a), (b - a) / 6.0)
     if c != cid:
         G = atlas.d_transition(Point(cid, xb), c) @ G
     return G

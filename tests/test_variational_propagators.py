@@ -102,7 +102,7 @@ def reference_block(field, starts, t, cfg, w0, params=None):
         if plan is None:
             plan = groups()
         for sel, h_sel, rhs_fn, tests in plan:
-            zs = _rk4(rhs_fn, z[sel], h_sel)
+            zs = _rk4(rhs_fn, z[sel], h_sel, 0.5 * h_sel, h_sel / 6.0)
             z[sel] = zs
             xs = zs[..., :n]
             sound = (xs * xs).sum(axis=-1) <= cfg.state_guard ** 2

@@ -1,0 +1,82 @@
+"""Print what one RK4 step and one chart hand-off cost, and the probes' work.
+
+    PYTHONPATH=src python tools/step_costs.py
+
+    step SPACE KIND ROWS US   microseconds per RK4 step of a ROWS-row block on the round
+                              sphere: SPACE base (rot_z), tangent (the geodesic spray) or
+                              frame (H_lambda), KIND plain or variational (identity
+                              columns); rows start near chart a's centre and never hop
+    hop US events E           microseconds in Atlas.hop_targets per call (per hop event)
+    probe MANIFOLD steps S events E row_hops H
+                              the probes of `dump_rows.py --probes` (its `probe_rows`):
+                              RK4 calls, hop searches and rows that changed chart
+
+Times are the best of REPEATS runs; the counts come from this script's own
+wrappers on `flows._rk4` and `Atlas.hop_targets`, on for the probe runs only.
+"""
+import time
+import timeit
+
+import numpy as np
+
+import affinelab as al
+from affinelab import flows
+from affinelab.bundles import pack
+from dump_rows import probe_rows
+
+STEP, STEPS, REPEATS = 1e-3, 100, 5
+
+
+def step_lines(cat):
+    conn = cat.connection("sphere", "round")
+    rng = np.random.default_rng(0)
+    spaces = (("base", cat.field("sphere", "rot_z"), lambda x: x),
+              ("tangent", al.geodesics.geodesic_field(conn), lambda x: pack(x, 0.5 * x[:, None])),
+              ("frame", al.standard_horizontal(conn, [1.0, 0.5]),
+               lambda x: pack(x, np.eye(2) + 0.2 * np.outer(x, x))))
+    cfg = al.IntegratorConfig(step=STEP)
+    for name, field, state in spaces:
+        for rows in (1, 16):
+            starts = [al.Point("a", state(x)) for x in rng.uniform(-0.5, 0.5, (rows, 2))]
+            eye = np.eye(starts[0].coords.size)
+            for kind, w0 in (("plain", None), ("variational", np.tile(eye, (rows, 1, 1)))):
+                run = lambda: flows._run_block(field, starts, STEPS * STEP, cfg, w0)
+                s = min(timeit.repeat(run, number=1, repeat=REPEATS))
+                yield f"step {name} {kind} {rows} {s / STEPS * 1e6:.1f}"
+
+
+def probe_lines():
+    rk4, hop_targets, count = flows._rk4, al.Atlas.hop_targets, {}
+
+    def counted_rk4(*args):
+        count["steps"] += 1
+        return rk4(*args)
+
+    def timed_hops(self, cids, X, margin):
+        t0 = time.perf_counter()
+        targets, Y = hop_targets(self, cids, X, margin)
+        count["s"] += time.perf_counter() - t0
+        count["events"] += 1
+        count["row_hops"] += sum(t is not None for t in targets)
+        return targets, Y
+
+    flows._rk4, al.Atlas.hop_targets = counted_rk4, timed_hops
+    try:
+        runs = []
+        for _ in range(REPEATS):  # the same work each time
+            count.update(steps=0, events=0, row_hops=0, s=0.0)
+            lines, last, was = [], None, dict(count)
+            for row in probe_rows():  # a block's first row comes after its whole probe
+                if row.split()[0] != last:
+                    last = row.split()[0]
+                    lines.append(f"probe {last}" + "".join(
+                        f" {k} {count[k] - was[k]}" for k in ("steps", "events", "row_hops")))
+                    was = dict(count)
+            runs.append(count["s"])
+    finally:
+        flows._rk4, al.Atlas.hop_targets = rk4, hop_targets
+    return [f"hop {min(runs) / count['events'] * 1e6:.1f} events {count['events']}", *lines]
+
+
+if __name__ == "__main__":
+    print(*step_lines(al.default_catalog()), *probe_lines(), sep="\n")
