@@ -62,8 +62,8 @@ class Tangent:
     base: Point
     vec: Coords
 
-    def __post_init__(self):
-        object.__setattr__(self, "vec", _vec(self.vec))
+    def __post_init__(self):  # a copy: the caller's array may change later
+        object.__setattr__(self, "vec", np.array(self.vec, float, ndmin=1))
 
     def __repr__(self):
         return f"Tangent({self.base!r}, {np.array2string(self.vec, precision=6)})"

@@ -31,9 +31,9 @@ class SecondOrderTangent:
     w: np.ndarray
     z: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self):  # copies: the caller's arrays may change later
         for name in ("x", "v", "w", "z"):
-            object.__setattr__(self, name, _vec(getattr(self, name)))
+            object.__setattr__(self, name, np.array(getattr(self, name), float, ndmin=1))
 
 
 @dataclass(eq=False)

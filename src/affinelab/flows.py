@@ -13,15 +13,16 @@ points would.  A block of one is stepped as its 1-D view with a scalar
 step, which numpy runs about 2.6x faster than a (1, N) block (sphere
 `exp_map`, 1,000 steps: 28-29 ms against 74-78 ms), its hops found by the
 one-row search `Atlas.hop_target`.  Each step advances the rows in groups
-keyed on the callables their right-hand side calls, not on their chart:
-rows of every chart whose field hands out the same callables step
-through one RK4 call, so the callables take (..., N) inputs; the plan
-of groups holds each group's h, h/2 and h/6 as (rows, N) arrays, so
-every RK4 product multiplies arrays of one shape.  Margin tests group
-by test family, each row with its own parameters: a row that
-leaves the margin-shrunk domain of its chart is handed off to the
-highest-priority neighbouring chart that contains it, all of a block's
-hops in a step found in one `Atlas.hop_targets` call; a divergence,
+keyed on the chart `value`, which is their right-hand side, and on their
+margin test family, not on their chart: rows of every chart whose field
+hands out the same `value` and whose test is one family (each row with
+its own parameters) step through one RK4 call and one margin test, so
+the callables take (..., N) inputs; the plan of groups holds each
+group's h, h/2 and h/6 as (rows, N) arrays, so every RK4 product
+multiplies arrays of one shape.  A row that leaves the margin-shrunk
+domain of its chart is handed off to the highest-priority neighbouring
+chart that contains it, all of a block's hops in a step found in one
+`Atlas.hop_targets` call; a divergence,
 left-atlas or hop-limit stop retires that row and leaves the rest
 running.  The variational flow carries w' = d xi(x) w beside the state:
 the base step writes each RK4 stage state once, into a per-row buffer of
@@ -78,20 +79,21 @@ class ChartField:
     """Per-chart evaluation procedures of a vector field.
 
     `value`: x -> xi(x); `d`: x -> (n, n) Jacobian; `d2`: x -> (n, n, n)
-    tensor of second partials.  Each takes (..., n) rows and broadcasts
-    over the leading axes, since flows integrate blocks of rows; a
-    callable written for one point must be rewritten in array form.
+    tensor of second partials.  Each takes (..., n) rows, broadcasts over
+    the leading axes, since flows integrate blocks of rows, and returns a
+    float array: a flow steps with `value` itself as its right-hand side.
+    A callable written for one point must be rewritten in array form.
     `VectorField` fills a missing `d` or `d2` with `numdiff.filled`,
     central differences of `value` guarded by the chart's `contains_fn`,
     so every caller finds both; a fill calls `value` once on the
     (..., s, n) stencil points of all its rows.
 
     Charts that hand out the same callables step together: a flow steps
-    the rows of every chart whose `value` is the same object as one group,
-    so a builder that writes one formula for several charts should hand
-    out one callable.  Variational columns take each row's own chart `d`,
-    so a finite-difference fill, guarded by its own chart's domain, only
-    ever sees its own chart's rows.
+    the rows of every chart whose `value` is the same object, and whose
+    margin test is one family, as one group, so a builder that writes one
+    formula for several charts should hand out one callable.  Variational
+    columns take each row's own chart `d`, so a finite-difference fill,
+    guarded by its own chart's domain, only ever sees its own chart's rows.
     """
 
     value: Callable
@@ -180,15 +182,6 @@ def combine(name: str, fields, coeffs) -> VectorField:
 _CHUNK = 256
 
 
-def _rhs(field: VectorField, cid: str, p=None) -> Callable:
-    """Right-hand side x -> xi(x) on chart `cid`; a family's callable is
-    bound to its parameter rows `p`."""
-    f = field.chart_field(cid).value
-    if p is None:
-        return lambda x: np.asarray(f(x), float)
-    return lambda x: np.asarray(f(x, p), float)
-
-
 def _recording(f: Callable, B: np.ndarray, sel, first: int) -> Callable:
     """`f`, first writing each state it is called at to `B[sel, s]`, s
     counting on from `first` and wrapping at B's chunk length: `_rk4`
@@ -242,16 +235,17 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     A block of one row is stepped as its 1-D view `z[0]` with a scalar
     step, so the right-hand side and the margin test see a 1-D state
     (about 2.6x faster than a (1, N) block); a one-row group of a larger
-    block stays 2-D.  Rows step in groups that share a right-hand side,
-    the same chart `value` object; each group's h, h/2 and h/6 are
+    block stays 2-D.  Rows step in groups that share a chart `value`
+    object, their right-hand side, and a margin test family, so each group
+    makes one RK4 call and one test call; each group's h, h/2 and h/6 are
     repeated across its (rows, n) states when the plan is built, the same
     products bit for bit as broadcasting each row's step.  One
     `np.count_nonzero` tests that a group's rows stayed sound and inside,
-    and diverged rows are sought only when some row is unsound.  The
-    margin test, the hop search, the flush of W and its re-chart use each
+    and diverged rows are sought only when some row is unsound.  The test
+    parameters, the hop search, the flush of W and its re-chart use each
     row's own chart.  A family's parameter rows `params`, shaped like `z`,
-    are never stepped or re-charted; each group passes its share to the
-    chart callables.
+    are never stepped or re-charted; each group binds its share to the
+    chart `value`.
 
     Only the base state is stepped.  With variational columns each group's
     right-hand side writes its four RK4 stage states straight into the
@@ -289,9 +283,9 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     keys = {}
 
     def keyed(cid):
-        """(right-hand side key, margin test, None) of chart `cid`, the test
-        of a family member `partial(f, p)` given as f, p.  The key is the
-        chart's `value` alone: a flush calls each row's own chart `d`."""
+        """(chart `value`, margin test, None) of chart `cid`, the test of a
+        family member `partial(f, p)` given as f, p.  The first two key the
+        row's group; `d` keys nothing: a flush calls each row's own chart `d`."""
         if cid not in keys:
             keys[cid] = field.chart_field(cid).value, *_family(atlas.chart(cid).contains_fn)
         return keys[cid]
@@ -304,16 +298,6 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             if fam not in tparams:
                 tparams[fam] = np.empty((m,) + np.shape(p))
             tparams[fam][r] = p
-
-    rhs = {}
-
-    def rhs_on(cid, sel):
-        if params is not None:
-            return _rhs(field, cid, params[sel])
-        key = keyed(cid)[0]
-        if key not in rhs:
-            rhs[key] = _rhs(field, cid)
-        return rhs[key]
 
     for r, (cid, row) in enumerate(zip(cids, z)):
         if not atlas.chart(cid).contains(row):
@@ -364,46 +348,33 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             flush([r])
 
     def groups():
-        """(row selector, steps, rhs, margin tests) per right-hand side that
-        live rows share, the steps h, h/2 and h/6 shaped like the group's
-        states, each test (test, indices into the group's rows, family
-        parameters or None, their rows); the selector and steps are
-        `whole`'s when the group holds every row.  With W the rhs writes its
-        stages to the group's rows of `B`, from step i on."""
+        """(row selector, steps, rhs, margin test, its family parameters or
+        None) per (chart `value`, test family) that live rows share, the
+        steps h, h/2 and h/6 shaped like the group's states; the selector
+        and steps are `whole`'s when the group holds every row.  The rhs is
+        the chart `value`, a family's bound to the group's parameter rows;
+        with W it writes its stages to the group's rows of `B`, from step i on."""
         by_key = {}
         for r in sorted(live):
-            by_key.setdefault(keyed(cids[r])[0], []).append(r)
+            by_key.setdefault(keyed(cids[r])[:2], []).append(r)
         out = []
-        for rs in by_key.values():
+        for (f, test), rs in by_key.items():
             sel, h_sel = whole if len(rs) == m else (np.array(rs), [a[rs] for a in whole[1]])
-            tests = {}
-            for j, r in enumerate(rs):
-                tests.setdefault(keyed(cids[r])[1], []).append(j)
-            tests = [(fn, np.array(js), tparams.get(fn), sel if len(js) == m else np.array(rs)[js])
-                     for fn, js in tests.items()]
-            rhs_fn = rhs_on(cids[rs[0]], sel)
+            rhs_fn = f if params is None else lambda x, f=f, p=params[sel]: f(x, p)
             if k:
                 rhs_fn = _recording(rhs_fn, B, sel, 4 * (i % _CHUNK))
-            out.append((sel, h_sel, rhs_fn, tests))
+            out.append((sel, h_sel, rhs_fn, test, tparams.get(test)))
         return out
 
     for i in range(max(steps, default=0)):
         if stale:
             plan, stale = groups(), False
-        for sel, h_sel, rhs_fn, tests in plan:
+        for sel, h_sel, rhs_fn, contains, P in plan:
             zs = _rk4(rhs_fn, z[sel], *h_sel)
             z[sel] = zs
             # a non-finite state fails the guard comparison too
             sound = (zs * zs).sum(axis=-1) <= guard2
-            if len(tests) == 1:
-                contains, _, P, at = tests[0]
-                inside = contains(zs, margin) if P is None else contains(P[at], zs, margin)
-            else:
-                inside = np.empty(len(zs), bool)
-                for contains, sub, P, at in tests:
-                    inside[sub] = (contains(zs[sub], margin) if P is None
-                                   else contains(P[at], zs[sub], margin))
-            ok = sound & inside
+            ok = sound & (contains(zs, margin) if P is None else contains(P[sel], zs, margin))
             if np.count_nonzero(ok) == ok.size if ok.ndim else ok:
                 continue
             # rare path: stop diverged rows, hop (or stop) rows outside the

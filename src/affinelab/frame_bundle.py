@@ -70,9 +70,9 @@ class FrameTangent:
     v: np.ndarray
     w: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", _vec(self.v))
-        object.__setattr__(self, "w", np.asarray(self.w, float))
+    def __post_init__(self):  # copies: the caller's arrays may change later
+        object.__setattr__(self, "v", np.array(self.v, float, ndmin=1))
+        object.__setattr__(self, "w", np.array(self.w, float))
 
     def packed(self) -> np.ndarray:
         return pack(self.v, self.w)
@@ -88,9 +88,9 @@ class KappaValue:
     theta: np.ndarray
     omega: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _vec(self.theta))
-        object.__setattr__(self, "omega", np.asarray(self.omega, float))
+    def __post_init__(self):  # copies: the caller's arrays may change later
+        object.__setattr__(self, "theta", np.array(self.theta, float, ndmin=1))
+        object.__setattr__(self, "omega", np.array(self.omega, float))
 
 
 def _check_invertible(g: np.ndarray, err, label: str) -> None:

@@ -221,9 +221,10 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
 
     The residual is measured in whichever chart holds both endpoints:
     x's chart when it contains y, else y's.  Newton starts from the
-    third-order inverse of exp in that chart (`_normal_start`), pushed to
-    x's chart by the transition Jacobian.  Each iteration shoots v once,
-    as a one-row block carrying the variational columns [0; I] of the
+    third-order inverse of exp in that chart (`_normal_start`), taken
+    back to x's chart by solving with the transition's Jacobian at x (one
+    `Atlas.jet` gives x's image and that Jacobian).  Each iteration shoots
+    v once, as a one-row block carrying the variational columns [0; I] of the
     spray's closed-form Jacobian: their top n rows are d exp_x(v) in the
     shot's end chart, mapped into the target chart by the transition
     Jacobian (Hairer-Norsett-Wanner, Solving ODEs I, I.14).  The Jacobian
@@ -242,18 +243,18 @@ def exp_inverse(conn: ConnectionField, x: Point, y: Point, cfg: IntegratorConfig
         if not (np.isfinite(p.coords).all() and atlas.chart(p.chart).contains(p.coords)):
             raise LeftAtlas(f"exp_inverse: {name} = {p!r} lies outside its chart {p.chart!r}")
     try:
-        target_chart, at, target = x.chart, x.coords, atlas.transition(y, x.chart).coords
+        home, dh, target = x, None, atlas.transition(y, x.chart).coords
     except NotInOverlap:
         try:
-            at = atlas.transition(x, y.chart).coords
+            home, dh, _ = atlas.jet(x, y.chart, 1)
         except NotInOverlap:
             raise NoConvergence("x and y share no chart; target outside "
                                 "the representable neighbourhood") from None
-        target_chart, target = y.chart, y.coords
-    home = Point(target_chart, at)
-    v = _normal_start(conn, home, target - at)
-    if target_chart != x.chart:
-        v = atlas.d_transition(home, x.chart) @ v
+        target = y.coords
+    target_chart = home.chart
+    v = _normal_start(conn, home, target - home.coords)
+    if dh is not None:  # back to x's chart: the inverse of the jet's Jacobian
+        v = np.linalg.solve(dh, v)
 
     fld = geodesic_field(conn)
     n = atlas.dim

@@ -38,9 +38,9 @@ class KillingSeed:
     value: np.ndarray
     nabla: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", _vec(self.value))
-        object.__setattr__(self, "nabla", np.asarray(self.nabla, float))
+    def __post_init__(self):  # copies: the caller's arrays may change later
+        object.__setattr__(self, "value", np.array(self.value, float, ndmin=1))
+        object.__setattr__(self, "nabla", np.array(self.nabla, float))
 
     def packed(self) -> np.ndarray:
         return pack(self.value, self.nabla)

@@ -12,10 +12,13 @@ from affinelab import catalog as catalog_module
 from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition, all_space, box_domain
 from affinelab.bundles import frame_atlas, pack, tangent_atlas
 from affinelab.catalog import default_catalog, torus_atlas
+from affinelab.connection import SecondOrderTangent
 from affinelab.errors import NotInOverlap
 from affinelab.flows import IntegratorConfig
+from affinelab.frame_bundle import FrameTangent, KappaValue
 from affinelab.geodesics import completeness_probe
 from affinelab.harness import _CHECKS
+from affinelab.killing import KillingSeed
 
 
 def _map_only(atlas):
@@ -48,6 +51,23 @@ def test_a_point_keeps_its_own_coordinates():
     c[0] = 5.0
     assert p.coords.tolist() == [1.0, 2.0]
     assert Point("a", 0.5).coords.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("build", [
+    lambda v, g: (Tangent(Point("a", [0.1, 0.2]), v), ("vec",)),
+    lambda v, g: (FrameTangent(v, g), ("v", "w")),
+    lambda v, g: (KappaValue(v, g), ("theta", "omega")),
+    lambda v, g: (KillingSeed(Point("a", [0.1, 0.2]), v, g), ("value", "nabla")),
+    lambda v, g: (SecondOrderTangent("a", v, v, v, v), ("x", "v", "w", "z")),
+], ids=["Tangent", "FrameTangent", "KappaValue", "KillingSeed", "SecondOrderTangent"])
+def test_point_data_keeps_its_own_arrays(build):
+    # like Point and Frame, each copies the caller's arrays, so later writes
+    # to them leave it unchanged
+    v, g = np.array([1.0, 2.0]), np.eye(2)
+    obj, attrs = build(v, g)
+    before = {a: getattr(obj, a).tolist() for a in attrs}
+    v[0], g[0, 1] = 9.0, 9.0
+    assert {a: getattr(obj, a).tolist() for a in attrs} == before
 
 
 def test_cart_to_polar_closed_form(cat):

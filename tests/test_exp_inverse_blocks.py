@@ -48,8 +48,8 @@ def _newton(conn, x, y, tol, max_iter, shoot):
     S = 0.5 * (T + np.swapaxes(T, -1, -2))
     s = S @ d @ d
     v = d - 0.5 * s + (S @ s @ d - conn.d_tensor_dir(home, d) @ d @ d) / 6.0
-    if target_chart != x.chart:
-        v = atlas.d_transition(home, x.chart) @ v
+    if target_chart != x.chart:  # back to x's chart through the inverse of dh at x
+        v = np.linalg.solve(atlas.d_transition(x, target_chart), v)
 
     def into_target(p):
         try:

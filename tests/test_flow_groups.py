@@ -1,9 +1,10 @@
-"""Rows step in groups keyed on the callables their right-hand side calls.
+"""Rows step in groups keyed on their chart `value` and margin test family.
 
-Charts whose field hands out the same `value` step their rows through
-one RK4 call, with or without variational columns (a flush calls each
-row's own chart `d`); charts whose margin test is one family (the torus
-boxes) test their rows in one call with per-row parameters, and the rows
+Charts whose field hands out the same `value` and whose margin test is
+one family (the torus boxes, with per-row parameters) step their rows
+through one RK4 call and one test call, with or without variational
+columns (a flush calls each row's own chart `d`); the `value` is the
+right-hand side itself, unwrapped.  The rows
 leaving at one step hop in one call, while the re-chart of the
 variational columns stays per row.
 A mixed-chart block must therefore give every row exactly
@@ -22,6 +23,7 @@ from affinelab.flows import (DIVERGED, HOP_LIMIT, LEFT_ATLAS, OK, ChartField, In
                              VectorField, _run_block, constant_field)
 from affinelab.frame_bundle import Frame, kappa_inverse_family, standard_horizontal
 from affinelab.geodesics import exp_map, geodesic_field
+from test_geodesics import _map_only_sphere
 
 TORUS_CENTERS = {"t00": (0.0, 0.0), "t10": (0.5, 0.0), "t01": (0.0, 0.5), "t11": (0.5, 0.5)}
 
@@ -195,6 +197,38 @@ def test_charts_with_different_callables_step_as_separate_groups(cat, rk4_calls)
     starts = [Point("cart", [0.5, 0.5]), Point("polar", [1.0, 0.5]), Point("cart", [-0.3, 0.2])]
     _run_block(fld, starts, 0.1, IntegratorConfig(step=0.01))
     assert sorted(rk4_calls[:2]) == [(1, 2), (2, 2)] and len(rk4_calls) == 20
+
+
+def test_rows_sharing_a_value_under_two_test_families_step_per_family(rk4_calls):
+    # the map-only sphere's charts share the spray's one `value`, but each
+    # chart has its own disk test: rows of a and of b step as two groups,
+    # one RK4 call and one margin test each
+    fld = geodesic_field(_map_only_sphere())
+    starts = [_tm("a", [0.3, 0.1], [0.2, 0.1]), _tm("b", [0.2, -0.4], [0.1, 0.3]),
+              _tm("a", [-0.5, 0.2], [0.0, 0.2]), _tm("b", [0.1, 0.1], [-0.2, 0.1])]
+    cfg = IntegratorConfig(step=0.01)
+    assert fld.chart_field("a").value is fld.chart_field("b").value
+    _run_block(fld, starts, 0.1, cfg)
+    assert rk4_calls == [(2, 4)] * 20
+    _block_equals_rows(fld, starts, np.full(len(starts), 0.1), cfg)
+
+
+def test_a_plain_group_steps_its_charts_own_value(cat, monkeypatch):
+    # no wrapper between the step and the chart callable: each group's
+    # right-hand side is its chart's `value` object itself
+    rhs_seen = []
+    rk4 = flows._rk4
+
+    def seen(rhs, *args):
+        rhs_seen.append(rhs)
+        return rk4(rhs, *args)
+
+    monkeypatch.setattr(flows, "_rk4", seen)
+    fld = cat.field("plane", "rotation")
+    starts = [Point("cart", [0.5, 0.5]), Point("polar", [1.0, 0.5]), Point("cart", [-0.3, 0.2])]
+    _run_block(fld, starts, 0.1, IntegratorConfig(step=0.01))
+    values = {fld.chart_field(cid).value for cid in ("cart", "polar")}
+    assert len(rhs_seen) == 20 and set(rhs_seen) == values
 
 
 def test_finite_difference_fills_never_merge(cat, rk4_calls):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
+from affinelab import geodesics
 from affinelab.atlas import Point, Tangent
+from affinelab.catalog import Catalog
 from affinelab.errors import NoConvergence, NotInOverlap
 from affinelab.flows import IntegratorConfig
 from affinelab.geodesics import (CurveSpec, completeness_probe, exp_inverse, exp_map, geodesic,
@@ -403,6 +405,36 @@ def test_completeness_probe_rows_stop_independently_on_disk(cat, rng):
                                          (row.status_backward, -row.t_backward, exit_time(x, -v))):
             assert status == "left_atlas"
             assert exit_at - cfg.step - 1e-9 <= reached < exit_at
+
+
+def test_exp_inverse_maps_x_into_the_target_chart_once(monkeypatch):
+    # y lies outside x's chart a, so Newton runs in y's chart b: the set-up
+    # tries y in a, then takes x's image and the transition's Jacobian from
+    # one jet, two inversion calls before the first shot; the three shots'
+    # hop searches and landings in b add three more
+    conn = Catalog().connection("sphere", "round")  # counting stubs on a private catalog
+    atlas = conn.atlas
+    calls, shots = [], []
+    for cid, tid in (("a", "b"), ("b", "a")):
+        tr = atlas.chart(cid).transitions[tid]
+
+        def counted(p, f=tr.map):
+            calls.append(np.shape(p))
+            return f(p)
+
+        tr.map = counted
+    run_block = geodesics._run_block
+
+    def shot(*args, **kwargs):
+        shots.append(len(calls))
+        return run_block(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "_run_block", shot)
+    cfg = IntegratorConfig(step=1e-2)
+    y = Point("b", [0.3, 0.1])
+    v = exp_inverse(conn, Point("a", [1.9, 0.3]), y, cfg)
+    assert shots[0] == 2 and len(shots) == 3 and len(calls) == 5
+    assert atlas.gap(exp_map(conn, v, cfg), y) <= 1e-10
 
 
 def test_exp_inverse_no_convergence(cat):
