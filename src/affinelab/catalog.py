@@ -269,7 +269,7 @@ def _dot(a, b):
 def round_sphere_connection(atlas: Atlas) -> ConnectionField:
     """Levi-Civita connection of the round metric 4/(1+|x|^2)^2 dx^2 in both
     stereographic charts: B_x(v, w) = c (<x,v> w + <x,w> v - <v,w> x),
-    c = 2/(1+|x|^2)."""
+    c = 2/(1+|x|^2).  Both charts hand out one fused spray (v, B_x(v, v))."""
 
     def bil(x, v, w):
         x, v, w = x.T, v.T, w.T
@@ -278,6 +278,14 @@ def round_sphere_connection(atlas: Atlas) -> ConnectionField:
         xv, xw, vw = x0 * v0 + x1 * v1, x0 * w0 + x1 * w1, v0 * w0 + v1 * w1
         return np.array([c * (xv * w0 + xw * v0 - vw * x0), c * (xv * w1 + xw * v1 - vw * x1)]).T
 
+    def spray(z):  # bil(x, v, v) with xv * v0 + xv * v0 as the exact (xv + xv) * v0
+        z = z.T
+        x0, x1, v0, v1 = z[0], z[1], z[2], z[3]
+        c = 2.0 / (1.0 + (x0 * x0 + x1 * x1))
+        xv = x0 * v0 + x1 * v1
+        xv, vv = xv + xv, v0 * v0 + v1 * v1
+        return np.array([v0, v1, c * (xv * v0 - vv * x0), c * (xv * v1 - vv * x1)]).T
+
     def tensor(x):
         return 2.0 / (1.0 + _dot(x, x)) * _round_form(x)
 
@@ -285,7 +293,8 @@ def round_sphere_connection(atlas: Atlas) -> ConnectionField:
         c = 2.0 / (1.0 + _dot(x, x))
         return -c * c * _dot(x, u) * _round_form(x) + c * _round_form(u)
 
-    charts = {cid: ConnChart(bilinear=bil, tensor=tensor, d_dir=d_dir) for cid in ("a", "b")}
+    charts = {cid: ConnChart(bilinear=bil, tensor=tensor, d_dir=d_dir, spray=spray)
+              for cid in ("a", "b")}
     return ConnectionField(atlas, "round", charts)
 
 
@@ -300,6 +309,12 @@ def hyperbolic_connection(atlas: Atlas) -> ConnectionField:
         y, v, w = x.T[1], v.T, w.T
         return np.array([(v[0] * w[1] + v[1] * w[0]) / y, (v[1] * w[1] - v[0] * w[0]) / y]).T
 
+    def spray(z):  # bil(x, v, v) with v0 * v1 + v1 * v0 as t + t
+        z = z.T
+        y, v0, v1 = z[1], z[2], z[3]
+        t = v0 * v1
+        return np.array([v0, v1, (t + t) / y, (v1 * v1 - v0 * v0) / y]).T
+
     def tensor(x):
         return _HYPERBOLIC / x[..., 1, None, None, None]
 
@@ -307,7 +322,8 @@ def hyperbolic_connection(atlas: Atlas) -> ConnectionField:
         y = x[..., 1, None, None, None]
         return -(u[..., 1, None, None, None] / y) * (_HYPERBOLIC / y)
 
-    return ConnectionField(atlas, "hyperbolic", {"hp": ConnChart(bilinear=bil, tensor=tensor, d_dir=d_dir)})
+    return ConnectionField(atlas, "hyperbolic", {"hp": ConnChart(bilinear=bil, tensor=tensor,
+                                                                 d_dir=d_dir, spray=spray)})
 
 
 def colat_round_connection(atlas: Atlas) -> ConnectionField:

@@ -50,12 +50,16 @@ class ConnChart:
     arguments, broadcast together, and prepend the leading axes to their
     results: the geodesic spray calls `bilinear` on blocks of rows, and the
     frame-bundle fields call `tensor` on blocks and `d_dir` on every
-    coordinate direction at once.
+    coordinate direction at once.  `spray` z -> (v, B_x(v, v)) of (..., 2n)
+    rows z = (x, v) is optional: a fused geodesic spray that must give the
+    same bits as `(v, bilinear(x, v, v))` on every row; when missing,
+    `geodesics.geodesic_field` derives that from `bilinear`.
     """
 
     tensor: Callable
     bilinear: Callable | None = None
     d_dir: Callable | None = None
+    spray: Callable | None = None
 
 
 class ConnectionField:

@@ -10,8 +10,8 @@ composed left to right, on a list of points, one block per segment (for
 `FlowWord.push`, `exp_map_rows` and the defects); a failed row stops, and
 after the last segment the first failed row raises, as a loop over the
 points would.  A block of one is stepped as its 1-D view with a scalar
-step, which numpy runs about 2.6x faster than a (1, N) block (sphere
-`exp_map`, 1,000 steps: 28-29 ms against 74-78 ms), its hops found by the
+step, which numpy runs about 2.8x faster than a (1, N) block (sphere
+`exp_map`, 1,000 steps: 17-18 ms against 49-51 ms), its hops found by the
 one-row search `Atlas.hop_target`.  Each step advances the rows in groups
 keyed on the chart `value`, which is their right-hand side, and on their
 margin test family, not on their chart: rows of every chart whose field
@@ -234,7 +234,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     k), holds each row's variational columns.  Both are updated in place.
     A block of one row is stepped as its 1-D view `z[0]` with a scalar
     step, so the right-hand side and the margin test see a 1-D state
-    (about 2.6x faster than a (1, N) block); a one-row group of a larger
+    (about 2.8x faster than a (1, N) block); a one-row group of a larger
     block stays 2-D.  Rows step in groups that share a chart `value`
     object, their right-hand side, and a margin test family, so each group
     makes one RK4 call and one test call; each group's h, h/2 and h/6 are

@@ -1,9 +1,11 @@
 """Geodesics, the exponential map and its inverse, parallel transport.
 
 Geodesics integrate the first-order system (x, v)' = (v, B_x(v, v)) on
-the tangent-bundle atlas, so chart hand-off comes for free.  Curves are
-piecewise-cubic Hermite interpolants of dense samples, evaluated at
-arrays of parameters; parallel transport solves the linear chart ODE
+the tangent-bundle atlas, so chart hand-off comes for free; a connection
+chart may supply that spray fused (`ConnChart.spray`, the same bits).
+Curves are piecewise-cubic Hermite interpolants of dense samples,
+evaluated at arrays of parameters; parallel transport solves the linear
+chart ODE
 
     gamma'(t) = B_{alpha(t)}(gamma(t), alpha'(t))
 
@@ -35,7 +37,9 @@ _HERMITE = np.array([[2, 1, -2, 1, 0, 0, 0, 0], [-3, -2, 3, -1, 6, 3, -6, 3],
 
 def geodesic_field(conn: ConnectionField) -> VectorField:
     """The geodesic spray as a vector field on the tangent-bundle atlas,
-    with its closed-form Jacobian as `d` (`d2` is the finite-difference fill)."""
+    with its closed-form Jacobian as `d` (`d2` is the finite-difference fill).
+    A chart's `value` is its connection chart's fused `spray` when it has
+    one, else (v, B_x(v, v)) from its `bilinear`, one per distinct callable."""
     cached = getattr(conn, "_geodesic_field", None)
     if cached is not None:
         return cached
@@ -69,7 +73,7 @@ def geodesic_field(conn: ConnectionField) -> VectorField:
         return d
 
     ccs = {cid: conn._chart(cid) for cid in base.charts if conn.has_chart(cid)}
-    charts = {cid: ChartField(value=spray(cc.bilinear), d=spray_d(cc.tensor, cc.d_dir))
+    charts = {cid: ChartField(value=cc.spray or spray(cc.bilinear), d=spray_d(cc.tensor, cc.d_dir))
               for cid, cc in ccs.items()}
     field = VectorField(tm, f"geodesic[{conn.name}]", charts)
     conn._geodesic_field = field

@@ -264,7 +264,7 @@ def test_finite_difference_fills_never_merge(cat, rk4_calls):
 
 def test_one_row_runs_step_a_1d_state(cat, rk4_calls):
     # a one-row block steps its 1-D view with a scalar step, which numpy
-    # runs about 2.6x faster than the same row as a (1, N) block
+    # runs about 2.8x faster than the same row as a (1, N) block
     cfg = IntegratorConfig(step=0.05)
     rot = cat.field("sphere", "rot_x")
     flows.integrate(rot, Point("a", [1.2, 0.1]), 1.0, cfg)

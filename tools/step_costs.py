@@ -1,4 +1,4 @@
-"""Print what one RK4 step and one chart hand-off cost, and the probes' work.
+"""Print what one RK4 step, one spray call and one chart hand-off cost, and the probes' work.
 
     PYTHONPATH=src python tools/step_costs.py
 
@@ -6,6 +6,10 @@
                               sphere: SPACE base (rot_z), tangent (the geodesic spray) or
                               frame (H_lambda), KIND plain or variational (identity
                               columns); rows start near chart a's centre and never hop
+    spray MANIFOLD ROWS US    microseconds per call of the geodesic field's chart `value`
+                              (the fused sprays of sphere chart a and halfplane, the
+                              derived flat one of torus chart t00) on ROWS sampled rows,
+                              one row as a 1-D state as a one-row run steps it
     hop US events E           microseconds in Atlas.hop_targets per call (per hop event)
     probe MANIFOLD steps S events E row_hops H
                               the probes of `dump_rows.py --probes` (its `probe_rows`):
@@ -25,6 +29,7 @@ from affinelab.bundles import pack
 from dump_rows import probe_rows
 
 STEP, STEPS, REPEATS = 1e-3, 100, 5
+CALLS = 1000  # spray calls per timed run
 
 
 def step_lines(cat):
@@ -43,6 +48,20 @@ def step_lines(cat):
                 run = lambda: flows._run_block(field, starts, STEPS * STEP, cfg, w0)
                 s = min(timeit.repeat(run, number=1, repeat=REPEATS))
                 yield f"step {name} {kind} {rows} {s / STEPS * 1e6:.1f}"
+
+
+def spray_lines(cat):
+    rng = np.random.default_rng(0)
+    for manifold, cname, cid in (("sphere", "round", "a"), ("halfplane", "hyperbolic", "hp"),
+                                 ("torus", "flat", "t00")):
+        conn = cat.connection(manifold, cname)
+        value = al.geodesics.geodesic_field(conn).chart_field(cid).value
+        for rows in (1, 16):
+            xs = np.array([p.coords for p in conn.atlas.sample_points(cid, rows, rng)])
+            z = np.concatenate([xs, rng.normal(size=xs.shape)], axis=-1)
+            z = z[0] if rows == 1 else z
+            s = min(timeit.repeat(lambda: value(z), number=CALLS, repeat=REPEATS))
+            yield f"spray {manifold} {rows} {s / CALLS * 1e6:.2f}"
 
 
 def probe_lines():
@@ -79,4 +98,5 @@ def probe_lines():
 
 
 if __name__ == "__main__":
-    print(*step_lines(al.default_catalog()), *probe_lines(), sep="\n")
+    cat = al.default_catalog()
+    print(*step_lines(cat), *spray_lines(cat), *probe_lines(), sep="\n")
