@@ -10,10 +10,10 @@ durations).  A map f is affine when
 
 `affine_residual` returns the left minus right side.  Every derivative
 of a map comes from its one second-order call, `Diffeo.second`: a closed
-form reads its chart jets, a flow word flows its natural lift, with no
-finite differences.  `exp_aut` realizes the group exponential: it
-verifies the Killing residual on a sample set and returns the time-(-1)
-flow word.
+form reads its chart jets, a flow word carries second-order columns
+beside its Jacobian on the base flow, with no finite differences.
+`exp_aut` realizes the group exponential: it verifies the Killing
+residual on a sample set and returns the time-(-1) flow word.
 
 `Diffeo.push` maps a list of points (and tangent columns at them); a
 FlowWord runs its word through `flows._push`, one block per segment
@@ -30,12 +30,12 @@ from typing import Callable
 import numpy as np
 
 from .atlas import Atlas, Point, Tangent, _vec
-from .bundles import frame_atlas, pack
+from .bundles import frame_atlas
 from .connection import ConnectionField
 from .errors import ChartMissing, NotKilling
 from .flows import IntegratorConfig, VectorField, _push
 from .frame_bundle import Frame, FrameTangent, kappa
-from .killing import killing_residual, natural_lift
+from .killing import killing_residual
 
 
 class Diffeo:
@@ -159,19 +159,16 @@ class FlowWord(Diffeo):
         return Tangent(ends[0], W[0, :, 0])
 
     def second(self, points, vs) -> list:
-        """Read off the natural lift of the word, flowed from the frames
-        (x, I) with the columns (v, 0) as one block: T Fr(f) sends them to
-        (df v, d2 f(v, .)) at (f(x), df(x)) (Kobayashi-Nomizu I, VI.1)."""
+        """The images and df of `push(points, I)`, bit for bit, with d2 f(v, .)
+        carried beside df on the base flow as second-order columns U from 0
+        (`flows._integrate`; Hairer-Norsett-Wanner, Solving ODEs I, I.14)."""
         if len(points) != len(vs):
             raise ValueError(f"{len(points)} points and {len(vs)} vs")
-        n = self.atlas.dim
-        cols = np.zeros((len(points), n + n * n, 1))
-        cols[:, :n, 0] = np.reshape(vs, (-1, n))
-        lifted = FlowWord(frame_atlas(self.atlas), [(natural_lift(f), t) for f, t in self.word],
-                          self.cfg)
-        ends, W = lifted.push([Point(p.chart, pack(p.coords, np.eye(n))) for p in points], cols)
-        return [(Point(e.chart, e.coords[:n]), e.coords[n:].reshape(n, n), w[n:, 0].reshape(n, n))
-                for e, w in zip(ends, W)]
+        n, m = self.atlas.dim, len(points)
+        U = np.zeros((m, n, n))
+        ends, W = _push(self.word, points, self.cfg, np.broadcast_to(np.eye(n), (m, n, n)),
+                        second=(np.asarray(vs, float).reshape(m, n), U))
+        return list(zip(ends, W, U))
 
     def inverse(self) -> "FlowWord":
         return FlowWord(self.atlas, [(f, -t) for f, t in reversed(self.word)], self.cfg,

@@ -1,36 +1,25 @@
 """Chart-hopping ODE machinery for vector fields expressed per chart.
 
 Fixed-step classical RK4 throughout, every flow step one `_rk4` call; no
-adaptivity.  One core integrates an (m, N) block of rows, entered through
-`_run_block`, each row with its own chart, signed step, hop count, status
-and reach time.  Two runners use it: `_run` integrates one trajectory
-(for `integrate` and `variational_flow`, optionally recording (t, chart,
-x) rows), and `_push` runs a flow word, (field, duration) segments
-composed left to right, on a list of points, one block per segment (for
-`FlowWord.push`, `exp_map_rows` and the defects); a failed row stops, and
-after the last segment the first failed row raises, as a loop over the
-points would.  A block of one is stepped as its 1-D view with a scalar
-step, which numpy runs about 2.8x faster than a (1, N) block (sphere
-`exp_map`, 1,000 steps: 17-18 ms against 49-51 ms), its hops found by the
-one-row search `Atlas.hop_target`.  Each step advances the rows in groups
-keyed on the chart `value`, which is their right-hand side, and on their
-margin test family, not on their chart: rows of every chart whose field
-hands out the same `value` and whose test is one family (each row with
-its own parameters) step through one RK4 call and one margin test, so
-the callables take (..., N) inputs; the plan of groups holds each
-group's h, h/2 and h/6 as (rows, N) arrays, so every RK4 product
-multiplies arrays of one shape.  A row that leaves the margin-shrunk
-domain of its chart is handed off to the highest-priority neighbouring
-chart that contains it, all of a block's hops in a step found in one
-`Atlas.hop_targets` call; a divergence,
-left-atlas or hop-limit stop retires that row and leaves the rest
-running.  The variational flow carries w' = d xi(x) w beside the state:
-the base step writes each RK4 stage state once, into a per-row buffer of
-the current chunk of `_CHUNK` steps, and W moves by the product of the
-steps' propagator matrices (`_propagator`, which parallel transport
-shares), one `d` call per chart and span.  A row flushes before it hops,
-when it stops, when it finishes and at each chunk end; W is re-charted
-through the transition Jacobian at every hand-off.  A family field
+adaptivity.  One core, `_integrate`, entered through `_run_block`, steps
+an (m, N) block of rows, each with its own chart, signed step, hop count,
+status and reach time.  `_run` integrates one trajectory (for `integrate`
+and `variational_flow`, optionally recording (t, chart, x) rows), and
+`_push` runs a flow word, (field, duration) segments composed left to
+right, on a list of points, one block per segment (for `FlowWord`,
+`exp_map_rows` and the defects); a failed row stops, and after the last
+segment the first failed row raises, as a loop over the points would.
+Rows step in groups keyed on the chart `value`, their right-hand side,
+and on their margin test family, not on their chart, so the callables
+take (..., N) inputs.  A row that leaves the margin-shrunk domain of its
+chart is handed off to the highest-priority neighbouring chart that
+contains it, all of a block's hops in a step found in one
+`Atlas.hop_targets` call; a divergence, left-atlas or hop-limit stop
+retires that row alone.  Variational columns w' = d xi(x) w move by
+products of RK4 step propagators over the recorded stages (`_propagator`,
+shared with parallel transport), the second-order columns
+U' = d xi U + d2 xi(W v, W .) of `FlowWord.second` with them
+(`_second_order`), both re-charted at every hand-off.  A family field
 (`params` = q) takes a constant parameter row per trajectory, never
 stepped or re-charted, so members share a block.
 """
@@ -39,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -225,27 +215,62 @@ def _propagator(M: np.ndarray, h) -> np.ndarray:
     return D[..., 0, :, :]
 
 
+def _second_order(M: np.ndarray, T: np.ndarray, h, W: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c with U <- (I + D) U + c, D = `_propagator(M, h)`, the RK4 of U' = A U + T(W v, W .)
+    over the span, given its stages' second derivatives `T` (..., steps, 4, n, n, n), starting
+    columns `W` (..., n, k), directions `v` (..., k) and steps `h` (..., 1).  Per step, with W_t
+    the running product and s_j = h/2, h/2, h: stage columns W_1 = W_t, W_j = (I + s_j K_j-1) W_t,
+    sources G_j = T_j(W_j v, W_j .), L_1 = G_1, L_j = G_j + s_j A_j L_j-1, c = h/6 (L_1 + 2 L_2
+    + 2 L_3 + L_4).  Matrix indices go first: `@` takes some 50 ns a 2 x 2 matrix of a stack."""
+    mm = partial(np.einsum, "ij...,jk...->ik...")
+    A1, A2, A3, A4 = np.ascontiguousarray(np.moveaxis(M, (-3, -2, -1), (0, 1, 2)))
+    T = np.ascontiguousarray(np.moveaxis(T, (-4, -3, -2, -1), (0, 1, 2, 3)))
+    K2 = A2 + 0.5 * h * mm(A2, A1)
+    K3 = A3 + 0.5 * h * mm(A3, K2)
+    D = (h / 6.0) * (A1 + 2.0 * K2 + 2.0 * K3 + A4 + h * mm(A4, K3))
+    P, d = D, 1  # by doubling: I + P[t] = (I + D[t]) ... (I + D[0])
+    while d < P.shape[-1]:
+        X, Y = P[..., d:], P[..., :-d]
+        P, d = np.concatenate([P[..., :d], X + Y + mm(X, Y)], axis=-1), 2 * d
+    Wt = np.moveaxis(W, (-2, -1), (0, 1))[..., None]
+    Wt = np.concatenate([Wt, Wt + mm(P[..., :-1], Wt)], axis=-1)  # W_t
+    w = mm(Wt, np.moveaxis(v, -1, 0)[:, None, ..., None])  # W_t v
+    L = [np.einsum("ilk...,l...->ik...", T[0], w[:, 0])]  # L_j and G_j without the factor W_t
+    for j, (s, K, Aj) in enumerate(((0.5 * h, A1, A2), (0.5 * h, K2, A3), (h, K3, A4)), 1):
+        G = np.einsum("ilk...,l...->ik...", T[j], (w + s * mm(K, w))[:, 0])
+        L.append(G + s * mm(G, K) + s * mm(Aj, L[-1]))
+    c = mm((h / 6.0) * (L[0] + 2.0 * L[1] + 2.0 * L[2] + L[3]), Wt)
+    while c.shape[-1] > 1:  # (I + X)((I + Y) U + y) + x = (I + X)(I + Y) U + x + y + X y
+        s = c.shape[-1]
+        X, Y, x, y = D[..., 1::2], D[..., 0:-1:2], c[..., 1::2], c[..., 0:-1:2]
+        c = np.concatenate([x + y + mm(X, y), c[..., s - s % 2:]], axis=-1)
+        D = np.concatenate([X + Y + mm(X, Y), D[..., s - s % 2:]], axis=-1)
+    return np.moveaxis(c[..., 0], (0, 1), (-2, -1))
+
+
 def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: IntegratorConfig,
-               W: np.ndarray | None = None, record: list | None = None, params=None):
+               W: np.ndarray | None = None, record: list | None = None, params=None,
+               second=None):
     """The RK4 core.
 
     `z` is a block of base states (m, n) with `t` an (m,) array of signed
-    finite durations, n the field's state dimension; `W`, None or (m, n,
-    k), holds each row's variational columns.  Both are updated in place.
-    A block of one row is stepped as its 1-D view `z[0]` with a scalar
-    step, so the right-hand side and the margin test see a 1-D state
-    (about 2.8x faster than a (1, N) block); a one-row group of a larger
-    block stays 2-D.  Rows step in groups that share a chart `value`
-    object, their right-hand side, and a margin test family, so each group
-    makes one RK4 call and one test call; each group's h, h/2 and h/6 are
-    repeated across its (rows, n) states when the plan is built, the same
-    products bit for bit as broadcasting each row's step.  One
-    `np.count_nonzero` tests that a group's rows stayed sound and inside,
-    and diverged rows are sought only when some row is unsound.  The test
-    parameters, the hop search, the flush of W and its re-chart use each
-    row's own chart.  A family's parameter rows `params`, shaped like `z`,
-    are never stepped or re-charted; each group binds its share to the
-    chart `value`.
+    finite durations, n the field's state dimension; `W`, None or (m, n, k),
+    holds each row's variational columns.  Both are updated in place.  A
+    block of one row is stepped as its 1-D view `z[0]` with a scalar step,
+    so the right-hand side and the margin test see a 1-D state (about 2.8x
+    faster than a (1, N) block: sphere `exp_map`, 1,000 steps, 17-18 ms
+    against 49-51 ms), its hops found by the one-row search
+    `Atlas.hop_target`; a one-row group of a larger block stays 2-D.  Rows
+    step in groups that share a chart `value` object, their right-hand side,
+    and a margin test family, so each group makes one RK4 call and one test
+    call; each group's h, h/2 and h/6 are repeated across its (rows, n)
+    states when the plan is built, the same products bit for bit as
+    broadcasting each row's step.  One `np.count_nonzero` tests that a
+    group's rows stayed sound and inside, and diverged rows are sought only
+    when some row is unsound.  The test parameters, the hop search, the
+    flush of W and its re-chart use each row's own chart.  A family's
+    parameter rows `params`, shaped like `z`, are never stepped or
+    re-charted; each group binds its share to the chart `value`.
 
     Only the base state is stepped.  With variational columns each group's
     right-hand side writes its four RK4 stage states straight into the
@@ -254,10 +279,14 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     `d` once per span start on the stages the rows took since their last
     flush, through the current step, and sets W <- W + D W, I + D the
     product of the steps' propagators (`_propagator`): the RK4 of
-    w' = d xi(x) w, its products regrouped.  A row flushes before it hops
-    (W is then re-charted by the transition Jacobian), when it stops, when
-    it finishes and at each chunk end, so its spans, and so its W, never
-    depend on the other rows of the block.
+    w' = d xi(x) w, its products regrouped.  With `second` = (vs, U) a
+    flush also calls each chart's `d2` and moves U (m, n, k) in place by
+    U <- U + D U + c, the RK4 of U' = d xi U + d2 xi(W v, W .)
+    (`_second_order`), so from 0 U = d2 Fl(W0 v, W0 .) along vs (m, k); W
+    keeps its bits, and a family field refuses it (ValueError).  A row
+    flushes before it hops (then U <- dh U + d2h(W v, W .), W <- dh W, dh
+    the transition Jacobian), when it stops, when it finishes and at each
+    chunk end, so its spans, W and U never depend on the other rows.
     Returns (chart ids, z, t_reached, statuses) with one entry per row.
     `record` (one row) is appended with rows (t, chart_id, x_copy), a hop
     adding its pre-hop state at the same time.
@@ -265,6 +294,9 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     atlas = field.atlas
     n = atlas.dim
     k = W is not None
+    if second is not None and params is not None:
+        raise ValueError("a family field carries no second-order columns")
+    vs, U = (None, None) if second is None else second
     cids = list(cids)
     m = len(cids)
     ts = [float(ti) for ti in t]
@@ -330,13 +362,18 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
         spans = {}
         for r in rows:
             if since[r] <= i:
-                spans.setdefault((field.chart_field(cids[r]).d, since[r]), []).append(r)
+                cf = field.chart_field(cids[r])
+                spans.setdefault((cf.d, U is not None and cf.d2, since[r]), []).append(r)
                 since[r] = i + 1
-        for (d, a), rs in spans.items():
+        for (d, d2, a), rs in spans.items():
             X = B[rs, 4 * (a % _CHUNK):4 * (i % _CHUNK + 1)]
             M = d(X) if params is None else d(X, params[rs][:, None])
             M = np.asarray(M, float).reshape(len(rs), -1, 4, n, n)
-            W[rs] += _propagator(M, h[rs][..., None, None]) @ W[rs]
+            D = _propagator(M, h[rs][..., None, None])
+            if d2:
+                T = np.asarray(d2(X), float).reshape(len(rs), -1, 4, n, n, n)
+                U[rs] += D @ U[rs] + _second_order(M, T, h[rs], W[rs], vs[rs])
+            W[rs] += D @ W[rs]
 
     def stop(r, why, at):
         nonlocal stale
@@ -405,7 +442,11 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 if record is not None:
                     record.append(snapshot((i + 1) * hs[r], r))
                 if k:
-                    W[r] = np.asarray(atlas.chart(cid).transitions[tid].d(X[j]), float) @ W[r]
+                    tr = atlas.chart(cid).transitions[tid]
+                    J = np.asarray(tr.d(X[j]), float)
+                    if U is not None:  # the second-order chain rule, with the pre-hop W
+                        U[r] = J @ U[r] + W[r] @ vs[r] @ np.asarray(tr.d2(X[j]), float) @ W[r]
+                    W[r] = J @ W[r]
                 cids[r] = tid
                 was, now = keyed(cid), keyed(tid)
                 stale |= now[0] is not was[0] or now[1] is not was[1]
@@ -444,16 +485,16 @@ def _run(field: VectorField, start: Point, t: float, cfg: IntegratorConfig,
 
 
 def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
-               record: list | None = None, params=None):
+               record: list | None = None, params=None, second=None):
     """Integrate trajectories from `starts` (Points) as rows of one block.
 
     `t` is one signed duration or one per row, `w0` None or (m, ...)
     variational columns per row (n rows each), carried beside the base
     states as an (m, n, k) block, `record` as in `_run` (one row only),
-    `params` the (m, q) parameter rows of a family field.  Each row stops
-    on its own.  Returns (end points, W, t_reached, statuses), one per
-    row, W holding the pushed columns in the shape of `w0` (None without
-    it).
+    `params` the (m, q) parameter rows of a family field, `second` as in
+    `_integrate` (its U updated in place).  Each row stops on its own.
+    Returns (end points, W, t_reached, statuses), one per row, W holding
+    the pushed columns in the shape of `w0` (None without it).
     """
     m, n = len(starts), field.atlas.dim
     z = np.array([p.coords for p in starts], float).reshape(m, n)
@@ -461,7 +502,7 @@ def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
     t = np.broadcast_to(np.asarray(t, float), (m,))
     params = None if params is None else np.asarray(params, float).reshape(m, field.params)
     cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, t, cfg, W,
-                                       record, params)
+                                       record, params, second)
     return ([Point(c, x) for c, x in zip(cids, z)], None if W is None else W.reshape(np.shape(w0)),
             t_ok, status)
 
@@ -504,15 +545,16 @@ def flow_word(segments, start: Point, cfg: IntegratorConfig) -> Point:
     return p
 
 
-def _push(word, points, cfg: IntegratorConfig, w0=None, params=None):
+def _push(word, points, cfg: IntegratorConfig, w0=None, params=None, second=None):
     """Run the flow word `word`, (field, duration) pairs composed left to
     right, on every point: (end points, W).
 
     Each segment integrates every still-running row as one block, the
     (m, n, k) columns `w0` riding along as variational columns (W None
     without them) and `params`, the (m, q) parameter rows of a word of
-    family fields, passed to every segment.  A failed row stops; after the
-    last segment the first failed row raises.
+    family fields, passed to every segment, and `second`, (vs, U) as in
+    `_integrate`, U moved in place until a row fails.  A failed row stops;
+    after the last segment the first failed row raises.
     """
     pts = list(points)
     W = None if w0 is None else np.array(w0, float)
@@ -523,7 +565,8 @@ def _push(word, points, cfg: IntegratorConfig, w0=None, params=None):
             break
         ends, W_live, t_ok, status = _run_block(f, [pts[r] for r in live], t, cfg,
                                                 None if W is None else W[live],
-                                                params=None if params is None else params[live])
+                                                params=None if params is None else params[live],
+                                                second=second if len(live) == len(pts) else None)
         for j, r in enumerate(live):
             pts[r] = ends[j]
             if status[j] != OK:

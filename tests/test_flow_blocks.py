@@ -135,10 +135,26 @@ def test_block_second_derivatives_and_affine_residual(cat, rng, manifold):
         _close(one, ref, _bound(steps))
 
 
+@pytest.mark.parametrize("manifold", sorted(WORDS))
+def test_second_gives_the_bits_of_the_jacobian_push(cat, rng, manifold):
+    # second carries its second-order columns beside the Jacobian columns
+    # of push(points, I) on the base flow, so its images and df are the
+    # push's bit for bit, across the sphere's and torus's chart hops too
+    atlas, _, f, points, _ = _setup(cat, manifold, rng)
+    n = atlas.dim
+    ends, Js = f.push(points, np.broadcast_to(np.eye(n), (ROWS, n, n)))
+    jets = f.second(points, rng.normal(size=(ROWS, n)))
+    for end, J, (out, df, _) in zip(ends, Js, jets, strict=True):
+        assert out.chart == end.chart
+        assert out.coords.tobytes() == end.coords.tobytes()
+        assert df.tobytes() == J.tobytes()
+
+
 @pytest.mark.parametrize("kind", sorted(BUILT))
 def test_built_fields_run_as_blocks(cat, rng, kind):
-    # d2_dir flows the natural lift of the word, so fields that do not
-    # come from the catalog must lift and take blocks as well
+    # d2_dir carries second-order columns through the word, calling each
+    # chart's d2, so fields that do not come from the catalog must hand
+    # out a d2 that takes blocks as well
     manifold, cname, build, t = BUILT[kind]
     atlas, conn = cat.atlas(manifold), cat.connection(manifold, cname)
     cfg = IntegratorConfig(step=1e-2)

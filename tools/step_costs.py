@@ -1,4 +1,5 @@
-"""Print what one RK4 step, one spray call and one chart hand-off cost, and the probes' work.
+"""Print what one RK4 step, one spray call, one step of `FlowWord.second` and one chart
+hand-off cost, and the probes' work.
 
     PYTHONPATH=src python tools/step_costs.py
 
@@ -10,6 +11,10 @@
                               (the fused sprays of sphere chart a and halfplane, the
                               derived flat one of torus chart t00) on ROWS sampled rows,
                               one row as a 1-D state as a one-row run steps it
+    second MANIFOLD ROWS US   microseconds per RK4 step of `FlowWord.second` (images, df
+                              and the second-order columns d2 f(v, .)) of the sphere word
+                              Fl[rot_y, -1] at step STEP, as `exp_aut` builds it, on ROWS
+                              rows started in chart a
     hop US events E           microseconds in Atlas.hop_targets per call (per hop event)
     probe MANIFOLD steps S events E row_hops H
                               the probes of `dump_rows.py --probes` (its `probe_rows`):
@@ -64,6 +69,18 @@ def spray_lines(cat):
             yield f"spray {manifold} {rows} {s / CALLS * 1e6:.2f}"
 
 
+def second_lines(cat):
+    atlas = cat.atlas("sphere")
+    rng = np.random.default_rng(0)
+    word = al.FlowWord(atlas, [(cat.field("sphere", "rot_y"), -1.0)], al.IntegratorConfig(step=STEP))
+    steps = round(1.0 / STEP)
+    for rows in (1, 10):
+        points = [al.Point("a", x) for x in rng.uniform(-0.5, 0.5, (rows, 2))]
+        vs = rng.normal(size=(rows, 2))
+        s = min(timeit.repeat(lambda: word.second(points, vs), number=1, repeat=REPEATS))
+        yield f"second sphere {rows} {s / steps * 1e6:.1f}"
+
+
 def probe_lines():
     rk4, hop_targets, count = flows._rk4, al.Atlas.hop_targets, {}
 
@@ -99,4 +116,4 @@ def probe_lines():
 
 if __name__ == "__main__":
     cat = al.default_catalog()
-    print(*step_lines(cat), *spray_lines(cat), *probe_lines(), sep="\n")
+    print(*step_lines(cat), *spray_lines(cat), *second_lines(cat), *probe_lines(), sep="\n")
