@@ -122,10 +122,6 @@ class ClosedFormDiffeo(Diffeo):
 
     d2_dir = Diffeo.d2_dir  # spanned under this class's name by perfbench/tracing.py
 
-    def d2_tensor(self, point: Point) -> np.ndarray:
-        """d2 f(x) as an (n, n, n) tensor."""
-        return self._jet(point)[2]
-
     def inverse(self) -> "Diffeo":
         if self._inverse is None:
             raise ValueError(f"diffeo {self.name!r} has no declared inverse")

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,10 +26,10 @@ def _vec_arg(flag: str, text: str, size: int) -> np.ndarray:
     raise ScenarioError(f"--{flag}: expected {size} comma-separated finite numbers, got {text!r}")
 
 
-def _with_step(cfg: IntegratorConfig, step: float) -> IntegratorConfig:
-    """`cfg` with its step replaced; a step it rejects is a usage error."""
+def _integrator(step: float) -> IntegratorConfig:
+    """The integrator at `--step`; a step it rejects is a usage error."""
     try:
-        return replace(cfg, step=step)
+        return IntegratorConfig(step=step)
     except ValueError as e:
         raise ScenarioError(f"--step: {e}") from None
 
@@ -43,7 +42,7 @@ def _cmd_run(args) -> int:
             raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
         scenario.rng_seed = args.seed
     if args.step is not None:
-        scenario.integrator = _with_step(scenario.integrator, args.step)
+        scenario.integrator = _integrator(args.step)
     try:
         report = run_suite(scenario, catalog, tol_scale=args.tol_scale)
     except ValueError as e:  # run_suite isolates check errors; this is its tol_scale check
@@ -81,7 +80,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_dump(args) -> int:
     catalog = default_catalog()
-    cfg = _with_step(IntegratorConfig(), args.step)
+    cfg = _integrator(args.step)
 
     def need(flag, value, known=None):
         if value is None:

@@ -94,10 +94,6 @@ class ConnectionField:
         """Directional derivative of x -> B_x along u, as an (n,n,n) tensor."""
         return np.asarray(self._chart(point.chart).d_dir(point.coords, _vec(u)), float)
 
-    def bilinear_fn(self, cid: str) -> Callable:
-        """Raw (x, v, w) -> vec callable for hot loops (ChartMissing if absent)."""
-        return self._chart(cid).bilinear
-
 
 def _bilinear_from_tensor(tensor):
     def bil(x, v, w):

@@ -13,7 +13,7 @@ from affinelab.atlas import Atlas, Chart, Point, Tangent, Transition, all_space,
 from affinelab.bundles import frame_atlas, pack, tangent_atlas
 from affinelab.catalog import default_catalog, torus_atlas
 from affinelab.connection import SecondOrderTangent
-from affinelab.errors import NotInOverlap
+from affinelab.errors import NoCommonChart, NotInOverlap
 from affinelab.flows import IntegratorConfig
 from affinelab.frame_bundle import FrameTangent, KappaValue
 from affinelab.geodesics import completeness_probe
@@ -215,6 +215,33 @@ def test_a_point_outside_its_own_chart_is_not_in_the_overlap(cat, call):
     # the target being the point's own chart does not excuse the domain check
     with pytest.raises(NotInOverlap):
         call(cat.atlas("sphere"))
+
+
+def test_an_unknown_chart_is_a_key_error_and_has_no_transition(cat, rng):
+    atlas = cat.atlas("sphere")
+    with pytest.raises(KeyError, match="has no chart 'c'"):
+        atlas.chart("c")
+    with pytest.raises(NotInOverlap, match="no transition 'a' -> 'c'"):
+        atlas.jet(Point("a", [0.1, 0.0]), "c")
+    with pytest.raises(NotInOverlap, match="no transition 'a' -> 'c'"):
+        atlas.overlap_samples("a", "c", 1, rng)
+
+
+def test_points_near_opposite_poles_share_no_chart(cat):
+    # the inversion takes chart a's origin to chart b's infinity, so each
+    # point lies in its own chart only
+    atlas = cat.atlas("sphere")
+    with pytest.raises(NoCommonChart):
+        atlas.gap(Point("a", [0.1, 0.0]), Point("b", [0.0, 0.1]))
+
+
+def test_sampling_gives_up_when_the_margin_leaves_no_room(cat, rng):
+    # margin 1 shrinks the disk chart to nothing, so every draw is rejected
+    atlas = cat.atlas("sphere")
+    with pytest.raises(RuntimeError, match="sampling chart 'a' rejected too often"):
+        atlas.sample_points("a", 2, rng, margin=1.0)
+    with pytest.raises(RuntimeError, match="overlap sampling 'a'/'b' rejected too often"):
+        atlas.overlap_samples("a", "b", 1, rng, margin=1.0)
 
 
 def test_chart_order_priority(cat):

@@ -3,9 +3,9 @@ import pytest
 
 import oracles
 from affinelab.atlas import Point, Tangent
-from affinelab.automorphism import (FlowWord, affine_residual, exp_aut, exp_commutes_defect,
-                                    frame_gap, frame_lift, kappa_pullback_defect,
-                                    kappa_pullback_parts, orbit_point)
+from affinelab.automorphism import (ClosedFormDiffeo, FlowWord, affine_residual, exp_aut,
+                                    exp_commutes_defect, frame_gap, frame_lift,
+                                    kappa_pullback_defect, kappa_pullback_parts, orbit_point)
 from affinelab.catalog import plane_affine_map, rotation_matrix_3d, sphere_rotation
 from affinelab.errors import ChartMissing, NotKilling
 from affinelab.flows import IntegratorConfig, combine
@@ -35,7 +35,7 @@ def test_flat_affine_map_residual_zero(cat, rng):
         assert np.linalg.norm(affine_residual(f, conn, conn, [p], [v], [w])) <= 1e-12
     # a closed form takes points in its own charts only
     polar = Point("polar", [1.0, 0.3])
-    for method in (f.apply, f.jac, f.d2_tensor):
+    for method in (f.apply, f.jac, lambda p: f.second([p], [[1.0, 0.0]])):
         with pytest.raises(ChartMissing):
             method(polar)
 
@@ -235,7 +235,7 @@ def test_flow_word_second_derivative_matches_the_closed_form_rotation(cat, rng):
     compared = recharted = 0
     for p, v, w, (J, out, d2) in zip(samples, vs, ws, f.jets(samples, vs, ws)):
         J_ref, out_ref = g.jac(p)
-        ref = np.einsum("ijk,j,k->i", g.d2_tensor(p), v, w)
+        ref = np.einsum("ijk,j,k->i", g._jet(p)[2], v, w)
         if out.chart != out_ref.chart:
             _, dphi, d2phi = conn.atlas.jet(out_ref, out.chart, 2)
             ref = dphi @ ref + np.einsum("ijk,j,k->i", d2phi, J_ref @ v, J_ref @ w)
@@ -378,3 +378,9 @@ def test_exp_commutes(cat, cfg, rng):
     f = sphere_rotation(conn.atlas, rotation_matrix_3d(1, 0.6))
     v = Tangent(Point("a", [0.3, 0.1]), [0.7, 0.7])
     assert exp_commutes_defect(conn, f, [v], cfg)[0] <= 1e-5
+
+
+def test_a_closed_form_without_a_declared_inverse_refuses_inverse(cat):
+    f = ClosedFormDiffeo(cat.atlas("plane"), "f", {})
+    with pytest.raises(ValueError, match="no declared inverse"):
+        f.inverse()

@@ -48,6 +48,8 @@ def test_chart_missing(cat):
     conn = cat.connection("plane", "flat")
     with pytest.raises(ChartMissing):
         conn.eval_B(Point("nonexistent", [0.0, 0.0]), [1, 0], [0, 1])
+    with pytest.raises(ValueError, match="at least one chart"):
+        ConnectionField(conn.atlas, "nowhere", {})
 
 
 def test_covariant_derivative_flat(cat):

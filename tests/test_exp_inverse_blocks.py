@@ -240,9 +240,23 @@ def test_failed_shot_raises_its_flows_error(cat, monkeypatch, when, status, erro
     monkeypatch.setattr(geodesics, "_run_block", run)
     with pytest.raises(error) as got:
         exp_inverse(conn, x, y, CFG)
-    what = "exceeded max_hops" if status == HOP_LIMIT else "left the atlas"
+    what = "exceeded MAX_HOPS" if status == HOP_LIMIT else "left the atlas"
     assert str(got.value) == f"flow of 'geodesic[round]' {what} near t=0"
     assert calls == [1] * (on_call + 1)
+
+
+def test_a_singular_shooting_jacobian_is_no_convergence(cat, monkeypatch):
+    # every shot's variational columns zeroed: the first Newton solve fails
+    manifold, x, y = CASES["sphere_1.5"]
+    run_block = geodesics._run_block
+
+    def run(*args, **kw):
+        ends, W, t_ok, status = run_block(*args, **kw)
+        return ends, np.zeros_like(W), t_ok, status
+
+    monkeypatch.setattr(geodesics, "_run_block", run)
+    with pytest.raises(NoConvergence, match="singular shooting Jacobian"):
+        exp_inverse(cat.connection(*manifold), x, y, CFG)
 
 
 def test_stencil_rows_are_jacobians_points_in_its_order():

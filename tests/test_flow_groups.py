@@ -284,7 +284,7 @@ def test_one_row_runs_step_a_1d_state(cat, rk4_calls):
     assert len(rk4_calls) == 20 and set(rk4_calls) == {(6,)}
 
 
-def test_rows_that_diverge_hop_leave_and_pass_max_hops_at_one_step_equal_single_rows():
+def test_rows_that_diverge_hop_leave_and_pass_max_hops_at_one_step_equal_single_rows(monkeypatch):
     # strips of the plane, every one a box of the in_box family, carry one
     # constant field, so all four rows step as one group; at the second step
     # one row passes the state guard, one makes its first hop, one leaves
@@ -302,7 +302,9 @@ def test_rows_that_diverge_hop_leave_and_pass_max_hops_at_one_step_equal_single_
     fld = constant_field(Atlas("strips", 2, charts.values()), "east", [1.0, 0.0])
     starts = [Point("far", [49.85, 0.0]), Point("b1", [1.78, 0.0]), Point("c1", [3.82, 0.0]),
               Point("d1", [0.1, 0.0])]
-    cfg = IntegratorConfig(step=0.1, max_hops=1, state_guard=50.0)
+    monkeypatch.setattr(flows, "MAX_HOPS", 1)
+    monkeypatch.setattr(flows, "STATE_GUARD", 50.0)
+    cfg = IntegratorConfig(step=0.1)
     ends, t_ok, status = _block_equals_rows(fld, starts, np.full(4, 0.3), cfg)
     assert status == [DIVERGED, OK, LEFT_ATLAS, HOP_LIMIT]
     assert [e.chart for e in ends] == ["far", "b2", "c1", "d3"]

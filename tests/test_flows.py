@@ -3,14 +3,17 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
+from affinelab import flows
 from affinelab.atlas import Point, Tangent
 from affinelab.automorphism import FlowWord
 from affinelab.bundles import pack, unpack
-from affinelab.errors import LeftAtlas
-from affinelab.flows import (ChartField, IntegratorConfig, VectorField, _rk4, commutation_defect,
-                             constant_field, flow_word, integrate, lie_derivative_defect,
-                             parameter_flow_derivative_defect, _run_block, variational_flow)
+from affinelab.errors import ChartMissing, LeftAtlas
+from affinelab.flows import (ChartField, IntegratorConfig, VectorField, _rk4, combine,
+                             commutation_defect, constant_field, flow_word, integrate,
+                             lie_derivative_defect, parameter_flow_derivative_defect, _run_block,
+                             variational_flow)
 from affinelab.geodesics import exp_map, geodesic_field
+from affinelab.killing import bracket
 
 
 def test_constant_field_exact(cat, cfg):
@@ -109,9 +112,10 @@ def test_left_atlas(cat, cfg):
         integrate(fld, Point("disk", [1.5, 0.0]), 0.1, cfg)
 
 
-def test_hop_limit(cat):
+def test_hop_limit(cat, monkeypatch):
     from affinelab.errors import HopLimit
-    cfg = IntegratorConfig(step=0.01, max_hops=3)
+    monkeypatch.setattr(flows, "MAX_HOPS", 3)
+    cfg = IntegratorConfig(step=0.01)
     fld = cat.field("torus", "t_trans_x")
     with pytest.raises(HopLimit):
         integrate(fld, Point("t00", [0.0, 0.0]), 10.0, cfg)
@@ -124,7 +128,9 @@ def test_hop_limit(cat):
                                  {"max_hops": 2.5}, {"max_hops": True}, {"step": True},
                                  {"rechart_margin": False}, {"state_guard": True}])
 def test_integrator_config_rejects_nonsense(bad):
-    with pytest.raises(ValueError):
+    # step is its one field; the hop cap, hand-off margin and state guard are
+    # the flows constants, so a value for one is refused as an unknown keyword
+    with pytest.raises(ValueError if "step" in bad else TypeError):
         IntegratorConfig(**bad)
 
 
@@ -239,6 +245,35 @@ def test_parameter_flow_defect_constant_family(cat, cfg):
 
     d = parameter_flow_derivative_defect(family, Point("t00", [0.05, -0.05]), cfg)
     assert d <= 1e-10
+
+
+def test_a_family_field_carries_no_second_order_columns(cat, cfg):
+    atlas = cat.atlas("torus")
+    chart = ChartField(value=lambda x, v: np.broadcast_to(v, np.shape(x)),
+                       d=lambda x, v: np.zeros(np.shape(x) + (2,)))
+    family = VectorField(atlas, "c", dict.fromkeys(atlas.charts, chart), params=2)
+    with pytest.raises(ValueError, match="no second-order columns"):
+        _run_block(family, [Point("t00", [0.0, 0.0])], 1.0, cfg, np.eye(2)[None],
+                   params=np.ones((1, 2)), second=(np.ones((1, 2)), np.zeros((1, 2, 2))))
+
+
+def test_a_field_raises_chart_missing_off_its_charts(cat, cfg):
+    # a field given on t00 alone: evaluated on t10, or flowed out of t00
+    atlas = cat.atlas("torus")
+    east = VectorField(atlas, "east", {"t00": constant_field(atlas, "e", [1.0, 0.0])
+                                       .chart_field("t00")})
+    with pytest.raises(ChartMissing, match="'east' undefined on chart 't10'"):
+        east.value(Point("t10", [0.0, 0.0]))
+    with pytest.raises(ChartMissing, match="'east' undefined on hop target"):
+        integrate(east, Point("t00", [0.0, 0.0]), 0.5, cfg)
+
+
+def test_fields_on_two_atlases_neither_combine_nor_bracket(cat):
+    tx, rot = cat.field("plane", "trans_x"), cat.field("sphere", "rot_x")
+    with pytest.raises(ValueError, match="fields must share an atlas"):
+        combine("mixed", [tx, rot], [1.0, 1.0])
+    with pytest.raises(ValueError, match="fields must share an atlas"):
+        bracket(tx, rot)
 
 
 def test_step_convergence_fourth_order(cat):

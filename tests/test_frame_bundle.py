@@ -233,6 +233,13 @@ def test_horizontal_projection_defect(cat, cfg):
     assert d1 <= 1e-4
 
 
+def test_horizontal_projection_span_starts_at_0(cat, cfg):
+    flat = cat.connection("plane", "flat")
+    with pytest.raises(ValueError, match="t_span must start at 0"):
+        horizontal_projection_defect(flat, [0.5, 0.2], Frame("cart", [0.0, 0.0], np.eye(2)),
+                                     (0.5, 1.0), cfg)
+
+
 def test_horizontal_projection_across_chart_hand_offs(cat):
     # the meridian through chart a's (1, 0) passes the north pole: the frame
     # flow hands off to chart b and back, so the defect's skip of

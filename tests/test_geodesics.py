@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from affinelab import geodesics
+from affinelab import flows, geodesics
 from affinelab.atlas import Point, Tangent
 from affinelab.catalog import Catalog
 from affinelab.errors import NoConvergence, NotInOverlap
@@ -359,10 +359,11 @@ def _assert_rows_isolated(conn, seeds, horizon, cfg):
     return rep
 
 
-def test_completeness_probe_rows_stop_independently_on_torus(cat, rng):
+def test_completeness_probe_rows_stop_independently_on_torus(cat, rng, monkeypatch):
     # slow seeds barely move and finish; fast ones exceed the hop limit
+    monkeypatch.setattr(flows, "MAX_HOPS", 4)
     conn = cat.connection("torus", "flat")
-    cfg = IntegratorConfig(step=0.05, max_hops=4)
+    cfg = IntegratorConfig(step=0.05)
     speeds = [0.02, 1.0, 0.01, 1.5, 0.8]
     seeds = [Tangent(Point("t00", rng.uniform(-0.1, 0.1, size=2)), s * np.array([0.6, 0.8]))
              for s in speeds]
@@ -372,10 +373,11 @@ def test_completeness_probe_rows_stop_independently_on_torus(cat, rng):
     assert not rep.complete_up_to_horizon
 
 
-def test_completeness_probe_rows_stop_independently_on_plane(cat, rng):
+def test_completeness_probe_rows_stop_independently_on_plane(cat, rng, monkeypatch):
     # with a low state guard, fast straight lines diverge while slow ones finish
+    monkeypatch.setattr(flows, "STATE_GUARD", 20.0)
     conn = cat.connection("plane", "flat")
-    cfg = IntegratorConfig(step=0.5, state_guard=20.0)
+    cfg = IntegratorConfig(step=0.5)
     seeds = [Tangent(Point("cart", rng.uniform(-1.0, 1.0, size=2)), s * np.array([0.8, -0.6]))
              for s in (0.05, 2.0, 0.1, 5.0)]
     rep = _assert_rows_isolated(conn, seeds, 50.0, cfg)
@@ -488,6 +490,21 @@ def test_map_only_transitions_probe_across_hops(cat):
     fd_rows = [(r.status_forward, r.status_backward, r.t_forward, r.t_backward)
                for r in completeness_probe(_map_only_sphere(), seeds, 20.0, cfg).rows]
     assert fd_rows == rows
+
+
+@pytest.mark.parametrize("t_span", [(0.5, 1.0), (-1.0, -0.5), (0.0, 0.0)])
+def test_a_geodesic_span_must_contain_0_with_positive_length(cat, cfg, t_span):
+    seed = Tangent(Point("cart", [0.3, -0.2]), [0.7, 0.4])
+    with pytest.raises(ValueError, match="t_span must contain 0"):
+        geodesic(cat.connection("plane", "flat"), seed, t_span, cfg)
+
+
+def test_an_analytic_curve_has_no_sample_rows(cat):
+    curve = CurveSpec.from_callable(cat.atlas("plane"),
+                                    lambda t: ("cart", np.array([t, 0.0]), np.array([1.0, 0.0])),
+                                    0.0, 1.0)
+    with pytest.raises(ValueError, match="analytic curve has no sample rows"):
+        curve.rows()
 
 
 def test_backward_span_ends_at_the_start(cat, cfg):

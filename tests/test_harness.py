@@ -49,6 +49,19 @@ def test_unknown_keys_rejected(cat):
                             "integrator": {"scheme": "rk45"}}, cat)
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "scenario root must be an object"),
+    ({"connection": "round"}, "missing required key 'manifold'"),
+    ({"manifold": "sphere"}, "missing required key 'connection'"),
+    ({"manifold": "sphere", "connection": "round", "fields": "rot_x"},
+     "fields must be a list of names"),
+    ({"manifold": "sphere", "connection": "round", "checks": {}}, "checks must be a list"),
+], ids=["root", "manifold", "connection", "fields", "checks"])
+def test_a_malformed_scenario_shape_is_a_parse_error(cat, data, message):
+    with pytest.raises(ParseError, match=message):
+        scenario_from_dict(data, cat)
+
+
 def test_so3_suite_resolves_12_checks(cat):
     s = load_scenario(str(SCENARIOS / "sphere_so3.json"), cat)
     assert len(s.checks) == 12
@@ -63,6 +76,8 @@ def test_all_shipped_scenarios_load(cat):
 @pytest.mark.parametrize("integrator", [{"step": float("nan")}, {"max_hops": -1},
                                         {"rechart_margin": 5}, {"max_hops": 2.5}])
 def test_nonsense_integrator_config_fails_at_parse_time(cat, integrator):
+    # step is the one integrator key: the hop cap and hand-off margin are
+    # flows constants, so a file that sets either fails as an unknown key
     with pytest.raises(ParseError):
         scenario_from_dict({"manifold": "sphere", "connection": "round",
                             "integrator": integrator}, cat)
@@ -193,7 +208,8 @@ def test_report_meta_keys(cat):
     meta = run_suite(_small_scenario(cat), cat).to_dict()["meta"]
     assert list(meta) == ["schema", "manifold", "connection", "fields", "rng_seed", "integrator",
                           "catalog_version", "source", "tol_scale", "python", "numpy", "platform"]
-    assert meta["schema"] == harness.REPORT_SCHEMA == 2
+    assert meta["schema"] == harness.REPORT_SCHEMA == 3
+    assert list(meta["integrator"]) == ["step"]
     assert all(isinstance(meta[k], str) and meta[k] for k in ("python", "numpy", "platform"))
 
 
@@ -209,6 +225,15 @@ def test_emit_trajectory_csv(cat, tmp_path, cfg):
     assert lines[0] == "t,chart,x0,x1"
     ts = [float(l.split(",")[0]) for l in lines[1:]]
     assert all(b >= a for a, b in zip(ts, ts[1:]))  # monotone t column
+
+
+def test_unknown_formats_and_payloads_are_value_errors(tmp_path):
+    out = tmp_path / "out.xml"
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit({"checks": []}, str(out), format="xml")
+    assert not out.exists()
+    with pytest.raises(ValueError, match="unknown payload 'jet'"):
+        trajectory_rows([], 2, payload="jet")
 
 
 def test_parse_error_carries_line_info(cat, tmp_path):
@@ -742,7 +767,7 @@ _REQUIRED = {"chart": "a", "expected": 3, "f1": "rot_x", "f2": "rot_y", "f3": "r
 # parameter name (with "name") in the first check that takes it
 _SLOTS = ([("top", k) for k in ("manifold", "connection", "fields", "checks", "integrator",
                                 "rng_seed")]
-          + [("integrator", k) for k in ("step", "max_hops", "rechart_margin")]
+          + [("integrator", "step")]
           + [("field", 0)]
           + [("check", (name, key)) for key, name in
              {key: name for name in reversed(check_names())

@@ -269,6 +269,13 @@ def test_extend_killing_seed_chart_mismatch(cat, cfg):
         extend_killing(conn, seed, HorizontalPath.single([1.0, 0.0], 0.1), cfg)
 
 
+def test_extend_killing_unknown_path_move(cat, cfg):
+    conn = cat.connection("sphere", "round")
+    seed = KillingSeed(Point("a", [0.2, 0.1]), [1.0, 0.0], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="unknown path move 'jump'"):
+        extend_killing(conn, seed, HorizontalPath((("jump", [1.0, 0.0]),)), cfg)
+
+
 def test_extend_killing_zero_seed(cat, cfg):
     conn = cat.connection("sphere", "round")
     seed = KillingSeed(Point("a", [0.2, 0.1]), [0.0, 0.0], np.zeros((2, 2)))

@@ -39,7 +39,7 @@ def reference_transport(conn, curve, t0, t1, G, cfg):
         if c != cid:
             G = atlas.d_transition(Point(cid, xb), c) @ G
             cid = c
-        bil = conn.bilinear_fn(cid)
+        bil = conn._chart(cid).bilinear
         mid = in_chart(*curve.eval(0.5 * (a + b)), cid)
         stages = [(x, v), mid, mid]
         c, x, v = curve.eval(b)

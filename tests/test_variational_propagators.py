@@ -105,12 +105,12 @@ def reference_block(field, starts, t, cfg, w0, params=None):
             zs = _rk4(rhs_fn, z[sel], h_sel, 0.5 * h_sel, h_sel / 6.0)
             z[sel] = zs
             xs = zs[..., :n]
-            sound = (xs * xs).sum(axis=-1) <= cfg.state_guard ** 2
+            sound = (xs * xs).sum(axis=-1) <= flows.STATE_GUARD ** 2
             inside = np.empty(np.shape(sound), bool).reshape(-1)
             for contains, sub, P, at in tests:
                 x_sub = xs if xs.ndim == 1 else xs[sub]
-                inside[sub] = (contains(x_sub, cfg.rechart_margin) if P is None
-                               else contains(P[at], x_sub, cfg.rechart_margin))
+                inside[sub] = (contains(x_sub, flows.RECHART_MARGIN) if P is None
+                               else contains(P[at], x_sub, flows.RECHART_MARGIN))
             idx = sel if isinstance(sel, np.ndarray) else np.arange(m)
             sound = np.reshape(sound, -1)
             for r in idx[~sound]:
@@ -118,10 +118,10 @@ def reference_block(field, starts, t, cfg, w0, params=None):
             out = idx[sound & ~inside]
             X = z[out, :n]
             if m == 1 and out.size:
-                hop = atlas.hop_target(cids[0], X[0], cfg.rechart_margin)
+                hop = atlas.hop_target(cids[0], X[0], flows.RECHART_MARGIN)
                 targets, Y = ([None], X) if hop is None else ([hop[0]], [hop[1]])
             else:
-                targets, Y = atlas.hop_targets([cids[r] for r in out], X, cfg.rechart_margin)
+                targets, Y = atlas.hop_targets([cids[r] for r in out], X, flows.RECHART_MARGIN)
             for j, r in enumerate(out):
                 cid, tid = cids[r], targets[j]
                 if tid is None:
@@ -136,7 +136,7 @@ def reference_block(field, starts, t, cfg, w0, params=None):
                 cids[r] = tid
                 place(r, tid)
                 hops[r] += 1
-                if hops[r] > cfg.max_hops:
+                if hops[r] > flows.MAX_HOPS:
                     stop(r, HOP_LIMIT, i + 1)
         done = {r for r in live if steps[r] == i + 1}
         if done:
@@ -254,7 +254,7 @@ def test_d_is_called_once_per_chunk_and_flush_and_value_four_times_per_step(cat,
 
 
 @pytest.mark.parametrize("max_hops", [1, 0])
-def test_rows_that_stop_before_their_finish_flush_once(cat, max_hops):
+def test_rows_that_stop_before_their_finish_flush_once(cat, monkeypatch, max_hops):
     # rows 1 and 2 diverge at steps 48 and 56, long before their scheduled
     # finishes at 130 and 270, while row 0 runs on across the chunk end to
     # step 300; with no hops allowed, rows stop at the hop limit too
@@ -266,7 +266,9 @@ def test_rows_that_stop_before_their_finish_flush_once(cat, max_hops):
         placed, ts = placed + [("b", [0.1, 0.1])], ts + [2.9]
     starts, ts = _frames(rng, placed), np.array(ts)
     w0 = rng.normal(size=(len(starts), 6, 3))
-    cfg = IntegratorConfig(step=1e-2, max_hops=max_hops, state_guard=3.2)
+    monkeypatch.setattr(flows, "MAX_HOPS", max_hops)
+    monkeypatch.setattr(flows, "STATE_GUARD", 3.2)
+    cfg = IntegratorConfig(step=1e-2)
     assert 3.0 / cfg.step > flows._CHUNK
     _, status = assert_matches_reference(H, starts, ts, cfg, w0)
     _block_equals_rows(H, starts, ts, cfg, w0)
