@@ -45,7 +45,7 @@ for t, cid, z in [rec[0], rec[len(rec) // 2], rec[-1]]:
     x, g = unpack(z, 2, 2)
     print(f"  t={t:4.2f}  base={x}  det g={np.linalg.det(g):.6f}")
 
-prime, geo = horizontal_projection_parts(conn, lam, start, (0.0, 2 * np.pi), cfg)
+prime, geo = horizontal_projection_parts(conn, lam, start, 2 * np.pi, cfg)
 print(f"projection property: |(q o gamma)' - gamma(t) lambda| <= {prime:.2e}, "
       f"gap to the matching geodesic <= {geo:.2e}")
 

@@ -39,22 +39,14 @@ from .killing import killing_residual
 
 
 class Diffeo:
-    """A represented (local) diffeomorphism of an atlas."""
+    """A represented (local) diffeomorphism of an atlas.  A subclass supplies
+    `apply(point)`, f(x); `jac(point)`, (df(x), f(x)), df mapping point-chart to
+    output-chart coordinates; `second(points, vs)`, (f(x), df(x), d2 f(x)(v, .)) per
+    row in the chart of f(x), the last as the (n, n) matrix w -> d2 f(x)(v, w), refusing
+    rows of `points` and `vs` that differ in number (ValueError) before any work; and
+    `inverse()`.  The methods below are built on these four."""
 
     atlas: Atlas
-
-    def apply(self, point: Point) -> Point:
-        raise NotImplementedError
-
-    def jac(self, point: Point) -> tuple[np.ndarray, Point]:
-        """(df(x), f(x)); the matrix maps point-chart to output-chart coords."""
-        raise NotImplementedError
-
-    def second(self, points, vs) -> list:
-        """(f(x), df(x), d2 f(x)(v, .)) per row in the chart of f(x), the last
-        as the (n, n) matrix w -> d2 f(x)(v, w); rows of `points` and `vs`
-        that differ in number are refused (ValueError) before any work."""
-        raise NotImplementedError
 
     def push(self, points, w0=None) -> tuple[list, np.ndarray | None]:
         """(f(x) per point, df(x) w0 per point as an (m, n, k) array).
@@ -80,9 +72,6 @@ class Diffeo:
     def d2_dir(self, point: Point, v, w) -> np.ndarray:
         """d2 f(x)(v, w) in the chart of apply(point); a one-row `jets`."""
         return self.jets([point], [_vec(v)], [_vec(w)])[0][2]
-
-    def inverse(self) -> "Diffeo":
-        raise NotImplementedError
 
 
 @dataclass(eq=False)

@@ -48,7 +48,7 @@ class IntegratorConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if isinstance(self.step, bool) or not (math.isfinite(self.step) and self.step > 0):
+        if isinstance(self.step, (bool, np.bool_)) or not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
 
 
@@ -419,7 +419,7 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
                 stop(r, DIVERGED, i)
             leaving = idx[sound & ~ok]
             out, X = leaving.tolist(), z[leaving]
-            if m == 1 and out:  # perfbench counts hops only in hop_target (ROADMAP 1)
+            if m == 1 and out:  # perfbench/tracing.py counts hops only in Atlas.hop_target
                 hop = atlas.hop_target(cids[0], X[0], margin)
                 targets, Y = ([None], X) if hop is None else ([hop[0]], hop[1][None])
             else:
@@ -535,11 +535,8 @@ def variational_flow(field: VectorField, start: Point, w0, t: float,
 
 
 def flow_word(segments, start: Point, cfg: IntegratorConfig) -> Point:
-    """Compose flows of (field, duration) pairs left-to-right."""
-    p = start
-    for f, dur in segments:
-        p = integrate(f, p, dur, cfg)
-    return p
+    """Compose flows of (field, duration) pairs left-to-right: a one-row `_push`."""
+    return _push(segments, [start], cfg)[0][0]
 
 
 def _push(word, points, cfg: IntegratorConfig, w0=None, params=None, second=None):

@@ -228,18 +228,15 @@ def horizontal_flow(conn: ConnectionField, lam, frame: Frame, t: float,
     return frame_from_packed(end, conn.atlas.dim)
 
 
-def horizontal_projection_parts(conn: ConnectionField, lam, frame: Frame, t_span,
+def horizontal_projection_parts(conn: ConnectionField, lam, frame: Frame, t1: float,
                                 cfg: IntegratorConfig) -> tuple[float, float]:
-    """(derivative defect, geodesic gap) of the horizontal-flow projection.
+    """(derivative defect, geodesic gap) of the horizontal-flow projection on [0, t1].
 
     First part: max over sample times of |(q o gamma)'(t) - gamma(t) lambda|
     with the base derivative taken by central differences of the recorded
     trajectory.  Second part: max gap between q o gamma and the geodesic
     with initial velocity p . lambda.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t0 != 0.0:
-        raise ValueError("t_span must start at 0")
     n = conn.atlas.dim
     lam = _vec(lam)
     rec = []
@@ -266,8 +263,8 @@ def horizontal_projection_parts(conn: ConnectionField, lam, frame: Frame, t_span
     return worst_prime, worst_geo
 
 
-def horizontal_projection_defect(conn: ConnectionField, lam, frame: Frame, t_span,
+def horizontal_projection_defect(conn: ConnectionField, lam, frame: Frame, t1: float,
                                  cfg: IntegratorConfig) -> float:
     """Sum of the two horizontal-projection defect parts."""
-    prime, geo = horizontal_projection_parts(conn, lam, frame, t_span, cfg)
+    prime, geo = horizontal_projection_parts(conn, lam, frame, t1, cfg)
     return prime + geo

@@ -35,7 +35,7 @@ from .connection import change_of_variable_residual
 from .errors import IoError, ParseError, UnknownCatalogName
 from .flows import IntegratorConfig, combine, parameter_flow_derivative_defect
 from .frame_bundle import Frame, FrameTangent, horizontal_projection_defect, kappa_inverse_family
-from .geodesics import CurveSpec, completeness_probe, geodesic, parallel_transport
+from .geodesics import CurveSpec, completeness_probe, exp_map, parallel_transport
 from .killing import (HorizontalPath, KillingSeed, bracket, ev_embedding, extend_killing,
                       gram_rank, killing_residual, lift_commutation_defect, natural_lift, path_to)
 
@@ -154,6 +154,10 @@ class _Ctx:
     def sample_vw(self):
         return self.rng.normal(size=(2, self.atlas.dim))
 
+    def points(self, count, chart=None) -> list:
+        """`count` sample points of `chart`, by default the atlas's first."""
+        return self.atlas.sample_points(chart or self.atlas.chart_order()[0], count, self.rng)
+
     def overlaps(self, samples):
         """(point, its chart, other chart) for `samples` points of each ordered overlap."""
         for cid, tid in self.atlas.overlap_pairs():
@@ -163,12 +167,17 @@ class _Ctx:
     def killing_norms(self, fld, samples) -> list:
         """|killing_residual| at `samples` first-chart points, a random (v, w) each."""
         return [float(np.linalg.norm(killing_residual(self.conn, fld, p, *self.sample_vw())))
-                for p in self.atlas.sample_points(self.atlas.chart_order()[0], samples, self.rng)]
+                for p in self.points(samples)]
 
-    def frame(self, chart, x) -> Frame:
-        """A frame at x whose matrix is I plus uniform(-0.2, 0.2) entries."""
+    def frame(self, point) -> Frame:
+        """A frame at `point` whose matrix is I plus uniform(-0.2, 0.2) entries."""
         n = self.atlas.dim
-        return Frame(chart, x, np.eye(n) + self.rng.uniform(-0.2, 0.2, size=(n, n)))
+        return Frame(point.chart, point.coords, np.eye(n) + self.rng.uniform(-0.2, 0.2, (n, n)))
+
+    def exp_aut(self, field, samples, tol_kill) -> tuple[list, FlowWord]:
+        """(`samples` first-chart points, exp of the named field checked Killing at them)."""
+        pts = self.points(samples)
+        return pts, exp_aut(self.conn, self.field(field), pts, self.cfg, tol_kill=tol_kill)
 
 
 @check("transition_roundtrip")
@@ -188,7 +197,7 @@ def _d2_symmetry(ctx, samples=50, tol=1e-8):
 def _bilinearity(ctx, samples=50, tol=1e-10):
     B, res = ctx.conn.eval_B, []
     for cid in filter(ctx.conn.has_chart, ctx.atlas.charts):
-        for p in ctx.atlas.sample_points(cid, samples, ctx.rng):
+        for p in ctx.points(samples, cid):
             v, w = ctx.sample_vw()
             u = ctx.rng.normal(size=ctx.atlas.dim)
             a = ctx.rng.normal()
@@ -205,7 +214,7 @@ def _change_of_variable(ctx, samples=100, tol=1e-6):
 @check("flow_group_law")
 def _flow_group_law(ctx, field=None, s=0.37, t=0.19, samples=5, tol=1e-8):
     fld = ctx.field(field)
-    pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
+    pts = ctx.points(samples)
     a, _ = FlowWord(ctx.atlas, [(fld, s), (fld, t)], ctx.cfg).push(pts)
     b, _ = FlowWord(ctx.atlas, [(fld, s + t)], ctx.cfg).push(pts)
     return [ctx.atlas.gap(p, q) for p, q in zip(a, b)], tol
@@ -214,7 +223,7 @@ def _flow_group_law(ctx, field=None, s=0.37, t=0.19, samples=5, tol=1e-8):
 @check("flow_reversibility")
 def _flow_reversibility(ctx, field=None, t=0.8, samples=5, tol=1e-8):
     fld = ctx.field(field)
-    pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
+    pts = ctx.points(samples)
     out, _ = FlowWord(ctx.atlas, [(fld, t), (fld, -t)], ctx.cfg).push(pts)
     return [ctx.atlas.gap(p, q) for p, q in zip(out, pts)], tol
 
@@ -222,8 +231,7 @@ def _flow_reversibility(ctx, field=None, t=0.8, samples=5, tol=1e-8):
 @check("geodesic_periodicity")
 def _geodesic_periodicity(ctx, chart=None, point=None, velocity=None, period=None, tol=1e-6):
     start = Tangent(Point(chart, point), velocity)
-    curve = geodesic(ctx.conn, start, (0.0, period), ctx.cfg)
-    return [ctx.atlas.gap(curve.point(period), start.base)], tol
+    return [ctx.atlas.gap(exp_map(ctx.conn, start, ctx.cfg, t=period), start.base)], tol
 
 
 @check("geodesic_convergence")
@@ -231,8 +239,8 @@ def _geodesic_convergence(ctx, chart=None, point=None, velocity=None, period=Non
     start = Tangent(Point(chart, point), velocity)
     errs = []
     for step in (ctx.cfg.step, ctx.cfg.step / 2.0):
-        curve = geodesic(ctx.conn, start, (0.0, period), replace(ctx.cfg, step=step))
-        errs.append(ctx.atlas.gap(curve.point(period), start.base))
+        end = exp_map(ctx.conn, start, replace(ctx.cfg, step=step), t=period)
+        errs.append(ctx.atlas.gap(end, start.base))
     # the residual is how far halving the step falls short of shrinking the error min_ratio-fold
     ratio = errs[0] / np.maximum(errs[1], 1e-300)
     return Residuals([min_ratio - ratio], 0.0, samples=2)
@@ -260,7 +268,7 @@ def _sphere_holonomy(ctx, colatitudes=(0.5235987755982988, 0.7853981633974483,
 @check("horizontal_projection")
 def _horizontal_projection(ctx, chart=None, point=None, lam=None, t1=6.283185307179586, tol=1e-4):
     frame = Frame(chart, point, np.eye(ctx.atlas.dim))
-    return [horizontal_projection_defect(ctx.conn, lam, frame, (0.0, t1), ctx.cfg)], tol
+    return [horizontal_projection_defect(ctx.conn, lam, frame, t1, ctx.cfg)], tol
 
 
 @check("killing_residual")
@@ -285,10 +293,10 @@ def _killing_equivalence(ctx, fields=None, samples=10, frames=2, res_tol=1e-8, c
     res, rows = [], []  # rows: (field, lambda, frame), `frames` of them per field
     for fld in flds:
         res.append(np.max(ctx.killing_norms(fld, samples)))
-        for p in ctx.atlas.sample_points(cid, frames, ctx.rng):
+        for p in ctx.points(frames):
             # inner half of the sample box: short composite flows must stay
             # inside bounded charts
-            fr = ctx.frame(cid, center + 0.5 * (p.coords - center))
+            fr = ctx.frame(Point(cid, center + 0.5 * (p.coords - center)))
             rows.append((fld, ctx.rng.normal(size=ctx.atlas.dim), fr))
     comms = lift_commutation_defect(ctx.conn, *zip(*rows), s, t, ctx.cfg) if rows else []
     comm = np.max(np.reshape(comms, (len(flds), frames)), axis=1)
@@ -302,8 +310,7 @@ def _killing_equivalence(ctx, fields=None, samples=10, frames=2, res_tol=1e-8, c
 def _bracket_structure(ctx, f1=None, f2=None, f3=None, samples=20, tol=1e-8):
     br = bracket(ctx.field(f1), ctx.field(f2))
     target = ctx.field(f3)
-    pts = ctx.atlas.sample_points(ctx.atlas.chart_order()[0], samples, ctx.rng)
-    return [float(np.linalg.norm(br.value(p) - target.value(p))) for p in pts], tol
+    return [float(np.linalg.norm(br.value(p) - target.value(p))) for p in ctx.points(samples)], tol
 
 
 @check("lift_homomorphism")
@@ -311,8 +318,7 @@ def _lift_homomorphism(ctx, f1=None, f2=None, samples=10, tol=1e-6):
     a, b = ctx.field(f1), ctx.field(f2)
     lhs = natural_lift(bracket(a, b))
     rhs = bracket(natural_lift(a), natural_lift(b))
-    cid = ctx.atlas.chart_order()[0]
-    zs = (ctx.frame(cid, p.coords).packed() for p in ctx.atlas.sample_points(cid, samples, ctx.rng))
+    zs = (ctx.frame(p).packed() for p in ctx.points(samples))
     return [float(np.linalg.norm(lhs.value(z) - rhs.value(z))) for z in zs], tol
 
 
@@ -340,10 +346,7 @@ def _extension_linearity(ctx, f1=None, f2=None, chart=None, point=None, lam=None
 
 @check("exp_aut_affine")
 def _exp_aut_affine(ctx, field=None, samples=10, tol=1e-5, tol_kill=1e-6):
-    fld = ctx.field(field)
-    cid = ctx.atlas.chart_order()[0]
-    pts = ctx.atlas.sample_points(cid, samples, ctx.rng)
-    f = exp_aut(ctx.conn, fld, pts, ctx.cfg, tol_kill=tol_kill)
+    pts, f = ctx.exp_aut(field, samples, tol_kill)
     vw = np.array([ctx.sample_vw() for _ in pts]).reshape(len(pts), 2, ctx.atlas.dim)
     res = affine_residual(f, ctx.conn, ctx.conn, pts, vw[:, 0], vw[:, 1])
     return [float(np.linalg.norm(r)) for r in res], tol
@@ -351,24 +354,18 @@ def _exp_aut_affine(ctx, field=None, samples=10, tol=1e-5, tol_kill=1e-6):
 
 @check("kappa_pullback")
 def _kappa_pullback(ctx, field=None, samples=5, tol=1e-5, tol_kill=1e-6):
-    fld = ctx.field(field)
-    cid = ctx.atlas.chart_order()[0]
-    pts = ctx.atlas.sample_points(cid, samples, ctx.rng)
-    fd = frame_lift(exp_aut(ctx.conn, fld, pts, ctx.cfg, tol_kill=tol_kill))
+    pts, f = ctx.exp_aut(field, samples, tol_kill)
     n = ctx.atlas.dim
     frames, fts = [], []
     for p in pts:
-        frames.append(ctx.frame(cid, p.coords))
+        frames.append(ctx.frame(p))
         fts.append(FrameTangent(ctx.rng.normal(size=n), ctx.rng.normal(size=(n, n))))
-    return kappa_pullback_defect(ctx.conn, fd, frames, fts), tol
+    return kappa_pullback_defect(ctx.conn, frame_lift(f), frames, fts), tol
 
 
 @check("exp_commutes")
 def _exp_commutes(ctx, field=None, samples=3, scale=1.0, tol=1e-5, tol_kill=1e-6):
-    fld = ctx.field(field)
-    cid = ctx.atlas.chart_order()[0]
-    pts = ctx.atlas.sample_points(cid, samples, ctx.rng)
-    f = exp_aut(ctx.conn, fld, pts, ctx.cfg, tol_kill=tol_kill)
+    pts, f = ctx.exp_aut(field, samples, tol_kill)
     vs = [Tangent(p, scale * ctx.rng.normal(size=ctx.atlas.dim)) for p in pts]
     return exp_commutes_defect(ctx.conn, f, vs, ctx.cfg), tol
 
@@ -378,7 +375,7 @@ def _frame_homomorphism(ctx, axis_a=0, angle_a=0.7, axis_b=2, angle_b=-1.2, samp
     Ra = rotation_matrix_3d(axis_a, angle_a)
     Rb = rotation_matrix_3d(axis_b, angle_b)
     Ff, Fg, Ffg = (frame_lift(sphere_rotation(ctx.atlas, R)) for R in (Ra, Rb, Ra @ Rb))
-    frs = (ctx.frame("a", p.coords) for p in ctx.atlas.sample_points("a", samples, ctx.rng))
+    frs = (ctx.frame(p) for p in ctx.points(samples, "a"))
     return [frame_gap(ctx.atlas, Ffg.apply_frame(fr), Ff.apply_frame(Fg.apply_frame(fr)))
             for fr in frs], tol
 
@@ -387,7 +384,7 @@ def _frame_homomorphism(ctx, axis_a=0, angle_a=0.7, axis_b=2, angle_b=-1.2, samp
 def _orbit_separation(ctx, fields=None, scale=0.1, min_gap=1e-3, chart=None, point=None,
                       tol_kill=1e-6):
     frame = Frame(chart, point, np.eye(ctx.atlas.dim))
-    pts = ctx.atlas.sample_points(chart, 5, ctx.rng)
+    pts = ctx.points(5, chart)
     frames = []
     for name, fld in ctx.field_list(fields):
         scaled = combine(f"{scale}*{name}", [fld], [scale])
@@ -421,9 +418,8 @@ def _completeness(ctx, seeds=20, horizon=1000.0, step=0.1, vel_scale=1.0, expect
         rep = completeness_probe(ctx.conn, [Tangent(Point(chart, point), velocity)], horizon, cfg)
         unmet = "the probe reached the horizon" if rep.complete_up_to_horizon else None
         return Residuals([rep.rows[0].t_forward - fail_before], 0.0, unmet=unmet)
-    cid = ctx.atlas.chart_order()[0]
     tangents = [Tangent(p, vel_scale * ctx.rng.normal(size=ctx.atlas.dim))
-                for p in ctx.atlas.sample_points(cid, seeds, ctx.rng)]
+                for p in ctx.points(seeds)]
     rep = completeness_probe(ctx.conn, tangents, horizon, cfg)
     unmet = None if rep.complete_up_to_horizon else "a probe stopped before the horizon"
     return Residuals([horizon - r.reached for r in rep.rows], slack, unmet=unmet)
@@ -432,9 +428,6 @@ def _completeness(ctx, seeds=20, horizon=1000.0, step=0.1, vel_scale=1.0, expect
 # -- scenario loading ----------------------------------------------------------
 
 _TOP_KEYS = {"manifold", "connection", "fields", "checks", "integrator", "rng_seed"}
-# `tol_scale` multiplies tolerances and divides lower bounds (what an observation must reach)
-_TOLERANCES = {"tol", "tol_kill", "res_tol", "comm_tol", "slack"}
-_LOWER_BOUNDS = {"floor", "min_gap"}
 
 
 def _finite(v) -> bool:
@@ -454,6 +447,9 @@ def _known_fields(where: str, names, known: list) -> None:
 # "{charts}" in the text stand for the atlas's
 _COUNT = (lambda v, atlas: type(v) is int and v > 0, "must be a positive integer")
 _POSITIVE = (lambda v, atlas: _finite(v) and v > 0, "must be a finite positive number")
+# positive numbers that `run_suite`'s `tol_scale` multiplies (tolerances) or divides
+# (lower bounds, what an observation must reach): kinds of their own, tested alike
+_TOLERANCE, _LOWER_BOUND = (*_POSITIVE,), (*_POSITIVE,)
 _NUMBER = (lambda v, atlas: _finite(v), "must be a finite number")
 # zero would make the check compare a computation with itself, and pass on anything
 _NONZERO = (lambda v, atlas: _finite(v) and v != 0, "must be a finite nonzero number")
@@ -466,8 +462,8 @@ _AXIS = (lambda v, atlas: type(v) is int and 0 <= v <= 2, "must be 0, 1 or 2")
 
 _KIND = {
     "samples": _COUNT, "frames": _COUNT, "seeds": _COUNT,
-    "tol": _POSITIVE, "tol_kill": _POSITIVE, "res_tol": _POSITIVE, "comm_tol": _POSITIVE,
-    "slack": _POSITIVE, "floor": _POSITIVE, "min_gap": _POSITIVE, "eps": _POSITIVE,
+    "tol": _TOLERANCE, "tol_kill": _TOLERANCE, "res_tol": _TOLERANCE, "comm_tol": _TOLERANCE,
+    "slack": _TOLERANCE, "floor": _LOWER_BOUND, "min_gap": _LOWER_BOUND, "eps": _POSITIVE,
     "t1": _POSITIVE, "period": _POSITIVE, "horizon": _POSITIVE, "step": _POSITIVE,
     "s": _NONZERO, "t": _NONZERO, "scale": _NONZERO, "vel_scale": _NONZERO, "a": _NONZERO,
     "angle_a": _NUMBER, "angle_b": _NUMBER, "fail_before": _NUMBER,
@@ -609,8 +605,8 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
         name = entry["name"]
         defaults, fn = _CHECKS[name]
         params = {**defaults, **{k: v for k, v in entry.items() if k != "name"}}
-        params.update({k: params[k] * tol_scale for k in _TOLERANCES & params.keys()})
-        params.update({k: params[k] / tol_scale for k in _LOWER_BOUNDS & params.keys()})
+        params.update({k: v * tol_scale for k, v in params.items() if _KIND[k] is _TOLERANCE})
+        params.update({k: v / tol_scale for k, v in params.items() if _KIND[k] is _LOWER_BOUND})
         t0 = time.perf_counter()
         try:
             seed = np.random.SeedSequence([scenario.rng_seed, idx])

@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every run draws the same examples, so the library lines a run reaches do not
+# change from run to run; each test keeps its own max_examples and deadline
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 from affinelab.catalog import default_catalog
 from affinelab.flows import IntegratorConfig

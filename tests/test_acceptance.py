@@ -126,7 +126,7 @@ def test_criterion_05_horizontal_projection():
     conn = CAT.connection("sphere", "round")
     prime, geo = horizontal_projection_parts(conn, [0.0, 1.0],
                                              Frame("a", [1.0, 0.0], np.eye(2)),
-                                             (0.0, 2 * np.pi), CFG)
+                                             2 * np.pi, CFG)
     _verdict(5, "standard-horizontal projection over [0, 2pi] on the sphere",
              [("derivative", prime, 1e-4), ("geodesic-gap", geo, 1e-5)])
 

@@ -7,7 +7,8 @@ the same Newton loop written with the public `variational_flow`, one
 call per shot: `exp_inverse` must give the same tangent bit for bit, and
 the same exception type and message.  The finite-difference Newton loop
 that shoots 2n + 1 geodesics per iteration (`fd_reference`) must reach
-the same tangent within `tol`, in as many iterations.
+the same tangent within `geodesics.NEWTON_TOL`, in as many iterations.
+Both loops read the Newton constants at call time, as `exp_inverse` does.
 """
 import math
 import warnings
@@ -24,7 +25,7 @@ from affinelab.flows import DIVERGED, HOP_LIMIT, LEFT_ATLAS, IntegratorConfig, v
 from affinelab.geodesics import exp_inverse, exp_map, geodesic_field
 
 
-def _newton(conn, x, y, tol, max_iter, shoot):
+def _newton(conn, x, y, shoot):
     """(tangent, iterations) of undamped Newton on `shoot`, v -> (end point
     in the target chart, its Jacobian in v), started as `exp_inverse` starts:
     from the third-order inverse of exp in the chart that holds both points,
@@ -58,21 +59,21 @@ def _newton(conn, x, y, tol, max_iter, shoot):
             raise NoConvergence("shooting left the target chart; y likely "
                                 "outside the normal neighbourhood") from None
 
-    for it in range(max_iter):
+    for it in range(geodesics.NEWTON_MAX_ITER):
         end, J = shoot(v, into_target, target_chart)
         r = end - target
-        if np.linalg.norm(r) <= tol:
+        if np.linalg.norm(r) <= geodesics.NEWTON_TOL:
             return Tangent(x, v), it + 1
         try:
             delta = np.linalg.solve(J(), r)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular shooting Jacobian") from None
         v = v - delta
-    raise NoConvergence(f"exp_inverse: no convergence after {max_iter} iterations "
-                        "(target likely outside the normal neighbourhood)")
+    raise NoConvergence(f"exp_inverse: no convergence after {geodesics.NEWTON_MAX_ITER} "
+                        "iterations (target likely outside the normal neighbourhood)")
 
 
-def reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
+def reference(conn, x, y, cfg):
     """(tangent, iterations) of Newton shooting with one `variational_flow`
     of the spray from (x, v) with columns [0; I] per shot."""
     atlas, n = conn.atlas, conn.atlas.dim
@@ -90,10 +91,10 @@ def reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
 
         return into_target(p), jac
 
-    return _newton(conn, x, y, tol, max_iter, shoot)
+    return _newton(conn, x, y, shoot)
 
 
-def fd_reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
+def fd_reference(conn, x, y, cfg):
     """(tangent, iterations) of Newton shooting with one `exp_map` per shot
     and `numdiff.jacobian` of the shooting map."""
     def shoot(v, into_target, target_chart):
@@ -102,7 +103,7 @@ def fd_reference(conn, x, y, cfg, tol=1e-10, max_iter=50):
 
         return f(v), lambda: numdiff.jacobian(f, v)
 
-    return _newton(conn, x, y, tol, max_iter, shoot)
+    return _newton(conn, x, y, shoot)
 
 
 CFG = IntegratorConfig(step=1e-2)
@@ -153,25 +154,27 @@ def test_tangents_agree_with_finite_difference_newton(cat, name):
     assert np.linalg.norm(got.vec - want.vec) <= 1e-10
 
 
-ERROR_CASES = {
+ERROR_CASES = {  # (manifold, x, y, NEWTON_MAX_ITER or None for the library's)
     # past the equator the undamped shots leave chart a
-    "left_target_chart": (("sphere", "round"), *sphere_target(2.0, 3), {}),
+    "left_target_chart": (("sphere", "round"), *sphere_target(2.0, 3), None),
     "max_iter_exhausted": (("sphere", "round"), Point("a", [0.3, 0.2]), Point("a", [0.7, -0.1]),
-                           {"max_iter": 2}),
+                           2),
     # a far target inside the half-plane: a Newton iterate's shot leaves it
     "left_atlas": (("halfplane", "hyperbolic"), Point("hp", [0.0, 1.0]), Point("hp", [4.0, 0.3]),
-                   {}),
+                   None),
 }
 
 
 @pytest.mark.parametrize("name", list(ERROR_CASES))
-def test_block_shooting_raises_as_one_shot_at_a_time(cat, name):
-    manifold, x, y, kw = ERROR_CASES[name]
+def test_block_shooting_raises_as_one_shot_at_a_time(cat, monkeypatch, name):
+    manifold, x, y, max_iter = ERROR_CASES[name]
     conn = cat.connection(*manifold)
+    if max_iter is not None:
+        monkeypatch.setattr(geodesics, "NEWTON_MAX_ITER", max_iter)
     with pytest.raises(Exception) as want:
-        reference(conn, x, y, CFG, **kw)
+        reference(conn, x, y, CFG)
     with pytest.raises(Exception) as got:
-        exp_inverse(conn, x, y, CFG, **kw)
+        exp_inverse(conn, x, y, CFG)
     kind, start = {"left_target_chart": (NoConvergence, "shooting left the target chart"),
                    "max_iter_exhausted": (NoConvergence, "exp_inverse: no convergence after 2"),
                    "left_atlas": (LeftAtlas, "flow of 'geodesic[hyperbolic]' left the atlas")}[name]
@@ -267,21 +270,6 @@ def test_stencil_rows_are_jacobians_points_in_its_order():
     want = [x + s * h * e for e in np.eye(3) for s in (1.0, -1.0)]
     assert (np.array(seen) == np.array(want)).all()
     assert np.abs(J - np.eye(3)).max() <= 1e-10
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
-def test_invalid_tol_is_a_value_error(cat, tol):
-    conn = cat.connection("plane", "flat")
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        exp_inverse(conn, Point("cart", [0.0, 0.0]), Point("cart", [1.0, 0.0]), CFG, tol=tol)
-
-
-@pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
-def test_invalid_max_iter_is_a_value_error(cat, max_iter):
-    conn = cat.connection("plane", "flat")
-    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
-        exp_inverse(conn, Point("cart", [0.0, 0.0]), Point("cart", [1.0, 0.0]), CFG,
-                    max_iter=max_iter)
 
 
 def first_shots(monkeypatch):

@@ -126,7 +126,8 @@ def test_hop_limit(cat, monkeypatch):
                                  {"rechart_margin": 1.0}, {"rechart_margin": -0.1},
                                  {"state_guard": 0.0}, {"state_guard": float("nan")},
                                  {"max_hops": 2.5}, {"max_hops": True}, {"step": True},
-                                 {"rechart_margin": False}, {"state_guard": True}])
+                                 {"rechart_margin": False}, {"state_guard": True},
+                                 {"step": np.True_}])
 def test_integrator_config_rejects_nonsense(bad):
     # step is its one field; the hop cap, hand-off margin and state guard are
     # the flows constants, so a value for one is refused as an unknown keyword

@@ -8,10 +8,10 @@ import oracles
 from affinelab import flows, geodesics
 from affinelab.atlas import Point, Tangent
 from affinelab.catalog import Catalog
-from affinelab.errors import NoConvergence, NotInOverlap
+from affinelab.errors import LeftAtlas, NoConvergence, NotInOverlap
 from affinelab.flows import IntegratorConfig
-from affinelab.geodesics import (CurveSpec, completeness_probe, exp_inverse, exp_map, geodesic,
-                                 parallel_transport)
+from affinelab.geodesics import (CurveSpec, completeness_probe, exp_inverse, exp_map,
+                                 exp_map_rows, geodesic, parallel_transport)
 
 
 def test_flat_plane_geodesic_exact(cat, cfg):
@@ -61,6 +61,13 @@ def test_exp_flat_and_zero(cat, cfg):
     out0 = exp_map(conn, Tangent(x, [0.0, 0.0]), cfg, t=0.0)
     assert np.allclose(out0.coords, x.coords)
     assert exp_map(conn, Tangent(x, [0.0, 0.0]), cfg).coords == pytest.approx([0.2, 0.5])
+
+
+def test_a_zero_duration_checks_its_start_as_any_other_does(cat, cfg):
+    conn = cat.connection("sphere", "round")
+    v = Tangent(Point("a", [3.0, 0.0]), [0.1, 0.2])
+    with pytest.raises(LeftAtlas, match="outside its chart domain"):
+        exp_map_rows(conn, [v], cfg, t=0.0)
 
 
 def test_sphere_exp_antipode(cat, cfg):
@@ -439,12 +446,13 @@ def test_exp_inverse_maps_x_into_the_target_chart_once(monkeypatch):
     assert atlas.gap(exp_map(conn, v, cfg), y) <= 1e-10
 
 
-def test_exp_inverse_no_convergence(cat):
+def test_exp_inverse_no_convergence(cat, monkeypatch):
     # antipodal-ish target on the sphere is outside the normal neighbourhood
+    monkeypatch.setattr(geodesics, "NEWTON_MAX_ITER", 8)
     conn = cat.connection("sphere", "round")
     cfg = IntegratorConfig(step=5e-3)
     with pytest.raises(NoConvergence):
-        exp_inverse(conn, Point("a", [0.0, 0.0]), Point("b", [0.05, 0.0]), cfg, max_iter=8)
+        exp_inverse(conn, Point("a", [0.0, 0.0]), Point("b", [0.05, 0.0]), cfg)
 
 
 def _map_only_sphere():
