@@ -37,6 +37,11 @@ from .errors import NoCommonChart, NotInOverlap
 
 Coords = np.ndarray
 
+# `sample_points` draws inside each chart's domain shrunk by the integrator's
+# hand-off margin (flows.RECHART_MARGIN), so that a flow from a sampled point
+# does not hand off to another chart at once
+_SAMPLE_MARGIN = 0.1
+
 
 def _vec(x) -> np.ndarray:
     """`x` as a float array of at least one dimension (np.atleast_1d without
@@ -64,9 +69,6 @@ class Tangent:
 
     def __post_init__(self):  # a copy: the caller's array may change later
         object.__setattr__(self, "vec", np.array(self.vec, float, ndmin=1))
-
-    def __repr__(self):
-        return f"Tangent({self.base!r}, {np.array2string(self.vec, precision=6)})"
 
 
 class _Watched:
@@ -271,20 +273,20 @@ class Atlas:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_points(self, cid: str, count: int, rng: np.random.Generator, margin: float = 0.1):
+    def sample_points(self, cid: str, count: int, rng: np.random.Generator):
         """Draw points uniformly from the chart's sample box (margin-checked)."""
         c = self.chart(cid)
         out, attempts = [], 0
         while len(out) < count:
             x = rng.uniform(c.sample_lo, c.sample_hi)
             attempts += 1
-            if c.contains(x, margin):
+            if c.contains(x, _SAMPLE_MARGIN):
                 out.append(Point(cid, x))
             if attempts > 1000 * max(count, 1):
                 raise RuntimeError(f"sampling chart {cid!r} rejected too often")
         return out
 
-    def overlap_samples(self, cid1: str, cid2: str, count: int, rng: np.random.Generator, margin: float = 0.0):
+    def overlap_samples(self, cid1: str, cid2: str, count: int, rng: np.random.Generator):
         """Points of chart `cid1` whose transition lands inside chart `cid2`."""
         c1 = self.chart(cid1)
         if cid2 not in c1.transitions:
@@ -295,9 +297,9 @@ class Atlas:
         while len(out) < count:
             x = rng.uniform(c1.sample_lo, c1.sample_hi)
             attempts += 1
-            if c1.contains(x, margin):
+            if c1.contains(x):
                 y = _vec(tr.map(x))
-                if np.all(np.isfinite(y)) and c2.contains(y, margin):
+                if np.all(np.isfinite(y)) and c2.contains(y):
                     out.append(Point(cid1, x))
             if attempts > 5000 * max(count, 1):
                 raise RuntimeError(f"overlap sampling {cid1!r}/{cid2!r} rejected too often")

@@ -106,8 +106,10 @@ class ClosedFormDiffeo(Diffeo):
         return J, out
 
     def second(self, points, vs) -> list:
+        if len(points) != len(vs):
+            raise ValueError(f"{len(points)} points and {len(vs)} vs")
         return [(out, J, np.einsum("ijk,j->ik", T, _vec(v)))
-                for (out, J, T), v in zip(map(self._jet, points), vs, strict=True)]
+                for (out, J, T), v in zip(map(self._jet, points), vs)]
 
     d2_dir = Diffeo.d2_dir  # spanned under this class's name by perfbench/tracing.py
 

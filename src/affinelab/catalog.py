@@ -2,14 +2,12 @@
 
 Manifolds
   plane       flat R^2 with a Cartesian chart and a polar chart
-  r3          flat R^3, single chart
   torus       flat square torus R^2/Z^2 with four overlapping charts
   sphere      round unit 2-sphere, two stereographic charts
                 "a": projection from the north pole (origin = south pole)
                 "b": projection from the south pole (origin = north pole)
   halfplane   hyperbolic upper half-plane, single chart
   disk        open unit disk, single chart (incomplete flat example)
-  sphere_colat  single colatitude/longitude chart of the round sphere
 
 Connections are registered per manifold ("flat", "round", "hyperbolic");
 vector fields per manifold by name.  The sphere rotation generators
@@ -23,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .atlas import Atlas, Chart, Transition, all_space, box_domain, disk_domain
-from .connection import ConnChart, ConnectionField, from_christoffel
+from .connection import ConnChart, ConnectionField
 from .flows import ChartField, VectorField
 
 _EYE2 = np.eye(2)
@@ -147,10 +145,6 @@ def plane_atlas() -> Atlas:
     return Atlas("plane", 2, [cart, polar])
 
 
-def r3_atlas() -> Atlas:
-    return Atlas("r3", 3, [Chart("cart", 3, all_space, [-2.0] * 3, [2.0] * 3)])
-
-
 def _box_shift(c, x):
     """The torus's shift of x onto the box centred at c."""
     return x - np.round(x - c)
@@ -201,13 +195,6 @@ def halfplane_atlas() -> Atlas:
 
 def disk_atlas() -> Atlas:
     return Atlas("disk", 2, [Chart("disk", 2, disk_domain(1.0), [-0.5, -0.5], [0.5, 0.5])])
-
-
-def sphere_colat_atlas() -> Atlas:
-    """Single colatitude/longitude chart (theta, phi) away from poles and seam."""
-    return Atlas("sphere_colat", 2,
-                 [Chart("colat", 2, box_domain([0.2, -2.9], [np.pi - 0.2, 2.9]),
-                        [0.5, -2.0], [np.pi - 0.5, 2.0])])
 
 
 # -- connections --------------------------------------------------------------
@@ -326,19 +313,6 @@ def hyperbolic_connection(atlas: Atlas) -> ConnectionField:
                                                                  d_dir=d_dir, spray=spray)})
 
 
-def colat_round_connection(atlas: Atlas) -> ConnectionField:
-    """Round-sphere connection in the colatitude chart, via Christoffels."""
-
-    def gamma(x):
-        th = x[..., 0]
-        G = np.zeros(x.shape + (2, 2))
-        G[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
-        G[..., 1, 0, 1] = G[..., 1, 1, 0] = 1.0 / np.tan(th)
-        return G
-
-    return from_christoffel(atlas, {"colat": gamma}, name="round")
-
-
 # -- vector fields -------------------------------------------------------------
 
 def _plane_fields(atlas: Atlas) -> dict[str, VectorField]:
@@ -411,13 +385,6 @@ def _torus_fields(atlas: Atlas) -> dict[str, VectorField]:
         cf = quad_chart(vec, None, None)
         out[name] = VectorField(atlas, name, {cid: cf for cid in atlas.charts})
     return out
-
-
-def _colat_fields(atlas: Atlas) -> dict[str, VectorField]:
-    return {
-        "d_theta": VectorField(atlas, "d_theta", {"colat": quad_chart([1, 0], None, None)}),
-        "d_phi": VectorField(atlas, "d_phi", {"colat": quad_chart([0, 1], None, None)}),
-    }
 
 
 # -- closed-form diffeomorphisms --------------------------------------------------
@@ -522,7 +489,7 @@ def plane_affine_map(atlas: Atlas, Q, c) -> "ClosedFormDiffeo":
 class Catalog:
     """Named registry of atlases, connections, and vector fields."""
 
-    VERSION = "1"
+    VERSION = "2"
 
     def __init__(self):
         self._atlases = {}
@@ -531,8 +498,6 @@ class Catalog:
 
         plane = plane_atlas()
         self._register(plane, {"flat": plane_flat_connection(plane)}, _plane_fields(plane))
-        r3 = r3_atlas()
-        self._register(r3, {"flat": flat_connection(r3)}, {})
         torus = torus_atlas()
         self._register(torus, {"flat": flat_connection(torus)}, _torus_fields(torus))
         sphere = sphere_atlas()
@@ -541,8 +506,6 @@ class Catalog:
         self._register(hp, {"hyperbolic": hyperbolic_connection(hp)}, _halfplane_fields(hp))
         disk = disk_atlas()
         self._register(disk, {"flat": flat_connection(disk)}, {})
-        colat = sphere_colat_atlas()
-        self._register(colat, {"round": colat_round_connection(colat)}, _colat_fields(colat))
 
     def _register(self, atlas, conns, fields):
         self._atlases[atlas.name] = atlas
@@ -569,7 +532,7 @@ class Catalog:
 
     def killing_pairs(self):
         """(connection, field, is_affine) triples for every catalog field."""
-        expected = {"nonaffine_sq": False, "d_theta": False}
+        expected = {"nonaffine_sq": False}
         out = []
         for mname, fields in self._fields.items():
             conns = self._conns[mname]

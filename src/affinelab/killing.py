@@ -203,7 +203,7 @@ def gram_rank(seeds) -> int:
         return 0
     first = seeds[0].at
     for s in seeds[1:]:
-        if s.at.chart != first.chart or not np.allclose(s.at.coords, first.coords, atol=1e-12):
+        if s.at.chart != first.chart or not np.allclose(s.at.coords, first.coords, rtol=0.0, atol=1e-12):
             raise BasePointMismatch("seeds must share a base point")
     M = np.stack([s.packed() for s in seeds])
     sv = np.linalg.svd(M, compute_uv=False)

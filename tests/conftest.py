@@ -12,8 +12,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
 
+import oracles
 from affinelab.catalog import default_catalog
 from affinelab.flows import IntegratorConfig
+
+# the shared catalog also holds the entries only tests compute on, before any
+# test module reads its manifold names at collection
+oracles.register_test_manifolds(default_catalog())
 
 
 @pytest.fixture(scope="session")

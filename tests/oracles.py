@@ -2,11 +2,19 @@
 
 Everything here is computed from raw embedding geometry or hand math and
 never calls the library's connection/flow machinery, so oracle values
-stay independent of the code paths they verify.
+stay independent of the code paths they verify.  The exception is the
+last section: two catalog entries that only tests compute on (flat R^3
+and the colatitude chart of the round sphere), built from library parts
+and registered on the shared catalog by `tests/conftest.py`.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from affinelab.atlas import Atlas, Chart, all_space, box_domain
+from affinelab.catalog import flat_connection, quad_chart
+from affinelab.connection import from_christoffel
+from affinelab.flows import VectorField
 
 
 # -- stereographic geometry (unit sphere), written out by hand ---------------
@@ -125,3 +133,45 @@ def halfplane_geodesic_unit_circle(t):
     """Unit-speed geodesic from (0, 1) with initial velocity (1, 0):
     x = tanh(t), y = sech(t)."""
     return np.array([np.tanh(t), 1.0 / np.cosh(t)])
+
+
+# -- test-only catalog entries --------------------------------------------------
+
+def r3_atlas() -> Atlas:
+    return Atlas("r3", 3, [Chart("cart", 3, all_space, [-2.0] * 3, [2.0] * 3)])
+
+
+def sphere_colat_atlas() -> Atlas:
+    """Single colatitude/longitude chart (theta, phi) away from poles and seam."""
+    return Atlas("sphere_colat", 2,
+                 [Chart("colat", 2, box_domain([0.2, -2.9], [np.pi - 0.2, 2.9]),
+                        [0.5, -2.0], [np.pi - 0.5, 2.0])])
+
+
+def colat_round_connection(atlas: Atlas):
+    """Round-sphere connection in the colatitude chart, via Christoffels."""
+
+    def gamma(x):
+        th = x[..., 0]
+        G = np.zeros(x.shape + (2, 2))
+        G[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = 1.0 / np.tan(th)
+        return G
+
+    return from_christoffel(atlas, {"colat": gamma}, name="round")
+
+
+# fields of the test-only entries that are not affine: d_theta's flow slides
+# along meridians, which does not preserve the round connection
+NOT_AFFINE = {"d_theta"}
+
+
+def register_test_manifolds(catalog) -> None:
+    """Add `r3` (flat, no fields) and `sphere_colat` (round; d_theta, d_phi)."""
+    r3 = r3_atlas()
+    catalog._register(r3, {"flat": flat_connection(r3)}, {})
+    colat = sphere_colat_atlas()
+    catalog._register(colat, {"round": colat_round_connection(colat)}, {
+        "d_theta": VectorField(colat, "d_theta", {"colat": quad_chart([1, 0], None, None)}),
+        "d_phi": VectorField(colat, "d_phi", {"colat": quad_chart([0, 1], None, None)}),
+    })

@@ -151,7 +151,8 @@ def test_criterion_06_killing_residual():
 def test_criterion_07_equivalence_suite():
     rng = np.random.default_rng(RNG_SEED)
     pairs, rows = [], {}
-    for conn, fld, expected_affine in CAT.killing_pairs():
+    for conn, fld, library_affine in CAT.killing_pairs():
+        expected_affine = library_affine and fld.name not in oracles.NOT_AFFINE
         atlas = conn.atlas
         cid = atlas.chart_order()[0]
         res = 0.0

@@ -235,13 +235,15 @@ def test_points_near_opposite_poles_share_no_chart(cat):
         atlas.gap(Point("a", [0.1, 0.0]), Point("b", [0.0, 0.1]))
 
 
-def test_sampling_gives_up_when_the_margin_leaves_no_room(cat, rng):
-    # margin 1 shrinks the disk chart to nothing, so every draw is rejected
+def test_sampling_gives_up_when_the_margin_leaves_no_room(cat, rng, monkeypatch):
+    # a membership test that admits no point of chart a rejects every draw
     atlas = cat.atlas("sphere")
+    monkeypatch.setattr(atlas.chart("a"), "contains_fn",
+                        lambda x, margin=0.0: np.zeros(x.shape[:-1], bool))
     with pytest.raises(RuntimeError, match="sampling chart 'a' rejected too often"):
-        atlas.sample_points("a", 2, rng, margin=1.0)
+        atlas.sample_points("a", 2, rng)
     with pytest.raises(RuntimeError, match="overlap sampling 'a'/'b' rejected too often"):
-        atlas.overlap_samples("a", "b", 1, rng, margin=1.0)
+        atlas.overlap_samples("a", "b", 1, rng)
 
 
 def test_chart_order_priority(cat):

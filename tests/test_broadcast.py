@@ -57,7 +57,7 @@ def test_geodesic_spray_broadcasts(manifold, rng):
         for cid in atlas.charts:
             if not field.has_chart(cid):
                 continue
-            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng)])
             z = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
             _assert_rowwise(field.chart_field(cid).value, z)
 
@@ -71,7 +71,7 @@ def test_connection_tensors_broadcast(manifold, rng):
             if not conn.has_chart(cid):
                 continue
             cc = conn._chart(cid)
-            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng)])
             u = rng.normal(size=x.shape)
             _assert_rowwise(cc.tensor, x)
             got = cc.d_dir(x, u)
@@ -139,7 +139,7 @@ def test_finite_difference_fills_broadcast(manifold, rng):
         fd_conn = ConnectionField(atlas, cname, {cid: ConnChart(tensor=conn._chart(cid).tensor)
                                                  for cid in cids})
         for cid in cids:
-            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng)])
             z = np.concatenate([x, rng.normal(size=x.shape)], axis=-1)
             for fn in (spray.chart_field(cid).d, spray.chart_field(cid).d2):
                 np.testing.assert_array_equal(fn(z), _stacked(fn, z))
@@ -172,7 +172,7 @@ def test_vector_fields_broadcast(manifold, rng):
     atlas = CAT.atlas(manifold)
     for field, cid in _field_charts(manifold, _built_fields(manifold)):
         cf = field.chart_field(cid)
-        x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+        x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng)])
         for fn in (cf.value, cf.d, cf.d2):
             _assert_rowwise(fn, x)
 
@@ -183,7 +183,7 @@ def test_natural_lift_broadcasts(manifold, rng):
     n = atlas.dim
     for field, cid in _field_charts(manifold):
         lift = natural_lift(field).chart_field(cid)
-        x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+        x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng)])
         g = np.eye(n) + rng.uniform(-0.2, 0.2, size=(ROWS, n, n))
         z = np.concatenate([x, g.reshape(ROWS, n * n)], axis=-1)
         for fn in (lift.value, lift.d):
@@ -201,7 +201,7 @@ def test_kappa_inverse_fields_broadcast(manifold, rng):
             if not fld.has_chart(cid):
                 continue
             cf = fld.chart_field(cid)
-            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng, margin=0.0)])
+            x = np.stack([p.coords for p in atlas.sample_points(cid, ROWS, rng)])
             g = np.eye(n) + rng.uniform(-0.2, 0.2, size=(ROWS, n, n))
             z = np.concatenate([x, g.reshape(ROWS, n * n)], axis=-1)
             for fn in (cf.value, cf.d):

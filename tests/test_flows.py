@@ -263,6 +263,7 @@ def test_a_field_raises_chart_missing_off_its_charts(cat, cfg):
     atlas = cat.atlas("torus")
     east = VectorField(atlas, "east", {"t00": constant_field(atlas, "e", [1.0, 0.0])
                                        .chart_field("t00")})
+    assert repr(east) == "VectorField('east' on 'torus')"
     with pytest.raises(ChartMissing, match="'east' undefined on chart 't10'"):
         east.value(Point("t10", [0.0, 0.0]))
     with pytest.raises(ChartMissing, match="'east' undefined on hop target"):

@@ -246,6 +246,11 @@ def test_gram_rank(cat, rng):
     assert gram_rank([KillingSeed(p, np.zeros(2), np.zeros((2, 2)))] * 2) == 0
     with pytest.raises(BasePointMismatch):
         gram_rank([seeds[0], ev_embedding(conn, cat.field("sphere", "rot_x"), Point("a", [0.0, 0.1]))])
+    # 2e-6 apart: within allclose's default relative tolerance, far beyond its 1e-12
+    near = [ev_embedding(conn, cat.field("sphere", "rot_x"), Point("a", [0.3, 0.2])),
+            ev_embedding(conn, cat.field("sphere", "rot_y"), Point("a", [0.3 + 2e-6, 0.2]))]
+    with pytest.raises(BasePointMismatch):
+        gram_rank(near)
 
 
 def test_extend_killing_flat_closed_form(cat, cfg):

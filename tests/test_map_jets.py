@@ -4,6 +4,7 @@ A transition's image, Jacobian and second derivative come from one
 `Atlas.jet`, which calls `map` once; a closed-form diffeomorphism's from
 one chart `jet` call.  Counting stubs pin the calls."""
 import numpy as np
+import pytest
 
 from affinelab import geodesics
 from affinelab.atlas import Point
@@ -68,3 +69,15 @@ def test_each_closed_form_call_evaluates_its_chart_jet_once(cat, monkeypatch, rn
         calls.clear()
         call()
         assert calls == {"a": 1}
+
+
+def test_a_closed_form_second_refuses_rows_of_different_lengths_before_any_jet(
+        cat, monkeypatch):
+    # two points and one v: the lengths are checked first, so no chart jet runs
+    f = sphere_rotation(cat.atlas("sphere"), rotation_matrix_3d(0, 0.7))
+    calls = {}
+    monkeypatch.setattr(f, "_jet", _counted(calls, "jet", f._jet))
+    points = [Point("a", [0.4, -0.2]), Point("a", [0.1, 0.3])]
+    with pytest.raises(ValueError, match="2 points and 1 vs"):
+        f.second(points, [[1.0, 0.0]])
+    assert calls == {}

@@ -10,10 +10,11 @@ derived (v, B_x(v, v)), and the derived one elsewhere."""
 import numpy as np
 import pytest
 
+import oracles
 from affinelab import numdiff
 from affinelab.atlas import Point, Tangent
 from affinelab.bundles import pack
-from affinelab.catalog import colat_round_connection, default_catalog, sphere_colat_atlas
+from affinelab.catalog import default_catalog
 from affinelab.flows import IntegratorConfig, variational_flow
 from affinelab.geodesics import exp_map, geodesic_field
 
@@ -102,7 +103,7 @@ def _torsion_sphere():
 
 
 @pytest.mark.parametrize("make, cids", [
-    (lambda: colat_round_connection(sphere_colat_atlas()), ("colat",)),
+    (lambda: oracles.colat_round_connection(oracles.sphere_colat_atlas()), ("colat",)),
     (_torsion_sphere, ("a", "b"))], ids=["colat_christoffel", "sphere_torsion"])
 def test_a_connection_given_by_its_tensor_gets_the_derived_spray(make, cids, rng):
     conn = make()
