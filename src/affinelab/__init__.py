@@ -9,9 +9,9 @@ flow-generated automorphisms, with a scenario harness that checks every
 claim against closed-form oracles at desk scale.
 """
 from .atlas import Atlas, Chart, Point, Tangent, Transition
-from .automorphism import (ChartMap, ClosedFormDiffeo, Diffeo, FlowWord, FrameDiffeo,
-                           affine_residual, exp_aut, exp_commutes_defect, frame_gap,
-                           frame_lift, kappa_pullback_defect, orbit_point)
+from .automorphism import (ClosedFormDiffeo, Diffeo, FlowWord, FrameDiffeo, affine_residual,
+                           exp_aut, exp_commutes_defect, frame_gap, frame_lift,
+                           kappa_pullback_defect, orbit_point)
 from .bundles import frame_atlas, tangent_atlas
 from .catalog import Catalog, default_catalog, plane_affine_map, rotation_matrix_3d, sphere_rotation
 from .connection import (ConnChart, ConnectionField, SecondOrderTangent,

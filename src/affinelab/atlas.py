@@ -37,10 +37,10 @@ from .errors import NoCommonChart, NotInOverlap
 
 Coords = np.ndarray
 
-# `sample_points` draws inside each chart's domain shrunk by the integrator's
-# hand-off margin (flows.RECHART_MARGIN), so that a flow from a sampled point
-# does not hand off to another chart at once
-_SAMPLE_MARGIN = 0.1
+# a flow's row hands off once it leaves its chart's domain shrunk by this fraction, so
+# the finite-difference stencils of `d` and `d2` stay inside the chart; `sample_points`
+# draws inside it, so that a flow from a sampled point does not hand off at once
+RECHART_MARGIN = 0.1
 
 
 def _vec(x) -> np.ndarray:
@@ -276,38 +276,41 @@ class Atlas:
     def sample_points(self, cid: str, count: int, rng: np.random.Generator):
         """Draw points uniformly from the chart's sample box (margin-checked)."""
         c = self.chart(cid)
-        out, attempts = [], 0
-        while len(out) < count:
-            x = rng.uniform(c.sample_lo, c.sample_hi)
-            attempts += 1
-            if c.contains(x, _SAMPLE_MARGIN):
-                out.append(Point(cid, x))
-            if attempts > 1000 * max(count, 1):
-                raise RuntimeError(f"sampling chart {cid!r} rejected too often")
-        return out
+        return _draw(c, count, rng, lambda x: c.contains(x, RECHART_MARGIN), 1000,
+                     f"sampling chart {cid!r}")
 
     def overlap_samples(self, cid1: str, cid2: str, count: int, rng: np.random.Generator):
         """Points of chart `cid1` whose transition lands inside chart `cid2`."""
         c1 = self.chart(cid1)
         if cid2 not in c1.transitions:
             raise NotInOverlap(f"no transition {cid1!r} -> {cid2!r}")
-        tr = c1.transitions[cid2]
-        c2 = self.chart(cid2)
-        out, attempts = [], 0
-        while len(out) < count:
-            x = rng.uniform(c1.sample_lo, c1.sample_hi)
-            attempts += 1
-            if c1.contains(x):
-                y = _vec(tr.map(x))
-                if np.all(np.isfinite(y)) and c2.contains(y):
-                    out.append(Point(cid1, x))
-            if attempts > 5000 * max(count, 1):
-                raise RuntimeError(f"overlap sampling {cid1!r}/{cid2!r} rejected too often")
-        return out
+        tr, c2 = c1.transitions[cid2], self.chart(cid2)
+
+        def lands(x):
+            if not c1.contains(x):
+                return False
+            y = _vec(tr.map(x))
+            return np.all(np.isfinite(y)) and c2.contains(y)
+
+        return _draw(c1, count, rng, lands, 5000, f"overlap sampling {cid1!r}/{cid2!r}")
 
     def overlap_pairs(self):
         """All declared (source, target) transition pairs."""
         return [(cid, tid) for cid, c in self.charts.items() for tid in c.transitions]
+
+
+def _draw(c: Chart, count: int, rng: np.random.Generator, keep: Callable, tries: int, what: str):
+    """The samplers' rejection loop: `count` points of chart `c`, each drawn from its sample
+    box until `keep(x)`; RuntimeError after `tries` draws per point (at least one point)."""
+    out, attempts = [], 0
+    while len(out) < count:
+        x = rng.uniform(c.sample_lo, c.sample_hi)
+        attempts += 1
+        if keep(x):
+            out.append(Point(c.id, x))
+        if attempts > tries * max(count, 1):
+            raise RuntimeError(f"{what} rejected too often")
+    return out
 
 
 _NOWHERE = partial(np.full_like, fill_value=np.nan)  # the hop table's padding map: no row lands

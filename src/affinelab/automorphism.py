@@ -1,10 +1,10 @@
 """Represented diffeomorphisms and the flow-generated automorphism group.
 
-A Diffeo is either a ClosedFormDiffeo (a `ChartMap` per chart, whose
-`jet` gives f, df and d2 f; a point in any other chart raises
-ChartMissing) or a FlowWord (ordered flow segments of named fields,
-composed left-to-right; the inverse reverses the word and negates
-durations).  A map f is affine when
+A Diffeo is either a ClosedFormDiffeo (a `jet` callable per chart,
+giving f, df and d2 f; a point in any other chart raises ChartMissing)
+or a FlowWord (ordered flow segments of named fields, composed
+left-to-right; the inverse reverses the word and negates durations).  A
+map f is affine when
 
     d2 f(v, w) + df(B1_x(v, w)) = B2_{f(x)}(df v, df w);
 
@@ -24,7 +24,6 @@ take lists of points (frames, tangents) and return one result per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,28 +73,23 @@ class Diffeo:
         return self.jets([point], [_vec(v)], [_vec(w)])[0][2]
 
 
-@dataclass(eq=False)
-class ChartMap:
-    """Per-chart closed form: `jet(x)` gives (target_chart, f(x), df(x),
-    d2 f(x)) at one point x from one evaluation of the formula."""
-
-    jet: Callable
-
-
 class ClosedFormDiffeo(Diffeo):
-    def __init__(self, atlas: Atlas, name: str, charts: dict[str, ChartMap], inverse=None):
+    """Per-chart closed forms: `charts[cid](x)` gives (target_chart, f(x), df(x), d2 f(x))
+    at one point x of chart cid from one evaluation of the formula."""
+
+    def __init__(self, atlas: Atlas, name: str, charts: dict[str, Callable], inverse=None):
         self.atlas = atlas
         self.name = name
         self._charts = dict(charts)
         self._inverse = inverse
 
     def _jet(self, point: Point) -> tuple[Point, np.ndarray, np.ndarray]:
-        """(f(x), df(x), d2 f(x)) from the point's chart map."""
+        """(f(x), df(x), d2 f(x)) from the point's chart jet."""
         try:
-            cm = self._charts[point.chart]
+            jet = self._charts[point.chart]
         except KeyError:
             raise ChartMissing(f"diffeo {self.name!r} undefined on chart {point.chart!r}") from None
-        tid, y, J, T = cm.jet(point.coords)
+        tid, y, J, T = jet(point.coords)
         return Point(tid, _vec(y)), np.asarray(J, float), np.asarray(T, float)
 
     def apply(self, point: Point) -> Point:
@@ -148,7 +142,7 @@ class FlowWord(Diffeo):
     def second(self, points, vs) -> list:
         """The images and df of `push(points, I)`, bit for bit, with d2 f(v, .)
         carried beside df on the base flow as second-order columns U from 0
-        (`flows._integrate`; Hairer-Norsett-Wanner, Solving ODEs I, I.14)."""
+        (`flows._run_block`; Hairer-Norsett-Wanner, Solving ODEs I, I.14)."""
         if len(points) != len(vs):
             raise ValueError(f"{len(points)} points and {len(vs)} vs")
         n, m = self.atlas.dim, len(points)

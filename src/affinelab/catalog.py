@@ -412,7 +412,7 @@ def sphere_rotation(atlas: Atlas, R) -> "ClosedFormDiffeo":
 
 
 def _mobius_charts(R) -> dict:
-    """{chart: ChartMap} of the orthogonal R on the two stereographic charts."""
+    """{chart: jet} of the orthogonal R on the two stereographic charts."""
     improper = np.linalg.det(R) < 0
     if improper:
         R = R * [1.0, 1.0, -1.0]  # R E
@@ -431,10 +431,9 @@ def _mobius_charts(R) -> dict:
 
 
 def _mobius_map(m, home: str, other: str):
-    """ChartMap of z -> (a z + b) / (c z + d), m = (a, b, c, d), into chart
-    `home`, or into `other` as conj((c z + d) / (a z + b)) when the image
-    leaves the unit circle (on the circle: into "a")."""
-    from .automorphism import ChartMap
+    """The chart jet of z -> (a z + b) / (c z + d), m = (a, b, c, d), into
+    chart `home`, or into `other` as conj((c z + d) / (a z + b)) when the
+    image leaves the unit circle (on the circle: into "a")."""
 
     def jet(p):
         a, b, c, d = m
@@ -454,7 +453,7 @@ def _mobius_map(m, home: str, other: str):
         T = np.stack([H.real, H.imag]) * sign[:, None, None]
         return tid, np.array([f.real, f.imag]) * sign, J, T
 
-    return ChartMap(jet)
+    return jet
 
 
 def rotation_matrix_3d(axis: int, angle: float) -> np.ndarray:
@@ -468,18 +467,18 @@ def rotation_matrix_3d(axis: int, angle: float) -> np.ndarray:
 
 def plane_affine_map(atlas: Atlas, Q, c) -> "ClosedFormDiffeo":
     """x -> Q x + c on the Cartesian chart of the flat plane."""
-    from .automorphism import ChartMap, ClosedFormDiffeo
+    from .automorphism import ClosedFormDiffeo
 
     Q = np.asarray(Q, float)
     c = np.asarray(c, float)
     Qi = np.linalg.inv(Q)
     n = Q.shape[0]
 
-    def chart_map(M, b):
-        return ChartMap(lambda x: ("cart", M @ x + b, M.copy(), np.zeros((n, n, n))))
+    def jet(M, b):
+        return lambda x: ("cart", M @ x + b, M.copy(), np.zeros((n, n, n)))
 
-    fwd = ClosedFormDiffeo(atlas, "affine", {"cart": chart_map(Q, c)})
-    bwd = ClosedFormDiffeo(atlas, "affine^-1", {"cart": chart_map(Qi, -Qi @ c)}, inverse=fwd)
+    fwd = ClosedFormDiffeo(atlas, "affine", {"cart": jet(Q, c)})
+    bwd = ClosedFormDiffeo(atlas, "affine^-1", {"cart": jet(Qi, -Qi @ c)}, inverse=fwd)
     fwd._inverse = bwd
     return fwd
 

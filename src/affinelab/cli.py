@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
     if not report.checks:
         print("no checks ran", file=sys.stderr)
     if args.out:
-        emit(report, args.out, format="json")
+        emit(report, args.out)
         print(f"report written to {args.out}")
     return 0 if report.all_passed else 1
 
@@ -121,7 +121,7 @@ def _cmd_dump(args) -> int:
                         record=record)
         rows, payload = record, "frame"
     header, out_rows = trajectory_rows(rows, n, payload)
-    emit((header, out_rows), args.out, format="csv")
+    emit((header, out_rows), args.out)
     print(f"{len(out_rows)} rows written to {args.out}")
     return 0
 

@@ -1,14 +1,15 @@
 """Chart-hopping ODE machinery for vector fields expressed per chart.
 
 Fixed-step classical RK4 throughout, every flow step one `_rk4` call; no
-adaptivity.  One core, `_integrate`, entered through `_run_block`, steps
-an (m, N) block of rows, each with its own chart, signed step, hop count,
-status and reach time.  `_run` integrates one trajectory (for `integrate`
-and `variational_flow`, optionally recording (t, chart, x) rows), and
-`_push` runs a flow word, (field, duration) segments composed left to
-right, on a list of points, one block per segment (for `FlowWord`,
-`exp_map_rows` and the defects); a failed row stops, and after the last
-segment the first failed row raises, as a loop over the points would.
+adaptivity.  One core, `_run_block`, steps an (m, N) block of rows,
+Points in and Points out, each row with its own chart, signed step, hop
+count, status and reach time.  `_run` integrates one trajectory (for
+`integrate` and `variational_flow`, optionally recording (t, chart, x)
+rows), and `_push` runs a flow word, (field, duration) segments composed
+left to right, on a list of points, one block per segment (for
+`FlowWord`, `exp_map_rows` and the defects); a failed row stops, and
+after the last segment the first failed row raises, as a loop over the
+points would.
 Rows step in groups keyed on the chart `value`, their right-hand side,
 and on their margin test family, not on their chart, so the callables
 take (..., N) inputs.  A row that leaves the margin-shrunk domain of its
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .atlas import Atlas, Point, _family, _vec
+from .atlas import RECHART_MARGIN, Atlas, Point, _family, _vec
 from .errors import ChartMissing, HopLimit, LeftAtlas
 
 OK = "ok"
@@ -162,9 +163,6 @@ _CHUNK = 256
 # most a row of the shipped horizon-100 probes makes (under 1,000, on the
 # torus), so a row stops on it only when it keeps hopping without getting anywhere
 MAX_HOPS = 10_000
-# a row hands off once it leaves its chart's domain shrunk by this fraction,
-# so the finite-difference stencils of `d` and `d2` stay inside the chart
-RECHART_MARGIN = 0.1
 # a row whose state's norm passes this stops as DIVERGED, long before a
 # blow-up overflows to inf or nan
 STATE_GUARD = 1e8
@@ -246,18 +244,21 @@ def _second_order(M: np.ndarray, T: np.ndarray, h, W: np.ndarray, v: np.ndarray)
     return np.moveaxis(c[..., 0], (0, 1), (-2, -1))
 
 
-def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: IntegratorConfig,
-               W: np.ndarray | None = None, record: list | None = None, params=None,
-               second=None):
-    """The RK4 core.
+def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
+               record: list | None = None, params=None, second=None):
+    """The RK4 core: trajectories from `starts` (Points) as rows of one block.
 
-    `z` is a block of base states (m, n) with `t` an (m,) array of signed
-    finite durations, n the field's state dimension; `W`, None or (m, n, k),
-    holds each row's variational columns.  Both are updated in place.  A
-    block of one row is stepped as its 1-D view `z[0]` with a scalar step,
-    so the right-hand side and the margin test see a 1-D state (about 2.8x
-    faster than a (1, N) block: sphere `exp_map`, 1,000 steps, 17-18 ms
-    against 49-51 ms), its hops found by the one-row search
+    `t` is one signed finite duration or one per row, `w0` None or (m, ...)
+    variational columns per row (n rows each), stepped as an (m, n, k)
+    block W, `params` the (m, q) parameter rows of a family field, never
+    stepped or re-charted.  Each row stops on its own.  Returns (end points,
+    W, t_reached, statuses), one per row, W the pushed columns in the shape
+    of `w0` (None without it).
+
+    A block of one row is stepped as its 1-D view `z[0]` with a scalar
+    step, so the right-hand side and the margin test see a 1-D state
+    (about 2.8x faster than a (1, N) block: sphere `exp_map`, 1,000 steps,
+    17-18 ms against 49-51 ms), its hops found by the one-row search
     `Atlas.hop_target`; a one-row group of a larger block stays 2-D.  Rows
     step in groups that share a chart `value` object, their right-hand side,
     and a margin test family, so each group makes one RK4 call and one test
@@ -266,9 +267,8 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     broadcasting each row's step.  One `np.count_nonzero` tests that a
     group's rows stayed sound and inside, and diverged rows are sought only
     when some row is unsound.  The test parameters, the hop search, the
-    flush of W and its re-chart use each row's own chart.  A family's
-    parameter rows `params`, shaped like `z`, are never stepped or
-    re-charted; each group binds its share to the chart `value`.
+    flush of W and its re-chart use each row's own chart; each group binds
+    its share of `params` to the chart `value`.
 
     Only the base state is stepped.  With variational columns each group's
     right-hand side writes its four RK4 stage states straight into the
@@ -285,19 +285,20 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
     flushes before it hops (then U <- dh U + d2h(W v, W .), W <- dh W, dh
     the transition Jacobian), when it stops, when it finishes and at each
     chunk end, so its spans, W and U never depend on the other rows.
-    Returns (chart ids, z, t_reached, statuses) with one entry per row.
     `record` (one row) is appended with rows (t, chart_id, x_copy), a hop
     adding its pre-hop state at the same time.
     """
-    atlas = field.atlas
+    atlas, m = field.atlas, len(starts)
     n = atlas.dim
+    z = np.array([p.coords for p in starts], float).reshape(m, n)
+    W = None if w0 is None else np.array(w0, float).reshape(m, n, -1)
+    params = None if params is None else np.asarray(params, float).reshape(m, field.params)
     k = W is not None
     if second is not None and params is not None:
         raise ValueError("a family field carries no second-order columns")
     vs, U = (None, None) if second is None else second
-    cids = list(cids)
-    m = len(cids)
-    ts = [float(ti) for ti in t]
+    cids = [p.chart for p in starts]
+    ts = [float(ti) for ti in np.broadcast_to(np.asarray(t, float), (m,))]
     for r, ti in enumerate(ts):
         if not math.isfinite(ti):
             raise ValueError(f"row {r}: duration must be finite, got {ti!r}")
@@ -465,7 +466,8 @@ def _integrate(field: VectorField, cids: list, z: np.ndarray, t, cfg: Integrator
             break
 
     t_ok = [reached[r] * hs[r] if reached[r] else 0.0 for r in range(m)]
-    return cids, z, t_ok, status
+    return ([Point(c, x) for c, x in zip(cids, z)], None if W is None else W.reshape(np.shape(w0)),
+            t_ok, status)
 
 
 def _run(field: VectorField, start: Point, t: float, cfg: IntegratorConfig,
@@ -479,29 +481,6 @@ def _run(field: VectorField, start: Point, t: float, cfg: IntegratorConfig,
     ends, W, t_ok, status = _run_block(field, [start], t, cfg,
                                        None if w0 is None else np.asarray(w0, float)[None], record)
     return ends[0], None if W is None else W[0], t_ok[0], status[0]
-
-
-def _run_block(field: VectorField, starts, t, cfg: IntegratorConfig, w0=None,
-               record: list | None = None, params=None, second=None):
-    """Integrate trajectories from `starts` (Points) as rows of one block.
-
-    `t` is one signed duration or one per row, `w0` None or (m, ...)
-    variational columns per row (n rows each), carried beside the base
-    states as an (m, n, k) block, `record` as in `_run` (one row only),
-    `params` the (m, q) parameter rows of a family field, `second` as in
-    `_integrate` (its U updated in place).  Each row stops on its own.
-    Returns (end points, W, t_reached, statuses), one per row, W holding
-    the pushed columns in the shape of `w0` (None without it).
-    """
-    m, n = len(starts), field.atlas.dim
-    z = np.array([p.coords for p in starts], float).reshape(m, n)
-    W = None if w0 is None else np.array(w0, float).reshape(m, n, -1)
-    t = np.broadcast_to(np.asarray(t, float), (m,))
-    params = None if params is None else np.asarray(params, float).reshape(m, field.params)
-    cids, z, t_ok, status = _integrate(field, [p.chart for p in starts], z, t, cfg, W,
-                                       record, params, second)
-    return ([Point(c, x) for c, x in zip(cids, z)], None if W is None else W.reshape(np.shape(w0)),
-            t_ok, status)
 
 
 def _raise_for(status: str, field: VectorField, t_ok: float):
@@ -547,7 +526,7 @@ def _push(word, points, cfg: IntegratorConfig, w0=None, params=None, second=None
     (m, n, k) columns `w0` riding along as variational columns (W None
     without them) and `params`, the (m, q) parameter rows of a word of
     family fields, passed to every segment, and `second`, (vs, U) as in
-    `_integrate`, U moved in place until a row fails.  A failed row stops;
+    `_run_block`, U moved in place until a row fails.  A failed row stops;
     after the last segment the first failed row raises.
     """
     pts = list(points)

@@ -569,6 +569,12 @@ def load_scenario(path: str, catalog: Catalog | None = None) -> Scenario:
     def reject(literal):
         raise ParseError(f"{path}: {literal} is not strict JSON")
 
+    def unique(pairs):  # json alone would keep the last of a repeated key
+        keys = [k for k, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ParseError(f"{path}: repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return dict(pairs)
+
     catalog = catalog or default_catalog()
     try:
         with open(path) as fh:
@@ -576,7 +582,7 @@ def load_scenario(path: str, catalog: Catalog | None = None) -> Scenario:
     except OSError as e:
         raise ParseError(f"cannot read scenario {path!r}: {e}") from None
     try:
-        data = json.loads(text, parse_constant=reject)
+        data = json.loads(text, parse_constant=reject, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     return _parse_scenario(data, path, catalog)
@@ -634,22 +640,19 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
 
 # -- emission --------------------------------------------------------------------
 
-def emit(obj, path: str, format: str = "json") -> None:
-    """Write a Report as JSON or a (header, rows) trajectory as CSV."""
+def emit(obj, path: str) -> None:
+    """Write a (header, rows) trajectory tuple as CSV, anything else as JSON."""
     try:
-        if format == "json":
-            data = obj.to_dict() if isinstance(obj, Report) else obj
-            with open(path, "w") as fh:
-                json.dump(data, fh, indent=2, allow_nan=False)
-                fh.write("\n")
-        elif format == "csv":
-            header, rows = obj
-            with open(path, "w") as fh:
+        with open(path, "w") as fh:
+            if isinstance(obj, tuple):
+                header, rows = obj
                 for row in [header, *rows]:  # strings (the header, chart names) as they are
                     fh.write(",".join(c if isinstance(c, str) else repr(float(c)) for c in row))
                     fh.write("\n")
-        else:
-            raise ValueError(f"unknown format {format!r}")
+            else:
+                json.dump(obj.to_dict() if isinstance(obj, Report) else obj, fh, indent=2,
+                          allow_nan=False)
+                fh.write("\n")
     except OSError as e:
         raise IoError(f"cannot write {path!r}: {e}") from None
 

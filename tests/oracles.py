@@ -2,16 +2,19 @@
 
 Everything here is computed from raw embedding geometry or hand math and
 never calls the library's connection/flow machinery, so oracle values
-stay independent of the code paths they verify.  The exception is the
-last section: two catalog entries that only tests compute on (flat R^3
-and the colatitude chart of the round sphere), built from library parts
-and registered on the shared catalog by `tests/conftest.py`.
+stay independent of the code paths they verify.  The exceptions are the
+last two sections: a reference sampler, the two rejection loops that
+`Atlas.sample_points` and `Atlas.overlap_samples` once ran, written out
+over the library's charts; and two catalog entries that only tests
+compute on (flat R^3 and the colatitude chart of the round sphere), built
+from library parts and registered on the shared catalog by
+`tests/conftest.py`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from affinelab.atlas import Atlas, Chart, all_space, box_domain
+from affinelab.atlas import Atlas, Chart, Point, all_space, box_domain
 from affinelab.catalog import flat_connection, quad_chart
 from affinelab.connection import from_christoffel
 from affinelab.flows import VectorField
@@ -133,6 +136,39 @@ def halfplane_geodesic_unit_circle(t):
     """Unit-speed geodesic from (0, 1) with initial velocity (1, 0):
     x = tanh(t), y = sech(t)."""
     return np.array([np.tanh(t), 1.0 / np.cosh(t)])
+
+
+# -- reference sampler: one rejection loop per sampler --------------------------
+
+def sample_points(atlas: Atlas, cid: str, count: int, rng):
+    """Uniform draws from chart `cid`'s sample box inside its domain shrunk by 0.1."""
+    c = atlas.chart(cid)
+    out, attempts = [], 0
+    while len(out) < count:
+        x = rng.uniform(c.sample_lo, c.sample_hi)
+        attempts += 1
+        if c.contains(x, 0.1):
+            out.append(Point(cid, x))
+        if attempts > 1000 * max(count, 1):
+            raise RuntimeError(f"sampling chart {cid!r} rejected too often")
+    return out
+
+
+def overlap_samples(atlas: Atlas, cid1: str, cid2: str, count: int, rng):
+    """Uniform draws of chart `cid1` whose transition lands inside chart `cid2`."""
+    c1, c2 = atlas.chart(cid1), atlas.chart(cid2)
+    tr = c1.transitions[cid2]
+    out, attempts = [], 0
+    while len(out) < count:
+        x = rng.uniform(c1.sample_lo, c1.sample_hi)
+        attempts += 1
+        if c1.contains(x):
+            y = np.atleast_1d(np.asarray(tr.map(x), float))
+            if np.all(np.isfinite(y)) and c2.contains(y):
+                out.append(Point(cid1, x))
+        if attempts > 5000 * max(count, 1):
+            raise RuntimeError(f"overlap sampling {cid1!r}/{cid2!r} rejected too often")
+    return out
 
 
 # -- test-only catalog entries --------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from functools import partial
 
@@ -233,6 +234,35 @@ def test_points_near_opposite_poles_share_no_chart(cat):
     atlas = cat.atlas("sphere")
     with pytest.raises(NoCommonChart):
         atlas.gap(Point("a", [0.1, 0.0]), Point("b", [0.0, 0.1]))
+
+
+def test_samplers_draw_the_reference_loops_points_bit_for_bit(cat):
+    # both samplers run one shared rejection loop: on every catalog chart and
+    # every overlap pair, both ways, it must keep the draws the reference
+    # loops keep and consume the generator as they do.  No catalog chart's
+    # sample box leaves its margin-shrunk domain, so two unit disks sampled
+    # over [-1, 1]^2 and overlapping at a shift of 0.5 make the margin and
+    # the source chart's own domain decide too
+    from affinelab.atlas import disk_domain
+    d, e = (Chart(cid, 2, disk_domain(1.0), [-1.0, -1.0], [1.0, 1.0]) for cid in "de")
+    d.add_transition("e", Transition(map=lambda x: x - [0.5, 0.0]))
+    e.add_transition("d", Transition(map=lambda x: x + [0.5, 0.0]))
+    wide = Atlas("wide", 2, [d, e])
+    runs = 0
+    for atlas in [cat.atlas(name) for name in cat.manifold_names()] + [wide]:
+        pairs = atlas.overlap_pairs()
+        assert all((b, a) in pairs for a, b in pairs)  # every overlap runs both ways
+        draws = [(atlas.sample_points, oracles.sample_points, (cid,)) for cid in atlas.charts]
+        draws += [(atlas.overlap_samples, oracles.overlap_samples, pair) for pair in pairs]
+        for draw, reference, args in draws:
+            rng = np.random.default_rng(runs)
+            ref_rng = copy.deepcopy(rng)
+            got, want = draw(*args, 40, rng), reference(atlas, *args, 40, ref_rng)
+            assert [(p.chart, p.coords.tobytes()) for p in got] == \
+                [(p.chart, p.coords.tobytes()) for p in want]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            runs += 1
+    assert runs > 20
 
 
 def test_sampling_gives_up_when_the_margin_leaves_no_room(cat, rng, monkeypatch):

@@ -220,18 +220,14 @@ def test_emit_trajectory_csv(cat, tmp_path, cfg):
     integrate(cat.field("sphere", "rot_x"), Point("a", [0.4, 0.1]), 0.05, cfg, record=rec)
     header, rows = trajectory_rows(rec, 2, payload="coords")
     out = tmp_path / "traj.csv"
-    emit((header, rows), str(out), format="csv")
+    emit((header, rows), str(out))  # a (header, rows) tuple is written as CSV
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,chart,x0,x1"
     ts = [float(l.split(",")[0]) for l in lines[1:]]
     assert all(b >= a for a, b in zip(ts, ts[1:]))  # monotone t column
 
 
-def test_unknown_formats_and_payloads_are_value_errors(tmp_path):
-    out = tmp_path / "out.xml"
-    with pytest.raises(ValueError, match="unknown format 'xml'"):
-        emit({"checks": []}, str(out), format="xml")
-    assert not out.exists()
+def test_unknown_formats_and_payloads_are_value_errors():
     with pytest.raises(ValueError, match="unknown payload 'jet'"):
         trajectory_rows([], 2, payload="jet")
 
@@ -262,6 +258,24 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert out.exists()
     assert cli_main(["run", str(scenario), "--tol-scale", "1e-14"]) == 1
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("text, key", [
+    # a repeated check parameter: json alone would keep the last, a loose tol of 5.0
+    ('{"manifold": "sphere", "connection": "round", "checks": '
+     '[{"name": "transition_roundtrip", "tol": 1e-10, "tol": 5.0}]}', "tol"),
+    # a repeated root key: json alone would run only the last list, here none
+    ('{"manifold": "sphere", "connection": "round", '
+     '"checks": [{"name": "transition_roundtrip"}], "checks": []}', "checks"),
+], ids=["check_parameter", "root_key"])
+def test_cli_refuses_a_repeated_key_as_a_usage_error(text, key, cat, tmp_path, capsys):
+    p = tmp_path / "repeated.json"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+        load_scenario(str(p), cat)
+    assert cli_main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"repeated key '{key}'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("step", ["0", "nan", "-1", "inf"])

@@ -15,7 +15,8 @@ every code object nested in it name.  After pytest's own output it prints
 and exits 0 whatever pytest returns.  Tier-1 draws fixed Hypothesis examples
 (`tests/conftest.py`), so two runs list the same lines; the CI step that runs
 this fails when `unrun total` is above the count it names.
-Traced, the tier-1 suite takes about twice its untraced time.
+Traced, the tier-1 suite takes about twice its untraced time.  The tracer
+(`traced`) and the report (`report`) serve `tools/traffic_lines.py` too.
 """
 import sys
 from pathlib import Path
@@ -37,8 +38,9 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
-def run_traced(args) -> set:
-    """(file name, line) of every `src/affinelab` line pytest `args` ran."""
+def traced(run) -> set:
+    """(file name, line) of every `src/affinelab` line `run()` ran.  A trace
+    function already set, as under this tool's own tier-1 run, is put back."""
     prefix, ran = str(PKG), set()
     add = ran.add
 
@@ -51,16 +53,22 @@ def run_traced(args) -> set:
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
     sys.path.insert(0, str(PKG.parent))  # this checkout's package, not an installed one
-    sys.settrace(calls)  # the suite starts no threads
+    outer = sys.gettrace()
+    sys.settrace(calls)  # the runs traced here start no threads
     try:
-        pytest.main(args)
+        run()
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return ran
 
 
-def main(argv) -> int:
-    ran = run_traced(argv or TIER1)
+def run_traced(args) -> set:
+    """(file name, line) of every `src/affinelab` line pytest `args` ran."""
+    return traced(lambda: pytest.main(args))
+
+
+def report(ran) -> None:
+    """Print each executable `src/affinelab` line not in `ran`, then the counts."""
     total = unrun_total = 0
     counts = []
     for path in sorted(PKG.glob("*.py")):
@@ -74,6 +82,10 @@ def main(argv) -> int:
         unrun_total += len(unrun)
     print("\n".join(counts))
     print(f"unrun total {unrun_total} of {total}")
+
+
+def main(argv) -> int:
+    report(run_traced(argv or TIER1))
     return 0
 
 
