@@ -253,10 +253,29 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., None]
 
 
+def _rotation_frame(rs):
+    """The kappa^{-1} value (z, p) -> pack(v, g A + B_x(g . , v)), v = g lam,
+    over components, of a 2-D connection with B_x(a, v) = r a + s J a,
+    J a = (-a1, a0) and (r, s) = rs(x0, x1, v0, v1): elementwise operations
+    only, so a row gets the same bits alone as in any block."""
+
+    def frame(z, p):
+        x0, x1, g00, g01, g10, g11 = z.T
+        l0, l1, a00, a01, a10, a11 = p.T
+        v0, v1 = g00 * l0 + g01 * l1, g10 * l0 + g11 * l1
+        r, s = rs(x0, x1, v0, v1)
+        a00, a11 = a00 + r, a11 + r  # g A + r g as g (A + r I)
+        return np.array([v0, v1, g00 * a00 + g01 * a10 - s * g10, g00 * a01 + g01 * a11 - s * g11,
+                         g10 * a00 + g11 * a10 + s * g00, g10 * a01 + g11 * a11 + s * g01]).T
+
+    return frame
+
+
 def round_sphere_connection(atlas: Atlas) -> ConnectionField:
     """Levi-Civita connection of the round metric 4/(1+|x|^2)^2 dx^2 in both
     stereographic charts: B_x(v, w) = c (<x,v> w + <x,w> v - <v,w> x),
-    c = 2/(1+|x|^2).  Both charts hand out one fused spray (v, B_x(v, v))."""
+    c = 2/(1+|x|^2).  Both charts hand out one fused spray (v, B_x(v, v)) and
+    one kappa^{-1} right-hand side `frame`."""
 
     def bil(x, v, w):
         x, v, w = x.T, v.T, w.T
@@ -273,6 +292,11 @@ def round_sphere_connection(atlas: Atlas) -> ConnectionField:
         xv, vv = xv + xv, v0 * v0 + v1 * v1
         return np.array([v0, v1, c * (xv * v0 - vv * x0), c * (xv * v1 - vv * x1)]).T
 
+    @_rotation_frame
+    def frame(x0, x1, v0, v1):  # B_x(a, v) = c (<x, v> a + (x0 v1 - x1 v0) J a)
+        c = 2.0 / (1.0 + (x0 * x0 + x1 * x1))
+        return c * (x0 * v0 + x1 * v1), c * (x0 * v1 - x1 * v0)
+
     def tensor(x):
         return 2.0 / (1.0 + _dot(x, x)) * _round_form(x)
 
@@ -280,7 +304,7 @@ def round_sphere_connection(atlas: Atlas) -> ConnectionField:
         c = 2.0 / (1.0 + _dot(x, x))
         return -c * c * _dot(x, u) * _round_form(x) + c * _round_form(u)
 
-    charts = {cid: ConnChart(bilinear=bil, tensor=tensor, d_dir=d_dir, spray=spray)
+    charts = {cid: ConnChart(bilinear=bil, tensor=tensor, d_dir=d_dir, spray=spray, frame=frame)
               for cid in ("a", "b")}
     return ConnectionField(atlas, "round", charts)
 
@@ -309,8 +333,9 @@ def hyperbolic_connection(atlas: Atlas) -> ConnectionField:
         y = x[..., 1, None, None, None]
         return -(u[..., 1, None, None, None] / y) * (_HYPERBOLIC / y)
 
-    return ConnectionField(atlas, "hyperbolic", {"hp": ConnChart(bilinear=bil, tensor=tensor,
-                                                                 d_dir=d_dir, spray=spray)})
+    return ConnectionField(atlas, "hyperbolic", {"hp": ConnChart(
+        bilinear=bil, tensor=tensor, d_dir=d_dir, spray=spray,
+        frame=_rotation_frame(lambda x, y, v0, v1: (v1 / y, -v0 / y)))})
 
 
 # -- vector fields -------------------------------------------------------------

@@ -53,13 +53,18 @@ class ConnChart:
     coordinate direction at once.  `spray` z -> (v, B_x(v, v)) of (..., 2n)
     rows z = (x, v) is optional: a fused geodesic spray that must give the
     same bits as `(v, bilinear(x, v, v))` on every row; when missing,
-    `geodesics.geodesic_field` derives that from `bilinear`.
+    `geodesics.geodesic_field` derives that from `bilinear`.  `frame`
+    (z, p) -> pack(g lam, g A + B_x(g . , g lam)), z = (x, g), p = (lam, A),
+    is an optional kappa^{-1} value: it must give a row the same bits alone
+    as in any block, and agree at round-off with the tensor contraction
+    that `frame_bundle.kappa_inverse_family` runs where it is missing.
     """
 
     tensor: Callable
     bilinear: Callable | None = None
     d_dir: Callable | None = None
     spray: Callable | None = None
+    frame: Callable | None = None
 
 
 class ConnectionField:

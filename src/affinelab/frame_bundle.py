@@ -15,7 +15,8 @@ standard horizontal field H_lambda is kappa^{-1}(lambda, 0):
 Since kappa is a {1}-structure, the constant fields kappa^{-1}(lam, A)
 form one map P x (E + gl(E)) -> TP, linear in (lam, A):
 `kappa_inverse_family` is that map as one field with per-row parameters
-p = pack(lam, A), its chart callables built once per connection.  Every
+p = pack(lam, A), its chart callables built once per connection, its
+`value` a chart's `ConnChart.frame` where it has one.  Every
 kappa^{-1} entry point evaluates them: `kappa_inverse_field` (and
 `standard_horizontal`) binds one row with `functools.partial`, one member
 per distinct family callable, and `kappa_inverse` and `kappa_matrix` call
@@ -151,8 +152,9 @@ def kappa_inverse_family(conn: ConnectionField) -> VectorField:
     built once per connection: its chart callables take frame rows z and
     parameter rows p = pack(lam, A), broadcasting together, so flows of
     different (lam, A) share a block.  Charts whose connection shares
-    `tensor` and `d_dir` share one pair.  `d` is the closed-form Jacobian
-    in z: with v = g lam at z = (x, g),
+    `tensor`, `d_dir` and `frame` share one pair.  `value` is the chart's
+    `frame` on every row shape where it has one, else it contracts
+    `tensor`.  `d` is the closed-form Jacobian in z: with v = g lam at z = (x, g),
 
         d/dx_j  (v, w) = (0, dB(e_j)(g . , v))
         d/dg_ab (v, w) = (E_ab lam, E_ab A + B(E_ab . , v) + B(g . , E_ab lam)),
@@ -166,8 +168,8 @@ def kappa_inverse_family(conn: ConnectionField) -> VectorField:
     eye = np.eye(n)
     N = n + n * n
 
-    @cache  # one pair per (tensor, d_dir): charts that share them step together
-    def family(tensor, d_dir):
+    @cache  # one pair per (tensor, d_dir, frame): charts that share them step together
+    def family(tensor, d_dir, frame):
         def value(z, p):
             x, g = unpack(z, n, n)
             lam, A = p[..., :n], p[..., n:].reshape(p.shape[:-1] + (n, n))
@@ -192,10 +194,10 @@ def kappa_inverse_family(conn: ConnectionField) -> VectorField:
             out[..., n:, n:] = fibre.reshape(lead + (n * n, n * n))
             return out
 
-        return ChartField(value=value, d=d)
+        return ChartField(value=frame or value, d=d)
 
-    charts = {cid: family(conn._chart(cid).tensor, conn._chart(cid).d_dir)
-              for cid in conn.atlas.charts if conn.has_chart(cid)}
+    charts = {cid: family(cc.tensor, cc.d_dir, cc.frame)
+              for cid, cc in conn._charts.items()}
     field = VectorField(frame_atlas(conn.atlas), "kappa_inv", charts, params=N)
     conn._kappa_inverse_family = field
     return field

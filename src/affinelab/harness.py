@@ -641,18 +641,18 @@ def run_suite(scenario: Scenario, catalog: Catalog | None = None, tol_scale: flo
 # -- emission --------------------------------------------------------------------
 
 def emit(obj, path: str) -> None:
-    """Write a (header, rows) trajectory tuple as CSV, anything else as JSON."""
+    """Write a (header, rows) trajectory tuple as CSV, anything else as JSON,
+    built whole before the file opens: what cannot be written leaves no file."""
+    if isinstance(obj, tuple):
+        header, rows = obj  # strings (the header, chart names) as they are
+        text = "".join(",".join(c if isinstance(c, str) else repr(float(c)) for c in row) + "\n"
+                       for row in [header, *rows])
+    else:
+        text = json.dumps(obj.to_dict() if isinstance(obj, Report) else obj, indent=2,
+                          allow_nan=False) + "\n"
     try:
         with open(path, "w") as fh:
-            if isinstance(obj, tuple):
-                header, rows = obj
-                for row in [header, *rows]:  # strings (the header, chart names) as they are
-                    fh.write(",".join(c if isinstance(c, str) else repr(float(c)) for c in row))
-                    fh.write("\n")
-            else:
-                json.dump(obj.to_dict() if isinstance(obj, Report) else obj, fh, indent=2,
-                          allow_nan=False)
-                fh.write("\n")
+            fh.write(text)
     except OSError as e:
         raise IoError(f"cannot write {path!r}: {e}") from None
 

@@ -3,12 +3,13 @@
 Everything here is computed from raw embedding geometry or hand math and
 never calls the library's connection/flow machinery, so oracle values
 stay independent of the code paths they verify.  The exceptions are the
-last two sections: a reference sampler, the two rejection loops that
-`Atlas.sample_points` and `Atlas.overlap_samples` once ran, written out
-over the library's charts; and two catalog entries that only tests
-compute on (flat R^3 and the colatitude chart of the round sphere), built
-from library parts and registered on the shared catalog by
-`tests/conftest.py`.
+last three sections: the kappa^{-1} value as the tensor contraction that
+`kappa_inverse_family` runs on a chart without `ConnChart.frame`; a
+reference sampler, the two rejection loops that `Atlas.sample_points` and
+`Atlas.overlap_samples` once ran, written out over the library's charts;
+and two catalog entries that only tests compute on (flat R^3 and the
+colatitude chart of the round sphere), built from library parts and
+registered on the shared catalog by `tests/conftest.py`.
 """
 from __future__ import annotations
 
@@ -136,6 +137,19 @@ def halfplane_geodesic_unit_circle(t):
     """Unit-speed geodesic from (0, 1) with initial velocity (1, 0):
     x = tanh(t), y = sech(t)."""
     return np.array([np.tanh(t), 1.0 / np.cosh(t)])
+
+
+# -- reference kappa^{-1} value: the chart tensor contracted ---------------------
+
+def kappa_inverse_value(tensor, z, p):
+    """pack(g lam, g A + B_x(g . , g lam)) of frame rows z = (x, g) and
+    parameter rows p = (lam, A) on a 2-D chart, T = tensor(x) contracted
+    with v = g lam first: (T v) g."""
+    x, g = z[..., :2], z[..., 2:].reshape(z.shape[:-1] + (2, 2))
+    lam, A = p[..., :2], p[..., 2:].reshape(p.shape[:-1] + (2, 2))
+    v = (g @ lam[..., None])[..., 0]
+    w = g @ A + (tensor(x) @ v[..., None, :, None])[..., 0] @ g
+    return np.concatenate([v, w.reshape(w.shape[:-2] + (4,))], axis=-1)
 
 
 # -- reference sampler: one rejection loop per sampler --------------------------

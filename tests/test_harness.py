@@ -10,8 +10,8 @@ from affinelab import harness
 from affinelab.atlas import Atlas
 from affinelab.cli import main as cli_main
 from affinelab.errors import ParseError, ScenarioError, UnknownCatalogName
-from affinelab.harness import (_CHECKS, Report, check_names, emit, load_scenario, run_suite,
-                               scenario_from_dict, trajectory_rows)
+from affinelab.harness import (_CHECKS, CheckResult, Report, check_names, emit, load_scenario,
+                               run_suite, scenario_from_dict, trajectory_rows)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -202,6 +202,20 @@ def test_emit_writes_a_non_finite_worst_as_null(cat, tmp_path, monkeypatch):
     row = json.loads(out.read_text(), parse_constant=reject)["checks"][0]
     assert (row["status"], row["worst"], row["worst_at"]) == ("fail", None, 0)
     assert "nan" in row["error"]
+
+
+def test_emit_refuses_a_non_finite_float_before_it_opens_the_file(tmp_path):
+    out = tmp_path / "plain.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit({"a": 1, "x": float("nan")}, str(out))
+    assert not out.exists()  # no half-written file
+    with pytest.raises(TypeError):  # nor a trajectory whose last row holds no number
+        emit((["t", "chart", "x0"], [(0.0, "a", 0.5), (0.1, "a", None)]), str(out))
+    assert not out.exists()
+    # a Report converts its own non-finite worst to null and writes
+    rep = Report([CheckResult("d2_symmetry", "fail", float("inf"), 1, 0.0, "inf")], {})
+    emit(rep, str(out))
+    assert json.loads(out.read_text())["checks"][0]["worst"] is None
 
 
 def test_report_meta_keys(cat):

@@ -6,7 +6,10 @@ against central differences of the spray on every catalog connection
 chart, and the d exp it gives a shot that changes chart against central
 differences of `exp_map`.  The spray's `value` is a chart's fused
 `ConnChart.spray` where it has one, which must give the bits of the
-derived (v, B_x(v, v)), and the derived one elsewhere."""
+derived (v, B_x(v, v)), and the derived one elsewhere.  Likewise the
+kappa^{-1} family's `value` is a chart's unrolled `ConnChart.frame`,
+which must agree with the tensor contraction at round-off and give a row
+the same bits alone as in a block."""
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from affinelab.atlas import Point, Tangent
 from affinelab.bundles import pack
 from affinelab.catalog import default_catalog
 from affinelab.flows import IntegratorConfig, variational_flow
+from affinelab.frame_bundle import kappa_inverse_family
 from affinelab.geodesics import exp_map, geodesic_field
 
 CAT = default_catalog()
@@ -83,6 +87,30 @@ def test_fused_spray_gives_the_bits_of_the_derived_spray(manifold, name, cid, rn
     for z in zs:  # one point as a 1-D row, on numpy scalars
         got, want = cc.spray(z), _derived(cc, z)
         assert got.shape == want.shape == (4,) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("manifold, name, cid", FUSED, ids=["/".join(c) for c in FUSED])
+def test_frame_callable_matches_the_tensor_contraction_on_every_row_shape(manifold, name,
+                                                                          cid, rng):
+    conn = CAT.connection(manifold, name)
+    cc = conn._chart(cid)
+    assert cc.frame is not None and kappa_inverse_family(conn).chart_field(cid).value is cc.frame
+    xs = np.concatenate([[p.coords for p in conn.atlas.sample_points(cid, 8, rng)],
+                         _edge_points(manifold, rng, 8)])
+    # g, lam and A of mixed scale, 1e-3 to 1e3 per component
+    zs = np.concatenate([xs, rng.normal(size=(16, 4)) * 10.0 ** rng.uniform(-3, 3, (16, 4))],
+                        axis=-1)
+    ps = rng.normal(size=(16, 6)) * 10.0 ** rng.uniform(-3, 3, (16, 6))
+    got, want = cc.frame(zs, ps), oracles.kappa_inverse_value(cc.tensor, zs, ps)
+    assert got.shape == want.shape == (16, 6)
+    # rows of mixed scale cancel, so the bound is the block's largest component; the
+    # unrolled sums read at most 2.3 eps of it over 300 seeds
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+    bound = cc.frame(zs, ps[0])  # one parameter row bound for the whole block
+    for z, p, row, bound_row in zip(zs, ps, got, bound):  # one point as a 1-D row
+        alone = cc.frame(z, p)
+        assert alone.shape == (6,) and alone.tobytes() == row.tobytes()
+        assert cc.frame(z, ps[0]).tobytes() == bound_row.tobytes()
 
 
 def _counting_bilinear(conn):

@@ -1,5 +1,5 @@
-"""Print what one RK4 step, one spray call, one step of `FlowWord.second` and one chart
-hand-off cost, and the probes' work.
+"""Print what one RK4 step, one spray call, one kappa^{-1} value, one step of
+`FlowWord.second` and one chart hand-off cost, and the probes' work.
 
     PYTHONPATH=src python tools/step_costs.py
 
@@ -11,6 +11,10 @@ hand-off cost, and the probes' work.
                               (the fused sprays of sphere chart a and halfplane, the
                               derived flat one of torus chart t00) on ROWS sampled rows,
                               one row as a 1-D state as a one-row run steps it
+    frame MANIFOLD ROWS US    microseconds per call of H_lambda's chart `value`, the
+                              kappa^{-1} family with one parameter row (lambda, 0)
+                              bound (the `frame` callables of sphere chart a and
+                              halfplane), on ROWS sampled frames, one row as a 1-D state
     second MANIFOLD ROWS US   microseconds per RK4 step of `FlowWord.second` (images, df
                               and the second-order columns d2 f(v, .)) of the sphere word
                               Fl[rot_y, -1] at step STEP, as `exp_aut` builds it, on ROWS
@@ -34,7 +38,7 @@ from affinelab.bundles import pack
 from dump_rows import probe_rows
 
 STEP, STEPS, REPEATS = 1e-3, 100, 5
-CALLS = 1000  # spray calls per timed run
+CALLS = 1000  # spray or frame calls per timed run
 
 
 def step_lines(cat):
@@ -55,18 +59,30 @@ def step_lines(cat):
                 yield f"step {name} {kind} {rows} {s / STEPS * 1e6:.1f}"
 
 
-def spray_lines(cat):
+def call_lines(cat, kind, field_of, fiber, charts):
+    """`kind` lines: microseconds per call of the chart `value` of field_of(connection)
+    on 1 and 16 rows, sampled base points followed by `fiber` normal components."""
     rng = np.random.default_rng(0)
-    for manifold, cname, cid in (("sphere", "round", "a"), ("halfplane", "hyperbolic", "hp"),
-                                 ("torus", "flat", "t00")):
+    for manifold, cname, cid in charts:
         conn = cat.connection(manifold, cname)
-        value = al.geodesics.geodesic_field(conn).chart_field(cid).value
+        value = field_of(conn).chart_field(cid).value
         for rows in (1, 16):
             xs = np.array([p.coords for p in conn.atlas.sample_points(cid, rows, rng)])
-            z = np.concatenate([xs, rng.normal(size=xs.shape)], axis=-1)
+            z = np.concatenate([xs, rng.normal(size=(rows, fiber))], axis=-1)
             z = z[0] if rows == 1 else z
             s = min(timeit.repeat(lambda: value(z), number=CALLS, repeat=REPEATS))
-            yield f"spray {manifold} {rows} {s / CALLS * 1e6:.2f}"
+            yield f"{kind} {manifold} {rows} {s / CALLS * 1e6:.2f}"
+
+
+def spray_lines(cat):
+    return call_lines(cat, "spray", al.geodesics.geodesic_field, 2,
+                      (("sphere", "round", "a"), ("halfplane", "hyperbolic", "hp"),
+                       ("torus", "flat", "t00")))
+
+
+def frame_lines(cat):
+    return call_lines(cat, "frame", lambda conn: al.standard_horizontal(conn, [1.0, 0.5]), 4,
+                      (("sphere", "round", "a"), ("halfplane", "hyperbolic", "hp")))
 
 
 def second_lines(cat):
@@ -116,4 +132,5 @@ def probe_lines():
 
 if __name__ == "__main__":
     cat = al.default_catalog()
-    print(*step_lines(cat), *spray_lines(cat), *second_lines(cat), *probe_lines(), sep="\n")
+    print(*step_lines(cat), *spray_lines(cat), *frame_lines(cat), *second_lines(cat),
+          *probe_lines(), sep="\n")
